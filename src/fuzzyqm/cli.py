@@ -23,7 +23,6 @@ from .deuteron import (
     core_radius,
     coupling_report,
     effective_potential,
-    optimal_alpha,
     range_depth_curve,
     solve_depth,
     trial_samples,
@@ -318,7 +317,7 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         template, meta = _template(cfg, "fuzzy")
         try:
             res = core_radius(template)
-        except BracketingError as exc:
+        except (BracketingError, RefinementError) as exc:
             print(f"deuteron core-radius: {exc}", file=sys.stderr)
             return 1
         payload = {
@@ -348,7 +347,9 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         p_fuz = solve_depth(c.r0_sigma_fm, fuzzy_tpl)
         stage = "core radius"
         rc = core_radius(fuzzy_tpl)
-        if not (p_ord.converged and p_fuz.converged):
+        stage = "pion-range depths"
+        pion = (solve_depth(1.43, ordinary_tpl), solve_depth(1.43, fuzzy_tpl))
+        if not all(p.converged for p in (p_ord, p_fuz, *pion)):
             raise RefinementError("range-depth solve did not converge")
     except (BracketingError, ContractError, OverflowGuardError, RefinementError) as exc:
         print(f"deuteron couplings: stage '{stage}' failed: {exc}", file=sys.stderr)
@@ -381,15 +382,13 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
     path2 = _write_table(cfg, "effective_potential", ["r_fm", "V_MeV"], rows)
     print(f"wrote {path2}")
 
-    # optimal trial states at the pion and sigma ranges (smeared vs ordinary)
-    for r0 in (1.43, c.r0_sigma_fm):
-        po = ordinary_tpl.problem(solve_depth(r0, ordinary_tpl).depth, r0)
-        pf = fuzzy_tpl.problem(solve_depth(r0, fuzzy_tpl).depth, r0)
-        a_o, _ = optimal_alpha(po)
-        a_f, _ = optimal_alpha(pf)
+    # optimal trial states at the pion and sigma ranges (smeared vs ordinary); a solved
+    # point's alpha_star is also the energy minimiser at its depth
+    for o, f in (pion, (p_ord, p_fuz)):
+        r0 = o.r0
         p_axis = np.linspace(1.0, 1200.0, 400)
-        psi_o, _ = trial_samples(po, a_o, p_axis)
-        psi_f, phi_f = trial_samples(pf, a_f, p_axis)
+        psi_o, _ = trial_samples(ordinary_tpl.problem(o.depth, r0), o.alpha_star, p_axis)
+        psi_f, phi_f = trial_samples(fuzzy_tpl.problem(f.depth, r0), f.alpha_star, p_axis)
         rows = [
             [float(p), float(po_v), float(pf_v), float(ph_v)]
             for p, po_v, pf_v, ph_v in zip(p_axis, psi_o, psi_f, phi_f)

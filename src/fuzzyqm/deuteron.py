@@ -7,13 +7,13 @@ problem replaces r by the Gaussian-conjugated position and the trial by
 exp(p^2/M^2 - alpha p r0), square-integrable in the weighted measure
 exp(-2p^2/M^2) d3p.
 
-All radial integrals are reduced to the dimensionless variable u = p r0 and
-evaluated by semi-infinite quadrature.  The Gaussian growth of the smeared
-trial cancels analytically against the measure in the norm and potential
-integrals, and partially in the kinetic one; the cancellation is performed in
-the exponents so no intermediate factor overflows.  The kinetic expectation
-of the smeared problem is <psi| r_f . r_f psi> in the weighted measure,
-integrated by parts,
+All radial integrals are reduced to the dimensionless variable u = p r0.  The
+Gaussian growth of the smeared trial cancels analytically against the measure
+in the norm and potential integrals, and partially in the kinetic one, so only
+the smeared kinetic integral is not elementary; it is evaluated by
+semi-infinite quadrature with the cancellation performed in the exponent, so no
+intermediate factor overflows.  The kinetic expectation of the smeared
+problem is <psi| r_f . r_f psi> in the weighted measure, integrated by parts,
 
     integral exp(-3p^2/M^2) [ |grad chi|^2 - (4p/M^2) chi dchi/dp ] d3p,
 
@@ -27,20 +27,19 @@ turns negative, signalling the repulsive core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .errors import BracketingError, ContractError, RefinementError
-from .numerics.quadrature import integrate_semi_infinite
+from .errors import BracketingError, ContractError, OverflowGuardError, RefinementError
+from .numerics.quadrature import QuadratureRule, semi_infinite
 from .numerics.solvers import find_root, golden_section
 from .operators import SmearingParams
 
-_ALPHA_BRACKET = (0.01, 20.0)
-_ALPHA_SCAN_POINTS = 200
-_CONVERGENCE_TOL = 1e-4  # MeV, on |min_alpha E - E_target|
-_DEPTH_BRACKET = (-5000.0, 5000.0)
+_ALPHA_SCAN = np.logspace(np.log10(0.01), np.log10(20.0), 200)
+_KINETIC_REL_TOL = 1e-9
+_ALPHA_BLOCK = 16  # small alpha x node blocks, reduced without BLAS, keep peak memory flat
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class RangeDepthPoint:
 
 @dataclass(frozen=True)
 class CoreRadiusResult:
-    """Zero crossing of the smeared range-depth curve, with the bisection evidence."""
+    """Zero crossing of the smeared range-depth curve, with the bracket evidence."""
 
     r_c: float
     bracket_lo: float
@@ -185,69 +184,65 @@ def closed_form_energy_plain(
     return alpha**2 / (2.0 * kinetic_mass * rt**2) - 4.0 * V0 * alpha**3 / (2.0 * alpha + 1.0) ** 2
 
 
-class _EnergyCurve:
-    """E(alpha; V0) = T(alpha) - V0 g(alpha) with T, g memoised per alpha.
+@cache
+def _kinetic_rules() -> tuple[QuadratureRule, QuadratureRule]:
+    """Unit-scale 24- and 48-node rules for the smeared kinetic integral, built on first use."""
+    return semi_infinite(1.0, 9, 24), semi_infinite(1.0, 9, 48)
 
-    T and g are V0-independent, so the depth root-find reuses them freely.
+
+def _smeared_kinetic_integral(alpha: np.ndarray, b: float) -> np.ndarray:
+    """integral (a^2 u^2 + 2 a b u^3 - 3 b^2 u^4) exp(-2 b u^2 - 2 a u) du for every a in alpha.
+
+    Evaluated on the 24- and 48-node rules scaled by 1/(2a + sqrt(2b)); the two
+    must agree to the refinement tolerance at every alpha.
     """
-
-    def __init__(self, r0_fm: float, kinetic_mass: float, hbar_c: float, smearing_mass: float | None):
-        self.rt = r0_fm / hbar_c
-        self.b = 0.0 if smearing_mass is None else 1.0 / (smearing_mass * self.rt) ** 2
-        self.kin_coeff = 1.0 / (2.0 * kinetic_mass * self.rt**2)  # MeV
-        self._tg: dict[float, tuple[float, float]] = {}
-
-    def t_and_g(self, alpha: float) -> tuple[float, float]:
-        cached = self._tg.get(alpha)
-        if cached is not None:
-            return cached
-        a, b = alpha, self.b
-        try:
-            norm = integrate_semi_infinite(lambda u: u**2 * np.exp(-2.0 * a * u), scale=1.0 / (2.0 * a))
-            pot = integrate_semi_infinite(lambda u: u * np.exp(-(2.0 * a + 1.0) * u), scale=1.0 / (2.0 * a + 1.0))
-            if b == 0.0:
-                kin = integrate_semi_infinite(
-                    lambda u: a**2 * u**2 * np.exp(-2.0 * a * u), scale=1.0 / (2.0 * a)
-                )
-            else:
-                kin = integrate_semi_infinite(
-                    lambda u: (a**2 * u**2 + 2.0 * a * b * u**3 - 3.0 * b**2 * u**4)
-                    * np.exp(-2.0 * b * u**2 - 2.0 * a * u),
-                    scale=1.0 / (2.0 * a + np.sqrt(2.0 * b)),
-                )
-        except RefinementError as exc:
-            raise ContractError(f"energy integrals do not converge: {exc}") from exc
-        if not (np.isfinite(norm) and np.isfinite(pot) and np.isfinite(kin)) or norm <= 0:
-            raise ContractError("energy integrals are not finite; invalid measure/trial configuration")
-        t = self.kin_coeff * kin / norm
-        g = pot / norm
-        self._tg[alpha] = (t, g)
-        return t, g
-
-    def energy(self, alpha: float, V0: float) -> float:
-        t, g = self.t_and_g(alpha)
-        return t - V0 * g
-
-    def min_energy(self, V0: float) -> tuple[float, float]:
-        """Scan-then-refine minimum over the alpha bracket.
-
-        When the scan minimum sits on the bracket boundary (strongly repulsive
-        wells push the optimum to alpha -> 0 where E -> 0) the boundary value
-        is returned; the depth root-find only needs the correct ordering there.
-        """
-        lo, hi = _ALPHA_BRACKET
-        xs = np.logspace(np.log10(lo), np.log10(hi), _ALPHA_SCAN_POINTS)
-        es = np.array([self.energy(float(x), V0) for x in xs])
-        i = int(np.argmin(es))
-        if i == 0 or i == len(xs) - 1:
-            return float(xs[i]), float(es[i])
-        a, fa = golden_section(lambda x: self.energy(x, V0), float(xs[i - 1]), float(xs[i + 1]), tol=1e-9)
-        return a, fa
+    values = np.empty((2, len(alpha)))
+    for i in range(0, len(alpha), _ALPHA_BLOCK):
+        a = alpha[i : i + _ALPHA_BLOCK, None]
+        scale = 1.0 / (2.0 * a + np.sqrt(2.0 * b))
+        for j, rule in enumerate(_kinetic_rules()):
+            u = scale * rule.nodes
+            f = (a**2 * u**2 + 2.0 * a * b * u**3 - 3.0 * b**2 * u**4) * np.exp(-2.0 * b * u**2 - 2.0 * a * u)
+            values[j, i : i + _ALPHA_BLOCK] = scale[:, 0] * (f * rule.weights).sum(axis=1)
+    coarse, fine = values
+    stable = np.abs(fine - coarse) <= _KINETIC_REL_TOL * np.maximum(np.abs(fine), 1e-300)
+    if not np.all(stable):
+        i = int(np.argmin(stable))
+        raise RefinementError(
+            f"smeared kinetic integral at alpha={alpha[i]:.6g} did not stabilise to {_KINETIC_REL_TOL:g} "
+            f"under rule doubling ({coarse[i]:.12g} vs {fine[i]:.12g})"
+        )
+    return fine
 
 
-def _curve_for(problem: YukawaProblem) -> _EnergyCurve:
-    mass = problem.smearing.mass if problem.smearing is not None else None
-    return _EnergyCurve(problem.r0_fm, problem.kinetic_mass, problem.hbar_c, mass)
+def _kinetic_and_binding(problem: YukawaProblem, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T(alpha), g(alpha)) with E(alpha; V0) = T - V0 g, over a 1-D alpha array.
+
+    The norm, potential and plain kinetic integrals are 1/(4 a^3), 1/(2a+1)^2
+    and 1/(4 a), so g = 4 a^3/(2a+1)^2 > 0 and the ordinary T = k a^2 with
+    k = (hbar c)^2/(2 m r0^2); only the smeared kinetic term needs a rule.
+    """
+    k = 1.0 / (2.0 * problem.kinetic_mass * problem.r0_natural**2)  # MeV
+    g = 4.0 * alpha**3 / (2.0 * alpha + 1.0) ** 2
+    if problem.smearing is None:
+        return k * alpha**2, g
+    return k * 4.0 * alpha**3 * _smeared_kinetic_integral(alpha, problem.smearing_b), g
+
+
+def _minimise_over_alpha(f) -> tuple[float, float, bool]:
+    """Scan f (vectorised over alpha) on the log grid, then refine by golden section.
+
+    Returns (alpha, f(alpha), interior); interior is False when the scan
+    minimum sits on the bracket edge, which is then returned unrefined.
+    """
+    values = f(_ALPHA_SCAN)
+    i = int(np.argmin(values))
+    if i == 0 or i == len(_ALPHA_SCAN) - 1:
+        return float(_ALPHA_SCAN[i]), float(values[i]), False
+    a, fa = golden_section(
+        lambda x: float(f(np.array([x]))[0]), float(_ALPHA_SCAN[i - 1]), float(_ALPHA_SCAN[i + 1]), tol=1e-9
+    )
+    return float(a), float(fa), True
 
 
 def energy_expectation(problem: YukawaProblem, trial: TrialState) -> float:
@@ -262,36 +257,50 @@ def energy_expectation(problem: YukawaProblem, trial: TrialState) -> float:
             f"trial form {trial.form!r} does not pair with a problem whose smearing is "
             f"{'present' if problem.smearing is not None else 'absent'}"
         )
-    return _curve_for(problem).energy(trial.alpha, problem.V0)
+    t, g = _kinetic_and_binding(problem, np.array([trial.alpha]))
+    return float(t[0] - problem.V0 * g[0])
 
 
 def optimal_alpha(problem: YukawaProblem) -> tuple[float, float]:
-    """Minimising alpha and minimum energy for the problem's depth."""
-    return _curve_for(problem).min_energy(problem.V0)
+    """Minimising alpha and minimum energy for the problem's depth (the edge value
+    when the minimum sits on the alpha bracket edge)."""
+
+    def energy(alpha: np.ndarray) -> np.ndarray:
+        t, g = _kinetic_and_binding(problem, alpha)
+        return t - problem.V0 * g
+
+    alpha, e_min, _ = _minimise_over_alpha(energy)
+    return alpha, e_min
 
 
 def radial_first_moment(problem: YukawaProblem, alpha: float) -> float:
     """<p> (MeV) of the normalised radial density in the problem's measure.
 
     For both variants the measure and trial Gaussians cancel, leaving the
-    density u^2 exp(-2 alpha u): a weaker decay (smaller alpha) means the
-    state is pushed out to larger momenta.
+    density u^2 exp(-2 alpha u), whose mean is 3/(2 alpha): a weaker decay
+    (smaller alpha) means the state is pushed out to larger momenta.
     """
-    scale = 1.0 / (2.0 * alpha)
-    m1 = integrate_semi_infinite(lambda u: u**3 * np.exp(-2.0 * alpha * u), scale=scale)
-    m0 = integrate_semi_infinite(lambda u: u**2 * np.exp(-2.0 * alpha * u), scale=scale)
-    return (m1 / m0) / _curve_for(problem).rt
+    return 3.0 / (2.0 * alpha) / problem.r0_natural
 
 
 def trial_samples(problem: YukawaProblem, alpha: float, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, reduced phi) samples of the trial, peak-normalised, on momenta p (MeV)."""
-    u = np.asarray(p) * problem.r0_natural
+    """(psi, reduced phi) samples of the trial, peak-normalised, on momenta p (MeV).
+
+    Raises OverflowGuardError when the smeared trial's exponent would overflow.
+    """
+    p = np.asarray(p, dtype=float)
+    u = p * problem.r0_natural
     if problem.smearing is None:
         psi = np.exp(-alpha * u)
         return psi, psi
-    g = np.asarray(p) ** 2 / problem.smearing.mass**2
     phi = np.exp(-alpha * u)  # exp(-p^2/M^2) psi
-    psi = np.exp(np.minimum(g - alpha * u, 700.0))
+    exponent = p**2 / problem.smearing.mass**2 - alpha * u
+    i = int(np.argmax(exponent))
+    if exponent[i] > 700.0:  # exp overflows float64 above ~709
+        raise OverflowGuardError(
+            f"smeared trial exponent {exponent[i]:.1f} at p={p[i]:.6g} MeV exceeds 700; reduce the momentum range"
+        )
+    psi = np.exp(exponent)
     return psi / np.max(psi), phi
 
 
@@ -299,33 +308,24 @@ def trial_samples(problem: YukawaProblem, alpha: float, p: np.ndarray) -> tuple[
 # range-depth machinery
 
 
-def solve_depth(
-    r0_fm: float,
-    template: ProblemTemplate,
-    e_target: float | None = None,
-    depth_bracket: tuple[float, float] = _DEPTH_BRACKET,
-) -> RangeDepthPoint:
+def solve_depth(r0_fm: float, template: ProblemTemplate, e_target: float | None = None) -> RangeDepthPoint:
     """Depth whose minimum variational energy equals the binding target.
 
-    Outer Brent root on V0, inner scan-then-refine over alpha.  The minimum
-    energy is strictly decreasing in V0, so the root is unique.
+    Because g(alpha) > 0, min_alpha [T - V0 g] >= E_t exactly when
+    V0 <= (T - E_t)/g for every alpha, so the depth is the single minimisation
+    V0* = min_alpha (T(alpha) - E_t)/g(alpha), and its minimiser is the optimal
+    alpha at that depth.  A minimiser on the alpha bracket edge comes back with
+    converged=False.
     """
     target = template.constants.e0_binding if e_target is None else e_target
-    probe = template.problem(0.0, r0_fm)
-    curve = _curve_for(probe)
+    problem = template.problem(0.0, r0_fm)
 
-    def gap(v0: float) -> float:
-        return curve.min_energy(v0)[1] - target
+    def depth(alpha: np.ndarray) -> np.ndarray:
+        t, g = _kinetic_and_binding(problem, alpha)
+        return (t - target) / g
 
-    try:
-        depth = find_root(gap, depth_bracket, tol=1e-6)
-    except BracketingError as exc:
-        sweep = ", ".join(
-            f"V0={v:.0f}: {curve.min_energy(v)[1]:.3f}" for v in np.linspace(depth_bracket[0], depth_bracket[1], 9)
-        )
-        raise BracketingError(f"depth not bracketed in {depth_bracket}; min-energy sweep: {sweep}") from exc
-    alpha_star, e_min = curve.min_energy(depth)
-    return RangeDepthPoint(r0_fm, depth, alpha_star, converged=abs(e_min - target) <= _CONVERGENCE_TOL)
+    alpha_star, v0, interior = _minimise_over_alpha(depth)
+    return RangeDepthPoint(r0_fm, v0, alpha_star, converged=interior)
 
 
 def range_depth_curve(
@@ -336,7 +336,7 @@ def range_depth_curve(
     for r0 in r0_values:
         try:
             points.append(solve_depth(float(r0), template, e_target))
-        except (BracketingError, ContractError):
+        except RefinementError:
             points.append(RangeDepthPoint(float(r0), float("nan"), float("nan"), False))
     return points
 
@@ -346,31 +346,29 @@ def core_radius(
     bracket: tuple[float, float] = (0.2, 1.0),
     tol: float = 5e-4,
 ) -> CoreRadiusResult:
-    """Radius where the smeared well depth crosses zero, by bisection on r0.
+    """Radius where the smeared well depth crosses zero, by a Brent root on r0 -> V0*(r0).
 
     Below the core radius the depth that reproduces the binding energy is
     negative: the effective interaction has turned repulsive.
     """
     if template.variant != "fuzzy":
         raise ContractError("the core radius is defined for the smeared (fuzzy) variant")
-    lo, hi = bracket
-    depth_at_lo = solve_depth(lo, template).depth
-    depth_at_hi = solve_depth(hi, template).depth
-    if not depth_at_lo * depth_at_hi < 0:
-        curve = ", ".join(
-            f"r0={r:.2f}: {solve_depth(float(r), template).depth:.2f}" for r in np.linspace(lo, hi, 5)
-        )
-        raise BracketingError(f"no sign change of the depth in [{lo}, {hi}] fm; curve: {curve}")
-    blo, bhi = lo, hi
-    dlo = depth_at_lo
-    while bhi - blo > tol:
-        mid = 0.5 * (blo + bhi)
-        dm = solve_depth(mid, template).depth
-        if dlo * dm <= 0:
-            bhi = mid
-        else:
-            blo, dlo = mid, dm
-    return CoreRadiusResult(0.5 * (blo + bhi), lo, hi, depth_at_lo, depth_at_hi)
+    lo, hi = float(bracket[0]), float(bracket[1])
+    depths: dict[float, float] = {}
+
+    def depth(r0: float) -> float:
+        point = solve_depth(r0, template)
+        if not point.converged:
+            raise RefinementError(f"depth at r0={r0:g} fm unconverged: alpha*={point.alpha_star:g} on the scan edge")
+        depths[r0] = point.depth
+        return point.depth
+
+    try:
+        r_c = find_root(depth, (lo, hi), tol=tol)
+    except BracketingError as exc:
+        curve = ", ".join(f"r0={r:.2f}: {v:.2f}" for r, v in depths.items())
+        raise BracketingError(f"no sign change of the depth in [{lo}, {hi}] fm; curve: {curve}") from exc
+    return CoreRadiusResult(r_c, lo, hi, depths[lo], depths[hi])
 
 
 @lru_cache(maxsize=8)

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import BracketingError
+from ..errors import BracketingError, RefinementError
 
 _GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
@@ -75,10 +75,11 @@ def find_root(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> float:
-    """Brent's method with a bisection fallback; guaranteed convergence.
+    """Brent's method with a bisection fallback.
 
     Requires f(lo) * f(hi) < 0.  Stops when the bracket width falls below
-    ``tol`` (plus machine-precision slack) or an exact zero is hit.
+    ``tol`` (plus machine-precision slack) or an exact zero is hit; raises
+    RefinementError, with the final bracket, after ``max_iter`` iterations.
     """
     a, b = float(bracket[0]), float(bracket[1])
     fa, fb = f(a), f(b)
@@ -129,4 +130,7 @@ def find_root(
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             d = e = b - a
-    return b
+    raise RefinementError(
+        f"root not converged after {max_iter} iterations: bracket [{min(b, c):.12g}, {max(b, c):.12g}] "
+        f"of width {abs(c - b):.3g} (tol {tol:g})"
+    )

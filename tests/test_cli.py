@@ -85,6 +85,15 @@ def test_deuteron_range_depth_headline(tmp_path):
     assert abs(depth / 660.77 - 1.0) <= 0.02
 
 
+def test_deuteron_range_depth_unconverged_exits_1(tmp_path):
+    # at 100 fm the optimal alpha lies beyond the scan bracket: flagged, not returned as an answer
+    r = run("--out", str(tmp_path), "deuteron", "range-depth", "--variant", "ordinary", "--r0", "100")
+    assert r.returncode == 1
+    assert "unconverged" in r.stderr
+    _, rows = read_csv(tmp_path / "deuteron_range_depth.csv")
+    assert rows[0]["converged"] == "False"
+
+
 def test_deuteron_constants_override(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("e0_binding = -1.0\n")

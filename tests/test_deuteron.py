@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fuzzyqm.constants import DEFAULT_CONSTANTS
-from fuzzyqm.errors import BracketingError, ContractError
+from fuzzyqm import deuteron
+from fuzzyqm.errors import BracketingError, ContractError, OverflowGuardError, RefinementError
 from fuzzyqm.deuteron import (
     ProblemTemplate,
     TrialState,
@@ -22,8 +23,11 @@ from fuzzyqm.deuteron import (
     range_depth_curve,
     repulsive_strength,
     solve_depth,
+    trial_samples,
+    _smeared_kinetic_integral,
 )
 from fuzzyqm.numerics import find_root
+from fuzzyqm.numerics.quadrature import integrate_semi_infinite, semi_infinite
 from fuzzyqm.operators import SmearingParams
 
 C = DEFAULT_CONSTANTS
@@ -165,16 +169,74 @@ def test_range_depth_curve_order_independent():
         assert a.depth == b.depth and a.alpha_star == b.alpha_star
 
 
-def test_solve_depth_unbracketed_diagnostic():
-    with pytest.raises(BracketingError, match="sweep"):
-        solve_depth(R0_SIGMA, ProblemTemplate(), depth_bracket=(-10.0, 10.0))
+def test_solve_depth_flags_alpha_on_scan_edge():
+    # at 100 fm the family minimiser (root of the criterion-6 cubic, ~23) lies
+    # beyond the alpha bracket, so the scan minimum sits on its 20.0 edge
+    point = solve_depth(100.0, ProblemTemplate())
+    assert point.alpha_star == pytest.approx(20.0, rel=1e-12)
+    assert not point.converged
 
 
 def test_range_depth_curve_records_failures_and_continues():
-    # the first range needs a depth beyond the +/-5000 MeV bracket
-    points = range_depth_curve([0.05, 1.0], ProblemTemplate())
-    assert np.isnan(points[0].depth) and not points[0].converged
+    points = range_depth_curve([100.0, 1.0], ProblemTemplate())
+    assert points[0].r0 == 100.0 and not points[0].converged
     assert points[1].converged
+
+
+def test_solve_depth_needs_no_depth_bracket():
+    # a depth far beyond any fixed V0 bracket: the minimisation form has none
+    point = solve_depth(0.05, ProblemTemplate())
+    assert point.converged
+    assert point.depth == pytest.approx(33194.6, rel=1e-5)
+    assert point.alpha_star == pytest.approx(0.501, abs=1e-3)
+
+
+# depths of the nested solver (Brent root on V0 around a scan-plus-golden-section
+# minimum of adaptive-quadrature energies), recorded before it was replaced by
+# the single minimisation min_alpha (T(alpha) - E_t)/g(alpha)
+NESTED_SOLVER_DEPTHS = {
+    "ordinary": {0.3596: 657.6146466276, 0.72: 173.4796477031, 1.43: 50.0886457741},
+    "reduced": {0.2: -337.1893120109, 0.3596: -77.0022634275, 0.56: 0.3685171837, 1.0: 36.3686150540},
+}
+
+
+@pytest.mark.parametrize(
+    "variant, r0", [(v, r0) for v, depths in NESTED_SOLVER_DEPTHS.items() for r0 in depths]
+)
+def test_solve_depth_matches_nested_solver(variant, r0):
+    tpl = ProblemTemplate() if variant == "ordinary" else ProblemTemplate(C, "fuzzy", smearing_mass=MU)
+    want = NESTED_SOLVER_DEPTHS[variant][r0]
+    point = solve_depth(r0, tpl)
+    assert point.converged
+    # the nested solver's V0 root tolerance was 1e-6 MeV, which dominates near the zero crossing
+    assert point.depth == pytest.approx(want, rel=1e-8, abs=1e-6 if r0 == 0.56 else 0.0)
+
+
+@pytest.mark.parametrize("mass, r0", [(MU, 0.2), (MU, R0_SIGMA), (MU, 1.0), (C.nucleon_mass, 0.56)])
+def test_vectorised_smeared_kinetic_matches_scalar_quadrature(mass, r0):
+    b = _fuzzy(0.0, r0, mass).smearing_b
+    alphas = np.logspace(np.log10(0.01), np.log10(20.0), 41)
+    got = _smeared_kinetic_integral(alphas, b)
+    for a, value in zip(alphas, got):
+        want = integrate_semi_infinite(
+            lambda u: (a**2 * u**2 + 2.0 * a * b * u**3 - 3.0 * b**2 * u**4) * np.exp(-2.0 * b * u**2 - 2.0 * a * u),
+            scale=1.0 / (2.0 * a + np.sqrt(2.0 * b)),
+        )
+        assert value == pytest.approx(want, rel=1e-9)
+
+
+def test_smeared_kinetic_raises_when_rule_doubling_disagrees(monkeypatch):
+    monkeypatch.setattr(deuteron, "_kinetic_rules", lambda: (semi_infinite(1.0, 9, 2), semi_infinite(1.0, 9, 4)))
+    with pytest.raises(RefinementError, match="did not stabilise"):
+        solve_depth(R0_SIGMA, ProblemTemplate(C, "fuzzy", smearing_mass=MU))
+
+
+def test_trial_samples_guard_overflow():
+    problem = _fuzzy(0.0, R0_SIGMA, MU)
+    psi, _ = trial_samples(problem, 0.4, np.linspace(1.0, 1200.0, 400))  # the CLI's axis
+    assert np.all(np.isfinite(psi)) and np.max(psi) == 1.0
+    with pytest.raises(OverflowGuardError, match="exponent"):
+        trial_samples(problem, 0.4, np.linspace(1.0, 40.0 * MU, 400))
 
 
 # --- core radius -----------------------------------------------------------------
@@ -202,6 +264,12 @@ def test_core_radius_stable_under_refinement(fuzzy_template):
     coarse = core_radius(fuzzy_template, tol=1e-3).r_c
     fine = core_radius(fuzzy_template, tol=1e-4).r_c
     assert abs(coarse - fine) <= 0.005
+
+
+def test_core_radius_rejects_unconverged_depth(fuzzy_template):
+    # an edge-of-scan depth at 100 fm must not enter the root-find as if it were a depth
+    with pytest.raises(RefinementError, match="scan edge"):
+        core_radius(fuzzy_template, bracket=(0.2, 100.0))
 
 
 def test_core_radius_requires_fuzzy_variant():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fuzzyqm.errors import BracketingError
+from fuzzyqm.errors import BracketingError, RefinementError
 from fuzzyqm.numerics import find_root, minimize_scalar
 
 
@@ -49,6 +49,12 @@ def test_root_sqrt2():
 def test_root_requires_sign_change():
     with pytest.raises(BracketingError, match="sign change"):
         find_root(lambda x: x**2 + 1.0, (0.0, 2.0))
+
+
+def test_root_raises_when_out_of_iterations():
+    # three Brent steps cannot shrink [0, 3] to 1e-10; the last bracket is reported
+    with pytest.raises(RefinementError, match=r"3 iterations: bracket \[.*\] of width"):
+        find_root(lambda x: np.cos(x) - 0.3 * x, (0.0, 3.0), max_iter=3)
 
 
 def test_root_endpoint_zero():
