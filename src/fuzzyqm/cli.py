@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .deuteron import (
+    CalibrationResult,
     ProblemTemplate,
     calibrate_smearing_mass,
     core_radius,
@@ -39,7 +40,6 @@ from .oscillator import (
     numeric_spectrum,
 )
 
-_GRID_KEYS = ("n_points", "cutoff_mult")
 _NOMINAL_ORDER = 2.0  # central-difference ladder
 _ORDER_TOL = 0.3
 
@@ -216,9 +216,6 @@ def cmd_commutators(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.nmax < 0:
-        print("oscillator: --nmax must be nonnegative", file=sys.stderr)
-        return 2
     spec = OscillatorSpec(args.omega, args.mass, args.truncation)
     n = np.arange(args.nmax + 1)
     if spec.truncation == "quadratic":
@@ -280,27 +277,58 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _parse_r0_list(values: list[str]) -> list[float]:
+    """Ranges (fm) from comma-separated --r0 values; ValueError names the first that is not positive."""
     out: list[float] = []
-    for v in values:
-        out.extend(float(tok) for tok in v.split(",") if tok)
+    for tok in filter(None, ",".join(values).split(",")):
+        try:
+            r0 = float(tok)
+        except ValueError:
+            r0 = float("nan")
+        if not 0.0 < r0 < np.inf:
+            raise ValueError(f"--r0 must be a positive range in fm, got {tok!r}")
+        out.append(r0)
     return out
 
 
-def _template(cfg: RunConfig, variant: str) -> tuple[ProblemTemplate, dict[str, object]]:
-    meta: dict[str, object] = {"variant": variant}
-    if variant == "fuzzy":
-        cal = calibrate_smearing_mass(cfg.constants)
-        meta["smearing_mass_MeV"] = cal.mass
-        meta["smearing_mass_choice"] = cal.choice
-        meta["calibration_depths_MeV"] = dict(sorted(cal.depths.items()))
-        meta["calibration_target_MeV"] = cal.target
-        return ProblemTemplate(cfg.constants, "fuzzy", smearing_mass=cal.mass), meta
-    return ProblemTemplate(cfg.constants, "ordinary"), meta
+def _argument_error(args: argparse.Namespace) -> str | None:
+    """One line naming the first argument outside its domain, or None."""
+    if args.command == "commutators":
+        checks = [
+            (args.levels >= 2, "--levels must be at least 2 to measure a convergence order"),
+            (args.n0 >= 8, "--n0 must be at least 8 grid points"),
+            (args.mass > 0, "--mass must be positive"),
+        ]
+    elif args.command == "oscillator":
+        checks = [
+            (args.omega > 0 and args.mass > 0, "--omega and --mass must be positive"),
+            (args.nmax >= 0, "--nmax must be nonnegative"),
+            (args.npoints >= 8, "--npoints must be at least 8 grid points"),
+        ]
+    else:
+        try:
+            _parse_r0_list(args.r0 or [])
+        except ValueError as exc:
+            return f"deuteron: {exc}"
+        return None
+    return next((f"{args.command}: {msg}" for ok, msg in checks if not ok), None)
+
+
+def _fuzzy_template(cfg: RunConfig) -> tuple[ProblemTemplate, dict[str, object], CalibrationResult]:
+    """Smeared template at the calibrated mass, its output metadata and the calibration itself."""
+    cal = calibrate_smearing_mass(cfg.constants)
+    meta: dict[str, object] = {
+        "variant": "fuzzy",
+        "smearing_mass_MeV": cal.mass,
+        "smearing_mass_choice": cal.choice,
+        "calibration_depths_MeV": {k: p.depth for k, p in sorted(cal.points.items())},
+        "calibration_target_MeV": cal.target,
+    }
+    return ProblemTemplate(cfg.constants, "fuzzy", smearing_mass=cal.mass), meta, cal
 
 
 def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.action == "range-depth":
-        template, meta = _template(cfg, args.variant)
+        template = _fuzzy_template(cfg)[0] if args.variant == "fuzzy" else ProblemTemplate(cfg.constants, "ordinary")
         r0s = _parse_r0_list(args.r0) if args.r0 else [cfg.constants.r0_sigma_fm]
         points = range_depth_curve(r0s, template)
         rows = [[p.r0, p.depth, p.alpha_star, p.converged] for p in points]
@@ -314,7 +342,7 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "core-radius":
-        template, meta = _template(cfg, "fuzzy")
+        template, meta, _ = _fuzzy_template(cfg)
         try:
             res = core_radius(template)
         except (BracketingError, RefinementError) as exc:
@@ -339,12 +367,11 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
     c = cfg.constants
     stage = "calibration"
     try:
-        fuzzy_tpl, meta = _template(cfg, "fuzzy")
+        fuzzy_tpl, meta, cal = _fuzzy_template(cfg)
+        p_fuz = cal.points[cal.choice]  # the smeared depth at the sigma range, solved by the calibration
         ordinary_tpl = ProblemTemplate(c, "ordinary")
         stage = "ordinary depth"
         p_ord = solve_depth(c.r0_sigma_fm, ordinary_tpl)
-        stage = "fuzzy depth"
-        p_fuz = solve_depth(c.r0_sigma_fm, fuzzy_tpl)
         stage = "core radius"
         rc = core_radius(fuzzy_tpl)
         stage = "pion-range depths"
@@ -445,6 +472,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     args = ap.parse_args(argv)
+    problem = _argument_error(args)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2
     try:
         cfg = _build_run_config(args, ["fuzzyqm"] + argv)
     except (ConfigError, ValueError, KeyError) as exc:

@@ -33,6 +33,8 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import BracketingError, ContractError, OverflowGuardError, RefinementError
+from .numerics.grids import MomentumGrid
+from .numerics.linalg import derivative_matrix
 from .numerics.quadrature import QuadratureRule, semi_infinite
 from .numerics.solvers import find_root, golden_section
 from .operators import SmearingParams
@@ -40,6 +42,8 @@ from .operators import SmearingParams
 _ALPHA_SCAN = np.logspace(np.log10(0.01), np.log10(20.0), 200)
 _KINETIC_REL_TOL = 1e-9
 _ALPHA_BLOCK = 16  # small alpha x node blocks, reduced without BLAS, keep peak memory flat
+_ORACLE_BOX = 10.0  # exact-depth box radius in units of the bound state's decay length 1/kappa
+_ORACLE_STEPS_PER_RANGE = 16  # coarse exact-depth grid steps per range r0
 
 
 @dataclass(frozen=True)
@@ -47,15 +51,14 @@ class YukawaProblem:
     """Yukawa well of depth V0 (MeV, V0 > 0 attractive) and range r0 (fm).
 
     ``smearing`` absent means ordinary quantum mechanics with the plain
-    measure; present means the smeared problem, which requires the weighted
-    inner product.
+    measure; present means the smeared problem in the weighted measure, with
+    the trial's Gaussian growth.
     """
 
     V0: float
     r0_fm: float
     kinetic_mass: float
     smearing: SmearingParams | None = None
-    inner_product: str = "plain"
     hbar_c: float = DEFAULT_CONSTANTS.hbar_c
 
     def __post_init__(self) -> None:
@@ -63,12 +66,6 @@ class YukawaProblem:
             raise ValueError("range r0 must be positive")
         if self.kinetic_mass <= 0:
             raise ValueError("kinetic mass must be positive")
-        if self.inner_product not in ("plain", "weighted"):
-            raise ValueError(f"unknown inner product {self.inner_product!r}")
-        if (self.smearing is not None) != (self.inner_product == "weighted"):
-            raise ContractError(
-                "smeared problems require the weighted inner product and ordinary ones the plain measure"
-            )
 
     @property
     def r0_natural(self) -> float:
@@ -85,16 +82,13 @@ class YukawaProblem:
 
 @dataclass(frozen=True)
 class TrialState:
-    """One-parameter variational family exp(-alpha p r0), optionally with Gaussian growth."""
+    """One-parameter variational family exp(-alpha p r0), with Gaussian growth in a smeared problem."""
 
     alpha: float
-    form: str = "plain"
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.form not in ("plain", "fuzzy"):
-            raise ValueError(f"unknown trial form {self.form!r}")
 
 
 @dataclass(frozen=True)
@@ -139,11 +133,11 @@ class CouplingReport:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Outcome of the one-time smearing-mass sweep at the sigma range."""
+    """Outcome of the one-time smearing-mass sweep at the sigma range, with each candidate's solved point."""
 
     mass: float
     choice: str
-    depths: dict[str, float]
+    points: dict[str, RangeDepthPoint]
     target: float
 
 
@@ -164,9 +158,7 @@ class ProblemTemplate:
         if self.variant == "ordinary":
             return YukawaProblem(V0, r0_fm, c.reduced_mass, hbar_c=c.hbar_c)
         mass = self.smearing_mass if self.smearing_mass is not None else c.nucleon_mass
-        return YukawaProblem(
-            V0, r0_fm, c.reduced_mass, smearing=SmearingParams(mass), inner_product="weighted", hbar_c=c.hbar_c
-        )
+        return YukawaProblem(V0, r0_fm, c.reduced_mass, smearing=SmearingParams(mass), hbar_c=c.hbar_c)
 
 
 # ----------------------------------------------------------------------------
@@ -246,17 +238,7 @@ def _minimise_over_alpha(f) -> tuple[float, float, bool]:
 
 
 def energy_expectation(problem: YukawaProblem, trial: TrialState) -> float:
-    """Variational energy <psi|H|psi>/<psi|psi> (MeV) in the problem's declared measure.
-
-    The trial form must match the problem: a smeared problem takes the fuzzy
-    trial with its Gaussian growth, the ordinary one the plain exponential.
-    """
-    want = "fuzzy" if problem.smearing is not None else "plain"
-    if trial.form != want:
-        raise ContractError(
-            f"trial form {trial.form!r} does not pair with a problem whose smearing is "
-            f"{'present' if problem.smearing is not None else 'absent'}"
-        )
+    """Variational energy <psi|H|psi>/<psi|psi> (MeV) in the problem's measure."""
     t, g = _kinetic_and_binding(problem, np.array([trial.alpha]))
     return float(t[0] - problem.V0 * g[0])
 
@@ -380,12 +362,12 @@ def calibrate_smearing_mass(constants: PhysicalConstants = DEFAULT_CONSTANTS) ->
     """
     target = -81.0
     candidates = {"nucleon": constants.nucleon_mass, "reduced": constants.reduced_mass}
-    depths: dict[str, float] = {}
-    for label, mass in candidates.items():
-        tpl = ProblemTemplate(constants, "fuzzy", smearing_mass=mass)
-        depths[label] = float(solve_depth(constants.r0_sigma_fm, tpl).depth)
-    choice = min(candidates, key=lambda k: abs(depths[k] - target))
-    return CalibrationResult(candidates[choice], choice, depths, target)
+    points = {
+        label: solve_depth(constants.r0_sigma_fm, ProblemTemplate(constants, "fuzzy", smearing_mass=mass))
+        for label, mass in candidates.items()
+    }
+    choice = min(candidates, key=lambda k: abs(points[k].depth - target))
+    return CalibrationResult(candidates[choice], choice, points, target)
 
 
 # ----------------------------------------------------------------------------
@@ -448,86 +430,37 @@ def coupling_report(
 
 
 # ----------------------------------------------------------------------------
-# exact ordinary ground state (independent oracle for the variational path)
+# exact ordinary depth (independent oracle for the variational path)
 
 
-def _numerov_batch(
-    energies: np.ndarray, V0: float, r0_fm: float, kinetic_mass: float, hbar_c: float, rmax: float, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outward Numerov for u'' = f u, f = 2m(V - E)/(hbar c)^2, batched over E.
+def _sturmian_depth(n: int, box: float, r0_fm: float, e_target: float, constants: PhysicalConstants) -> float:
+    """Lowest Sturmian depth with 3-point differences on r_i = i box/n, u(0) = u(box) = 0."""
+    r = box / n * np.arange(1, n)
+    d2 = derivative_matrix(MomentumGrid(r, kind="radial"), 2, "central").entries
+    k = -(constants.hbar_c**2 / (2.0 * constants.reduced_mass)) * d2 - e_target * np.eye(n - 1)
+    s = np.sqrt(np.exp(-r / r0_fm) / (r / r0_fm))
+    return float(1.0 / np.linalg.eigvalsh(s[:, None] * np.linalg.inv(k) * s)[-1])
 
-    Returns (u(rmax), node count).  u(0) = 0; the first step uses u(h) = h,
-    which absorbs the integrable 1/r singularity of the potential at the origin.
+
+def exact_depth(r0_fm: float, constants: PhysicalConstants = DEFAULT_CONSTANTS, e_target: float | None = None) -> float:
+    """Depth whose exact ordinary ground energy equals the binding target.
+
+    At fixed E_t < 0 the depth is the lowest eigenvalue V0 of the Sturmian
+    problem (-hbar^2/2mu d^2/dr^2 - E_t) u = V0 w(r) u, w = exp(-r/r0)/(r/r0)
+    (Rotenberg, Ann. Phys. 19, 262 (1962)).  It is solved in the
+    Birman-Schwinger form V0 = 1/lambda_max(W^1/2 (K - E_t)^-1 W^1/2), whose
+    matrix is bounded and positive semi-definite however widely w spans.  The
+    box R = 10/kappa, kappa = sqrt(2 mu |E_t|)/(hbar c), puts the Dirichlet
+    wall where u has decayed by exp(-10); the step is about r0/16 and is
+    halved once for Richardson extrapolation (4 V(2n) - V(n))/3.
     """
-    n = int(round(rmax / h))
-    r = np.arange(1, n + 1) * h
-    v = -V0 * np.exp(-r / r0_fm) / (r / r0_fm)
-    pref = 2.0 * kinetic_mass / hbar_c**2
-    c = h * h / 12.0
-    up = np.zeros_like(energies)
-    uc = np.full_like(energies, h)
-    fp = np.zeros_like(energies)  # f(0) u(0) = 0
-    nodes = np.zeros(energies.shape, dtype=int)
-    for i in range(1, n):
-        fc = pref * (v[i - 1] - energies)
-        fn = pref * (v[i] - energies)
-        un = (2.0 * uc * (1.0 + 5.0 * c * fc) - up * (1.0 - c * fp)) / (1.0 - c * fn)
-        nodes += ((un == 0) | ((un > 0) != (uc > 0))).astype(int)
-        up, uc, fp = uc, un, fc
-        big = np.abs(uc) > 1e250
-        if big.any():
-            up = np.where(big, up * 1e-200, up)
-            uc = np.where(big, uc * 1e-200, uc)
-    return uc, nodes
-
-
-def exact_ground_state(
-    problem: YukawaProblem, rmax: float = 40.0, h: float = 0.005
-) -> float | None:
-    """Ground-state energy (MeV) of the ordinary problem by shooting, or None if unbound.
-
-    Outward Numerov integration with node counting: the ground energy is the
-    transition point between zero and one interior node.  Serves as the
-    independent oracle for the variational path.
-    """
-    if problem.smearing is not None:
-        raise ContractError("the shooting oracle applies to the ordinary (unsmeared) problem")
-    if problem.V0 <= 0:
-        return None
-    e_lo = -max(10.0 * problem.V0, 60.0)
-    e_hi = -1e-4
-    passes = extensions = 0
-    while passes < 3:
-        grid = np.linspace(e_lo, e_hi, 160)
-        _, nodes = _numerov_batch(grid, problem.V0, problem.r0_fm, problem.kinetic_mass, problem.hbar_c, rmax, h)
-        idx = np.nonzero(nodes >= 1)[0]
-        if idx.size == 0:
-            return None
-        i = int(idx[0])
-        if i == 0:
-            # ground state below the window: extend downward without
-            # spending a refinement pass
-            extensions += 1
-            if extensions > 8:
-                raise RefinementError("ground-state window failed to bracket the lowest level")
-            e_lo, e_hi = 4.0 * e_lo, float(grid[0])
-            continue
-        e_lo, e_hi = float(grid[i - 1]), float(grid[i])
-        passes += 1
-    return 0.5 * (e_lo + e_hi)
-
-
-def exact_depth(
-    r0_fm: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    e_target: float | None = None,
-    bracket: tuple[float, float] = (1.0, 3000.0),
-) -> float:
-    """Depth whose exact (shooting) ground energy equals the binding target."""
     target = constants.e0_binding if e_target is None else e_target
-
-    def gap(v0: float) -> float:
-        e = exact_ground_state(YukawaProblem(v0, r0_fm, constants.reduced_mass, hbar_c=constants.hbar_c))
-        return (0.0 if e is None else e) - target
-
-    return find_root(gap, bracket, tol=1e-5)
+    if target >= 0:
+        raise ValueError("the exact depth needs a bound target, e_target < 0")
+    if r0_fm <= 0:
+        raise ValueError("range r0 must be positive")
+    kappa = np.sqrt(2.0 * constants.reduced_mass * -target) / constants.hbar_c  # fm^-1
+    box = _ORACLE_BOX / kappa
+    n = int(np.ceil(_ORACLE_STEPS_PER_RANGE * box / r0_fm))
+    coarse, fine = (_sturmian_depth(m, box, r0_fm, target, constants) for m in (n, 2 * n))
+    return (4.0 * fine - coarse) / 3.0

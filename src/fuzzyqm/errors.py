@@ -2,7 +2,7 @@
 
 
 class BracketingError(ValueError):
-    """No sign change (root finding) or no interior minimum (line search) in the bracket."""
+    """No sign change of the function across the root bracket."""
 
 
 class NonHermitianError(ValueError):

@@ -9,7 +9,7 @@ from .quadrature import (
     integrate_semi_infinite,
     semi_infinite,
 )
-from .solvers import find_root, golden_section, minimize_scalar
+from .solvers import find_root, golden_section
 
 __all__ = [
     "MomentumGrid",
@@ -23,6 +23,5 @@ __all__ = [
     "golden_section",
     "integrate",
     "integrate_semi_infinite",
-    "minimize_scalar",
     "semi_infinite",
 ]

@@ -8,7 +8,7 @@ from ..errors import NonHermitianError, OverflowGuardError
 from .grids import MomentumGrid, OperatorMatrix
 
 _HERMITICITY_RTOL = 1e-10
-_WEIGHT_OVERFLOW = 1e300
+WEIGHT_CAP = 1e12  # largest max(w)/min(w) for which the W^(-1/2) reduction stays accurate
 
 
 def derivative_matrix(grid: MomentumGrid, order: int, scheme: str = "central") -> OperatorMatrix:
@@ -70,18 +70,18 @@ def eig_generalized(
 
     The reduction B = W^(-1/2) A W^(-1/2) keeps the problem Hermitian; the
     returned eigenvectors (if requested) are the phi columns, normalised in
-    the W-weighted inner product.
+    the W-weighted inner product.  A weight that is not finite or spans more
+    than WEIGHT_CAP (compared in logarithms) raises OverflowGuardError: B is
+    then too badly scaled for the spectrum to be trusted.
     """
     m = _as_array(a)
     w = np.asarray(weight, dtype=float)
     if w.ndim != 1 or w.size != m.shape[0]:
         raise ValueError("weight must be a diagonal vector matching the matrix dimension")
-    if np.any(~np.isfinite(w)) or np.any(w > _WEIGHT_OVERFLOW):
-        raise OverflowGuardError(
-            "weight entries overflow; reduce the grid cutoff so the measure factor stays finite"
-        )
     if np.any(w <= 0):
         raise ValueError("weight entries must be positive")
+    if not np.log(np.max(w)) - np.log(np.min(w)) <= np.log(WEIGHT_CAP):  # also catches inf and nan
+        raise OverflowGuardError(f"weight spans {np.max(w) / np.min(w):.2e} > {WEIGHT_CAP:.0e}; reduce the grid cutoff")
     s = 1.0 / np.sqrt(w)
     b = s[:, None] * m * s[None, :]
     b = 0.5 * (b + b.conj().T)  # symmetrise away roundoff

@@ -1,4 +1,4 @@
-"""Scalar minimisation and root bracketing.
+"""Golden-section minimisation and Brent root bracketing.
 
 Both solvers are deterministic: identical inputs produce bit-identical
 outputs (pure floating-point arithmetic, no randomness, no tolerance-dependent
@@ -14,39 +14,6 @@ import numpy as np
 from ..errors import BracketingError, RefinementError
 
 _GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
-
-
-def minimize_scalar(
-    f: Callable[[float], float],
-    bracket: tuple[float, float],
-    tol: float = 1e-9,
-    scan_points: int = 200,
-    log_spaced: bool = False,
-) -> tuple[float, float]:
-    """Locate a local minimum of f inside ``bracket`` by scan plus golden section.
-
-    The bracket must contain an interior minimum: the scan has to find a
-    point with f(mid) below both neighbours, otherwise a BracketingError is
-    raised.  Returns (x_min, f(x_min)) with |x_min - true minimiser| <= tol
-    for unimodal f.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise BracketingError(f"empty bracket ({lo}, {hi})")
-    if log_spaced:
-        if lo <= 0:
-            raise BracketingError("log-spaced scan needs a positive bracket")
-        xs = np.logspace(np.log10(lo), np.log10(hi), scan_points)
-    else:
-        xs = np.linspace(lo, hi, scan_points)
-    fs = np.array([f(float(x)) for x in xs])
-    i = int(np.argmin(fs))
-    if i == 0 or i == len(xs) - 1:
-        raise BracketingError(
-            f"no interior minimum in ({lo}, {hi}): scan minimum sits at the boundary x={xs[i]!r}"
-        )
-    a, b = float(xs[i - 1]), float(xs[i + 1])
-    return golden_section(f, a, b, tol)
 
 
 def golden_section(

@@ -288,7 +288,7 @@ def verify_spacetime_commutator(
     """
     n = axis_grid.n
     if n > max_axis_points:
-        raise MemoryError(f"axis size {n} exceeds the configured cap {max_axis_points}")
+        raise ValueError(f"axis size {n} exceeds the configured cap {max_axis_points}")
     p = axis_grid.points
     h = axis_grid.spacing
     cutoff = axis_grid.cutoff

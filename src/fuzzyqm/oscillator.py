@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, OverflowGuardError, RefinementError
+from .errors import ContractError, RefinementError
 from .numerics.grids import MomentumGrid
-from .numerics.linalg import derivative_matrix, eig_generalized
+from .numerics.linalg import WEIGHT_CAP, derivative_matrix, eig_generalized
 from .operators import GridState, SmearingParams
 
 _TRUNCATIONS = ("quadratic", "quartic", "exact")
-_WEIGHT_CAP = 1e12  # exp(2 P^2/m^2) beyond this makes the reduction useless
 
 
 @dataclass(frozen=True)
@@ -124,21 +123,13 @@ def _build_operator(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tu
     p = grid.points
     d2 = derivative_matrix(grid, 2, scheme).entries
     confinement = (m * w**2 / 2.0) * (p**2 / m**4 - 1.0 / m**2)
+    weight = np.ones_like(p)
     if spec.truncation == "quadratic":
-        kinetic_weight = np.ones_like(p)
-        weight = np.ones_like(p)
+        kinetic_weight = weight
     elif spec.truncation == "quartic":
         kinetic_weight = 1.0 + 2.0 * p**2 / m**2 + 2.0 * p**4 / m**4
-        weight = np.ones_like(p)
     else:
-        arg = 2.0 * p**2 / m**2
-        if np.max(arg) > np.log(_WEIGHT_CAP):
-            raise OverflowGuardError(
-                f"exp(2 P^2/m^2) = {np.exp(np.max(arg)):.2e} exceeds {_WEIGHT_CAP:.0e}; "
-                "reduce the grid cutoff (P <= 3.7 m)"
-            )
-        kinetic_weight = np.exp(arg)
-        weight = kinetic_weight
+        kinetic_weight = weight = np.exp(2.0 * p**2 / m**2)  # eig_generalized refuses a span above WEIGHT_CAP
     a = -(m * w**2 / 2.0) * d2 + np.diag(confinement + (p**2 / (2.0 * m)) * kinetic_weight)
     return a, weight
 
@@ -168,7 +159,7 @@ def numeric_spectrum(
 
     if check_refinement:
         fine = MomentumGrid.symmetric(2 * grid.n, 1.25 * grid.cutoff)
-        if spec.truncation == "exact" and 2.0 * fine.cutoff**2 / spec.mass**2 > np.log(_WEIGHT_CAP):
+        if spec.truncation == "exact" and 2.0 * fine.cutoff**2 / spec.mass**2 > np.log(WEIGHT_CAP):
             fine = MomentumGrid.symmetric(2 * grid.n, grid.cutoff)
         a2, w2 = _build_operator(spec, fine, scheme)
         ref = eig_generalized(a2, w2)[: n_max + 1]

@@ -137,6 +137,11 @@ def test_criterion_5_couplings():
 # extrapolation (4 V(2n) - V(n))/3 of the two pairs agrees to 1e-6 MeV
 # (164.110598 and 48.850806 MeV), well inside the 1e-4 relative check below.
 FINITE_DIFFERENCE_DEPTH = {0.72: 164.1106, 1.43: 48.8508}
+# Exact depths from the Numerov shooting oracle that the eigenproblem replaced:
+# outward integration with node counting (h = 0.005 fm, 40 fm window) inside a
+# Brent root on V0.  It shares no discretisation with exact_depth, whose own
+# method is a finite difference.
+SHOOTING_DEPTH = {0.72: 164.115770, 1.43: 48.851466}
 
 
 def _trial_family_min_depth(r0: float) -> float:
@@ -156,19 +161,21 @@ def _trial_family_min_depth(r0: float) -> float:
 
 def test_criterion_6_variational_vs_exact_oracle():
     radii = (0.72, 1.43)
-    errors, solver_residual, oracle_residual = {}, {}, {}
+    errors, solver_residual, oracle_residual, shooting_residual = {}, {}, {}, {}
     for r0 in radii:
         v_var = solve_depth(r0, ProblemTemplate()).depth
         v_exact = float(exact_depth(r0))
         errors[r0] = v_var / v_exact - 1.0
         solver_residual[r0] = abs(v_var / _trial_family_min_depth(r0) - 1.0)
         oracle_residual[r0] = abs(v_exact / FINITE_DIFFERENCE_DEPTH[r0] - 1.0)
+        shooting_residual[r0] = abs(v_exact / SHOOTING_DEPTH[r0] - 1.0)
     checks = {
         "upper bound": all(errors[r0] >= 0.0 for r0 in radii),
         "decreasing": errors[1.43] < errors[0.72],
         "pion range": errors[1.43] <= 0.05,
         "family minimum": all(solver_residual[r0] <= 1e-6 for r0 in radii),
         "finite difference": all(oracle_residual[r0] <= 1e-4 for r0 in radii),
+        "shooting": all(shooting_residual[r0] <= 1e-4 for r0 in radii),
     }
     ok = all(checks.values())
     assert _report(
@@ -177,7 +184,8 @@ def test_criterion_6_variational_vs_exact_oracle():
         f"signed depth error {100 * errors[0.72]:+.3f}% at 0.72 fm, {100 * errors[1.43]:+.3f}% at 1.43 fm "
         f"(>= 0, decreasing, <= 5% at 1.43 fm); solve_depth vs family minimum "
         f"{solver_residual[0.72]:.1e}/{solver_residual[1.43]:.1e} (<= 1e-6); exact_depth vs finite difference "
-        f"{oracle_residual[0.72]:.1e}/{oracle_residual[1.43]:.1e} (<= 1e-4); {checks}",
+        f"{oracle_residual[0.72]:.1e}/{oracle_residual[1.43]:.1e} (<= 1e-4), vs shooting "
+        f"{shooting_residual[0.72]:.1e}/{shooting_residual[1.43]:.1e} (<= 1e-4); {checks}",
     )
 
 
@@ -236,8 +244,8 @@ def test_criterion_8_property_suites():
     r0, alpha = 1.0, 1.0
     p99 = 8.406 / (2.0 * alpha) * C.hbar_c / r0
     e_f = energy_expectation(
-        YukawaProblem(120.0, r0, C.reduced_mass, smearing=SmearingParams(100.0 * p99), inner_product="weighted"),
-        TrialState(alpha, form="fuzzy"),
+        YukawaProblem(120.0, r0, C.reduced_mass, smearing=SmearingParams(100.0 * p99)),
+        TrialState(alpha),
     )
     e_o = energy_expectation(YukawaProblem(120.0, r0, C.reduced_mass), TrialState(alpha))
     deut_ok = abs(e_f - e_o) <= 1e-4 * abs(e_o)

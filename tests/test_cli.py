@@ -33,6 +33,24 @@ def test_negative_nmax_usage_error(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("deuteron", "range-depth", "--r0", "abc"),
+        ("deuteron", "range-depth", "--r0", "-1"),
+        ("oscillator", "--omega", "-1", "--mass", "1"),
+        ("commutators", "--n0", "4"),
+        ("commutators", "--levels", "0"),
+        ("commutators", "--levels", "1"),
+    ],
+)
+def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, args):
+    r = run("--out", str(tmp_path), *args)
+    assert r.returncode == 2
+    assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_knob = 3\n")
@@ -124,7 +142,9 @@ def test_deuteron_couplings_pipeline(tmp_path):
     c = doc["couplings"]
     assert abs(c["ratio"] / 1.512 - 1.0) <= 0.1
     assert abs(c["g_omega_phenom_sq_over_4pi"] / 11.03 - 1.0) <= 0.1
-    assert "smearing_mass_choice" in doc["metadata"]
+    meta = doc["metadata"]
+    # V0' is the calibration's depth for the chosen smearing mass, not a second solve
+    assert c["V0_prime_MeV"] == meta["calibration_depths_MeV"][meta["smearing_mass_choice"]]
     # effective interaction samples: repulsive at short range, attractive beyond
     _, rows = read_csv(tmp_path / "effective_potential.csv")
     by_r = {float(row["r_fm"]): float(row["V_MeV"]) for row in rows}

@@ -17,7 +17,6 @@ from fuzzyqm.deuteron import (
     effective_potential,
     energy_expectation,
     exact_depth,
-    exact_ground_state,
     optimal_alpha,
     radial_first_moment,
     range_depth_curve,
@@ -41,7 +40,7 @@ def _ordinary(v0, r0):
 
 
 def _fuzzy(v0, r0, mass):
-    return YukawaProblem(v0, r0, MU, smearing=SmearingParams(mass), inner_product="weighted")
+    return YukawaProblem(v0, r0, MU, smearing=SmearingParams(mass))
 
 
 # --- energy functional -----------------------------------------------------------
@@ -73,18 +72,6 @@ def test_reference_depth_binds_near_target():
     assert abs(e_min - C.e0_binding) <= 2.0
 
 
-def test_trial_pairing_contract():
-    with pytest.raises(ContractError, match="pair"):
-        energy_expectation(_ordinary(100.0, 1.0), TrialState(1.0, form="fuzzy"))
-    with pytest.raises(ContractError, match="pair"):
-        energy_expectation(_fuzzy(100.0, 1.0, MU), TrialState(1.0, form="plain"))
-
-
-def test_weighted_problem_requires_smearing():
-    with pytest.raises(ContractError):
-        YukawaProblem(100.0, 1.0, MU, inner_product="weighted")
-
-
 def test_fuzzy_point_particle_limit():
     # smearing mass 100x above the 99th-percentile momentum of the trial
     r0, alpha = 1.0, 1.0
@@ -92,7 +79,7 @@ def test_fuzzy_point_particle_limit():
     p99 = u99 * C.hbar_c / r0
     heavy = _fuzzy(120.0, r0, 100.0 * p99)
     plain = _ordinary(120.0, r0)
-    ef = energy_expectation(heavy, TrialState(alpha, form="fuzzy"))
+    ef = energy_expectation(heavy, TrialState(alpha))
     eo = energy_expectation(plain, TrialState(alpha))
     assert abs(ef - eo) <= 1e-4 * abs(eo)
 
@@ -116,10 +103,11 @@ def test_fuzzy_headline_depth_after_calibration():
 
 def test_calibration_sweeps_both_candidates():
     cal = calibrate_smearing_mass(C)
-    assert set(cal.depths) == {"nucleon", "reduced"}
-    assert cal.choice in cal.depths
-    best = min(cal.depths, key=lambda k: abs(cal.depths[k] - cal.target))
+    assert set(cal.points) == {"nucleon", "reduced"}
+    assert cal.choice in cal.points
+    best = min(cal.points, key=lambda k: abs(cal.points[k].depth - cal.target))
     assert cal.choice == best
+    assert all(p.r0 == R0_SIGMA and p.converged for p in cal.points.values())
 
 
 def test_min_energy_monotone_in_depth():
@@ -344,30 +332,32 @@ def test_coupling_ratio_invariant_under_common_rescaling():
 # --- exact oracle -----------------------------------------------------------------
 
 
-def test_exact_ground_state_unbound_without_depth():
-    assert exact_ground_state(_ordinary(0.0, 1.0)) is None
-    assert exact_ground_state(_ordinary(5.0, 0.3)) is None
+def test_exact_depth_rejects_unbound_target_and_nonpositive_range():
+    for e_target in (0.0, 1.0):
+        with pytest.raises(ValueError, match="bound target"):
+            exact_depth(1.0, e_target=e_target)
+    for r0 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            exact_depth(r0)
 
 
-def test_exact_ground_state_rejects_fuzzy():
-    with pytest.raises(ContractError):
-        exact_ground_state(_fuzzy(100.0, 1.0, MU))
+# (V0 MeV, r0 fm) -> ground energy (MeV) of the Numerov shooting oracle that the
+# eigenproblem replaced: outward integration with node counting, h = 0.005 fm,
+# 40 fm window.  Each energy is the pair's binding target in depth space.
+SHOOTING_ENERGY = {
+    (660.77, R0_SIGMA): -9.35271,
+    (300.0, 0.6): -20.55435,
+    (100.0, 1.0): -4.58367,
+    (50.089, 1.43): -2.62394,
+    (173.48, 0.72): -3.88321,
+}
 
 
 def test_variational_upper_bound_property():
-    pairs = [(660.77, R0_SIGMA), (300.0, 0.6), (100.0, 1.0), (50.089, 1.43), (173.48, 0.72)]
-    for v0, r0 in pairs:
-        e_exact = exact_ground_state(_ordinary(v0, r0))
-        assert e_exact is not None
-        _, e_var = optimal_alpha(_ordinary(v0, r0))
-        assert e_var >= e_exact - 1e-3
-
-
-def test_variational_depth_vs_exact_depth_at_pion_range():
-    v_var = solve_depth(1.43, ProblemTemplate()).depth
-    v_exact = exact_depth(1.43)
-    assert abs(v_var / v_exact - 1.0) <= 0.05
-    assert v_var >= v_exact  # upper-bound method needs at least the exact depth
+    for (v0, r0), e in SHOOTING_ENERGY.items():
+        v_exact = exact_depth(r0, e_target=e)
+        assert v_exact == pytest.approx(v0, rel=3e-4)
+        assert solve_depth(r0, ProblemTemplate(), e_target=e).depth >= v_exact
 
 
 # --- eigenfunction push-out ---------------------------------------------------------

@@ -11,6 +11,7 @@ from fuzzyqm.numerics import (
     eig_generalized,
     eig_sym,
 )
+from fuzzyqm.numerics.linalg import WEIGHT_CAP
 
 # --- grids -------------------------------------------------------------------
 
@@ -200,6 +201,22 @@ def test_generalized_weight_overflow_guard():
     w[3] = 1e301
     with pytest.raises(OverflowGuardError, match="cutoff"):
         eig_generalized(a, w)
+
+
+def test_generalized_rejects_weight_spread_beyond_cap():
+    # the Sturmian weight exp(-r/r0)/(r/r0) at r0 = 0.72 fm on r_i = 0.04 i fm,
+    # i < 1000, spans 1.4e-26 to 17; the W^(-1/2) reduction returns a wrong
+    # lowest eigenvalue there instead of failing
+    r = 0.04 * np.arange(1, 1000)
+    w = np.exp(-r / 0.72) / (r / 0.72)
+    with pytest.raises(OverflowGuardError, match="spans"):
+        eig_generalized(np.eye(r.size), w)
+
+
+def test_generalized_accepts_weight_spread_at_cap():
+    # the oscillator's exact truncation: exp(2 p^2/m^2) from 1 up to the cap
+    w = np.exp(np.linspace(0.0, np.log(WEIGHT_CAP), 16))
+    assert np.allclose(eig_generalized(np.diag(w), w), 1.0)
 
 
 def test_generalized_weight_positive_required():
