@@ -305,6 +305,8 @@ def _argument_error(args: argparse.Namespace) -> str | None:
             (args.npoints >= 8, "--npoints must be at least 8 grid points"),
         ]
     else:
+        if args.action != "range-depth" and (args.variant is not None or args.r0 is not None):
+            return f"deuteron {args.action}: --variant and --r0 apply only to range-depth"
         try:
             _parse_r0_list(args.r0 or [])
         except ValueError as exc:
@@ -462,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deuteron", help="range-depth relation, core radius, meson couplings")
     p.add_argument("action", choices=("range-depth", "core-radius", "couplings"))
-    p.add_argument("--variant", choices=("ordinary", "fuzzy"), default="ordinary")
-    p.add_argument("--r0", action="append", help="range(s) in fm, comma separated or repeated")
+    p.add_argument("--variant", choices=("ordinary", "fuzzy"), help="range-depth only (default ordinary)")
+    p.add_argument("--r0", action="append", help="range-depth only: range(s) in fm, comma separated or repeated")
 
     return ap
 

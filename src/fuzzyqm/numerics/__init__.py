@@ -1,7 +1,7 @@
 """Foundation layer: grids, quadrature, scalar solvers, dense eigensolvers."""
 
 from .grids import MomentumGrid, OperatorMatrix
-from .linalg import derivative_matrix, eig_generalized, eig_sym
+from .linalg import apply_d1, derivative_matrix, eig_generalized, eig_sym
 from .quadrature import (
     QuadratureRule,
     gauss_legendre,
@@ -15,6 +15,7 @@ __all__ = [
     "MomentumGrid",
     "OperatorMatrix",
     "QuadratureRule",
+    "apply_d1",
     "derivative_matrix",
     "eig_generalized",
     "eig_sym",

@@ -96,8 +96,3 @@ class OperatorMatrix:
     @property
     def n(self) -> int:
         return int(self.entries.shape[0])
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.entries @ other.entries, self.grid)
-        return self.entries @ other

@@ -46,6 +46,39 @@ def derivative_matrix(grid: MomentumGrid, order: int, scheme: str = "central") -
     return OperatorMatrix(m, grid)
 
 
+def apply_d1(f: np.ndarray, h: float, scheme: str = "central", axis: int = 0) -> np.ndarray:
+    """d/dp of the samples ``f`` along ``axis`` on a grid of spacing ``h``, without a matrix.
+
+    Returns (as complex) what ``derivative_matrix(grid, 1, scheme).entries``
+    applied along ``axis`` returns.  The central scheme is the 3-point stencil
+    by slicing.  The spectral matrix D[i, j] = (-1)^(i-j) / ((i-j) h) is
+    Toeplitz, so it is applied as a linear convolution by zero-padded FFT of
+    length 2n, exact up to roundoff.
+    """
+    f = np.asarray(f)
+    n = f.shape[axis]
+    head = [slice(None)] * f.ndim
+    tail = [slice(None)] * f.ndim
+    if scheme == "central":
+        out = np.zeros_like(f, dtype=complex)
+        head[axis], tail[axis] = slice(0, -1), slice(1, None)
+        out[tuple(head)] += f[tuple(tail)] / (2.0 * h)
+        out[tuple(tail)] -= f[tuple(head)] / (2.0 * h)
+        return out
+    if scheme != "spectral":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    k = np.arange(1, n)
+    lag = (-1.0) ** k / (k * h)  # D[i, j] at i - j = k; the matrix is antisymmetric
+    kernel = np.zeros(2 * n)
+    kernel[1:n] = lag
+    kernel[n + 1 :] = -lag[::-1]  # negative lags -(n-1) ... -1, wrapped to the end
+    shape = [1] * f.ndim
+    shape[axis] = 2 * n
+    out = np.fft.ifft(np.fft.fft(f, 2 * n, axis=axis) * np.fft.fft(kernel).reshape(shape), axis=axis)
+    head[axis] = slice(0, n)
+    return out[tuple(head)]
+
+
 def _as_array(a) -> np.ndarray:
     return a.entries if isinstance(a, OperatorMatrix) else np.asarray(a)
 

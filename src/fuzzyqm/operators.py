@@ -3,10 +3,11 @@
 The position operator conjugated with the Gaussian factor exp(-p^2/2m^2)
 acquires a noncanonical commutator with momentum, a modified uncertainty
 bound, smeared angular-momentum eigenvalues, and noncommuting position
-components.  Everything here is built on dense grids and verified by acting
-on smooth probe states; entrywise matrix comparisons are meaningless for
-difference schemes because the discrete commutator only represents the
-continuum one on resolved functions.
+components.  The builders return dense grid matrices; the commutator and
+uncertainty checks apply the same operators matrix-free and act on smooth
+probe states, because entrywise matrix comparisons are meaningless for
+difference schemes: the discrete commutator only represents the continuum
+one on resolved functions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError
 from .numerics.grids import MomentumGrid, OperatorMatrix
-from .numerics.linalg import derivative_matrix
+from .numerics.linalg import apply_d1, derivative_matrix
 
 _NORM_TOL = 1e-8
 
@@ -236,30 +237,22 @@ def verify_commutator_xf_p(
     peak amplitude, and it decreases at the derivative scheme's order under
     grid refinement.
     """
-    xf = build_fuzzy_position_op(grid, s, scheme).entries
     p = grid.points
-    comm = xf * p[None, :] - p[:, None] * xf  # [X_f, P] with P diagonal
-    target = 1j * s.gaussian(p)
+    g = s.gaussian(p, half=True)
+    psi = np.stack(
+        [
+            np.exp(-((p - p0 * s.mass) ** 2) / (2.0 * (width * s.mass) ** 2) + 1j * (x0 / s.mass) * p)
+            for width, x0, p0 in probes
+        ],
+        axis=1,
+    )
+    k = len(probes)
+    # X_f = i G D G on p psi and psi in one call; [X_f, P] psi = X_f(p psi) - p X_f psi
+    stacked = g[:, None] * np.concatenate([p[:, None] * psi, psi], axis=1)
+    xf = 1j * g[:, None] * apply_d1(stacked, grid.spacing, scheme)
+    defect = xf[:, :k] - p[:, None] * xf[:, k:] - 1j * s.gaussian(p)[:, None] * psi
     inner = grid.interior_slice()
-    worst = 0.0
-    for width, x0, p0 in probes:
-        psi = np.exp(-((p - p0 * s.mass) ** 2) / (2.0 * (width * s.mass) ** 2) + 1j * (x0 / s.mass) * p)
-        defect = comm @ psi - target * psi
-        worst = max(worst, float(np.max(np.abs(defect[inner])) / np.max(np.abs(psi))))
-    return worst
-
-
-def _apply_d1_central(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    out = np.zeros_like(f, dtype=complex)
-    fwd = [slice(None)] * f.ndim
-    bwd = [slice(None)] * f.ndim
-    dst_f = [slice(None)] * f.ndim
-    dst_b = [slice(None)] * f.ndim
-    fwd[axis], dst_f[axis] = slice(1, None), slice(0, -1)
-    bwd[axis], dst_b[axis] = slice(0, -1), slice(1, None)
-    out[tuple(dst_f)] += f[tuple(fwd)] / (2.0 * h)
-    out[tuple(dst_b)] -= f[tuple(bwd)] / (2.0 * h)
-    return out
+    return float(np.max(np.max(np.abs(defect[inner]), axis=0) / np.max(np.abs(psi), axis=0)))
 
 
 def verify_spacetime_commutator(
@@ -303,7 +296,7 @@ def verify_spacetime_commutator(
         g4 = g**4
 
         def xop(fld: np.ndarray, axis: int) -> np.ndarray:
-            return 1j * _apply_d1_central(fld, spacing, axis)
+            return 1j * apply_d1(fld, spacing, "central", axis)
 
         def xf(fld: np.ndarray, axis: int) -> np.ndarray:
             return g * xop(g * fld, axis)
@@ -358,15 +351,17 @@ def verify_spacetime_commutator(
 # uncertainties
 
 
-def _expect(op: np.ndarray, psi: np.ndarray, dp: float) -> float:
-    return float(np.real(np.sum(np.conj(psi) * (op @ psi)) * dp))
+def _expect(psi: np.ndarray, op_psi: np.ndarray, dp: float) -> float:
+    """<psi|A psi> for a Hermitian A, from psi and A psi."""
+    return float(np.real(np.sum(np.conj(psi) * op_psi) * dp))
 
 
 def uncertainty_report(state: GridState, s: SmearingParams, scheme: str = "spectral") -> UncertaintyReport:
     """Spreads of the fuzzy position and momentum, the Robertson bound, and dx0.
 
     Requires a normalised plain-measure state.  dx0 = (2/m) sqrt(<X><P>) is
-    reported as None when the product <X><P> is negative.
+    reported as None when the product <X><P> is negative.  X = i D and
+    X_f = i G D G act matrix-free, with D applied to psi and G psi in one call.
     """
     if state.measure != "plain":
         raise ContractError("uncertainty_report expects a plain-measure momentum state")
@@ -377,11 +372,13 @@ def uncertainty_report(state: GridState, s: SmearingParams, scheme: str = "spect
     dp = grid.spacing
     p = grid.points
 
-    xf = build_fuzzy_position_op(grid, s, scheme).entries
-    x = build_position_op(grid, scheme).entries
+    g = s.gaussian(p, half=True)
+    d = apply_d1(np.stack([psi, g * psi], axis=1), dp, scheme)
+    x_psi = 1j * d[:, 0]
+    xf_psi = 1j * g * d[:, 1]
 
-    mean_xf = _expect(xf, psi, dp)
-    mean_xf2 = float(np.real(np.sum(np.abs(xf @ psi) ** 2) * dp))  # <Xf^2> via ||Xf psi||^2
+    mean_xf = _expect(psi, xf_psi, dp)
+    mean_xf2 = float(np.sum(np.abs(xf_psi) ** 2) * dp)  # <Xf^2> via ||Xf psi||^2
     dxf = float(np.sqrt(max(mean_xf2 - mean_xf**2, 0.0)))
 
     mean_p = float(np.sum(p * np.abs(psi) ** 2) * dp)
@@ -391,7 +388,7 @@ def uncertainty_report(state: GridState, s: SmearingParams, scheme: str = "spect
     mean_g = float(np.sum(s.gaussian(p) * np.abs(psi) ** 2) * dp)
     bound = 0.5 * abs(mean_g)
 
-    mean_x = _expect(x, psi, dp)
+    mean_x = _expect(psi, x_psi, dp)
     prod = mean_x * mean_p
     dx0 = (2.0 / s.mass) * float(np.sqrt(prod)) if prod >= 0 else None
     return UncertaintyReport(dxf, dpu, bound, mean_x, mean_p, dx0)
@@ -407,12 +404,12 @@ def symmetrized_product_spread(a: OperatorMatrix, b: OperatorMatrix, state: Grid
     dp = state.grid.spacing
     am, bm = a.entries, b.entries
     sym = 0.5 * (am @ bm + bm @ am)
-    mean_s = _expect(sym, psi, dp)
+    mean_s = _expect(psi, sym @ psi, dp)
     var_s = float(np.real(np.sum(np.abs(sym @ psi) ** 2) * dp)) - mean_s**2
     lhs = float(np.sqrt(max(var_s, 0.0)))
 
     def spread(op: np.ndarray) -> tuple[float, float]:
-        m = _expect(op, psi, dp)
+        m = _expect(psi, op @ psi, dp)
         m2 = float(np.real(np.sum(np.abs(op @ psi) ** 2) * dp))
         return m, float(np.sqrt(max(m2 - m**2, 0.0)))
 

@@ -42,6 +42,10 @@ def test_negative_nmax_usage_error(tmp_path):
         ("commutators", "--n0", "4"),
         ("commutators", "--levels", "0"),
         ("commutators", "--levels", "1"),
+        ("deuteron", "core-radius", "--variant", "ordinary"),
+        ("deuteron", "core-radius", "--r0", "5"),
+        ("deuteron", "couplings", "--variant", "fuzzy"),
+        ("deuteron", "couplings", "--r0", "5"),
     ],
 )
 def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, args):

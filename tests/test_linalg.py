@@ -7,6 +7,7 @@ from fuzzyqm.errors import NonHermitianError, OverflowGuardError
 from fuzzyqm.numerics import (
     MomentumGrid,
     OperatorMatrix,
+    apply_d1,
     derivative_matrix,
     eig_generalized,
     eig_sym,
@@ -104,6 +105,33 @@ def test_plane_wave_response_converges_at_second_order():
         errs.append(np.max(err[g.interior_slice()]))
     order = np.log2(errs[0] / errs[1])
     assert abs(order - 2.0) < 0.2
+
+
+# --- matrix-free first derivative ---------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["central", "spectral"])
+@pytest.mark.parametrize("n", [8, 9, 64, 511, 512])
+def test_apply_d1_matches_dense_matrix(n, scheme):
+    # odd and even n: the FFT convolution must reproduce every lag of the Toeplitz matrix
+    g = MomentumGrid.symmetric(n, 3.0)
+    d1 = derivative_matrix(g, 1, scheme).entries
+    rng = np.random.default_rng(n)
+    vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+    cols = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    field = rng.normal(size=(5, n))
+    for got, want in (
+        (apply_d1(vec, g.spacing, scheme), d1 @ vec),
+        (apply_d1(cols, g.spacing, scheme), d1 @ cols),
+        (apply_d1(field, g.spacing, scheme, axis=1), field @ d1.T),
+    ):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_apply_d1_rejects_unknown_scheme():
+    with pytest.raises(ValueError, match="scheme"):
+        apply_d1(np.ones(8), 0.1, "upwind")
 
 
 # --- symmetric eigensolver ---------------------------------------------------

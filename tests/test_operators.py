@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fuzzyqm.operators as operators_module
 from fuzzyqm.errors import ContractError
 from fuzzyqm.numerics import MomentumGrid
 from fuzzyqm.operators import (
@@ -46,7 +47,7 @@ def test_momentum_op_is_diagonal():
 def test_momentum_op_acts_pointwise():
     g = _grid()
     st = gaussian_probe(g, 1.0)
-    out = build_momentum_op(g) @ st.samples
+    out = build_momentum_op(g).entries @ st.samples
     assert np.allclose(out, g.points * st.samples)
 
 
@@ -159,20 +160,33 @@ def test_commutator_residual_quarters_under_doubling():
         assert abs(s - 2.0) <= 0.3
 
 
+def _dense_commutator_residual(op, g, mass, target):
+    # the dense oracle: the matrix op*p - p*op on the default probes, minus i*target*psi
+    p = g.points
+    comm = op * p[None, :] - p[:, None] * op
+    worst = 0.0
+    for width, x0, p0 in ((2.0, 0.0, 0.0), (2.5, 0.8, 0.0), (3.0, 0.0, 1.0), (2.0, -0.5, 0.5)):
+        psi = np.exp(-((p - p0 * mass) ** 2) / (2.0 * (width * mass) ** 2) + 1j * (x0 / mass) * p)
+        defect = comm @ psi - 1j * target * psi
+        worst = max(worst, np.max(np.abs(defect[g.interior_slice()])) / np.max(np.abs(psi)))
+    return worst
+
+
 def test_commutator_point_particle_limit_equals_canonical():
     # with a huge smearing mass the target reduces to the canonical i*identity
     g = _grid(512)
     res_limit = verify_commutator_xf_p(g, SmearingParams(1e12 * MASS), scheme="central")
     x = build_position_op(g, scheme="central").entries
-    p = g.points
-    comm = x * p[None, :] - p[:, None] * x
-    worst = 0.0
-    for width, x0, p0 in ((2.0, 0.0, 0.0), (2.5, 0.8, 0.0), (3.0, 0.0, 1.0), (2.0, -0.5, 0.5)):
-        m = 1e12 * MASS
-        psi = np.exp(-((p - p0 * m) ** 2) / (2.0 * (width * m) ** 2) + 1j * (x0 / m) * p)
-        defect = comm @ psi - 1j * psi
-        worst = max(worst, np.max(np.abs(defect[g.interior_slice()])) / np.max(np.abs(psi)))
-    assert res_limit == pytest.approx(worst, rel=1e-9)
+    assert res_limit == pytest.approx(_dense_commutator_residual(x, g, 1e12 * MASS, 1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["central", "spectral"])
+@pytest.mark.parametrize("n", [128, 256, 512, 1024])
+def test_commutator_matches_dense_oracle(n, scheme):
+    g = _grid(n, 8.0 * MASS)
+    xf = build_fuzzy_position_op(g, S, scheme).entries
+    want = _dense_commutator_residual(xf, g, MASS, S.gaussian(g.points))
+    assert verify_commutator_xf_p(g, S, scheme) == pytest.approx(want, rel=1e-10)
 
 
 def test_commutator_regression_value_spectral():
@@ -236,6 +250,44 @@ def test_gaussian_point_particle_limit_reaches_canonical_minimum():
     rep = uncertainty_report(gaussian_probe(g, 1.0), SmearingParams(1e9))
     assert rep.dxf * rep.dp == pytest.approx(0.5, abs=1e-6)
     assert rep.bound == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "central"])
+def test_uncertainty_report_matches_dense_oracle(scheme):
+    g = _grid(512)
+    xf = build_fuzzy_position_op(g, S, scheme).entries
+    x = build_position_op(g, scheme).entries
+    p, h = g.points, g.spacing
+    rng = np.random.default_rng(20240809)
+    for _ in range(20):
+        st = random_smooth_state(g, rng)
+        psi = st.samples
+        rho = np.abs(psi) ** 2
+        mean_xf = np.real(np.vdot(psi, xf @ psi)) * h
+        mean_p = np.sum(p * rho) * h
+        want = {
+            "dxf": np.sqrt(np.sum(np.abs(xf @ psi) ** 2) * h - mean_xf**2),
+            "dp": np.sqrt(np.sum(p**2 * rho) * h - mean_p**2),
+            "bound": 0.5 * np.sum(S.gaussian(p) * rho) * h,
+            "mean_p": mean_p,
+        }
+        rep = uncertainty_report(st, S, scheme)
+        for name, value in want.items():
+            assert getattr(rep, name) == pytest.approx(value, rel=1e-10), name
+        assert rep.mean_x == pytest.approx(np.real(np.vdot(psi, x @ psi)) * h, rel=0, abs=1e-10)
+
+
+def test_checks_build_no_dense_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator was built")
+
+    for name in ("derivative_matrix", "build_position_op", "build_fuzzy_position_op", "OperatorMatrix"):
+        monkeypatch.setattr(operators_module, name, refuse)
+    g = _grid(256)
+    for scheme in ("spectral", "central"):
+        uncertainty_report(gaussian_probe(g, 1.0, x0=0.5, p0=0.3), S, scheme)
+        verify_commutator_xf_p(g, S, scheme)
+    verify_spacetime_commutator(MomentumGrid.symmetric(48, 6.0 * MASS), S)
 
 
 def test_robertson_inequality_random_states():
