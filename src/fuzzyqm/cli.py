@@ -303,6 +303,7 @@ def _argument_error(args: argparse.Namespace) -> str | None:
             (args.omega > 0 and args.mass > 0, "--omega and --mass must be positive"),
             (args.nmax >= 0, "--nmax must be nonnegative"),
             (args.npoints >= 8, "--npoints must be at least 8 grid points"),
+            (args.nmax < args.npoints, "--nmax must be below --npoints"),
         ]
     else:
         if args.action != "range-depth" and (args.variant is not None or args.r0 is not None):

@@ -1,7 +1,7 @@
-"""Foundation layer: grids, quadrature, scalar solvers, dense eigensolvers."""
+"""Foundation layer: grids, quadrature, scalar solvers, dense generalized eigensolver."""
 
 from .grids import MomentumGrid, OperatorMatrix
-from .linalg import apply_d1, derivative_matrix, eig_generalized, eig_sym
+from .linalg import apply_d1, d2_lags, derivative_matrix, eig_generalized
 from .quadrature import (
     QuadratureRule,
     gauss_legendre,
@@ -16,9 +16,9 @@ __all__ = [
     "OperatorMatrix",
     "QuadratureRule",
     "apply_d1",
+    "d2_lags",
     "derivative_matrix",
     "eig_generalized",
-    "eig_sym",
     "find_root",
     "gauss_legendre",
     "golden_section",

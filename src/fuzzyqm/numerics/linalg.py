@@ -1,13 +1,12 @@
-"""Derivative matrices and dense symmetric / generalized eigensolvers."""
+"""Derivative matrices, their lag vectors, and the dense generalized eigensolver."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonHermitianError, OverflowGuardError
+from ..errors import OverflowGuardError
 from .grids import MomentumGrid, OperatorMatrix
 
-_HERMITICITY_RTOL = 1e-10
 WEIGHT_CAP = 1e12  # largest max(w)/min(w) for which the W^(-1/2) reduction stays accurate
 
 
@@ -79,21 +78,26 @@ def apply_d1(f: np.ndarray, h: float, scheme: str = "central", axis: int = 0) ->
     return out[tuple(head)]
 
 
+def d2_lags(n: int, h: float, scheme: str = "central") -> np.ndarray:
+    """Lag vector c of d^2/dp^2 on n points of spacing h: the matrix is c[|i - j|].
+
+    Equals the entries of ``derivative_matrix(grid, 2, scheme)``, which is
+    symmetric Toeplitz for both schemes, without forming the n x n array.
+    """
+    c = np.zeros(n)
+    if scheme == "central":
+        c[0], c[1] = -2.0 / h**2, 1.0 / h**2
+    elif scheme == "spectral":
+        k = np.arange(1, n)
+        c[0] = -np.pi**2 / (3.0 * h**2)
+        c[1:] = -2.0 * (-1.0) ** k / (k**2 * h**2)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return c
+
+
 def _as_array(a) -> np.ndarray:
     return a.entries if isinstance(a, OperatorMatrix) else np.asarray(a)
-
-
-def eig_sym(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
-
-    Raises NonHermitianError if the input fails max|A - A^H| <= 1e-10 max|A|.
-    """
-    m = _as_array(a)
-    scale = np.max(np.abs(m))
-    if scale > 0 and np.max(np.abs(m - m.conj().T)) > _HERMITICITY_RTOL * scale:
-        raise NonHermitianError("eig_sym requires a Hermitian matrix")
-    w, v = np.linalg.eigh(m)
-    return w, v
 
 
 def eig_generalized(
@@ -101,11 +105,12 @@ def eig_generalized(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Solve A phi = E W phi for diagonal positive W by the symmetric reduction.
 
-    The reduction B = W^(-1/2) A W^(-1/2) keeps the problem Hermitian; the
-    returned eigenvectors (if requested) are the phi columns, normalised in
-    the W-weighted inner product.  A weight that is not finite or spans more
-    than WEIGHT_CAP (compared in logarithms) raises OverflowGuardError: B is
-    then too badly scaled for the spectrum to be trusted.
+    The reduction B = W^(-1/2) A W^(-1/2) keeps the problem Hermitian.  Only
+    the eigenvalues (ascending) are computed unless ``return_eigenvectors``
+    asks for the phi columns, normalised in the W-weighted inner product.  A
+    weight that is not finite or spans more than WEIGHT_CAP (compared in
+    logarithms) raises OverflowGuardError: B is then too badly scaled for the
+    spectrum to be trusted.
     """
     m = _as_array(a)
     w = np.asarray(weight, dtype=float)
@@ -118,7 +123,7 @@ def eig_generalized(
     s = 1.0 / np.sqrt(w)
     b = s[:, None] * m * s[None, :]
     b = 0.5 * (b + b.conj().T)  # symmetrise away roundoff
-    vals, vecs = eig_sym(b)
     if not return_eigenvectors:
-        return vals
+        return np.linalg.eigvalsh(b)
+    vals, vecs = np.linalg.eigh(b)
     return vals, s[:, None] * vecs

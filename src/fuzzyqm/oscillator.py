@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, RefinementError
 from .numerics.grids import MomentumGrid
-from .numerics.linalg import WEIGHT_CAP, derivative_matrix, eig_generalized
+from .numerics.linalg import WEIGHT_CAP, d2_lags, eig_generalized
 from .operators import GridState, SmearingParams
 
 _TRUNCATIONS = ("quadratic", "quartic", "exact")
@@ -117,11 +118,9 @@ def default_grid(spec: OscillatorSpec, n_max: int, n_points: int = 512) -> Momen
     return MomentumGrid.symmetric(n_points, cutoff)
 
 
-def _build_operator(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (A, W) of the generalized problem A phi = E W phi for the requested truncation."""
+def _diagonal_and_weight(spec: OscillatorSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of A (confinement plus weighted kinetic term) and the weight W at momenta p."""
     w, m = spec.omega, spec.mass
-    p = grid.points
-    d2 = derivative_matrix(grid, 2, scheme).entries
     confinement = (m * w**2 / 2.0) * (p**2 / m**4 - 1.0 / m**2)
     weight = np.ones_like(p)
     if spec.truncation == "quadratic":
@@ -130,8 +129,72 @@ def _build_operator(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tu
         kinetic_weight = 1.0 + 2.0 * p**2 / m**2 + 2.0 * p**4 / m**4
     else:
         kinetic_weight = weight = np.exp(2.0 * p**2 / m**2)  # eig_generalized refuses a span above WEIGHT_CAP
-    a = -(m * w**2 / 2.0) * d2 + np.diag(confinement + (p**2 / (2.0 * m)) * kinetic_weight)
-    return a, weight
+    return confinement + (p**2 / (2.0 * m)) * kinetic_weight, weight
+
+
+def _parity_blocks(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(A, W) of A phi = E W phi restricted to even and to odd phi, on the left half-grid.
+
+    A = -(m w^2/2) d^2/dp^2 + diag and W are even under p -> -p, so with
+    k = n // 2 the even block is A11 + A12 J and the odd block A11 - A12 J:
+    the Toeplitz part c[|i - j|] plus or minus its mirror c[n - 1 - i - j],
+    i, j < k.  Both are read as sliding windows of c, without index arrays.
+    For odd n the middle point p = 0 joins the even block, coupled with a
+    factor sqrt(2) in the orthonormal basis (e_i + e_(n-1-i))/sqrt(2).
+    """
+    n, k = grid.n, grid.n // 2
+    c = -(spec.mass * spec.omega**2 / 2.0) * d2_lags(n, grid.spacing, scheme)
+    diag, weight = _diagonal_and_weight(spec, grid.points[: n - k])
+    # window i of (c[k-1], ..., c[1], c[0], c[1], ..., c[k-1]) at offset j is
+    # c[|i + j - k + 1|]; with the windows in reverse order it is c[|i - j|]
+    toeplitz = sliding_window_view(np.concatenate([c[k - 1 : 0 : -1], c[:k]]), k)[::-1]
+    mirror = sliding_window_view(c[::-1][: 2 * k - 1], k)  # c[n-1-i-j]
+    i = np.arange(k)
+    even = np.empty((n - k, n - k))
+    even[:k, :k] = toeplitz + mirror
+    odd = toeplitz - mirror
+    if n % 2:
+        even[k, :k] = even[:k, k] = np.sqrt(2.0) * c[k - i]
+        even[k, k] = c[0]
+    even[np.diag_indices(n - k)] += diag
+    odd[np.diag_indices(k)] += diag[:k]
+    return [(even, weight), (odd, weight[:k])]
+
+
+def _parity_solve(
+    spec: OscillatorSpec, grid: MomentumGrid, scheme: str, levels: int, vectors: bool
+) -> list[tuple[float, int, np.ndarray | None]]:
+    """Lowest ``levels`` (energy, parity, block column) of both parity blocks, by energy.
+
+    The block column (on the left half-grid, plus the middle point for odd n
+    in the even block) is computed only with ``vectors``, else it is None.
+    """
+    found = []
+    for sign, (a, weight) in zip((1, -1), _parity_blocks(spec, grid, scheme)):
+        if vectors:
+            vals, vecs = eig_generalized(a, weight, return_eigenvectors=True)
+        else:
+            vals, vecs = eig_generalized(a, weight), None
+        found += [(float(e), sign, None if vecs is None else vecs[:, j]) for j, e in enumerate(vals[:levels])]
+    return sorted(found, key=lambda level: level[0])[:levels]
+
+
+def _mirror_state(spec: OscillatorSpec, grid: MomentumGrid, column: np.ndarray, sign: int) -> GridState:
+    """Full-grid eigenfunction psi = exp(p^2/m^2) phi of parity ``sign`` from its block column.
+
+    The left half is mirrored exactly, so psi(-p) = sign psi(p) holds sample
+    by sample, and the overall sign makes the largest |psi| (the leftmost of
+    a mirror pair) positive.
+    """
+    k = grid.n // 2
+    half = np.exp(grid.points[: column.size] ** 2 / spec.mass**2) * column
+    if grid.n % 2:  # the even block's middle basis vector is e_k, not (e_i + e_(n-1-i))/sqrt(2)
+        half = np.append(half[:k], np.sqrt(2.0) * half[k] if sign > 0 else 0.0)
+    s = SmearingParams(spec.mass)
+    st = GridState(np.concatenate([half, sign * half[:k][::-1]]), grid, measure="weighted", smearing=s).normalize()
+    if np.real(st.samples[np.argmax(np.abs(st.samples))]) < 0:
+        st = GridState(-st.samples, grid, "weighted", s)
+    return st
 
 
 def numeric_spectrum(
@@ -145,42 +208,37 @@ def numeric_spectrum(
 ) -> SpectrumResult:
     """Lowest n_max+1 levels by dense diagonalisation of the reduced equation.
 
-    Dirichlet boundary values are implicit (phi decays inside the grid).  With
-    ``check_refinement`` the solve is repeated on a grid with doubled points
-    and 25% larger cutoff; a relative change above 1e-4 raises RefinementError.
+    The grid is symmetric and the problem even under p -> -p, so it is solved
+    as two half-size blocks, one per parity (see ``_parity_blocks``), and the
+    lowest levels of both are merged.  Only eigenvalues are computed unless
+    ``return_eigenfunctions`` asks for the states, which are then exactly even
+    or odd on the grid.  Dirichlet boundary values are implicit (phi decays
+    inside the grid).  With ``check_refinement`` the solve is repeated on a
+    grid with doubled points and 25% larger cutoff; a relative change above
+    1e-4 raises RefinementError.  Asking for more levels than grid points
+    raises ValueError.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if grid is None:
         grid = default_grid(spec, n_max, n_points)
-    a, wdiag = _build_operator(spec, grid, scheme)
-    vals, phis = eig_generalized(a, wdiag, return_eigenvectors=True)
-    energies = vals[: n_max + 1]
+    if n_max + 1 > grid.n:
+        raise ValueError(f"n_max + 1 = {n_max + 1} levels exceed the {grid.n} grid points")
+    levels = _parity_solve(spec, grid, scheme, n_max + 1, return_eigenfunctions)
+    energies = np.array([e for e, _, _ in levels])
 
     if check_refinement:
         fine = MomentumGrid.symmetric(2 * grid.n, 1.25 * grid.cutoff)
         if spec.truncation == "exact" and 2.0 * fine.cutoff**2 / spec.mass**2 > np.log(WEIGHT_CAP):
             fine = MomentumGrid.symmetric(2 * grid.n, grid.cutoff)
-        a2, w2 = _build_operator(spec, fine, scheme)
-        ref = eig_generalized(a2, w2)[: n_max + 1]
+        ref = np.array([e for e, _, _ in _parity_solve(spec, fine, scheme, n_max + 1, False)])
         rel = np.max(np.abs(ref - energies) / np.maximum(np.abs(ref), 1e-300))
         if rel > 1e-4:
             raise RefinementError(f"spectrum changed by {rel:.2e} under grid refinement")
 
     eigenfunctions = None
     if return_eigenfunctions:
-        s = SmearingParams(spec.mass)
-        boost = np.exp(grid.points**2 / spec.mass**2)
-        states = []
-        for i in range(n_max + 1):
-            psi = boost * phis[:, i]
-            st = GridState(psi, grid, measure="weighted", smearing=s).normalize()
-            # fix the overall sign: make the first substantial component positive
-            j = int(np.argmax(np.abs(st.samples)))
-            if np.real(st.samples[j]) < 0:
-                st = GridState(-st.samples, grid, "weighted", s)
-            states.append(st)
-        eigenfunctions = tuple(states)
+        eigenfunctions = tuple(_mirror_state(spec, grid, col, sign) for _, sign, col in levels)
     return SpectrumResult(
         tuple(float(v) for v in energies), method="diagonalization", eigenfunctions=eigenfunctions
     )

@@ -46,6 +46,7 @@ def test_negative_nmax_usage_error(tmp_path):
         ("deuteron", "core-radius", "--r0", "5"),
         ("deuteron", "couplings", "--variant", "fuzzy"),
         ("deuteron", "couplings", "--r0", "5"),
+        ("oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "12", "--npoints", "8"),
     ],
 )
 def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, args):

@@ -8,9 +8,9 @@ from fuzzyqm.numerics import (
     MomentumGrid,
     OperatorMatrix,
     apply_d1,
+    d2_lags,
     derivative_matrix,
     eig_generalized,
-    eig_sym,
 )
 from fuzzyqm.numerics.linalg import WEIGHT_CAP
 
@@ -107,7 +107,7 @@ def test_plane_wave_response_converges_at_second_order():
     assert abs(order - 2.0) < 0.2
 
 
-# --- matrix-free first derivative ---------------------------------------------
+# --- matrix-free derivatives --------------------------------------------------
 
 
 @pytest.mark.parametrize("scheme", ["central", "spectral"])
@@ -134,12 +134,26 @@ def test_apply_d1_rejects_unknown_scheme():
         apply_d1(np.ones(8), 0.1, "upwind")
 
 
-# --- symmetric eigensolver ---------------------------------------------------
+@pytest.mark.parametrize("n", [8, 9, 64, 65])
+@pytest.mark.parametrize("scheme", ["central", "spectral"])
+def test_d2_lags_match_dense_matrix(n, scheme):
+    g = MomentumGrid.symmetric(n, 2.0)
+    i = np.arange(n)
+    c = d2_lags(n, g.spacing, scheme)
+    assert np.array_equal(c[np.abs(i[:, None] - i)], derivative_matrix(g, 2, scheme).entries)
+
+
+def test_d2_lags_rejects_unknown_scheme():
+    with pytest.raises(ValueError, match="scheme"):
+        d2_lags(8, 0.1, "upwind")
+
+
+# --- symmetric eigenproblem: eig_generalized with unit weight ----------------
 
 
 def test_eig_sym_identity():
     g = MomentumGrid.symmetric(8, 1.0)
-    w, v = eig_sym(OperatorMatrix(np.eye(4 * 2), g))
+    w, v = eig_generalized(OperatorMatrix(np.eye(4 * 2), g), np.ones(8), return_eigenvectors=True)
     assert np.allclose(w, 1.0)
     assert np.allclose(v.conj().T @ v, np.eye(8), atol=1e-10)
 
@@ -147,28 +161,31 @@ def test_eig_sym_identity():
 def test_eig_sym_diagonal_sorted():
     g = MomentumGrid.symmetric(8, 1.0)
     m = np.diag([3.0, 1.0, 2.0, 5.0, 4.0, 7.0, 6.0, 8.0])
-    w, _ = eig_sym(OperatorMatrix(m, g))
+    w = eig_generalized(OperatorMatrix(m, g), np.ones(8))
     assert np.allclose(w, [1, 2, 3, 4, 5, 6, 7, 8])
 
 
 def test_eig_sym_accepts_plain_arrays():
-    w, _ = eig_sym(np.diag([3.0, 1.0, 2.0]))
+    w = eig_generalized(np.diag([3.0, 1.0, 2.0]), np.ones(3))
     assert np.allclose(w, [1.0, 2.0, 3.0])
 
 
 def test_eig_sym_rejects_nonhermitian():
+    # eig_generalized symmetrises its input without a scan, so a matrix is
+    # checked for Hermiticity where it is tagged: OperatorMatrix(hermitian=True)
     g = MomentumGrid.symmetric(8, 1.0)
     m = np.diag(np.arange(8.0))
     m[0, 3] = 0.5
     with pytest.raises(NonHermitianError):
-        eig_sym(OperatorMatrix(m, g))
+        OperatorMatrix(m, g, hermitian=True)
+    OperatorMatrix(0.5 * (m + m.T), g, hermitian=True)
 
 
 def test_eig_sym_residual_and_orthonormality():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     a = a + a.conj().T
-    w, v = eig_sym(a)
+    w, v = eig_generalized(a, np.ones(40), return_eigenvectors=True)
     scale = np.linalg.norm(a, 2)
     for i in range(40):
         assert np.linalg.norm(a @ v[:, i] - w[i] * v[:, i]) <= 1e-8 * scale
@@ -188,7 +205,7 @@ def test_laplacian_spectrum_converges_to_box_levels():
     for n in (64, 128, 256, 512):
         g = _box_interior_grid(n, L)
         d2 = derivative_matrix(g, 2, "central").entries
-        w, _ = eig_sym(-d2)
+        w = eig_generalized(-d2, np.ones(n))
         errs.append(np.max(np.abs(w[:3] - exact)))
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert abs(slopes[-1] - 2.0) < 0.2
@@ -198,10 +215,11 @@ def test_laplacian_spectrum_converges_to_box_levels():
 
 
 def test_generalized_with_identity_weight_matches_eig_sym():
+    # the unit-weight reduction is the plain symmetric eigenproblem
     rng = np.random.default_rng(5)
     a = rng.normal(size=(24, 24))
     a = a + a.T
-    w_direct, _ = eig_sym(a)
+    w_direct = np.linalg.eigh(a)[0]
     w_gen = eig_generalized(a, np.ones(24))
     assert np.max(np.abs(w_gen - w_direct)) <= 1e-10
 

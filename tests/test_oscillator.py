@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fuzzyqm.errors import ContractError, OverflowGuardError, RefinementError
-from fuzzyqm.numerics import MomentumGrid
+from fuzzyqm.numerics import MomentumGrid, derivative_matrix, linalg
+from fuzzyqm.operators import GridState, SmearingParams
 from fuzzyqm.oscillator import (
     OscillatorSpec,
     PerturbativeCoefficients,
+    _diagonal_and_weight,
     anharmonic_shift,
     anharmonic_spectrum_formula,
     default_grid,
@@ -178,6 +180,62 @@ def test_quartic_eigenfunctions_steeper_than_quadratic():
         ]
     for n in (0, 1):
         assert moments["quartic"][n] < moments["quadratic"][n]
+
+
+def test_more_levels_than_grid_points_rejected():
+    spec = OscillatorSpec(W, M, "quadratic")
+    with pytest.raises(ValueError, match="grid points"):
+        numeric_spectrum(spec, 12, n_points=8)
+    assert len(numeric_spectrum(spec, 7, n_points=8).energies) == 8
+
+
+def _dense_oracle(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tuple[np.ndarray, list[GridState]]:
+    """Levels and eigenfunctions from np.linalg.eigh of the full n x n B = W^(-1/2) A W^(-1/2)."""
+    diag, weight = _diagonal_and_weight(spec, grid.points)
+    a = -(spec.mass * spec.omega**2 / 2.0) * derivative_matrix(grid, 2, scheme).entries + np.diag(diag)
+    s = 1.0 / np.sqrt(weight)
+    vals, vecs = np.linalg.eigh(s[:, None] * a * s[None, :])
+    boost = np.exp(grid.points**2 / spec.mass**2) * s
+    states = [
+        GridState(boost * vecs[:, i], grid, "weighted", SmearingParams(spec.mass)).normalize() for i in range(4)
+    ]
+    return vals[:4], states
+
+
+@pytest.mark.parametrize("n", [64, 65, 1024])
+@pytest.mark.parametrize("scheme", ["central", "spectral"])
+@pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
+def test_parity_blocks_match_full_eigh(n, scheme, truncation):
+    spec = OscillatorSpec(W, M, truncation)
+    grid = default_grid(spec, 3, n)
+    res = numeric_spectrum(spec, 3, grid=grid, scheme=scheme, return_eigenfunctions=True)
+    vals, states = _dense_oracle(spec, grid, scheme)
+    assert np.max(np.abs(np.array(res.energies) - vals) / np.abs(vals)) <= 1e-10
+    for level, (ours, oracle) in enumerate(zip(res.eigenfunctions, states)):
+        assert abs(ours.inner(oracle)) >= 1.0 - 1e-10
+        psi = np.real(ours.samples)
+        assert np.max(np.abs(psi[::-1] - (-1) ** level * psi)) <= 1e-12 * np.max(np.abs(psi))
+        assert psi[np.argmax(np.abs(psi))] > 0
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_solves_are_half_size_and_values_only(monkeypatch, n):
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name in shapes:
+        original = getattr(linalg.np.linalg, name)
+
+        def recorder(b, *args, _name=name, _original=original, **kwargs):
+            shapes[_name].append(b.shape)
+            return _original(b, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.np.linalg, name, recorder)
+    spec = OscillatorSpec(W, M, "exact")
+    half, rest = (n + 1) // 2, n // 2
+    numeric_spectrum(spec, 3, n_points=n, check_refinement=True)
+    assert shapes == {"eigh": [], "eigvalsh": [(half, half), (rest, rest), (n, n), (n, n)]}
+    shapes["eigvalsh"].clear()
+    numeric_spectrum(spec, 3, n_points=n, check_refinement=True, return_eigenfunctions=True)
+    assert shapes == {"eigh": [(half, half), (rest, rest)], "eigvalsh": [(n, n), (n, n)]}
 
 
 # --- closed-form eigenfunctions -------------------------------------------------
