@@ -100,29 +100,38 @@ def _as_array(a) -> np.ndarray:
     return a.entries if isinstance(a, OperatorMatrix) else np.asarray(a)
 
 
-def eig_generalized(
-    a, weight: np.ndarray, return_eigenvectors: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Solve A phi = E W phi for diagonal positive W by the symmetric reduction.
+def check_weight(weight, dim: int) -> np.ndarray:
+    """The diagonal weight W of a size-``dim`` generalized eigenproblem, as floats, once it is safe to use.
 
-    The reduction B = W^(-1/2) A W^(-1/2) keeps the problem Hermitian.  Only
-    the eigenvalues (ascending) are computed unless ``return_eigenvectors``
-    asks for the phi columns, normalised in the W-weighted inner product.  A
-    weight that is not finite or spans more than WEIGHT_CAP (compared in
-    logarithms) raises OverflowGuardError: B is then too badly scaled for the
-    spectrum to be trusted.
+    A weight that is not a positive vector of length ``dim`` raises
+    ValueError.  One that is not finite or spans more than WEIGHT_CAP
+    (compared in logarithms) raises OverflowGuardError: W^(-1/2) A W^(-1/2)
+    is then too badly scaled for the spectrum to be trusted.
     """
-    m = _as_array(a)
     w = np.asarray(weight, dtype=float)
-    if w.ndim != 1 or w.size != m.shape[0]:
+    if w.ndim != 1 or w.size != dim:
         raise ValueError("weight must be a diagonal vector matching the matrix dimension")
     if np.any(w <= 0):
         raise ValueError("weight entries must be positive")
     if not np.log(np.max(w)) - np.log(np.min(w)) <= np.log(WEIGHT_CAP):  # also catches inf and nan
         raise OverflowGuardError(f"weight spans {np.max(w) / np.min(w):.2e} > {WEIGHT_CAP:.0e}; reduce the grid cutoff")
-    s = 1.0 / np.sqrt(w)
-    b = s[:, None] * m * s[None, :]
-    b = 0.5 * (b + b.conj().T)  # symmetrise away roundoff
+    return w
+
+
+def eig_generalized(
+    a, weight: np.ndarray, return_eigenvectors: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Solve A phi = E W phi for Hermitian A and diagonal positive W by the symmetric reduction.
+
+    The reduction B = W^(-1/2) A W^(-1/2) keeps the problem Hermitian; only
+    the lower triangle of A is read, so A must be Hermitian as given.  Only
+    the eigenvalues (ascending) are computed unless ``return_eigenvectors``
+    asks for the phi columns, normalised in the W-weighted inner product.
+    The weight is vetted by ``check_weight``.
+    """
+    m = _as_array(a)
+    s = 1.0 / np.sqrt(check_weight(weight, m.shape[0]))
+    b = np.einsum("i,ij,j->ij", s, m, s)
     if not return_eigenvectors:
         return np.linalg.eigvalsh(b)
     vals, vecs = np.linalg.eigh(b)

@@ -91,6 +91,15 @@ def test_oscillator_table_and_eigenfunctions(tmp_path):
     assert {"p_MeV", "psi_harmonic_n0", "psi_anharmonic_n0"} <= set(efn[0])
 
 
+def test_oscillator_eigenfunction_columns_share_a_sign(tmp_path):
+    # closed-form and numeric states both follow the Hermite convention: largest |psi| on p >= 0 positive
+    r = run("--out", str(tmp_path), "oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "1", "--npoints", "65")
+    assert r.returncode == 0, r.stderr
+    _, efn = read_csv(tmp_path / "oscillator_eigenfunctions.csv")
+    for j in (0, 1):
+        assert sum(float(row[f"psi_harmonic_n{j}"]) * float(row[f"psi_anharmonic_n{j}"]) for row in efn) > 0
+
+
 def test_oscillator_json_format(tmp_path):
     r = run("--out", str(tmp_path), "--format", "json", "oscillator", "--omega", "0.01", "--mass", "1",
             "--nmax", "1", "--npoints", "128")

@@ -171,7 +171,7 @@ def test_eig_sym_accepts_plain_arrays():
 
 
 def test_eig_sym_rejects_nonhermitian():
-    # eig_generalized symmetrises its input without a scan, so a matrix is
+    # eig_generalized reads one triangle of its input without a scan, so a matrix is
     # checked for Hermiticity where it is tagged: OperatorMatrix(hermitian=True)
     g = MomentumGrid.symmetric(8, 1.0)
     m = np.diag(np.arange(8.0))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from fuzzyqm import oscillator
 from fuzzyqm.errors import ContractError, OverflowGuardError, RefinementError
-from fuzzyqm.numerics import MomentumGrid, derivative_matrix, linalg
+from fuzzyqm.numerics import MomentumGrid, derivative_matrix
 from fuzzyqm.operators import GridState, SmearingParams
 from fuzzyqm.oscillator import (
     OscillatorSpec,
@@ -215,27 +216,95 @@ def test_parity_blocks_match_full_eigh(n, scheme, truncation):
         assert abs(ours.inner(oracle)) >= 1.0 - 1e-10
         psi = np.real(ours.samples)
         assert np.max(np.abs(psi[::-1] - (-1) ** level * psi)) <= 1e-12 * np.max(np.abs(psi))
-        assert psi[np.argmax(np.abs(psi))] > 0
+        right = psi[n // 2 :]  # p >= 0: the largest |psi| there is positive, as in ``eigenfunction``
+        assert right[np.argmax(np.abs(right))] > 0
 
 
-@pytest.mark.parametrize("n", [64, 65])
-def test_solves_are_half_size_and_values_only(monkeypatch, n):
+def _dense_rung(monkeypatch) -> None:
+    """Make every parity block skip the Ritz rungs, so numeric_spectrum answers from the dense blocks."""
+    monkeypatch.setattr(oscillator, "_ritz", lambda *args: None)
+
+
+_LADDER_CASES = [
+    (ratio, truncation, n, scheme)
+    for ratio in (0.005, 0.02, 0.1, 0.3)
+    for truncation in ("quadratic", "quartic", "exact")
+    for n in (64, 65)
+    for scheme in ("central", "spectral")
+] + [
+    (ratio, truncation, 1024, "spectral") for ratio in (0.005, 0.02) for truncation in ("quadratic", "quartic", "exact")
+] + [
+    (ratio, "exact", 2048, "spectral") for ratio in (0.005, 0.02)  # the full weight; 0.4 s a case
+]
+
+
+@pytest.mark.parametrize("ratio, truncation, n, scheme", _LADDER_CASES)
+def test_ladder_matches_dense_rung(monkeypatch, ratio, truncation, n, scheme):
+    spec = OscillatorSpec(ratio * M, M, truncation)
+    grid = default_grid(spec, 3, n)
+    ours = numeric_spectrum(spec, 3, grid=grid, scheme=scheme, return_eigenfunctions=True)
+    _dense_rung(monkeypatch)
+    dense = numeric_spectrum(spec, 3, grid=grid, scheme=scheme, return_eigenfunctions=True)
+    assert dense.method == "dense/dense"
+    assert np.max(np.abs(np.array(ours.energies) - dense.energies) / np.abs(dense.energies)) <= 1e-10
+    for state, oracle in zip(ours.eigenfunctions, dense.eigenfunctions):
+        assert np.real(state.inner(oracle)) >= 1.0 - 1e-10  # same state, same sign
+
+
+def test_ritz_rejects_a_basis_that_misses_the_ground_state(monkeypatch):
+    # h_2, h_4, ... and h_3, h_5, ...: the residual test must turn both blocks away
+    spec = OscillatorSpec(W, M, "exact")
+    grid = default_grid(spec, 3, 512)
+    hermite = oscillator._hermite_basis
+    monkeypatch.setattr(oscillator, "_hermite_basis", lambda spec, p, count: hermite(spec, p, count + 2)[:, 2:])
+    res = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
+    assert res.method == "dense/dense"
+    _dense_rung(monkeypatch)
+    dense = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
+    assert res.energies == dense.energies
+    assert all(np.array_equal(x.samples, y.samples) for x, y in zip(res.eigenfunctions, dense.eigenfunctions))
+
+
+def _record_eigensolves(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
     shapes = {"eigh": [], "eigvalsh": []}
     for name in shapes:
-        original = getattr(linalg.np.linalg, name)
+        original = getattr(np.linalg, name)
 
         def recorder(b, *args, _name=name, _original=original, **kwargs):
             shapes[_name].append(b.shape)
             return _original(b, *args, **kwargs)
 
-        monkeypatch.setattr(linalg.np.linalg, name, recorder)
-    spec = OscillatorSpec(W, M, "exact")
+        monkeypatch.setattr(np.linalg, name, recorder)
+    return shapes
+
+
+@pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
+def test_harmonic_regime_solves_no_eigenproblem_above_32(monkeypatch, truncation):
+    shapes = _record_eigensolves(monkeypatch)
+    res = numeric_spectrum(
+        OscillatorSpec(W, M, truncation), 3, n_points=1024, check_refinement=True, return_eigenfunctions=True
+    )
+    assert res.method == "ritz32/ritz32"
+    assert shapes["eigh"] and max(max(shape) for shape in shapes["eigh"] + shapes["eigvalsh"]) <= 32
+
+
+@pytest.mark.parametrize("n", [128, 129])
+def test_strong_coupling_falls_through_to_half_size_dense_blocks(monkeypatch, n):
+    # at w/m = 0.3 the exact weight spans ~1e12 over the grid and no Ritz rung passes
+    shapes = _record_eigensolves(monkeypatch)
+
+    def dense_solves():
+        found = {name: [shape for shape in got if max(shape) > 32] for name, got in shapes.items()}
+        for got in shapes.values():
+            got.clear()
+        return found
+
+    spec = OscillatorSpec(0.3 * M, M, "exact")
     half, rest = (n + 1) // 2, n // 2
-    numeric_spectrum(spec, 3, n_points=n, check_refinement=True)
-    assert shapes == {"eigh": [], "eigvalsh": [(half, half), (rest, rest), (n, n), (n, n)]}
-    shapes["eigvalsh"].clear()
+    assert numeric_spectrum(spec, 3, n_points=n, check_refinement=True).method == "dense/dense"
+    assert dense_solves() == {"eigh": [], "eigvalsh": [(half, half), (rest, rest), (n, n), (n, n)]}
     numeric_spectrum(spec, 3, n_points=n, check_refinement=True, return_eigenfunctions=True)
-    assert shapes == {"eigh": [(half, half), (rest, rest)], "eigvalsh": [(n, n), (n, n)]}
+    assert dense_solves() == {"eigh": [(half, half), (rest, rest)], "eigvalsh": [(n, n), (n, n)]}
 
 
 # --- closed-form eigenfunctions -------------------------------------------------
