@@ -42,6 +42,7 @@ from .oscillator import (
 
 _NOMINAL_ORDER = 2.0  # central-difference ladder
 _ORDER_TOL = 0.3
+_POSITIVE_CONSTANTS = ("hbar_c", "m_proton", "m_neutron", "m_sigma", "m_omega", "m_pi", "r0_sigma_fm", "r1_omega_fm")
 
 
 class ConfigError(Exception):
@@ -97,11 +98,27 @@ def _build_run_config(args: argparse.Namespace, argv: list[str]) -> RunConfig:
         else:
             raise ConfigError(f"unknown config key {k!r}")
     constants = DEFAULT_CONSTANTS.with_overrides(**const_overrides)
+    _check_config_domain(constants, n_points, cutoff_mult)
     out = Path(args.out if args.out else overrides.get("out", "fuzzyqm_out"))
     fmt = args.format if args.format else overrides.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
     return RunConfig(constants, n_points, cutoff_mult, out, fmt, " ".join(argv))
+
+
+def _check_config_domain(constants: PhysicalConstants, n_points: int, cutoff_mult: float) -> None:
+    """Raise ConfigError naming the first config value outside its domain."""
+    values = constants.as_dict()
+    checks = [
+        (n_points >= 8, f"n_points must be at least 8 grid points, got {n_points}"),
+        (0.0 < cutoff_mult < np.inf, f"cutoff_mult must be finite and positive, got {cutoff_mult!r}"),
+        *((np.isfinite(v), f"{k} must be finite, got {v!r}") for k, v in values.items()),
+        *((values[k] > 0, f"{k} must be positive, got {values[k]!r}") for k in _POSITIVE_CONSTANTS),
+        (values["e0_binding"] < 0, f"e0_binding must be negative (a bound state), got {values['e0_binding']!r}"),
+    ]
+    problem = next((msg for ok, msg in checks if not ok), None)
+    if problem:
+        raise ConfigError(problem)
 
 
 def _fmt(v: object) -> str:
@@ -297,6 +314,7 @@ def _argument_error(args: argparse.Namespace) -> str | None:
             (args.levels >= 2, "--levels must be at least 2 to measure a convergence order"),
             (args.n0 >= 8, "--n0 must be at least 8 grid points"),
             (args.mass > 0, "--mass must be positive"),
+            (args.states >= 1, "--states must be at least 1 random state"),
         ]
     elif args.command == "oscillator":
         checks = [

@@ -35,12 +35,12 @@ from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import BracketingError, ContractError, OverflowGuardError, RefinementError
 from .numerics.grids import MomentumGrid
 from .numerics.linalg import derivative_matrix
-from .numerics.quadrature import QuadratureRule, semi_infinite
 from .numerics.solvers import find_root, golden_section
 from .operators import SmearingParams
 
 _ALPHA_SCAN = np.logspace(np.log10(0.01), np.log10(20.0), 200)
 _KINETIC_REL_TOL = 1e-9
+_KINETIC_NODES = (24, 48)  # nodes per panel of the coarse and fine smeared-kinetic rules
 _ALPHA_BLOCK = 16  # small alpha x node blocks, reduced without BLAS, keep peak memory flat
 _ORACLE_BOX = 10.0  # exact-depth box radius in units of the bound state's decay length 1/kappa
 _ORACLE_STEPS_PER_RANGE = 16  # coarse exact-depth grid steps per range r0
@@ -165,21 +165,21 @@ class ProblemTemplate:
 # energy functional
 
 
-def closed_form_energy_plain(
-    alpha: float, V0: float, r0_fm: float, kinetic_mass: float, hbar_c: float = DEFAULT_CONSTANTS.hbar_c
-) -> float:
-    """Ordinary-case oracle by elementary Gamma integrals.
-
-    E(alpha) = alpha^2 (hbar c)^2 / (2 m r0^2) - 4 V0 alpha^3 / (2 alpha + 1)^2.
-    """
-    rt = r0_fm / hbar_c
-    return alpha**2 / (2.0 * kinetic_mass * rt**2) - 4.0 * V0 * alpha**3 / (2.0 * alpha + 1.0) ** 2
-
-
 @cache
-def _kinetic_rules() -> tuple[QuadratureRule, QuadratureRule]:
-    """Unit-scale 24- and 48-node rules for the smeared kinetic integral, built on first use."""
-    return semi_infinite(1.0, 9, 24), semi_infinite(1.0, 9, 48)
+def _kinetic_rule(nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of a composite Gauss-Legendre rule on [0, 256] with panels [0, 1], [1, 2], [2, 4], ...
+
+    The geometric panels capture exp(-x) x^k to about 1e-12 for k <= 30.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    nodes, weights = [], []
+    lo, hi = 0.0, 1.0
+    for _ in range(9):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        nodes.append(mid + half * x)
+        weights.append(half * w)
+        lo, hi = hi, 2.0 * hi
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _smeared_kinetic_integral(alpha: np.ndarray, b: float) -> np.ndarray:
@@ -192,10 +192,11 @@ def _smeared_kinetic_integral(alpha: np.ndarray, b: float) -> np.ndarray:
     for i in range(0, len(alpha), _ALPHA_BLOCK):
         a = alpha[i : i + _ALPHA_BLOCK, None]
         scale = 1.0 / (2.0 * a + np.sqrt(2.0 * b))
-        for j, rule in enumerate(_kinetic_rules()):
-            u = scale * rule.nodes
+        for j, n in enumerate(_KINETIC_NODES):
+            nodes, weights = _kinetic_rule(n)
+            u = scale * nodes
             f = (a**2 * u**2 + 2.0 * a * b * u**3 - 3.0 * b**2 * u**4) * np.exp(-2.0 * b * u**2 - 2.0 * a * u)
-            values[j, i : i + _ALPHA_BLOCK] = scale[:, 0] * (f * rule.weights).sum(axis=1)
+            values[j, i : i + _ALPHA_BLOCK] = scale[:, 0] * (f * weights).sum(axis=1)
     coarse, fine = values
     stable = np.abs(fine - coarse) <= _KINETIC_REL_TOL * np.maximum(np.abs(fine), 1e-300)
     if not np.all(stable):
@@ -241,28 +242,6 @@ def energy_expectation(problem: YukawaProblem, trial: TrialState) -> float:
     """Variational energy <psi|H|psi>/<psi|psi> (MeV) in the problem's measure."""
     t, g = _kinetic_and_binding(problem, np.array([trial.alpha]))
     return float(t[0] - problem.V0 * g[0])
-
-
-def optimal_alpha(problem: YukawaProblem) -> tuple[float, float]:
-    """Minimising alpha and minimum energy for the problem's depth (the edge value
-    when the minimum sits on the alpha bracket edge)."""
-
-    def energy(alpha: np.ndarray) -> np.ndarray:
-        t, g = _kinetic_and_binding(problem, alpha)
-        return t - problem.V0 * g
-
-    alpha, e_min, _ = _minimise_over_alpha(energy)
-    return alpha, e_min
-
-
-def radial_first_moment(problem: YukawaProblem, alpha: float) -> float:
-    """<p> (MeV) of the normalised radial density in the problem's measure.
-
-    For both variants the measure and trial Gaussians cancel, leaving the
-    density u^2 exp(-2 alpha u), whose mean is 3/(2 alpha): a weaker decay
-    (smaller alpha) means the state is pushed out to larger momenta.
-    """
-    return 3.0 / (2.0 * alpha) / problem.r0_natural
 
 
 def trial_samples(problem: YukawaProblem, alpha: float, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -436,7 +415,7 @@ def coupling_report(
 def _sturmian_depth(n: int, box: float, r0_fm: float, e_target: float, constants: PhysicalConstants) -> float:
     """Lowest Sturmian depth with 3-point differences on r_i = i box/n, u(0) = u(box) = 0."""
     r = box / n * np.arange(1, n)
-    d2 = derivative_matrix(MomentumGrid(r, kind="radial"), 2, "central").entries
+    d2 = derivative_matrix(MomentumGrid(r), 2, "central").entries
     k = -(constants.hbar_c**2 / (2.0 * constants.reduced_mass)) * d2 - e_target * np.eye(n - 1)
     s = np.sqrt(np.exp(-r / r0_fm) / (r / r0_fm))
     return float(1.0 / np.linalg.eigvalsh(s[:, None] * np.linalg.inv(k) * s)[-1])

@@ -14,14 +14,9 @@ _HERMITICITY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Uniformly spaced momentum axis.
-
-    ``kind`` is ``"symmetric"`` for a [-P, P] axis (1-D Cartesian problems)
-    or ``"radial"`` for [0, P] (S-state problems).
-    """
+    """Uniformly spaced momentum axis, [-P, P] for 1-D problems or [0, P] for S states."""
 
     points: np.ndarray
-    kind: str = "symmetric"
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -36,20 +31,13 @@ class MomentumGrid:
         # per-step tolerance is relative to the spacing and scaled by N
         if np.max(np.abs(steps - h)) > _UNIFORMITY_RTOL * abs(h) * pts.size:
             raise ValueError("grid spacing is not uniform")
-        if self.kind not in ("symmetric", "radial"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.cutoff <= 0:
             raise ValueError("grid cutoff must be positive")
 
     @classmethod
     def symmetric(cls, n: int, cutoff: float) -> "MomentumGrid":
         """n points on [-cutoff, cutoff], endpoints included."""
-        return cls(np.linspace(-cutoff, cutoff, n), kind="symmetric")
-
-    @classmethod
-    def radial(cls, n: int, cutoff: float) -> "MomentumGrid":
-        """n points on [0, cutoff], endpoints included."""
-        return cls(np.linspace(0.0, cutoff, n), kind="radial")
+        return cls(np.linspace(-cutoff, cutoff, n))
 
     @property
     def n(self) -> int:

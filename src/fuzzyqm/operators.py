@@ -141,11 +141,6 @@ def build_fuzzy_position_op(grid: MomentumGrid, s: SmearingParams, scheme: str =
     return OperatorMatrix(g[:, None] * x.entries * g[None, :], grid, hermitian=True)
 
 
-def smearing_factor_op(grid: MomentumGrid, s: SmearingParams) -> OperatorMatrix:
-    """diag(exp(-p^2/m^2)), the full smearing kernel."""
-    return OperatorMatrix(np.diag(s.gaussian(grid.points)).astype(complex), grid, hermitian=True)
-
-
 # ----------------------------------------------------------------------------
 # position-space smearing action
 
@@ -199,16 +194,6 @@ def apply_fuzzy_position_fourier(state: GridState, s: SmearingParams) -> GridSta
 # commutator checks
 
 _DEFAULT_PROBES = ((2.0, 0.0, 0.0), (2.5, 0.8, 0.0), (3.0, 0.0, 1.0), (2.0, -0.5, 0.5))
-
-
-def gaussian_probe(grid: MomentumGrid, width: float, x0: float = 0.0, p0: float = 0.0) -> GridState:
-    """Normalised Gaussian wavepacket centred at momentum p0 and position x0.
-
-    With X = i d/dp, a state of mean position x0 carries the phase exp(-i x0 p).
-    """
-    p = grid.points
-    psi = np.exp(-((p - p0) ** 2) / (4.0 * width**2) - 1j * x0 * p)
-    return GridState(psi, grid).normalize()
 
 
 def random_smooth_state(grid: MomentumGrid, rng: np.random.Generator, n_components: int = 3) -> GridState:
@@ -290,8 +275,7 @@ def verify_spacetime_commutator(
     interior[k : n - k, k : n - k] = True
 
     def make_ops(points: np.ndarray, spacing: float):
-        p1 = points[:, None] * np.ones((1, n))
-        p2 = np.ones((n, 1)) * points[None, :]
+        p1, p2 = points[:, None], points[None, :]
         g = np.exp(-(p1**2 + p2**2) / (2.0 * s.mass**2))
         g4 = g**4
 
@@ -392,30 +376,6 @@ def uncertainty_report(state: GridState, s: SmearingParams, scheme: str = "spect
     prod = mean_x * mean_p
     dx0 = (2.0 / s.mass) * float(np.sqrt(prod)) if prod >= 0 else None
     return UncertaintyReport(dxf, dpu, bound, mean_x, mean_p, dx0)
-
-
-def symmetrized_product_spread(a: OperatorMatrix, b: OperatorMatrix, state: GridState) -> tuple[float, float]:
-    """Spread of the symmetrised product (AB+BA)/2 and its small-spread estimate.
-
-    Returns (Delta((AB)), <A> Delta B + <B> Delta A); the two agree in the
-    regime where both relative uncertainties are small.
-    """
-    psi = state.samples
-    dp = state.grid.spacing
-    am, bm = a.entries, b.entries
-    sym = 0.5 * (am @ bm + bm @ am)
-    mean_s = _expect(psi, sym @ psi, dp)
-    var_s = float(np.real(np.sum(np.abs(sym @ psi) ** 2) * dp)) - mean_s**2
-    lhs = float(np.sqrt(max(var_s, 0.0)))
-
-    def spread(op: np.ndarray) -> tuple[float, float]:
-        m = _expect(psi, op @ psi, dp)
-        m2 = float(np.real(np.sum(np.abs(op @ psi) ** 2) * dp))
-        return m, float(np.sqrt(max(m2 - m**2, 0.0)))
-
-    mean_a, da = spread(am)
-    mean_b, db = spread(bm)
-    return lhs, mean_a * db + mean_b * da
 
 
 # ----------------------------------------------------------------------------

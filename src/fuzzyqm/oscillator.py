@@ -63,23 +63,6 @@ class OscillatorSpec:
 
 
 @dataclass(frozen=True)
-class PerturbativeCoefficients:
-    """Coefficients of the quartic-order reduced equation phi'' + (alpha - beta p^2 - gamma p^4) phi = 0."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    @classmethod
-    def from_energy(cls, spec: OscillatorSpec, energy: float) -> "PerturbativeCoefficients":
-        w, m = spec.omega, spec.mass
-        alpha = 2.0 * energy / (m * w**2) + 1.0 / m**2
-        beta = -4.0 * energy / (m**3 * w**2) + 1.0 / m**4 + 1.0 / (m**2 * w**2)
-        gamma = 2.0 / (m**4 * w**2) - 4.0 * energy / (m**5 * w**2)
-        return cls(alpha, beta, gamma)
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     """Energies in MeV (ascending), how they were obtained, optional eigenfunctions."""
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from fuzzyqm.cli import main
+
 CLI = [sys.executable, "-m", "fuzzyqm.cli"]
 
 
@@ -47,6 +49,7 @@ def test_negative_nmax_usage_error(tmp_path):
         ("deuteron", "couplings", "--variant", "fuzzy"),
         ("deuteron", "couplings", "--r0", "5"),
         ("oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "12", "--npoints", "8"),
+        ("commutators", "--states", "0"),
     ],
 )
 def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, args):
@@ -62,6 +65,36 @@ def test_unknown_config_key_rejected(tmp_path):
     r = run("--config", str(cfg), "--out", str(tmp_path / "o"), "oscillator", "--omega", "0.01", "--mass", "1")
     assert r.returncode == 2
     assert "no_such_knob" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "n_points = 4",
+        "cutoff_mult = -1",
+        "cutoff_mult = 0",
+        "cutoff_mult = inf",
+        "cutoff_mult = nan",
+        "hbar_c = 0",
+        "m_proton = -938.272",
+        "m_pi = 0",
+        "r1_omega_fm = -0.2529",
+        "g_sigma_phenom_sq_over_4pi = inf",
+        "m_sigma = nan",
+        "e0_binding = 0",
+        "e0_binding = 2.226",
+    ],
+)
+def test_config_value_outside_domain_exits_2_with_one_line(tmp_path, capsys, line):
+    # in-process: the exit code is main's return value, as under the console script
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    code = main(["--config", str(cfg), "--out", str(out), "deuteron", "range-depth", "--variant", "ordinary"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and line.split()[0] in err
+    assert not out.exists()
 
 
 def test_commutators_ladder(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fuzzyqm.constants import DEFAULT_CONSTANTS
 from fuzzyqm import deuteron
@@ -11,14 +12,11 @@ from fuzzyqm.deuteron import (
     TrialState,
     YukawaProblem,
     calibrate_smearing_mass,
-    closed_form_energy_plain,
     core_radius,
     coupling_report,
     effective_potential,
     energy_expectation,
     exact_depth,
-    optimal_alpha,
-    radial_first_moment,
     range_depth_curve,
     repulsive_strength,
     solve_depth,
@@ -26,7 +24,6 @@ from fuzzyqm.deuteron import (
     _smeared_kinetic_integral,
 )
 from fuzzyqm.numerics import find_root
-from fuzzyqm.numerics.quadrature import integrate_semi_infinite, semi_infinite
 from fuzzyqm.operators import SmearingParams
 
 C = DEFAULT_CONSTANTS
@@ -43,6 +40,20 @@ def _fuzzy(v0, r0, mass):
     return YukawaProblem(v0, r0, MU, smearing=SmearingParams(mass))
 
 
+def closed_form_energy_plain(alpha, V0, r0_fm):
+    """Ordinary-case oracle by elementary Gamma integrals.
+
+    E(alpha) = alpha^2 (hbar c)^2 / (2 mu r0^2) - 4 V0 alpha^3 / (2 alpha + 1)^2.
+    """
+    rt = r0_fm / C.hbar_c
+    return alpha**2 / (2.0 * MU * rt**2) - 4.0 * V0 * alpha**3 / (2.0 * alpha + 1.0) ** 2
+
+
+def closed_min_energy(v0, r0):
+    """Minimum of the closed-form ordinary energy over a dense alpha grid."""
+    return np.min(closed_form_energy_plain(np.linspace(1e-3, 6.0, 30000), v0, r0))
+
+
 # --- energy functional -----------------------------------------------------------
 
 
@@ -51,7 +62,7 @@ def test_quadrature_matches_closed_form_across_alpha():
         p = _ordinary(v0, r0)
         for alpha in np.linspace(0.1, 5.0, 12):
             quad = energy_expectation(p, TrialState(alpha))
-            closed = closed_form_energy_plain(alpha, v0, r0, MU)
+            closed = closed_form_energy_plain(alpha, v0, r0)
             assert quad == pytest.approx(closed, rel=1e-8)
 
 
@@ -67,8 +78,7 @@ def test_zero_depth_energy_is_pure_kinetic():
 def test_reference_depth_binds_near_target():
     # at the reference sigma-range depth the minimum sits within the
     # +/-2% depth budget of the -2.226 MeV binding energy
-    p = _ordinary(660.77, R0_SIGMA)
-    _, e_min = optimal_alpha(p)
+    e_min = closed_min_energy(660.77, R0_SIGMA)
     assert abs(e_min - C.e0_binding) <= 2.0
 
 
@@ -111,20 +121,15 @@ def test_calibration_sweeps_both_candidates():
 
 
 def test_min_energy_monotone_in_depth():
-    tpl = ProblemTemplate()
-    energies = []
-    for v0 in np.linspace(100.0, 900.0, 9):
-        p = tpl.problem(v0, R0_SIGMA)
-        energies.append(optimal_alpha(p)[1])
+    energies = [closed_min_energy(v0, R0_SIGMA) for v0 in np.linspace(100.0, 900.0, 9)]
     assert all(a > b for a, b in zip(energies, energies[1:]))
 
 
 def test_depth_root_against_depth_scan_oracle():
     # scan the minimum energy on a 0.01 MeV depth grid around the root
-    tpl = ProblemTemplate()
-    point = solve_depth(1.0, tpl)
+    point = solve_depth(1.0, ProblemTemplate())
     grid = np.arange(point.depth - 0.05, point.depth + 0.05, 0.01)
-    gaps = [abs(optimal_alpha(tpl.problem(v, 1.0))[1] - C.e0_binding) for v in grid]
+    gaps = [abs(closed_min_energy(v, 1.0) - C.e0_binding) for v in grid]
     oracle = grid[int(np.argmin(gaps))]
     assert abs(point.depth - oracle) <= 0.01
 
@@ -132,11 +137,7 @@ def test_depth_root_against_depth_scan_oracle():
 def test_range_depth_curve_ordinary_matches_closed_form_oracle():
     point = solve_depth(1.43, ProblemTemplate())
 
-    def closed_min_gap(v0):
-        al = np.linspace(1e-3, 6.0, 30000)
-        return np.min(closed_form_energy_plain(al, v0, 1.43, MU)) - C.e0_binding
-
-    oracle = find_root(closed_min_gap, (1.0, 500.0), tol=1e-8)
+    oracle = find_root(lambda v0: closed_min_energy(v0, 1.43) - C.e0_binding, (1.0, 500.0), tol=1e-8)
     assert point.depth == pytest.approx(oracle, rel=1e-3)
 
 
@@ -206,15 +207,16 @@ def test_vectorised_smeared_kinetic_matches_scalar_quadrature(mass, r0):
     alphas = np.logspace(np.log10(0.01), np.log10(20.0), 41)
     got = _smeared_kinetic_integral(alphas, b)
     for a, value in zip(alphas, got):
-        want = integrate_semi_infinite(
+        want, _ = quad(
             lambda u: (a**2 * u**2 + 2.0 * a * b * u**3 - 3.0 * b**2 * u**4) * np.exp(-2.0 * b * u**2 - 2.0 * a * u),
-            scale=1.0 / (2.0 * a + np.sqrt(2.0 * b)),
+            0.0,
+            np.inf,
         )
         assert value == pytest.approx(want, rel=1e-9)
 
 
 def test_smeared_kinetic_raises_when_rule_doubling_disagrees(monkeypatch):
-    monkeypatch.setattr(deuteron, "_kinetic_rules", lambda: (semi_infinite(1.0, 9, 2), semi_infinite(1.0, 9, 4)))
+    monkeypatch.setattr(deuteron, "_KINETIC_NODES", (2, 4))
     with pytest.raises(RefinementError, match="did not stabilise"):
         solve_depth(R0_SIGMA, ProblemTemplate(C, "fuzzy", smearing_mass=MU))
 
@@ -367,6 +369,6 @@ def test_fuzzy_trial_pushed_out_in_momentum(fuzzy_template):
     for r0 in (R0_SIGMA, 0.72):
         vo = solve_depth(r0, ProblemTemplate())
         vf = solve_depth(r0, fuzzy_template)
-        po = ProblemTemplate().problem(vo.depth, r0)
-        pf = fuzzy_template.problem(vf.depth, r0)
-        assert radial_first_moment(pf, vf.alpha_star) > radial_first_moment(po, vo.alpha_star)
+        # in both measures the radial density is u^2 exp(-2 alpha u), so <p> = 3/(2 alpha r0):
+        # a smaller alpha* pushes the state out to larger momenta
+        assert vf.alpha_star < vo.alpha_star

@@ -35,7 +35,8 @@ def test_grid_rejects_decreasing():
 
 
 def test_radial_grid():
-    g = MomentumGrid.radial(16, 5.0)
+    # the [0, P] axis of an S-state problem needs no tag: the points carry it
+    g = MomentumGrid(np.linspace(0.0, 5.0, 16))
     assert g.points[0] == 0.0
     assert g.cutoff == pytest.approx(5.0)
 

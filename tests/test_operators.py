@@ -17,10 +17,7 @@ from fuzzyqm.operators import (
     build_position_op,
     check_lfz_hermiticity_constraint,
     fuzzy_angular_eigenvalue,
-    gaussian_probe,
     random_smooth_state,
-    smearing_factor_op,
-    symmetrized_product_spread,
     uncertainty_report,
     verify_commutator_xf_p,
     verify_spacetime_commutator,
@@ -32,6 +29,16 @@ S = SmearingParams(MASS)
 
 def _grid(n=256, cutoff=8.0):
     return MomentumGrid.symmetric(n, cutoff)
+
+
+def gaussian_probe(grid, width, x0=0.0, p0=0.0):
+    """Normalised Gaussian wavepacket centred at momentum p0 and position x0.
+
+    With X = i d/dp, a state of mean position x0 carries the phase exp(-i x0 p).
+    """
+    p = grid.points
+    psi = np.exp(-((p - p0) ** 2) / (4.0 * width**2) - 1j * x0 * p)
+    return GridState(psi, grid).normalize()
 
 
 # --- momentum / position builders ---------------------------------------------
@@ -297,45 +304,6 @@ def test_robertson_inequality_random_states():
         st = random_smooth_state(g, rng)
         rep = uncertainty_report(st, S)
         assert rep.dxf * rep.dp >= rep.bound - 1e-9
-
-
-# --- symmetrised product spread --------------------------------------------------
-
-
-def test_spread_identity_operators_gives_zero():
-    g = _grid(64)
-    from fuzzyqm.numerics import OperatorMatrix
-
-    ident = OperatorMatrix(np.eye(g.n, dtype=complex), g, hermitian=True)
-    st = gaussian_probe(g, 1.0)
-    lhs, rhs = symmetrized_product_spread(ident, ident, st)
-    # variance cancellation resolves zero only to ~sqrt(machine eps)
-    assert lhs == pytest.approx(0.0, abs=1e-7)
-    assert rhs == pytest.approx(0.0, abs=1e-7)
-
-
-def test_spread_estimate_improves_for_narrower_packets():
-    # compatible pair with positively correlated fluctuations (P^2 and P):
-    # the first-order spread estimate converges as the packet narrows
-    from fuzzyqm.numerics import OperatorMatrix
-
-    g = MomentumGrid.symmetric(1024, 8.0)
-    kin = OperatorMatrix(np.diag(g.points**2).astype(complex), g, hermitian=True)
-    mom = build_momentum_op(g)
-    rel_errors = []
-    for sigma_p in (0.2, 0.1, 0.05):
-        st = gaussian_probe(g, sigma_p, p0=0.8)
-        lhs, rhs = symmetrized_product_spread(kin, mom, st)
-        rel_errors.append(abs(lhs - rhs) / rhs)
-    assert rel_errors[0] > rel_errors[1] > rel_errors[2]
-
-
-def test_spread_wide_state_diagnostic_runs():
-    g = _grid(512)
-    a = build_position_op(g)
-    b = smearing_factor_op(g, S)
-    lhs, rhs = symmetrized_product_spread(a, b, gaussian_probe(g, 2.0, x0=1.0, p0=0.3))
-    assert np.isfinite(lhs) and np.isfinite(rhs)
 
 
 # --- fuzzy angular momentum -------------------------------------------------------

@@ -9,7 +9,6 @@ from fuzzyqm.numerics import MomentumGrid, derivative_matrix
 from fuzzyqm.operators import GridState, SmearingParams
 from fuzzyqm.oscillator import (
     OscillatorSpec,
-    PerturbativeCoefficients,
     _diagonal_and_weight,
     anharmonic_shift,
     anharmonic_spectrum_formula,
@@ -80,15 +79,6 @@ def test_anharmonic_breakdown_flag():
     assert res.breakdown is not None
     assert res.breakdown[0] is False
     assert res.breakdown[-1] is True
-
-
-def test_perturbative_coefficients():
-    spec = OscillatorSpec(W, M, "quartic")
-    e = 0.005
-    c = PerturbativeCoefficients.from_energy(spec, e)
-    assert c.alpha == pytest.approx(2 * e / (M * W**2) + 1 / M**2, rel=1e-14)
-    assert c.beta == pytest.approx(-4 * e / (M**3 * W**2) + 1 / M**4 + 1 / (M**2 * W**2), rel=1e-14)
-    assert c.gamma == pytest.approx(2 / (M**4 * W**2) - 4 * e / (M**5 * W**2), rel=1e-14)
 
 
 # --- diagonalisation -----------------------------------------------------------

@@ -1,83 +1,63 @@
-"""Quadrature exactness and stability."""
+"""Exactness of the composite Gauss-Legendre rule behind the smeared kinetic integral.
+
+The rule has nine geometric panels [0, 1], [1, 2], [2, 4], ..., [128, 256]
+with a fixed number of Legendre nodes each; the depth solve uses 24 and 48.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from fuzzyqm.errors import RefinementError
-from fuzzyqm.numerics import gauss_legendre, integrate, integrate_semi_infinite, semi_infinite
-from fuzzyqm.numerics.quadrature import QuadratureRule
+from fuzzyqm.deuteron import _KINETIC_NODES, _kinetic_rule
+
+COARSE = _KINETIC_NODES[0]
 
 
 def test_constant_on_unit_interval():
-    rule = gauss_legendre(8, 0.0, 1.0)
-    assert integrate(lambda x: np.ones_like(x), rule) == pytest.approx(1.0, rel=1e-14)
+    nodes, weights = _kinetic_rule(COARSE)
+    first = slice(0, COARSE)  # the first panel is [0, 1]
+    assert np.all((nodes[first] > 0.0) & (nodes[first] < 1.0))
+    assert np.sum(weights[first]) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_polynomial_exactness_x_squared():
-    rule = gauss_legendre(8, 0.0, 1.0)
-    assert integrate(lambda x: x**2, rule) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    nodes, weights = _kinetic_rule(COARSE)
+    first = slice(0, COARSE)
+    assert np.dot(weights[first], nodes[first] ** 2) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 7, 9, 11, 13, 15])
 def test_monomial_exactness_up_to_degree(k):
-    # 8-point rule is exact through degree 15
-    rule = gauss_legendre(8, -1.0, 2.0)
-    exact = (2.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
-    assert integrate(lambda x: x**k, rule) == pytest.approx(exact, rel=1e-12)
+    # each 24-node panel is exact through degree 47, so the panels must tile [0, 256] exactly
+    nodes, weights = _kinetic_rule(COARSE)
+    exact = 256.0 ** (k + 1) / (k + 1)
+    assert np.dot(weights, nodes**k) == pytest.approx(exact, rel=1e-12)
 
 
 def test_gamma_integral_p_exp_minus_2p():
-    # closed form: integral p exp(-2p) dp over [0, inf) = 1/4
-    val = integrate_semi_infinite(lambda p: p * np.exp(-2.0 * p), scale=0.5)
-    assert val == pytest.approx(0.25, rel=1e-12)
+    # closed form: integral p exp(-2p) dp over [0, inf) = 1/4, on the rule scaled to the decay length 1/2
+    nodes, weights = _kinetic_rule(COARSE)
+    u = 0.5 * nodes
+    assert 0.5 * np.dot(weights, u * np.exp(-2.0 * u)) == pytest.approx(0.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 15, 20, 25, 30])
 def test_semi_infinite_exponential_family(k):
-    rule = semi_infinite(scale=1.0)
-    assert k <= rule.degree
-    val = integrate(lambda x: np.exp(-x) * x ** float(k), rule)
-    assert val == pytest.approx(float(math.factorial(k)), rel=1e-10)
+    for n in _KINETIC_NODES:
+        nodes, weights = _kinetic_rule(n)
+        val = np.dot(weights, np.exp(-nodes) * nodes ** float(k))
+        assert val == pytest.approx(float(math.factorial(k)), rel=1e-10)
 
 
 def test_semi_infinite_handles_gaussian_decay():
     # integral u^2 exp(-u^2) du = sqrt(pi)/4
-    val = integrate_semi_infinite(lambda u: u**2 * np.exp(-(u**2)), scale=1.0)
-    assert val == pytest.approx(np.sqrt(np.pi) / 4.0, rel=1e-11)
-
-
-def test_integrate_rejects_non_finite_and_names_node():
-    rule = gauss_legendre(4, 0.0, 1.0)
-    bad_node = float(rule.nodes[2])
-
-    def f(x):
-        return np.where(np.isclose(x, bad_node), np.inf, 1.0)
-
-    with pytest.raises(ValueError, match="non-finite") as exc:
-        integrate(f, rule)
-    assert f"{bad_node:.12g}" in str(exc.value)
-
-
-def test_weights_positive_enforced():
-    with pytest.raises(ValueError, match="positive"):
-        QuadratureRule(np.array([0.0, 1.0]), np.array([1.0, -1.0]), "finite", 1)
-
-
-def test_refinement_error_surface():
-    # a pathological integrand that never stabilises: rule-dependent noise
-    calls = [0]
-
-    def jitter(x):
-        calls[0] += 1
-        return np.exp(-x) * (1.0 + 0.5 * np.sin(1e6 * calls[0] + 0.0 * x))
-
-    with pytest.raises(RefinementError):
-        integrate_semi_infinite(jitter, scale=1.0, rel_tol=1e-14, max_doublings=1)
+    for n in _KINETIC_NODES:
+        nodes, weights = _kinetic_rule(n)
+        assert np.dot(weights, nodes**2 * np.exp(-(nodes**2))) == pytest.approx(np.sqrt(np.pi) / 4.0, rel=1e-11)
 
 
 def test_deterministic():
-    a = integrate_semi_infinite(lambda p: p * np.exp(-2.0 * p), scale=0.5)
-    b = integrate_semi_infinite(lambda p: p * np.exp(-2.0 * p), scale=0.5)
-    assert a == b
+    # the cached rule and a fresh build agree bit for bit
+    fresh = _kinetic_rule.__wrapped__(COARSE)
+    assert all(np.array_equal(x, y) for x, y in zip(_kinetic_rule(COARSE), fresh))
