@@ -324,8 +324,9 @@ def verify_spacetime_commutator(
         -((p1s - 0.7 * wn) ** 2) / (2.0 * (0.9 * wn) ** 2) - ((p2s + 0.5 * wn) ** 2) / (2.0 * (1.3 * wn) ** 2)
     ).astype(complex)
     chi /= np.max(np.abs(chi))
-    num = np.max(np.abs((lhs_s(chi) - core_s(chi))[interior]))
-    den = np.max(np.abs(core_s(chi)[interior]))
+    core_chi = core_s(chi)
+    num = np.max(np.abs((lhs_s(chi) - core_chi)[interior]))
+    den = np.max(np.abs(core_chi[interior]))
     snyder = float(num / den) if den > 0 else float("inf")
 
     return SpacetimeCommutatorReport(residual, snyder, float(lhs_ah), float(rhs_ah), n, cutoff)

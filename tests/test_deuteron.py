@@ -141,6 +141,37 @@ def test_range_depth_curve_ordinary_matches_closed_form_oracle():
     assert point.depth == pytest.approx(oracle, rel=1e-3)
 
 
+def _cubic_root_alpha(r0):
+    """Minimiser of the ordinary V0(alpha): the positive root of 2k a^3 - k a^2 - 2|E_t| a - 3|E_t| = 0."""
+    k = C.hbar_c**2 / (2.0 * MU * r0**2)
+    e = abs(C.e0_binding)
+    (a,) = [z.real for z in np.roots([2.0 * k, -k, -2.0 * e, -3.0 * e]) if abs(z.imag) < 1e-12 and z.real > 0]
+    return a
+
+
+@pytest.mark.parametrize("r0", [R0_SIGMA, 0.72, 1.43])
+def test_ordinary_alpha_star_is_the_cubic_root(r0):
+    # alpha* shapes every wavefunction the CLI writes, not only the depth
+    point = solve_depth(r0, ProblemTemplate())
+    assert point.converged
+    assert point.alpha_star == pytest.approx(_cubic_root_alpha(r0), rel=1e-7)
+
+
+def test_smeared_depth_refinement_evaluation_count(monkeypatch):
+    # the scan is one 200-alpha call; every size-1 call after it is one step of the minimiser
+    sizes = []
+    original = deuteron._smeared_kinetic_integral
+
+    def counted(alpha, b):
+        sizes.append(len(alpha))
+        return original(alpha, b)
+
+    monkeypatch.setattr(deuteron, "_smeared_kinetic_integral", counted)
+    assert solve_depth(R0_SIGMA, ProblemTemplate(C, "fuzzy", smearing_mass=MU)).converged
+    assert sizes[0] == 200 and set(sizes[1:]) == {1}
+    assert len(sizes) - 1 <= 20  # golden section alone took about 40
+
+
 def test_fuzzy_curve_below_ordinary_everywhere():
     cal = calibrate_smearing_mass(C)
     r0s = np.linspace(0.25, 1.5, 6)

@@ -1,4 +1,4 @@
-"""Golden-section minimisation and root finding."""
+"""Brent minimisation (golden section with parabolic steps) and root finding."""
 
 import numpy as np
 import pytest
@@ -31,6 +31,39 @@ def test_variational_shape_vs_dense_scan_oracle():
     oracle = xs[np.argmin(f(xs))]
     x, _ = golden_section(f, 0.01, 5.0, tol=1e-8)
     assert abs(x - oracle) <= 1e-8 + (xs[1] - xs[0])
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def test_parabolic_steps_cut_evaluations():
+    # golden section alone needs about 40 evaluations to shrink [0, 5] to 1e-8
+    f, calls = _counted(lambda x: (x - 2.0) ** 2)
+    x, _ = golden_section(f, 0.0, 5.0, tol=1e-8)
+    assert x == pytest.approx(2.0, abs=1e-8)
+    assert len(calls) <= 15
+
+
+def test_kink_converges_through_golden_steps():
+    # parabolas through a |x| kink misplace the minimum; the golden steps still shrink the bracket
+    f, calls = _counted(lambda x: abs(x - 0.3))
+    x, fx = golden_section(f, 0.0, 1.0, tol=1e-8)
+    assert abs(x - 0.3) <= 1e-8
+    assert fx == abs(x - 0.3)
+    assert len(calls) <= 42  # what golden section alone takes here
+
+
+def test_minimum_raises_when_out_of_iterations():
+    # no float bracket around x = 1 is 1e-20 wide, so the step cap ends the search
+    with pytest.raises(RefinementError, match=r"200 iterations: bracket \[1, 1\] of width 2\.22e-16"):
+        golden_section(lambda x: (x - 1.0) ** 2, 0.0, 3.0, tol=1e-20)
 
 
 def test_root_linear():
