@@ -313,12 +313,12 @@ def _argument_error(args: argparse.Namespace) -> str | None:
         checks = [
             (args.levels >= 2, "--levels must be at least 2 to measure a convergence order"),
             (args.n0 >= 8, "--n0 must be at least 8 grid points"),
-            (args.mass > 0, "--mass must be positive"),
+            (0.0 < args.mass < np.inf, "--mass must be finite and positive"),
             (args.states >= 1, "--states must be at least 1 random state"),
         ]
     elif args.command == "oscillator":
         checks = [
-            (args.omega > 0 and args.mass > 0, "--omega and --mass must be positive"),
+            (0.0 < args.omega < np.inf and 0.0 < args.mass < np.inf, "--omega and --mass must be finite and positive"),
             (args.nmax >= 0, "--nmax must be nonnegative"),
             (args.npoints >= 8, "--npoints must be at least 8 grid points"),
             (args.nmax < args.npoints, "--nmax must be below --npoints"),

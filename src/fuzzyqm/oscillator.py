@@ -17,14 +17,18 @@ On a symmetric grid the problem splits into an even and an odd block.  Each
 block is first solved by Rayleigh-Ritz in the Hermite functions of its
 parity at scale sqrt(m w), which are the reduced closed-form eigenstates; an
 answer is kept only when every wanted pair passes a residual bound, which
-puts an eigenvalue of the grid problem next to each kept value.  Where the
+puts an eigenvalue of the grid problem next to each kept value.  That rung
+needs only A times the Hermite functions, one FFT convolution with the
+second derivative's lag vector per grid, so no block is formed.  Where the
 harmonic states do not carry the levels (strong coupling, coarse or narrow
-grids) the dense block is diagonalised.
+grids) the dense block of that parity is assembled and diagonalised.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -126,33 +130,61 @@ def _diagonal_and_weight(spec: OscillatorSpec, p: np.ndarray) -> tuple[np.ndarra
     return confinement + (p**2 / (2.0 * m)) * kinetic_weight, weight
 
 
-def _parity_blocks(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(A, W) of A phi = E W phi restricted to even and to odd phi, on the left half-grid.
+def _parity_block(c: np.ndarray, diag: np.ndarray, sign: int) -> np.ndarray:
+    """Dense A of A phi = E W phi restricted to even (``sign`` 1) or odd (-1) phi, on the left half-grid.
 
-    A = -(m w^2/2) d^2/dp^2 + diag and W are even under p -> -p, so with
-    k = n // 2 the even block is A11 + A12 J and the odd block A11 - A12 J:
+    A = -(m w^2/2) d^2/dp^2 + diag is even under p -> -p, so with n = c.size
+    and k = n // 2 the even block is A11 + A12 J and the odd block A11 - A12 J:
     the Toeplitz part c[|i - j|] plus or minus its mirror c[n - 1 - i - j],
     i, j < k.  Both are read as sliding windows of c, without index arrays.
     For odd n the middle point p = 0 joins the even block, coupled with a
-    factor sqrt(2) in the orthonormal basis (e_i + e_(n-1-i))/sqrt(2).
+    factor sqrt(2) in the orthonormal basis (e_i + e_(n-1-i))/sqrt(2).  Only
+    the dense rung builds a block, one parity at a time.
     """
-    n, k = grid.n, grid.n // 2
-    c = -(spec.mass * spec.omega**2 / 2.0) * d2_lags(n, grid.spacing, scheme)
-    diag, weight = _diagonal_and_weight(spec, grid.points[: n - k])
+    n, k = c.size, c.size // 2
     # window i of (c[k-1], ..., c[1], c[0], c[1], ..., c[k-1]) at offset j is
     # c[|i + j - k + 1|]; with the windows in reverse order it is c[|i - j|]
     toeplitz = sliding_window_view(np.concatenate([c[k - 1 : 0 : -1], c[:k]]), k)[::-1]
     mirror = sliding_window_view(c[::-1][: 2 * k - 1], k)  # c[n-1-i-j]
-    i = np.arange(k)
-    even = np.empty((n - k, n - k))
-    even[:k, :k] = toeplitz + mirror
-    odd = toeplitz - mirror
+    if sign < 0:
+        a = toeplitz - mirror
+    else:
+        a = np.empty((n - k, n - k))
+        a[:k, :k] = toeplitz + mirror
+        if n % 2:
+            a[k, :k] = a[:k, k] = np.sqrt(2.0) * c[k:0:-1]
+            a[k, k] = c[0]
+    a[np.diag_indices(a.shape[0])] += diag[: a.shape[0]]
+    return a
+
+
+def _block_product(c: np.ndarray, diag: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """A x for every column x of ``coords``, in the coordinates of its parity block, without forming a block.
+
+    Column j holds the coordinates (left half-grid, plus the middle point for
+    odd n) of a vector of the even block for even j and of the odd block for
+    odd j, as the Hermite functions h_j alternate in parity; an odd column's
+    middle row is ignored.  Each column is mirrored onto the full grid as an
+    even or odd vector (the middle sample of an even one is sqrt(2) times its
+    coordinate, of an odd one 0), the full Toeplitz c[|i - j|] is applied as
+    a zero-padded FFT convolution of length 2n (as ``apply_d1`` applies D1),
+    and the left half is read back into coordinates by the same middle rule,
+    where the diagonal is added.  Agrees with ``_parity_block`` times the
+    column up to roundoff.
+    """
+    n, k = c.size, c.size // 2
+    full = np.empty((coords.shape[1], n))
+    full[:, : n - k] = coords.T
+    full[:, n - k :] = full[:, :k][:, ::-1]
+    full[1::2, n - k :] *= -1.0
     if n % 2:
-        even[k, :k] = even[:k, k] = np.sqrt(2.0) * c[k - i]
-        even[k, k] = c[0]
-    even[np.diag_indices(n - k)] += diag
-    odd[np.diag_indices(k)] += diag[:k]
-    return [(even, weight), (odd, weight[:k])]
+        full[0::2, k] *= np.sqrt(2.0)
+        full[1::2, k] = 0.0
+    kernel = np.concatenate([c, [0.0], c[:0:-1]])  # lags 0 ... n-1, then -(n-1) ... -1 wrapped to the end
+    toeplitz = np.fft.irfft(np.fft.rfft(full, 2 * n) * np.fft.rfft(kernel), 2 * n)[:, : n - k]
+    if n % 2:
+        toeplitz[:, k] /= np.sqrt(2.0)
+    return toeplitz.T + diag[:, None] * coords
 
 
 def _hermite_basis(spec: OscillatorSpec, points: np.ndarray, count: int) -> np.ndarray:
@@ -160,22 +192,28 @@ def _hermite_basis(spec: OscillatorSpec, points: np.ndarray, count: int) -> np.n
 
     h_j(x) is proportional to exp(-x^2/2) H_j(x), the reduced form
     exp(-p^2/m^2) psi of the closed-form eigenstates (``eigenfunction``).
+    The functions are built as the contiguous rows of a (count, points)
+    array and returned as its transposed view, so the recurrence and
+    ``_block_product`` run along contiguous memory.
     """
     x = points / np.sqrt(spec.mass * spec.omega)
-    h = np.empty((x.size, count))
-    h[:, 0] = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
-    h[:, 1] = np.sqrt(2.0) * x * h[:, 0]
+    h = np.empty((count, x.size))
+    h[0] = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
+    h[1] = np.sqrt(2.0) * x * h[0]
     for j in range(2, count):
-        h[:, j] = np.sqrt(2.0 / j) * x * h[:, j - 1] - np.sqrt((j - 1) / j) * h[:, j - 2]
-    return h
+        h[j] = np.sqrt(2.0 / j) * x * h[j - 1] - np.sqrt((j - 1) / j) * h[j - 2]
+    return h.T
 
 
-def _ritz(a: np.ndarray, weight: np.ndarray, basis: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _ritz(
+    a_basis: np.ndarray, weight: np.ndarray, basis: np.ndarray, levels: int
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Lowest ``levels`` Ritz pairs of A x = E W x in span(basis), or None if any fails the residual bound.
 
-    The basis is W-orthonormalised through its Gram matrix; an ill-conditioned
-    Gram matrix (functions that leave the grid or are not resolved by it)
-    gives None.  A pair (theta, x) is accepted when
+    ``a_basis`` is A times ``basis`` (``_block_product``); A itself is not
+    needed.  The basis is W-orthonormalised through its Gram matrix; an
+    ill-conditioned Gram matrix (functions that leave the grid or are not
+    resolved by it) gives None.  A pair (theta, x) is accepted when
     ||A x - theta W x||_(W^-1) <= _RITZ_RTOL |theta| ||x||_W, which puts an
     eigenvalue of the grid problem within that distance of theta (Kato, J.
     Phys. Soc. Jpn. 4, 334 (1949)).  The bound locates an eigenvalue but not
@@ -188,8 +226,9 @@ def _ritz(a: np.ndarray, weight: np.ndarray, basis: np.ndarray, levels: int) -> 
     g, u = np.linalg.eigh(basis.T @ (weight[:, None] * basis))
     if not g[0] > _GRAM_RCOND * g[-1]:
         return None
-    q = basis @ (u / np.sqrt(g))
-    aq = a @ q
+    scale = u / np.sqrt(g)
+    q = basis @ scale
+    aq = a_basis @ scale
     theta, y = np.linalg.eigh(q.T @ aq)
     theta, y = theta[:levels], y[:, :levels]
     x = q @ y
@@ -201,22 +240,28 @@ def _ritz(a: np.ndarray, weight: np.ndarray, basis: np.ndarray, levels: int) -> 
 
 
 def _ladder(
-    a: np.ndarray, weight: np.ndarray, basis: np.ndarray, levels: int, vectors: bool
+    block: Callable[[], np.ndarray],
+    a_basis: np.ndarray,
+    weight: np.ndarray,
+    basis: np.ndarray,
+    levels: int,
+    vectors: bool,
 ) -> tuple[str, np.ndarray, np.ndarray | None]:
     """(rung, values, columns) of the block A x = E W x from the first rung that answers it.
 
-    The first rung is Rayleigh-Ritz in the columns of ``basis``, skipped when
-    it has fewer columns than wanted levels or more than the block size; the
-    last is the dense block, which computes columns only with ``vectors``,
-    else they are None.
+    The first rung is Rayleigh-Ritz in the columns of ``basis``, given A
+    times them as ``a_basis``, skipped when it has fewer columns than wanted
+    levels or more than the block size; the last is the dense block, built
+    by ``block()`` only when it is reached, which computes columns only with
+    ``vectors``, else they are None.
     """
     size = basis.shape[1]
-    pairs = _ritz(a, weight, basis, levels) if levels <= size <= a.shape[0] else None
+    pairs = _ritz(a_basis, weight, basis, levels) if levels <= size <= basis.shape[0] else None
     if pairs is not None:
         return f"ritz{size}", *pairs
     if vectors:
-        return "dense", *eig_generalized(a, weight, return_eigenvectors=True)
-    return "dense", eig_generalized(a, weight), None
+        return "dense", *eig_generalized(block(), weight, return_eigenvectors=True)
+    return "dense", eig_generalized(block(), weight), None
 
 
 def _parity_solve(
@@ -225,19 +270,25 @@ def _parity_solve(
     """Lowest ``levels`` (energy, parity, block column) of both parity blocks by energy, and the rungs used.
 
     Each block is solved by ``_ladder`` in the Hermite functions of its parity
-    (``_hermite_basis``), sampled like the block's coordinates.  The rungs
-    are named "even/odd", e.g. "ritz32/dense".  The block column (on the
-    left half-grid, plus the middle point for odd n in the even block) is
+    (``_hermite_basis``), sampled like the block's coordinates; A times all
+    of them, both parities, is one ``_block_product``.  The rungs are named
+    "even/odd", e.g. "ritz32/dense".  The block column (on the left
+    half-grid, plus the middle point for odd n in the even block) is
     returned only with ``vectors``, else it is None.
     """
     n, k = grid.n, grid.n // 2
+    c = -(spec.mass * spec.omega**2 / 2.0) * d2_lags(n, grid.spacing, scheme)
+    diag, weight = _diagonal_and_weight(spec, grid.points[: n - k])
+    weight = check_weight(weight, n - k)  # the odd block's weight is a part of it
     hermite = _hermite_basis(spec, grid.points[: n - k], 2 * _RITZ_SIZE)
     if n % 2:  # coordinates of an even function: sqrt(2) times its sample, but the middle sample itself
         hermite[k] /= np.sqrt(2.0)
+    product = _block_product(c, diag, hermite)
     found, rungs = [], []
-    for sign, (a, weight) in zip((1, -1), _parity_blocks(spec, grid, scheme)):
-        basis = hermite[: a.shape[0], (1 - sign) // 2 :: 2]
-        rung, vals, vecs = _ladder(a, check_weight(weight, a.shape[0]), basis, levels, vectors)
+    for sign, dim in ((1, n - k), (-1, k)):
+        cols = slice((1 - sign) // 2, None, 2)
+        block = partial(_parity_block, c, diag, sign)  # built only if the dense rung is reached
+        rung, vals, vecs = _ladder(block, product[:dim, cols], weight[:dim], hermite[:dim, cols], levels, vectors)
         rungs.append(rung)
         found += [(float(e), sign, vecs[:, j] if vectors else None) for j, e in enumerate(vals[:levels])]
     return sorted(found, key=lambda level: level[0])[:levels], "/".join(rungs)
@@ -274,18 +325,20 @@ def numeric_spectrum(
     """Lowest n_max+1 levels of the reduced equation on a grid.
 
     The grid is symmetric and the problem even under p -> -p, so it is solved
-    as two half-size blocks, one per parity (see ``_parity_blocks``), and the
+    as two half-size blocks, one per parity (see ``_parity_block``), and the
     lowest levels of both are merged.  Each block is answered by the first
     rung of a ladder (``_ladder``): Rayleigh-Ritz in the first 32 Hermite
-    functions of its parity, kept only when every wanted Ritz pair passes a
+    functions of its parity, with A times them from one FFT product per grid
+    (``_block_product``), kept only when every wanted Ritz pair passes a
     residual bound that puts an eigenvalue of the block within 1e-9 relative
-    of it; last the dense block, whose eigenvectors are computed only when
-    ``return_eigenfunctions`` asks for the states.  The bound does not show
-    that the located eigenvalue is the i-th lowest; the comparison with the
-    dense rung in the tests (``test_ladder_matches_dense_rung``) is the
-    evidence that no level is skipped for w/m from 0.005 to 0.3.  ``method``
-    names the rung of each block as "even/odd", e.g. "ritz32/ritz32" or
-    "dense/dense".  The states are exactly even or odd on the grid.
+    of it; last the dense block, assembled only when this rung is reached,
+    whose eigenvectors are computed only when ``return_eigenfunctions`` asks
+    for the states.  The bound does not show that the located eigenvalue is
+    the i-th lowest; the comparison with the dense rung in the tests
+    (``test_ladder_matches_dense_rung``) is the evidence that no level is
+    skipped for w/m from 0.005 to 0.3.  ``method`` names the rung of each
+    block as "even/odd", e.g. "ritz32/ritz32" or "dense/dense".  The states
+    are exactly even or odd on the grid.
     Dirichlet boundary values are implicit (phi decays inside the grid).
     With ``check_refinement`` the solve is repeated on a grid with doubled
     points and 25% larger cutoff; a relative change above 1e-4 raises

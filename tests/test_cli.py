@@ -59,6 +59,24 @@ def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, args):
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("oscillator", "--omega", "inf", "--mass", "1"),
+        ("oscillator", "--omega", "0.01", "--mass", "inf"),
+        ("commutators", "--mass", "inf"),
+    ],
+)
+def test_non_finite_argument_exits_2_with_one_line(tmp_path, capsys, args):
+    # in-process: the exit code is main's return value, as under the console script
+    out = tmp_path / "o"
+    code = main(["--out", str(out), *args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "finite and positive" in err
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_knob = 3\n")

@@ -5,7 +5,7 @@ import pytest
 
 from fuzzyqm import oscillator
 from fuzzyqm.errors import ContractError, OverflowGuardError, RefinementError
-from fuzzyqm.numerics import MomentumGrid, derivative_matrix
+from fuzzyqm.numerics import MomentumGrid, d2_lags, derivative_matrix
 from fuzzyqm.operators import GridState, SmearingParams
 from fuzzyqm.oscillator import (
     OscillatorSpec,
@@ -255,6 +255,40 @@ def test_ritz_rejects_a_basis_that_misses_the_ground_state(monkeypatch):
     assert all(np.array_equal(x.samples, y.samples) for x, y in zip(res.eigenfunctions, dense.eigenfunctions))
 
 
+@pytest.mark.parametrize("n", [64, 65, 1024])
+@pytest.mark.parametrize("scheme", ["central", "spectral"])
+@pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
+def test_block_product_matches_dense_block(n, scheme, truncation):
+    spec = OscillatorSpec(W, M, truncation)
+    grid = default_grid(spec, 3, n)
+    k = n // 2
+    c = -(spec.mass * spec.omega**2 / 2.0) * d2_lags(n, grid.spacing, scheme)
+    diag, _ = _diagonal_and_weight(spec, grid.points[: n - k])
+    x = np.random.default_rng(n).standard_normal((n - k, 8))
+    product = oscillator._block_product(c, diag, x)
+    for sign in (1, -1):
+        a = oscillator._parity_block(c, diag, sign)
+        dim, cols = a.shape[0], slice((1 - sign) // 2, None, 2)
+        assert dim == (n - k if sign > 0 else k)
+        err = np.max(np.abs(product[:dim, cols] - a @ x[:dim, cols]))
+        assert err <= 1e-13 * np.max(np.abs(a)) * np.max(np.abs(x[:dim, cols]))
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_hermite_rows_equal_the_column_recurrence(n):
+    spec = OscillatorSpec(W, M)
+    p = default_grid(spec, 3, n).points
+    x = p / np.sqrt(spec.mass * spec.omega)
+    columns = np.empty((x.size, 64))
+    columns[:, 0] = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
+    columns[:, 1] = np.sqrt(2.0) * x * columns[:, 0]
+    for j in range(2, 64):
+        columns[:, j] = np.sqrt(2.0 / j) * x * columns[:, j - 1] - np.sqrt((j - 1) / j) * columns[:, j - 2]
+    h = oscillator._hermite_basis(spec, p, 64)
+    assert np.array_equal(h, columns)
+    assert h.T.flags.c_contiguous
+
+
 def _record_eigensolves(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
     shapes = {"eigh": [], "eigvalsh": []}
     for name in shapes:
@@ -276,6 +310,18 @@ def test_harmonic_regime_solves_no_eigenproblem_above_32(monkeypatch, truncation
     )
     assert res.method == "ritz32/ritz32"
     assert shapes["eigh"] and max(max(shape) for shape in shapes["eigh"] + shapes["eigvalsh"]) <= 32
+
+
+@pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
+def test_harmonic_regime_assembles_no_block(monkeypatch, truncation):
+    def refuse(*args):
+        raise AssertionError("a dense parity block was assembled")
+
+    monkeypatch.setattr(oscillator, "_parity_block", refuse)
+    res = numeric_spectrum(
+        OscillatorSpec(W, M, truncation), 3, n_points=1024, check_refinement=True, return_eigenfunctions=True
+    )
+    assert res.method == "ritz32/ritz32"
 
 
 @pytest.mark.parametrize("n", [128, 129])
