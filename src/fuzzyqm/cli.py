@@ -42,6 +42,7 @@ from .oscillator import (
 
 _NOMINAL_ORDER = 2.0  # central-difference ladder
 _ORDER_TOL = 0.3
+_SCALE_RANGE = (1e-50, 1e50)  # MeV, --mass and --omega: their squares and fourth powers must stay finite and nonzero
 _POSITIVE_CONSTANTS = ("hbar_c", "m_proton", "m_neutron", "m_sigma", "m_omega", "m_pi", "r0_sigma_fm", "r1_omega_fm")
 
 
@@ -309,16 +310,18 @@ def _parse_r0_list(values: list[str]) -> list[float]:
 
 def _argument_error(args: argparse.Namespace) -> str | None:
     """One line naming the first argument outside its domain, or None."""
+    lo, hi = _SCALE_RANGE
+    span = f"within [{lo:g}, {hi:g}]"
     if args.command == "commutators":
         checks = [
             (args.levels >= 2, "--levels must be at least 2 to measure a convergence order"),
             (args.n0 >= 8, "--n0 must be at least 8 grid points"),
-            (0.0 < args.mass < np.inf, "--mass must be finite and positive"),
+            (lo <= args.mass <= hi, f"--mass must be finite and positive, {span}"),
             (args.states >= 1, "--states must be at least 1 random state"),
         ]
     elif args.command == "oscillator":
         checks = [
-            (0.0 < args.omega < np.inf and 0.0 < args.mass < np.inf, "--omega and --mass must be finite and positive"),
+            (lo <= args.omega <= hi and lo <= args.mass <= hi, f"--omega and --mass must be finite and positive, {span}"),
             (args.nmax >= 0, "--nmax must be nonnegative"),
             (args.npoints >= 8, "--npoints must be at least 8 grid points"),
             (args.nmax < args.npoints, "--nmax must be below --npoints"),

@@ -48,21 +48,20 @@ def derivative_matrix(grid: MomentumGrid, order: int, scheme: str = "central") -
 def apply_d1(f: np.ndarray, h: float, scheme: str = "central", axis: int = 0) -> np.ndarray:
     """d/dp of the samples ``f`` along ``axis`` on a grid of spacing ``h``, without a matrix.
 
-    Returns (as complex) what ``derivative_matrix(grid, 1, scheme).entries``
-    applied along ``axis`` returns.  The central scheme is the 3-point stencil
-    by slicing.  The spectral matrix D[i, j] = (-1)^(i-j) / ((i-j) h) is
-    Toeplitz, so it is applied as a linear convolution by zero-padded FFT of
-    length 2n, exact up to roundoff.
+    Returns what ``derivative_matrix(grid, 1, scheme).entries`` applied along
+    ``axis`` returns.  The central scheme is the 3-point stencil in one pass
+    over slices; it returns a real array for real input.  The spectral
+    matrix D[i, j] = (-1)^(i-j) / ((i-j) h) is Toeplitz, so it is applied as
+    a linear convolution by zero-padded FFT of length 2n, exact up to
+    roundoff; its result is always complex.
     """
     f = np.asarray(f)
     n = f.shape[axis]
-    head = [slice(None)] * f.ndim
-    tail = [slice(None)] * f.ndim
     if scheme == "central":
-        out = np.zeros_like(f, dtype=complex)
-        head[axis], tail[axis] = slice(0, -1), slice(1, None)
-        out[tuple(head)] += f[tuple(tail)] / (2.0 * h)
-        out[tuple(tail)] -= f[tuple(head)] / (2.0 * h)
+        out = np.empty(f.shape, np.result_type(f, float))
+        fa, oa, c = f.swapaxes(0, axis), out.swapaxes(0, axis), 0.5 / h
+        np.multiply(np.subtract(fa[2:], fa[:-2], out=oa[1:-1]), c, out=oa[1:-1])
+        oa[0], oa[-1] = fa[1] * c, -fa[-2] * c
         return out
     if scheme != "spectral":
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -74,8 +73,7 @@ def apply_d1(f: np.ndarray, h: float, scheme: str = "central", axis: int = 0) ->
     shape = [1] * f.ndim
     shape[axis] = 2 * n
     out = np.fft.ifft(np.fft.fft(f, 2 * n, axis=axis) * np.fft.fft(kernel).reshape(shape), axis=axis)
-    head[axis] = slice(0, n)
-    return out[tuple(head)]
+    return out.swapaxes(0, axis)[:n].swapaxes(0, axis)
 
 
 def d2_lags(n: int, h: float, scheme: str = "central") -> np.ndarray:

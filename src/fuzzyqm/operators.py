@@ -254,76 +254,74 @@ def verify_spacetime_commutator(
         [X_f1, X_f2] = (2i/m^2) exp(-2P^2/m^2) (P2 X1 - P1 X2),
 
     the rotation generator dressed by the (commuting, isotropic) smearing
-    factor: the smeared positions stop commuting, with strength 1/m^2.  The
-    discrete right-hand side uses the symmetrised factor placement, half left
-    and half right, which keeps it exactly anti-Hermitian on the grid.  The
-    check applies both sides to a smooth anisotropic probe, matrix-free, and
-    returns the interior max deviation; it also verifies both sides are
-    anti-Hermitian and that a low-momentum state (p^2/m^2 of order 0.01,
-    ``snyder_width`` in mass units) feels the undressed combination
-    (2i/m^2)(P2 X1 - P1 X2).  An isotropic probe would be useless here: the
-    rotation generator annihilates it.
+    factor: the smeared positions stop commuting, with strength 1/m^2.  With
+    X_i = i D_i the factors of i cancel, so both sides are real operators,
+    applied in real arithmetic: -G (D1 G^2 D2 - D2 G^2 D1) G on the left and,
+    with C = -(2/m^2)(P2 D1 - P1 D2), (G^4 C + C G^4)/2 on the right.  That
+    symmetrised factor placement keeps the right side exactly anti-Hermitian
+    on the grid.  The check applies both sides to a smooth anisotropic probe,
+    matrix-free, and returns the interior max deviation.  It also verifies
+    both sides are anti-Hermitian on four seeded random states u, through the
+    real and imaginary parts, Re<u, A u> = <Re u, A Re u> + <Im u, A Im u>, and
+    that a low-momentum state (p^2/m^2 of order 0.01, ``snyder_width`` in mass
+    units) feels the undressed combination C.  An isotropic probe would be
+    useless here: the rotation generator annihilates it.
     """
     n = axis_grid.n
     if n > max_axis_points:
         raise ValueError(f"axis size {n} exceeds the configured cap {max_axis_points}")
-    p = axis_grid.points
-    h = axis_grid.spacing
     cutoff = axis_grid.cutoff
     k = max(1, int(round(0.15 * n)))
-    interior = np.zeros((n, n), dtype=bool)
-    interior[k : n - k, k : n - k] = True
+    interior = (slice(k, n - k), slice(k, n - k))
 
     def make_ops(points: np.ndarray, spacing: float):
         p1, p2 = points[:, None], points[None, :]
+        cp1, cp2 = (2.0 / s.mass**2) * p1, (2.0 / s.mass**2) * p2
         g = np.exp(-(p1**2 + p2**2) / (2.0 * s.mass**2))
-        g4 = g**4
+        g2 = g * g
+        half_g4 = 0.5 * g2 * g2
 
-        def xop(fld: np.ndarray, axis: int) -> np.ndarray:
-            return 1j * apply_d1(fld, spacing, "central", axis)
-
-        def xf(fld: np.ndarray, axis: int) -> np.ndarray:
-            return g * xop(g * fld, axis)
+        def d(fld: np.ndarray, axis: int) -> np.ndarray:
+            return apply_d1(fld, spacing, "central", axis)
 
         def lhs(fld: np.ndarray) -> np.ndarray:
-            return xf(xf(fld, 1), 0) - xf(xf(fld, 0), 1)
+            gf = g * fld
+            return g * (d(g2 * d(gf, 0), 1) - d(g2 * d(gf, 1), 0))
 
         def core(fld: np.ndarray) -> np.ndarray:
-            return (2j / s.mass**2) * (p2 * xop(fld, 0) - p1 * xop(fld, 1))
+            return cp1 * d(fld, 1) - cp2 * d(fld, 0)
 
         def rhs(fld: np.ndarray) -> np.ndarray:
-            return 0.5 * (g4 * core(fld) + core(g4 * fld))
+            return half_g4 * core(fld) + core(half_g4 * fld)  # core is linear
 
-        return p1, p2, g, lhs, core, rhs
+        return p1, p2, lhs, core, rhs
 
-    p1, p2, g, lhs, core, rhs = make_ops(p, h)
+    p1, p2, lhs, core, rhs = make_ops(axis_grid.points, axis_grid.spacing)
 
     w1, w2 = 0.15 * cutoff, 0.22 * cutoff
     c1, c2 = 0.08 * cutoff, -0.06 * cutoff
-    psi = np.exp(-((p1 - c1) ** 2) / (2.0 * w1**2) - ((p2 - c2) ** 2) / (2.0 * w2**2)).astype(complex)
-    psi /= np.max(np.abs(psi))
+    psi = np.exp(-((p1 - c1) ** 2) / (2.0 * w1**2) - ((p2 - c2) ** 2) / (2.0 * w2**2))
+    psi /= np.max(psi)
     residual = float(np.max(np.abs((lhs(psi) - rhs(psi))[interior])))
 
-    # anti-Hermiticity through quadratic forms: <u|A u> must be purely imaginary
+    # anti-Hermiticity through quadratic forms: Re<u|A u> must vanish
     rng = np.random.default_rng(7)
+    envelope = np.exp(-(p1**2 + p2**2) / (2.0 * (0.3 * cutoff) ** 2))
     lhs_ah = rhs_ah = 0.0
     for _ in range(4):
-        u = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * np.exp(
-            -(p1**2 + p2**2) / (2.0 * (0.3 * cutoff) ** 2)
-        )
-        u /= np.sqrt(np.sum(np.abs(u) ** 2) * h * h)
-        lhs_ah = max(lhs_ah, abs(np.real(np.sum(np.conj(u) * lhs(u)) * h * h)))
-        rhs_ah = max(rhs_ah, abs(np.real(np.sum(np.conj(u) * rhs(u)) * h * h)))
+        ur = rng.normal(size=(n, n)) * envelope
+        ui = rng.normal(size=(n, n)) * envelope
+        norm2 = np.sum(ur * ur) + np.sum(ui * ui)  # the forms are quadratic, so h^2 cancels
+        lhs_ah = max(lhs_ah, abs(np.sum(ur * lhs(ur)) + np.sum(ui * lhs(ui))) / norm2)
+        rhs_ah = max(rhs_ah, abs(np.sum(ur * rhs(ur)) + np.sum(ui * rhs(ui))) / norm2)
 
     # large-patch limit on its own, finer momentum window: the narrow state
     # must stay grid-resolved while p^2/m^2 stays small
     wn = snyder_width * s.mass
     ps = np.linspace(-8.0 * wn, 8.0 * wn, n)
-    p1s, p2s, gs, lhs_s, core_s, _ = make_ops(ps, ps[1] - ps[0])
-    chi = np.exp(
-        -((p1s - 0.7 * wn) ** 2) / (2.0 * (0.9 * wn) ** 2) - ((p2s + 0.5 * wn) ** 2) / (2.0 * (1.3 * wn) ** 2)
-    ).astype(complex)
-    chi /= np.max(np.abs(chi))
+    p1s, p2s, lhs_s, core_s, _ = make_ops(ps, ps[1] - ps[0])
+    chi = np.exp(-((p1s - 0.7 * wn) ** 2) / (2.0 * (0.9 * wn) ** 2) - ((p2s + 0.5 * wn) ** 2) / (2.0 * (1.3 * wn) ** 2))
+    chi /= np.max(chi)
     core_chi = core_s(chi)
     num = np.max(np.abs((lhs_s(chi) - core_chi)[interior]))
     den = np.max(np.abs(core_chi[interior]))

@@ -50,6 +50,10 @@ def test_negative_nmax_usage_error(tmp_path):
         ("deuteron", "couplings", "--r0", "5"),
         ("oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "12", "--npoints", "8"),
         ("commutators", "--states", "0"),
+        ("oscillator", "--omega", "1e300", "--mass", "1"),
+        ("oscillator", "--omega", "0.01", "--mass", "1e300"),
+        ("commutators", "--mass", "1e-300", "--levels", "2", "--n0", "16", "--states", "2"),
+        ("commutators", "--mass", "1e300", "--levels", "2", "--n0", "16", "--states", "2"),
     ],
 )
 def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, args):

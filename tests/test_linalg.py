@@ -128,6 +128,8 @@ def test_apply_d1_matches_dense_matrix(n, scheme):
     ):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the central stencil keeps a real field real; the FFT route is complex
+    assert apply_d1(field, g.spacing, scheme, axis=1).dtype == (np.float64 if scheme == "central" else np.complex128)
 
 
 def test_apply_d1_rejects_unknown_scheme():

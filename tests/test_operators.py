@@ -5,7 +5,7 @@ import pytest
 
 import fuzzyqm.operators as operators_module
 from fuzzyqm.errors import ContractError
-from fuzzyqm.numerics import MomentumGrid
+from fuzzyqm.numerics import MomentumGrid, derivative_matrix
 from fuzzyqm.operators import (
     GridState,
     SmearingParams,
@@ -211,6 +211,49 @@ def test_spacetime_commutator_converges_and_is_antihermitian():
         res.append((rep.residual, 12.0 * MASS / (n - 1)))
     slope = np.log(res[0][0] / res[-1][0]) / np.log(res[0][1] / res[-1][1])
     assert abs(slope - 2.0) <= 0.3
+
+
+def _dense_spacetime_sides(points, mass):
+    """Dense [X_f1, X_f2] and its symmetrised closed form on the n^2 product grid, row-major."""
+    n = points.size
+    d = derivative_matrix(MomentumGrid(points), 1, "central").entries
+    eye = np.eye(n)
+    x1, x2 = 1j * np.kron(d, eye), 1j * np.kron(eye, d)
+    p1, p2 = np.repeat(points, n), np.tile(points, n)
+    g = np.exp(-(p1**2 + p2**2) / (2.0 * mass**2))
+    xf1, xf2 = g[:, None] * x1 * g[None, :], g[:, None] * x2 * g[None, :]
+    lhs = xf1 @ xf2 - xf2 @ xf1
+    core = (2j / mass**2) * (p2[:, None] * x1 - p1[:, None] * x2)
+    g4 = g**4
+    rhs = 0.5 * (g4[:, None] * core + core * g4[None, :])
+    return lhs, core, rhs, p1.reshape(n, n), p2.reshape(n, n)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_spacetime_commutator_matches_dense_oracle(n):
+    grid = MomentumGrid.symmetric(n, 6.0 * MASS)
+    k = max(1, int(round(0.15 * n)))
+    inner = (slice(k, n - k), slice(k, n - k))
+
+    lhs, _, rhs, p1, p2 = _dense_spacetime_sides(grid.points, MASS)
+    for side in (lhs, rhs):
+        assert np.max(np.abs(side + side.conj().T)) <= 1e-14 * np.max(np.abs(side))
+    c = grid.cutoff
+    psi = np.exp(-((p1 - 0.08 * c) ** 2) / (2.0 * (0.15 * c) ** 2) - ((p2 + 0.06 * c) ** 2) / (2.0 * (0.22 * c) ** 2))
+    psi /= psi.max()
+    residual = np.max(np.abs(((lhs - rhs) @ psi.ravel()).reshape(n, n)[inner]))
+
+    wn = 0.07 * MASS
+    lhs_s, core_s, _, q1, q2 = _dense_spacetime_sides(np.linspace(-8.0 * wn, 8.0 * wn, n), MASS)
+    chi = np.exp(-((q1 - 0.7 * wn) ** 2) / (2.0 * (0.9 * wn) ** 2) - ((q2 + 0.5 * wn) ** 2) / (2.0 * (1.3 * wn) ** 2))
+    chi /= chi.max()
+    core_chi = (core_s @ chi.ravel()).reshape(n, n)[inner]
+    defect = (lhs_s @ chi.ravel()).reshape(n, n)[inner] - core_chi
+    snyder = np.max(np.abs(defect)) / np.max(np.abs(core_chi))
+
+    rep = verify_spacetime_commutator(grid, S)
+    assert rep.residual == pytest.approx(residual, rel=1e-10)
+    assert rep.snyder_relative_deviation == pytest.approx(snyder, rel=1e-10)
 
 
 def test_spacetime_point_particle_limit_commutes():
