@@ -43,6 +43,7 @@ from .oscillator import (
 _NOMINAL_ORDER = 2.0  # central-difference ladder
 _ORDER_TOL = 0.3
 _SCALE_RANGE = (1e-50, 1e50)  # MeV, --mass and --omega: their squares and fourth powers must stay finite and nonzero
+_HARMONIC_RATIO_MAX = 2.0**52  # --omega/--mass of the quadratic closed form: its spacing w spans two roundings of w^2/2m
 _POSITIVE_CONSTANTS = ("hbar_c", "m_proton", "m_neutron", "m_sigma", "m_omega", "m_pi", "r0_sigma_fm", "r1_omega_fm")
 
 
@@ -258,7 +259,7 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
             status = "OK" if dev <= budget[i] else "FAIL"
             ok &= status == "OK"
         warn = "perturbative-breakdown" if breakdown and breakdown[i] else "-"
-        rows.append([int(i), ef, ed, dev, dev / abs(ef), float(budget[i]), status, warn])
+        rows.append([int(i), ef, ed, dev, dev / abs(ef) if ef else float("nan"), float(budget[i]), status, warn])
     path = _write_table(
         cfg,
         "oscillator_spectrum",
@@ -322,6 +323,8 @@ def _argument_error(args: argparse.Namespace) -> str | None:
     elif args.command == "oscillator":
         checks = [
             (lo <= args.omega <= hi and lo <= args.mass <= hi, f"--omega and --mass must be finite and positive, {span}"),
+            (args.truncation != "quadratic" or args.omega <= _HARMONIC_RATIO_MAX * args.mass,
+             f"--truncation quadratic needs --omega/--mass <= {_HARMONIC_RATIO_MAX:.2g}: w is lost in rounding w^2/2m"),
             (args.nmax >= 0, "--nmax must be nonnegative"),
             (args.npoints >= 8, "--npoints must be at least 8 grid points"),
             (args.nmax < args.npoints, "--nmax must be below --npoints"),

@@ -146,6 +146,26 @@ def test_oscillator_table_and_eigenfunctions(tmp_path):
     assert {"p_MeV", "psi_harmonic_n0", "psi_anharmonic_n0"} <= set(efn[0])
 
 
+def test_oscillator_quadratic_ratio_limit_is_named(tmp_path, capsys):
+    # above 2^52 the closed-form spacing w drowns in the rounding of w^2/2m
+    out = tmp_path / "o"
+    code = main(["--out", str(out), "oscillator", "--omega", "1e17", "--mass", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1 and "--omega/--mass <= 4.5e+15" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("omega", ["1", "3"])
+def test_oscillator_zero_closed_form_level_has_no_ratio(tmp_path, omega):
+    # at w = (2n+1) m the closed-form level n is exactly 0, so its relative deviation is undefined
+    r = run("--out", str(tmp_path), "oscillator", "--omega", omega, "--mass", "1")
+    assert r.returncode == 0, r.stderr
+    _, rows = read_csv(tmp_path / "oscillator_spectrum.csv")
+    zero = [row for row in rows if float(row["E_formula_MeV"]) == 0.0]
+    assert len(zero) == 1 and zero[0]["n"] == str((int(omega) - 1) // 2) and zero[0]["rel_dev"] == "nan"
+    assert all(row["rel_dev"] != "nan" for row in rows if row not in zero)
+
+
 def test_oscillator_eigenfunction_columns_share_a_sign(tmp_path):
     # closed-form and numeric states both follow the Hermite convention: largest |psi| on p >= 0 positive
     r = run("--out", str(tmp_path), "oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "1", "--npoints", "65")

@@ -246,10 +246,42 @@ def test_vectorised_smeared_kinetic_matches_scalar_quadrature(mass, r0):
         assert value == pytest.approx(want, rel=1e-9)
 
 
+def _half_line(f, scale):
+    """integral of f over [0, inf), in units of its decay length so that quad sees no narrow peak."""
+    return scale * quad(lambda x: f(scale * x), 0.0, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+
+
+@pytest.mark.parametrize("mass", [MU, C.nucleon_mass])
+@pytest.mark.parametrize("r0", [0.05, 10.0])
+def test_smeared_kinetic_beyond_the_scan_matches_scalar_quadrature(mass, r0):
+    # alpha outside the scan widens the rule's range, a truncation the halving check cannot see
+    problem = _fuzzy(50.0, r0, mass)
+    b = problem.smearing_b
+    k = 1.0 / (2.0 * MU * problem.r0_natural**2)
+    alphas = np.array([1e-3, 50.0, 200.0, 1e6])
+    together = _smeared_kinetic_integral(alphas, b)
+    for a, value in zip(alphas, together):
+        kinetic = _half_line(
+            lambda u: (a**2 * u**2 + 2.0 * a * b * u**3 - 3.0 * b**2 * u**4) * np.exp(-2.0 * b * u**2 - 2.0 * a * u),
+            1.0 / (2.0 * a + np.sqrt(2.0 * b)),
+        )
+        norm = _half_line(lambda u: u**2 * np.exp(-2.0 * a * u), 1.0 / (2.0 * a))
+        potential = _half_line(lambda u: u * np.exp(-(2.0 * a + 1.0) * u), 1.0 / (2.0 * a + 1.0))
+        assert value == pytest.approx(kinetic, rel=1e-9)
+        assert _smeared_kinetic_integral(np.array([a]), b)[0] == pytest.approx(kinetic, rel=1e-9)
+        want = (k * kinetic - problem.V0 * potential) / norm
+        assert energy_expectation(problem, TrialState(a)) == pytest.approx(want, rel=1e-9)
+
+
 def test_smeared_kinetic_raises_when_rule_doubling_disagrees(monkeypatch):
-    monkeypatch.setattr(deuteron, "_KINETIC_NODES", (2, 4))
-    with pytest.raises(RefinementError, match="did not stabilise"):
-        solve_depth(R0_SIGMA, ProblemTemplate(C, "fuzzy", smearing_mass=MU))
+    # a step of 0.5 in ln u (1.0 for the check rule) is too coarse at alpha = 0.01
+    monkeypatch.setattr(deuteron, "_KINETIC_STEP", 0.5)
+    deuteron._kinetic_weights.cache_clear()
+    try:
+        with pytest.raises(RefinementError, match="did not stabilise"):
+            solve_depth(R0_SIGMA, ProblemTemplate(C, "fuzzy", smearing_mass=MU))
+    finally:
+        deuteron._kinetic_weights.cache_clear()
 
 
 def test_trial_samples_guard_overflow():
