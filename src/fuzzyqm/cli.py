@@ -42,7 +42,8 @@ from .oscillator import (
 
 _NOMINAL_ORDER = 2.0  # central-difference ladder
 _ORDER_TOL = 0.3
-_SCALE_RANGE = (1e-50, 1e50)  # MeV, --mass and --omega: their squares and fourth powers must stay finite and nonzero
+_SCALE_RANGE = (1e-50, 1e50)  # --mass, --omega, cutoff_mult, positive constants: squares, 4th powers finite, nonzero
+_SPAN = f"within [{_SCALE_RANGE[0]:g}, {_SCALE_RANGE[1]:g}]"
 _HARMONIC_RATIO_MAX = 2.0**52  # --omega/--mass of the quadratic closed form: its spacing w spans two roundings of w^2/2m
 _POSITIVE_CONSTANTS = ("hbar_c", "m_proton", "m_neutron", "m_sigma", "m_omega", "m_pi", "r0_sigma_fm", "r1_omega_fm")
 
@@ -102,6 +103,8 @@ def _build_run_config(args: argparse.Namespace, argv: list[str]) -> RunConfig:
     constants = DEFAULT_CONSTANTS.with_overrides(**const_overrides)
     _check_config_domain(constants, n_points, cutoff_mult)
     out = Path(args.out if args.out else overrides.get("out", "fuzzyqm_out"))
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        raise ConfigError(f"output directory {str(out)!r} names an existing file")
     fmt = args.format if args.format else overrides.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -111,11 +114,12 @@ def _build_run_config(args: argparse.Namespace, argv: list[str]) -> RunConfig:
 def _check_config_domain(constants: PhysicalConstants, n_points: int, cutoff_mult: float) -> None:
     """Raise ConfigError naming the first config value outside its domain."""
     values = constants.as_dict()
+    lo, hi = _SCALE_RANGE
     checks = [
         (n_points >= 8, f"n_points must be at least 8 grid points, got {n_points}"),
-        (0.0 < cutoff_mult < np.inf, f"cutoff_mult must be finite and positive, got {cutoff_mult!r}"),
+        (lo <= cutoff_mult <= hi, f"cutoff_mult must be finite and positive, {_SPAN}, got {cutoff_mult!r}"),
         *((np.isfinite(v), f"{k} must be finite, got {v!r}") for k, v in values.items()),
-        *((values[k] > 0, f"{k} must be positive, got {values[k]!r}") for k in _POSITIVE_CONSTANTS),
+        *((lo <= values[k] <= hi, f"{k} must be positive, {_SPAN}, got {values[k]!r}") for k in _POSITIVE_CONSTANTS),
         (values["e0_binding"] < 0, f"e0_binding must be negative (a bound state), got {values['e0_binding']!r}"),
     ]
     problem = next((msg for ok, msg in checks if not ok), None)
@@ -312,17 +316,16 @@ def _parse_r0_list(values: list[str]) -> list[float]:
 def _argument_error(args: argparse.Namespace) -> str | None:
     """One line naming the first argument outside its domain, or None."""
     lo, hi = _SCALE_RANGE
-    span = f"within [{lo:g}, {hi:g}]"
     if args.command == "commutators":
         checks = [
             (args.levels >= 2, "--levels must be at least 2 to measure a convergence order"),
             (args.n0 >= 8, "--n0 must be at least 8 grid points"),
-            (lo <= args.mass <= hi, f"--mass must be finite and positive, {span}"),
+            (lo <= args.mass <= hi, f"--mass must be finite and positive, {_SPAN}"),
             (args.states >= 1, "--states must be at least 1 random state"),
         ]
     elif args.command == "oscillator":
         checks = [
-            (lo <= args.omega <= hi and lo <= args.mass <= hi, f"--omega and --mass must be finite and positive, {span}"),
+            (lo <= args.omega <= hi and lo <= args.mass <= hi, f"--omega and --mass must be finite and positive, {_SPAN}"),
             (args.truncation != "quadratic" or args.omega <= _HARMONIC_RATIO_MAX * args.mass,
              f"--truncation quadratic needs --omega/--mass <= {_HARMONIC_RATIO_MAX:.2g}: w is lost in rounding w^2/2m"),
             (args.nmax >= 0, "--nmax must be nonnegative"),
@@ -350,12 +353,12 @@ def _fuzzy_template(cfg: RunConfig) -> tuple[ProblemTemplate, dict[str, object],
         "calibration_depths_MeV": {k: p.depth for k, p in sorted(cal.points.items())},
         "calibration_target_MeV": cal.target,
     }
-    return ProblemTemplate(cfg.constants, "fuzzy", smearing_mass=cal.mass), meta, cal
+    return ProblemTemplate(cfg.constants, smearing_mass=cal.mass), meta, cal
 
 
 def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.action == "range-depth":
-        template = _fuzzy_template(cfg)[0] if args.variant == "fuzzy" else ProblemTemplate(cfg.constants, "ordinary")
+        template = _fuzzy_template(cfg)[0] if args.variant == "fuzzy" else ProblemTemplate(cfg.constants)
         r0s = _parse_r0_list(args.r0) if args.r0 else [cfg.constants.r0_sigma_fm]
         points = range_depth_curve(r0s, template)
         rows = [[p.r0, p.depth, p.alpha_star, p.converged] for p in points]
@@ -396,7 +399,7 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
     try:
         fuzzy_tpl, meta, cal = _fuzzy_template(cfg)
         p_fuz = cal.points[cal.choice]  # the smeared depth at the sigma range, solved by the calibration
-        ordinary_tpl = ProblemTemplate(c, "ordinary")
+        ordinary_tpl = ProblemTemplate(c)
         stage = "ordinary depth"
         p_ord = solve_depth(c.r0_sigma_fm, ordinary_tpl)
         stage = "core radius"
@@ -441,8 +444,8 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
     for o, f in (pion, (p_ord, p_fuz)):
         r0 = o.r0
         p_axis = np.linspace(1.0, 1200.0, 400)
-        psi_o, _ = trial_samples(ordinary_tpl.problem(o.depth, r0), o.alpha_star, p_axis)
-        psi_f, phi_f = trial_samples(fuzzy_tpl.problem(f.depth, r0), f.alpha_star, p_axis)
+        psi_o, _ = trial_samples(ordinary_tpl, r0, o.alpha_star, p_axis)
+        psi_f, phi_f = trial_samples(fuzzy_tpl, r0, f.alpha_star, p_axis)
         rows = [
             [float(p), float(po_v), float(pf_v), float(ph_v)]
             for p, po_v, pf_v, ph_v in zip(p_axis, psi_o, psi_f, phi_f)
@@ -505,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _build_run_config(args, ["fuzzyqm"] + argv)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.command == "commutators":

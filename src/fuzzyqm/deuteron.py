@@ -36,61 +36,15 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import BracketingError, ContractError, OverflowGuardError, RefinementError
-from .numerics.grids import MomentumGrid
-from .numerics.linalg import derivative_matrix
+from .numerics.linalg import d2_lags
 from .numerics.solvers import find_root, golden_section
-from .operators import SmearingParams
 
 _ALPHA_SCAN = np.logspace(np.log10(0.01), np.log10(20.0), 200)
 _KINETIC_REL_TOL = 1e-9
 _KINETIC_STEP = 0.06  # step in ln u of the fine smeared-kinetic rule; the check rule doubles it
 _ORACLE_BOX = 10.0  # exact-depth box radius in units of the bound state's decay length 1/kappa
 _ORACLE_STEPS_PER_RANGE = 16  # coarse exact-depth grid steps per range r0
-
-
-@dataclass(frozen=True)
-class YukawaProblem:
-    """Yukawa well of depth V0 (MeV, V0 > 0 attractive) and range r0 (fm).
-
-    ``smearing`` absent means ordinary quantum mechanics with the plain
-    measure; present means the smeared problem in the weighted measure, with
-    the trial's Gaussian growth.
-    """
-
-    V0: float
-    r0_fm: float
-    kinetic_mass: float
-    smearing: SmearingParams | None = None
-    hbar_c: float = DEFAULT_CONSTANTS.hbar_c
-
-    def __post_init__(self) -> None:
-        if self.r0_fm <= 0:
-            raise ValueError("range r0 must be positive")
-        if self.kinetic_mass <= 0:
-            raise ValueError("kinetic mass must be positive")
-
-    @property
-    def r0_natural(self) -> float:
-        """Range in MeV^-1."""
-        return self.r0_fm / self.hbar_c
-
-    @property
-    def smearing_b(self) -> float:
-        """Dimensionless (hbar c / (M r0))^2; zero for the ordinary problem."""
-        if self.smearing is None:
-            return 0.0
-        return 1.0 / (self.smearing.mass * self.r0_natural) ** 2
-
-
-@dataclass(frozen=True)
-class TrialState:
-    """One-parameter variational family exp(-alpha p r0), with Gaussian growth in a smeared problem."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+_PENCIL_CAP = 1e300  # largest upper end the exact-depth bisection doubles to
 
 
 @dataclass(frozen=True)
@@ -145,22 +99,20 @@ class CalibrationResult:
 
 @dataclass(frozen=True)
 class ProblemTemplate:
-    """Everything but (V0, r0): variant, masses, conversion constant."""
+    """A Yukawa deuteron problem up to its depth V0 (MeV) and range r0 (fm).
+
+    ``smearing_mass`` None means ordinary quantum mechanics in the plain
+    measure; a finite positive mass M (MeV) means the smeared problem in the
+    weighted measure, with the trial's Gaussian growth.  The kinetic mass is
+    the reduced mass and the conversion constant hbar c, both from ``constants``.
+    """
 
     constants: PhysicalConstants = DEFAULT_CONSTANTS
-    variant: str = "ordinary"
     smearing_mass: float | None = None
 
     def __post_init__(self) -> None:
-        if self.variant not in ("ordinary", "fuzzy"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-    def problem(self, V0: float, r0_fm: float) -> YukawaProblem:
-        c = self.constants
-        if self.variant == "ordinary":
-            return YukawaProblem(V0, r0_fm, c.reduced_mass, hbar_c=c.hbar_c)
-        mass = self.smearing_mass if self.smearing_mass is not None else c.nucleon_mass
-        return YukawaProblem(V0, r0_fm, c.reduced_mass, smearing=SmearingParams(mass), hbar_c=c.hbar_c)
+        if self.smearing_mass is not None and not 0.0 < self.smearing_mass < np.inf:
+            raise ValueError(f"smearing mass must be finite and positive, got {self.smearing_mass!r}")
 
 
 # ----------------------------------------------------------------------------
@@ -205,18 +157,28 @@ def _smeared_kinetic_integral(alpha: np.ndarray, b: float) -> np.ndarray:
     return fine
 
 
-def _kinetic_and_binding(problem: YukawaProblem, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T(alpha), g(alpha)) with E(alpha; V0) = T - V0 g, over a 1-D alpha array.
+def _scales(template: ProblemTemplate, r0_fm: float) -> tuple[float, float, float | None]:
+    """(r0 in MeV^-1, k, b) at range r0: k = (hbar c)^2/(2 mu r0^2) MeV, b = (hbar c/(M r0))^2 or None if ordinary."""
+    if r0_fm <= 0:
+        raise ValueError("range r0 must be positive")
+    c = template.constants
+    r0n = r0_fm / c.hbar_c
+    k = 1.0 / (2.0 * c.reduced_mass * r0n**2)
+    b = None if template.smearing_mass is None else 1.0 / (template.smearing_mass * r0n) ** 2
+    return r0n, k, b
+
+
+def _kinetic_and_binding(k: float, b: float | None, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T(alpha), g(alpha)) with E(alpha; V0) = T - V0 g over a 1-D alpha array, for k and b from ``_scales``.
 
     The norm, potential and plain kinetic integrals are 1/(4 a^3), 1/(2a+1)^2
-    and 1/(4 a), so g = 4 a^3/(2a+1)^2 > 0 and the ordinary T = k a^2 with
-    k = (hbar c)^2/(2 m r0^2); only the smeared kinetic term needs a rule.
+    and 1/(4 a), so g = 4 a^3/(2a+1)^2 > 0 and the ordinary T = k a^2; only
+    the smeared kinetic term needs a rule.
     """
-    k = 1.0 / (2.0 * problem.kinetic_mass * problem.r0_natural**2)  # MeV
     g = 4.0 * alpha**3 / (2.0 * alpha + 1.0) ** 2
-    if problem.smearing is None:
+    if b is None:
         return k * alpha**2, g
-    return k * 4.0 * alpha**3 * _smeared_kinetic_integral(alpha, problem.smearing_b), g
+    return k * 4.0 * alpha**3 * _smeared_kinetic_integral(alpha, b), g
 
 
 def _minimise_over_alpha(f) -> tuple[float, float, bool]:
@@ -237,24 +199,28 @@ def _minimise_over_alpha(f) -> tuple[float, float, bool]:
     return float(a), float(fa), True
 
 
-def energy_expectation(problem: YukawaProblem, trial: TrialState) -> float:
-    """Variational energy <psi|H|psi>/<psi|psi> (MeV) in the problem's measure."""
-    t, g = _kinetic_and_binding(problem, np.array([trial.alpha]))
-    return float(t[0] - problem.V0 * g[0])
+def energy_expectation(template: ProblemTemplate, V0: float, r0_fm: float, alpha: float) -> float:
+    """Energy <psi|H|psi>/<psi|psi> (MeV) of the trial alpha at depth V0 and range r0, in the problem's measure."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    t, g = _kinetic_and_binding(*_scales(template, r0_fm)[1:], np.array([alpha]))
+    return float(t[0] - V0 * g[0])
 
 
-def trial_samples(problem: YukawaProblem, alpha: float, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, reduced phi) samples of the trial, peak-normalised, on momenta p (MeV).
+def trial_samples(
+    template: ProblemTemplate, r0_fm: float, alpha: float, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, reduced phi) samples of the trial alpha at range r0, peak-normalised, on momenta p (MeV).
 
     Raises OverflowGuardError when the smeared trial's exponent would overflow.
     """
     p = np.asarray(p, dtype=float)
-    u = p * problem.r0_natural
-    if problem.smearing is None:
+    u = p * _scales(template, r0_fm)[0]
+    if template.smearing_mass is None:
         psi = np.exp(-alpha * u)
         return psi, psi
     phi = np.exp(-alpha * u)  # exp(-p^2/M^2) psi
-    exponent = p**2 / problem.smearing.mass**2 - alpha * u
+    exponent = p**2 / template.smearing_mass**2 - alpha * u
     i = int(np.argmax(exponent))
     if exponent[i] > 700.0:  # exp overflows float64 above ~709
         raise OverflowGuardError(
@@ -278,10 +244,10 @@ def solve_depth(r0_fm: float, template: ProblemTemplate, e_target: float | None 
     converged=False.
     """
     target = template.constants.e0_binding if e_target is None else e_target
-    problem = template.problem(0.0, r0_fm)
+    _, k, b = _scales(template, r0_fm)
 
     def depth(alpha: np.ndarray) -> np.ndarray:
-        t, g = _kinetic_and_binding(problem, alpha)
+        t, g = _kinetic_and_binding(k, b, alpha)
         return (t - target) / g
 
     alpha_star, v0, interior = _minimise_over_alpha(depth)
@@ -311,8 +277,8 @@ def core_radius(
     Below the core radius the depth that reproduces the binding energy is
     negative: the effective interaction has turned repulsive.
     """
-    if template.variant != "fuzzy":
-        raise ContractError("the core radius is defined for the smeared (fuzzy) variant")
+    if template.smearing_mass is None:
+        raise ContractError("the core radius is defined for the smeared (fuzzy) problem")
     lo, hi = float(bracket[0]), float(bracket[1])
     depths: dict[float, float] = {}
 
@@ -341,7 +307,7 @@ def calibrate_smearing_mass(constants: PhysicalConstants = DEFAULT_CONSTANTS) ->
     target = -81.0
     candidates = {"nucleon": constants.nucleon_mass, "reduced": constants.reduced_mass}
     points = {
-        label: solve_depth(constants.r0_sigma_fm, ProblemTemplate(constants, "fuzzy", smearing_mass=mass))
+        label: solve_depth(constants.r0_sigma_fm, ProblemTemplate(constants, smearing_mass=mass))
         for label, mass in candidates.items()
     }
     choice = min(candidates, key=lambda k: abs(points[k].depth - target))
@@ -411,13 +377,43 @@ def coupling_report(
 # exact ordinary depth (independent oracle for the variational path)
 
 
+def _lowest_pencil_eigenvalue(diag: np.ndarray, off: np.ndarray, weight: np.ndarray) -> float:
+    """Lowest V0 of (A - V0 W) u = 0 for A = tridiag(off, diag, off) positive definite and W = diag(weight) > 0.
+
+    By Sylvester's law of inertia the LDL^T pivots d_i = a_i - V0 w_i - o_(i-1)^2/d_(i-1) of A - V0 W include a
+    non-positive one exactly when an eigenvalue lies below V0 (Barth, Martin & Wilkinson, Numer. Math. 9, 386
+    (1967)); V0 is bisected on that from 0 and a doubled upper end to 1e-13 relative.
+    """
+    rows = list(zip(diag.tolist(), weight.tolist(), [0.0] + (np.asarray(off) ** 2).tolist()))
+
+    def above(v0: float) -> bool:  # True when some eigenvalue lies below v0
+        d = 1.0
+        for a, w, o2 in rows:
+            d = a - v0 * w - o2 / d
+            if d <= 0.0:
+                return True
+        return False
+
+    if above(0.0):
+        raise ValueError("the pencil's matrix must be positive definite")
+    lo, hi = 0.0, 1.0
+    while not above(hi):
+        if hi > _PENCIL_CAP:
+            raise RefinementError(f"no pencil eigenvalue below {_PENCIL_CAP:g}: the upper end did not bracket it")
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
 def _sturmian_depth(n: int, box: float, r0_fm: float, e_target: float, constants: PhysicalConstants) -> float:
     """Lowest Sturmian depth with 3-point differences on r_i = i box/n, u(0) = u(box) = 0."""
-    r = box / n * np.arange(1, n)
-    d2 = derivative_matrix(MomentumGrid(r), 2, "central").entries
-    k = -(constants.hbar_c**2 / (2.0 * constants.reduced_mass)) * d2 - e_target * np.eye(n - 1)
-    s = np.sqrt(np.exp(-r / r0_fm) / (r / r0_fm))
-    return float(1.0 / np.linalg.eigvalsh(s[:, None] * np.linalg.inv(k) * s)[-1])
+    h = box / n
+    r = h * np.arange(1, n)
+    c = -(constants.hbar_c**2 / (2.0 * constants.reduced_mass)) * d2_lags(2, h, "central")
+    w = np.exp(-r / r0_fm) / (r / r0_fm)
+    return _lowest_pencil_eigenvalue(np.full(n - 1, c[0] - e_target), np.full(n - 2, c[1]), w)
 
 
 def exact_depth(r0_fm: float, constants: PhysicalConstants = DEFAULT_CONSTANTS, e_target: float | None = None) -> float:
@@ -425,9 +421,10 @@ def exact_depth(r0_fm: float, constants: PhysicalConstants = DEFAULT_CONSTANTS, 
 
     At fixed E_t < 0 the depth is the lowest eigenvalue V0 of the Sturmian
     problem (-hbar^2/2mu d^2/dr^2 - E_t) u = V0 w(r) u, w = exp(-r/r0)/(r/r0)
-    (Rotenberg, Ann. Phys. 19, 262 (1962)).  It is solved in the
-    Birman-Schwinger form V0 = 1/lambda_max(W^1/2 (K - E_t)^-1 W^1/2), whose
-    matrix is bounded and positive semi-definite however widely w spans.  The
+    (Rotenberg, Ann. Phys. 19, 262 (1962)).  K - E_t is tridiagonal and
+    positive definite and W = w(r_i) a positive diagonal, so the lowest V0 of
+    the pencil is found by counting the negative pivots of K - E_t - V0 W
+    (Sylvester's law of inertia), without forming a dense matrix.  The
     box R = 10/kappa, kappa = sqrt(2 mu |E_t|)/(hbar c), puts the Dirichlet
     wall where u has decayed by exp(-10); the step is about r0/16 and is
     halved once for Richardson extrapolation (4 V(2n) - V(n))/3.

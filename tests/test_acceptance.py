@@ -23,8 +23,6 @@ from fuzzyqm.deuteron import (
     range_depth_curve,
     repulsive_strength,
     solve_depth,
-    TrialState,
-    YukawaProblem,
 )
 from fuzzyqm.numerics import MomentumGrid
 from fuzzyqm.operators import (
@@ -92,7 +90,7 @@ def test_criterion_2_fuzzy_range_depth_headline(tmp_path):
 @pytest.fixture(scope="module")
 def fuzzy_template():
     cal = calibrate_smearing_mass(C)
-    return ProblemTemplate(C, "fuzzy", smearing_mass=cal.mass)
+    return ProblemTemplate(C, smearing_mass=cal.mass)
 
 
 def test_criterion_3_core_radius(fuzzy_template):
@@ -243,11 +241,8 @@ def test_criterion_8_property_suites():
 
     r0, alpha = 1.0, 1.0
     p99 = 8.406 / (2.0 * alpha) * C.hbar_c / r0
-    e_f = energy_expectation(
-        YukawaProblem(120.0, r0, C.reduced_mass, smearing=SmearingParams(100.0 * p99)),
-        TrialState(alpha),
-    )
-    e_o = energy_expectation(YukawaProblem(120.0, r0, C.reduced_mass), TrialState(alpha))
+    e_f = energy_expectation(ProblemTemplate(C, smearing_mass=100.0 * p99), 120.0, r0, alpha)
+    e_o = energy_expectation(ProblemTemplate(C), 120.0, r0, alpha)
     deut_ok = abs(e_f - e_o) <= 1e-4 * abs(e_o)
 
     quant_ok = all(

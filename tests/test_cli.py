@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fuzzyqm import cli
 from fuzzyqm.cli import main
 
 CLI = [sys.executable, "-m", "fuzzyqm.cli"]
@@ -56,10 +57,12 @@ def test_negative_nmax_usage_error(tmp_path):
         ("commutators", "--mass", "1e300", "--levels", "2", "--n0", "16", "--states", "2"),
     ],
 )
-def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, args):
-    r = run("--out", str(tmp_path), *args)
-    assert r.returncode == 2
-    assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, capsys, args):
+    # in-process: the exit code is main's return value, as under the console script
+    code = main(["--out", str(tmp_path), *args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
@@ -105,6 +108,9 @@ def test_unknown_config_key_rejected(tmp_path):
         "m_sigma = nan",
         "e0_binding = 0",
         "e0_binding = 2.226",
+        "hbar_c = 1e-300",
+        "m_proton = 1e-300\nm_neutron = 1e-300",
+        "cutoff_mult = 1e300",
     ],
 )
 def test_config_value_outside_domain_exits_2_with_one_line(tmp_path, capsys, line):
@@ -117,6 +123,27 @@ def test_config_value_outside_domain_exits_2_with_one_line(tmp_path, capsys, lin
     assert code == 2
     assert len(err.splitlines()) == 1 and line.split()[0] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["missing.cfg", "."])
+def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, config):
+    out = tmp_path / "o"
+    code = main(["--config", str(tmp_path / config), "--out", str(out), "deuteron", "range-depth"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_naming_a_file_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "taken").write_text("keep\n")
+    monkeypatch.setattr(cli, "range_depth_curve", lambda *a: pytest.fail("solved before checking --out"))
+    code = main(["--out", str(tmp_path / out), "deuteron", "range-depth"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "existing file" in err
+    assert (tmp_path / "taken").read_text() == "keep\n"
 
 
 def test_commutators_ladder(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from fuzzyqm.constants import DEFAULT_CONSTANTS
@@ -9,8 +10,6 @@ from fuzzyqm import deuteron
 from fuzzyqm.errors import BracketingError, ContractError, OverflowGuardError, RefinementError
 from fuzzyqm.deuteron import (
     ProblemTemplate,
-    TrialState,
-    YukawaProblem,
     calibrate_smearing_mass,
     core_radius,
     coupling_report,
@@ -24,7 +23,6 @@ from fuzzyqm.deuteron import (
     _smeared_kinetic_integral,
 )
 from fuzzyqm.numerics import find_root
-from fuzzyqm.operators import SmearingParams
 
 C = DEFAULT_CONSTANTS
 MU = C.reduced_mass
@@ -32,12 +30,8 @@ R0_SIGMA = C.r0_sigma_fm  # 0.3596
 R1_OMEGA = C.r1_omega_fm  # 0.2529
 
 
-def _ordinary(v0, r0):
-    return YukawaProblem(v0, r0, MU)
-
-
-def _fuzzy(v0, r0, mass):
-    return YukawaProblem(v0, r0, MU, smearing=SmearingParams(mass))
+def _fuzzy(mass):
+    return ProblemTemplate(C, smearing_mass=mass)
 
 
 def closed_form_energy_plain(alpha, V0, r0_fm):
@@ -59,17 +53,15 @@ def closed_min_energy(v0, r0):
 
 def test_quadrature_matches_closed_form_across_alpha():
     for v0, r0 in ((660.77, R0_SIGMA), (50.0, 1.43)):
-        p = _ordinary(v0, r0)
         for alpha in np.linspace(0.1, 5.0, 12):
-            quad = energy_expectation(p, TrialState(alpha))
+            quad = energy_expectation(ProblemTemplate(), v0, r0, alpha)
             closed = closed_form_energy_plain(alpha, v0, r0)
             assert quad == pytest.approx(closed, rel=1e-8)
 
 
 def test_zero_depth_energy_is_pure_kinetic():
-    p = _ordinary(0.0, 0.7)
     for alpha in (0.3, 1.0, 2.5):
-        e = energy_expectation(p, TrialState(alpha))
+        e = energy_expectation(ProblemTemplate(), 0.0, 0.7, alpha)
         expected = alpha**2 * C.hbar_c**2 / (2 * MU * 0.7**2)
         assert e == pytest.approx(expected, rel=1e-9)
         assert e > 0
@@ -87,10 +79,8 @@ def test_fuzzy_point_particle_limit():
     r0, alpha = 1.0, 1.0
     u99 = 8.406 / (2.0 * alpha)  # 99th percentile of the u^2 exp(-2 alpha u) density
     p99 = u99 * C.hbar_c / r0
-    heavy = _fuzzy(120.0, r0, 100.0 * p99)
-    plain = _ordinary(120.0, r0)
-    ef = energy_expectation(heavy, TrialState(alpha))
-    eo = energy_expectation(plain, TrialState(alpha))
+    ef = energy_expectation(_fuzzy(100.0 * p99), 120.0, r0, alpha)
+    eo = energy_expectation(ProblemTemplate(), 120.0, r0, alpha)
     assert abs(ef - eo) <= 1e-4 * abs(eo)
 
 
@@ -105,7 +95,7 @@ def test_ordinary_headline_depth():
 
 def test_fuzzy_headline_depth_after_calibration():
     cal = calibrate_smearing_mass(C)
-    point = solve_depth(R0_SIGMA, ProblemTemplate(C, "fuzzy", smearing_mass=cal.mass))
+    point = solve_depth(R0_SIGMA, ProblemTemplate(C, smearing_mass=cal.mass))
     assert point.converged
     assert point.depth < 0
     assert point.depth == pytest.approx(-81.0, rel=0.10)
@@ -167,7 +157,7 @@ def test_smeared_depth_refinement_evaluation_count(monkeypatch):
         return original(alpha, b)
 
     monkeypatch.setattr(deuteron, "_smeared_kinetic_integral", counted)
-    assert solve_depth(R0_SIGMA, ProblemTemplate(C, "fuzzy", smearing_mass=MU)).converged
+    assert solve_depth(R0_SIGMA, ProblemTemplate(C, smearing_mass=MU)).converged
     assert sizes[0] == 200 and set(sizes[1:]) == {1}
     assert len(sizes) - 1 <= 20  # golden section alone took about 40
 
@@ -176,7 +166,7 @@ def test_fuzzy_curve_below_ordinary_everywhere():
     cal = calibrate_smearing_mass(C)
     r0s = np.linspace(0.25, 1.5, 6)
     ordinary = range_depth_curve(r0s, ProblemTemplate())
-    fuzzy = range_depth_curve(r0s, ProblemTemplate(C, "fuzzy", smearing_mass=cal.mass))
+    fuzzy = range_depth_curve(r0s, ProblemTemplate(C, smearing_mass=cal.mass))
     for o, f in zip(ordinary, fuzzy):
         assert f.depth < o.depth
 
@@ -224,7 +214,7 @@ NESTED_SOLVER_DEPTHS = {
     "variant, r0", [(v, r0) for v, depths in NESTED_SOLVER_DEPTHS.items() for r0 in depths]
 )
 def test_solve_depth_matches_nested_solver(variant, r0):
-    tpl = ProblemTemplate() if variant == "ordinary" else ProblemTemplate(C, "fuzzy", smearing_mass=MU)
+    tpl = ProblemTemplate() if variant == "ordinary" else ProblemTemplate(C, smearing_mass=MU)
     want = NESTED_SOLVER_DEPTHS[variant][r0]
     point = solve_depth(r0, tpl)
     assert point.converged
@@ -234,7 +224,7 @@ def test_solve_depth_matches_nested_solver(variant, r0):
 
 @pytest.mark.parametrize("mass, r0", [(MU, 0.2), (MU, R0_SIGMA), (MU, 1.0), (C.nucleon_mass, 0.56)])
 def test_vectorised_smeared_kinetic_matches_scalar_quadrature(mass, r0):
-    b = _fuzzy(0.0, r0, mass).smearing_b
+    _, _, b = deuteron._scales(_fuzzy(mass), r0)
     alphas = np.logspace(np.log10(0.01), np.log10(20.0), 41)
     got = _smeared_kinetic_integral(alphas, b)
     for a, value in zip(alphas, got):
@@ -255,9 +245,8 @@ def _half_line(f, scale):
 @pytest.mark.parametrize("r0", [0.05, 10.0])
 def test_smeared_kinetic_beyond_the_scan_matches_scalar_quadrature(mass, r0):
     # alpha outside the scan widens the rule's range, a truncation the halving check cannot see
-    problem = _fuzzy(50.0, r0, mass)
-    b = problem.smearing_b
-    k = 1.0 / (2.0 * MU * problem.r0_natural**2)
+    template = _fuzzy(mass)
+    _, k, b = deuteron._scales(template, r0)
     alphas = np.array([1e-3, 50.0, 200.0, 1e6])
     together = _smeared_kinetic_integral(alphas, b)
     for a, value in zip(alphas, together):
@@ -269,8 +258,8 @@ def test_smeared_kinetic_beyond_the_scan_matches_scalar_quadrature(mass, r0):
         potential = _half_line(lambda u: u * np.exp(-(2.0 * a + 1.0) * u), 1.0 / (2.0 * a + 1.0))
         assert value == pytest.approx(kinetic, rel=1e-9)
         assert _smeared_kinetic_integral(np.array([a]), b)[0] == pytest.approx(kinetic, rel=1e-9)
-        want = (k * kinetic - problem.V0 * potential) / norm
-        assert energy_expectation(problem, TrialState(a)) == pytest.approx(want, rel=1e-9)
+        want = (k * kinetic - 50.0 * potential) / norm
+        assert energy_expectation(template, 50.0, r0, a) == pytest.approx(want, rel=1e-9)
 
 
 def test_smeared_kinetic_raises_when_rule_doubling_disagrees(monkeypatch):
@@ -279,17 +268,16 @@ def test_smeared_kinetic_raises_when_rule_doubling_disagrees(monkeypatch):
     deuteron._kinetic_weights.cache_clear()
     try:
         with pytest.raises(RefinementError, match="did not stabilise"):
-            solve_depth(R0_SIGMA, ProblemTemplate(C, "fuzzy", smearing_mass=MU))
+            solve_depth(R0_SIGMA, ProblemTemplate(C, smearing_mass=MU))
     finally:
         deuteron._kinetic_weights.cache_clear()
 
 
 def test_trial_samples_guard_overflow():
-    problem = _fuzzy(0.0, R0_SIGMA, MU)
-    psi, _ = trial_samples(problem, 0.4, np.linspace(1.0, 1200.0, 400))  # the CLI's axis
+    psi, _ = trial_samples(_fuzzy(MU), R0_SIGMA, 0.4, np.linspace(1.0, 1200.0, 400))  # the CLI's axis
     assert np.all(np.isfinite(psi)) and np.max(psi) == 1.0
     with pytest.raises(OverflowGuardError, match="exponent"):
-        trial_samples(problem, 0.4, np.linspace(1.0, 40.0 * MU, 400))
+        trial_samples(_fuzzy(MU), R0_SIGMA, 0.4, np.linspace(1.0, 40.0 * MU, 400))
 
 
 # --- core radius -----------------------------------------------------------------
@@ -298,7 +286,7 @@ def test_trial_samples_guard_overflow():
 @pytest.fixture(scope="module")
 def fuzzy_template():
     cal = calibrate_smearing_mass(C)
-    return ProblemTemplate(C, "fuzzy", smearing_mass=cal.mass)
+    return ProblemTemplate(C, smearing_mass=cal.mass)
 
 
 def test_core_radius_headline(fuzzy_template):
@@ -395,6 +383,51 @@ def test_coupling_ratio_invariant_under_common_rescaling():
 
 
 # --- exact oracle -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pencil_eigenvalue_matches_dense_generalized_eigh(seed):
+    # random positive-definite tridiagonal A (diagonally dominant), weights over six decades
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 41))
+    off = rng.normal(size=n - 1)
+    diag = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off]) + rng.uniform(0.1, 2.0, n)
+    weight = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    want = scipy.linalg.eigh(a, np.diag(weight), eigvals_only=True)[0]
+    assert deuteron._lowest_pencil_eigenvalue(diag, off, weight) == pytest.approx(want, rel=1e-10)
+
+
+def test_pencil_eigenvalue_fails_loudly():
+    # a NaN pivot is never negative, so the doubled upper end stops at its cap instead of looping
+    diag, off = np.full(6, 2.0), np.full(5, -1.0)
+    for weight in (np.full(6, np.nan), np.r_[np.nan, np.ones(5)]):
+        with pytest.raises(RefinementError, match="did not bracket"):
+            deuteron._lowest_pencil_eigenvalue(diag, off, weight)
+    with pytest.raises(ValueError, match="positive definite"):
+        deuteron._lowest_pencil_eigenvalue(-diag, off, np.ones(6))
+
+
+def test_exact_depth_at_the_sigma_range():
+    v_exact = exact_depth(R0_SIGMA)
+    assert v_exact == pytest.approx(598.716268287, rel=1e-9)
+    assert solve_depth(R0_SIGMA, ProblemTemplate()).depth > v_exact
+
+
+def test_problem_inputs_rejected():
+    for r0 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="range r0 must be positive"):
+            solve_depth(r0, ProblemTemplate())
+        with pytest.raises(ValueError, match="range r0 must be positive"):
+            energy_expectation(_fuzzy(MU), 100.0, r0, 1.0)
+        with pytest.raises(ValueError, match="range r0 must be positive"):
+            trial_samples(ProblemTemplate(), r0, 1.0, np.linspace(1.0, 10.0, 4))
+    for alpha in (0.0, -0.5):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            energy_expectation(ProblemTemplate(), 100.0, 1.0, alpha)
+    for mass in (0.0, -MU, np.inf, np.nan):
+        with pytest.raises(ValueError, match="smearing mass must be finite and positive"):
+            ProblemTemplate(C, smearing_mass=mass)
 
 
 def test_exact_depth_rejects_unbound_target_and_nonpositive_range():
