@@ -44,6 +44,8 @@ _NOMINAL_ORDER = 2.0  # central-difference ladder
 _ORDER_TOL = 0.3
 _SCALE_RANGE = (1e-50, 1e50)  # --mass, --omega, cutoff_mult, positive constants: squares, 4th powers finite, nonzero
 _SPAN = f"within [{_SCALE_RANGE[0]:g}, {_SCALE_RANGE[1]:g}]"
+_MAX_LADDER_POINTS = 65_536  # finest commutator ladder grid, n0 * 2^(levels - 1)
+_MAX_GRID_POINTS = 8_192  # --npoints and the n_points config key
 _HARMONIC_RATIO_MAX = 2.0**52  # --omega/--mass of the quadratic closed form: its spacing w spans two roundings of w^2/2m
 _POSITIVE_CONSTANTS = ("hbar_c", "m_proton", "m_neutron", "m_sigma", "m_omega", "m_pi", "r0_sigma_fm", "r1_omega_fm")
 
@@ -116,7 +118,7 @@ def _check_config_domain(constants: PhysicalConstants, n_points: int, cutoff_mul
     values = constants.as_dict()
     lo, hi = _SCALE_RANGE
     checks = [
-        (n_points >= 8, f"n_points must be at least 8 grid points, got {n_points}"),
+        (8 <= n_points <= _MAX_GRID_POINTS, f"n_points must lie in [8, {_MAX_GRID_POINTS}], got {n_points}"),
         (lo <= cutoff_mult <= hi, f"cutoff_mult must be finite and positive, {_SPAN}, got {cutoff_mult!r}"),
         *((np.isfinite(v), f"{k} must be finite, got {v!r}") for k, v in values.items()),
         *((lo <= values[k] <= hi, f"{k} must be positive, {_SPAN}, got {values[k]!r}") for k in _POSITIVE_CONSTANTS),
@@ -320,6 +322,8 @@ def _argument_error(args: argparse.Namespace) -> str | None:
         checks = [
             (args.levels >= 2, "--levels must be at least 2 to measure a convergence order"),
             (args.n0 >= 8, "--n0 must be at least 8 grid points"),
+            (args.n0 <= _MAX_LADDER_POINTS >> max(args.levels - 1, 0),  # a shift builds no huge integer
+             f"the finest ladder grid, --n0 * 2^(--levels - 1), must be at most {_MAX_LADDER_POINTS} points"),
             (lo <= args.mass <= hi, f"--mass must be finite and positive, {_SPAN}"),
             (args.states >= 1, "--states must be at least 1 random state"),
         ]
@@ -329,7 +333,7 @@ def _argument_error(args: argparse.Namespace) -> str | None:
             (args.truncation != "quadratic" or args.omega <= _HARMONIC_RATIO_MAX * args.mass,
              f"--truncation quadratic needs --omega/--mass <= {_HARMONIC_RATIO_MAX:.2g}: w is lost in rounding w^2/2m"),
             (args.nmax >= 0, "--nmax must be nonnegative"),
-            (args.npoints >= 8, "--npoints must be at least 8 grid points"),
+            (8 <= args.npoints <= _MAX_GRID_POINTS, f"--npoints must lie in [8, {_MAX_GRID_POINTS}] grid points"),
             (args.nmax < args.npoints, "--nmax must be below --npoints"),
         ]
     else:

@@ -384,6 +384,8 @@ def _lowest_pencil_eigenvalue(diag: np.ndarray, off: np.ndarray, weight: np.ndar
     non-positive one exactly when an eigenvalue lies below V0 (Barth, Martin & Wilkinson, Numer. Math. 9, 386
     (1967)); V0 is bisected on that from 0 and a doubled upper end to 1e-13 relative.
     """
+    if not (np.all(np.isfinite(np.r_[diag, off, weight])) and np.all(weight > 0)):  # a NaN pivot is never negative
+        raise ValueError("the pencil's entries must be finite and its weight positive")
     rows = list(zip(diag.tolist(), weight.tolist(), [0.0] + (np.asarray(off) ** 2).tolist()))
 
     def above(v0: float) -> bool:  # True when some eigenvalue lies below v0

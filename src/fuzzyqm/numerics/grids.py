@@ -49,7 +49,7 @@ class MomentumGrid:
 
     @property
     def cutoff(self) -> float:
-        return float(np.max(np.abs(self.points)))
+        return float(max(abs(self.points[0]), abs(self.points[-1])))  # the points increase
 
     def interior_slice(self, frac: float = 0.1) -> slice:
         """Rows away from the boundary; finite grids cannot represent operators near the cutoff."""

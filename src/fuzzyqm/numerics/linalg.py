@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import OverflowGuardError
@@ -45,34 +47,40 @@ def derivative_matrix(grid: MomentumGrid, order: int, scheme: str = "central") -
     return OperatorMatrix(m, grid)
 
 
+@lru_cache(maxsize=64)
+def _d1_spectrum(n: int, h: float) -> np.ndarray:
+    """FFT of the spectral d/dp lags 0 ... n-1, a zero, then the lags -(n-1) ... -1 wrapped; read-only."""
+    k = np.arange(1, n)
+    lag = (-1.0) ** k / (k * h)  # D[i, j] at i - j = k; the matrix is antisymmetric
+    spectrum = np.fft.fft(np.r_[0.0, lag, 0.0, -lag[::-1]])
+    spectrum.flags.writeable = False  # every caller shares the cached array
+    return spectrum
+
+
 def apply_d1(f: np.ndarray, h: float, scheme: str = "central", axis: int = 0) -> np.ndarray:
     """d/dp of the samples ``f`` along ``axis`` on a grid of spacing ``h``, without a matrix.
 
     Returns what ``derivative_matrix(grid, 1, scheme).entries`` applied along
-    ``axis`` returns.  The central scheme is the 3-point stencil in one pass
-    over slices; it returns a real array for real input.  The spectral
-    matrix D[i, j] = (-1)^(i-j) / ((i-j) h) is Toeplitz, so it is applied as
-    a linear convolution by zero-padded FFT of length 2n, exact up to
-    roundoff; its result is always complex.
+    ``axis`` returns.  The central scheme differences slices, then scales by
+    1/2h in one pass; it returns a real array for real input.  The spectral
+    matrix D[i, j] = (-1)^(i-j) / ((i-j) h) is Toeplitz, so it is applied as a
+    linear convolution by zero-padded FFT of length 2n, with the kernel's
+    spectrum cached per (n, h); its result is always complex.
     """
     f = np.asarray(f)
     n = f.shape[axis]
     if scheme == "central":
         out = np.empty(f.shape, np.result_type(f, float))
-        fa, oa, c = f.swapaxes(0, axis), out.swapaxes(0, axis), 0.5 / h
-        np.multiply(np.subtract(fa[2:], fa[:-2], out=oa[1:-1]), c, out=oa[1:-1])
-        oa[0], oa[-1] = fa[1] * c, -fa[-2] * c
+        fa, oa = f.swapaxes(0, axis), out.swapaxes(0, axis)
+        np.subtract(fa[2:], fa[:-2], out=oa[1:-1])
+        oa[0], oa[-1] = fa[1], -fa[-2]
+        out *= 0.5 / h
         return out
     if scheme != "spectral":
         raise ValueError(f"unknown scheme {scheme!r}")
-    k = np.arange(1, n)
-    lag = (-1.0) ** k / (k * h)  # D[i, j] at i - j = k; the matrix is antisymmetric
-    kernel = np.zeros(2 * n)
-    kernel[1:n] = lag
-    kernel[n + 1 :] = -lag[::-1]  # negative lags -(n-1) ... -1, wrapped to the end
     shape = [1] * f.ndim
     shape[axis] = 2 * n
-    out = np.fft.ifft(np.fft.fft(f, 2 * n, axis=axis) * np.fft.fft(kernel).reshape(shape), axis=axis)
+    out = np.fft.ifft(np.fft.fft(f, 2 * n, axis=axis) * _d1_spectrum(n, h).reshape(shape), axis=axis)
     return out.swapaxes(0, axis)[:n].swapaxes(0, axis)
 
 

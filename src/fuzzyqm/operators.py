@@ -73,6 +73,8 @@ class GridState:
         return w
 
     def norm(self) -> float:
+        if self.measure == "plain":
+            return float(np.sqrt(self.grid.spacing * np.vdot(self.samples, self.samples).real))
         return float(np.sqrt(np.sum(self.measure_weights() * np.abs(self.samples) ** 2)))
 
     def normalize(self) -> "GridState":
@@ -198,6 +200,7 @@ _DEFAULT_PROBES = ((2.0, 0.0, 0.0), (2.5, 0.8, 0.0), (3.0, 0.0, 1.0), (2.0, -0.5
 
 def random_smooth_state(grid: MomentumGrid, rng: np.random.Generator, n_components: int = 3) -> GridState:
     """Random superposition of resolved Gaussian wavepackets (for property suites)."""
+    p = grid.points
     scale = grid.cutoff / 8.0
     psi = np.zeros(grid.n, dtype=complex)
     for _ in range(n_components):
@@ -205,8 +208,12 @@ def random_smooth_state(grid: MomentumGrid, rng: np.random.Generator, n_componen
         p0 = rng.uniform(-2.0, 2.0) * scale
         x0 = rng.uniform(-3.0, 3.0) / scale
         amp = rng.normal() + 1j * rng.normal()
-        psi += amp * np.exp(-((grid.points - p0) ** 2) / (4.0 * width**2) + 1j * x0 * grid.points)
-    return GridState(psi, grid).normalize()
+        psi += amp * np.exp(-((p - p0) ** 2) / (4.0 * width**2) + 1j * x0 * p)
+    state = GridState(psi, grid)
+    if (norm := state.norm()) == 0:
+        raise ValueError("cannot normalise the zero state")
+    state.samples /= norm
+    return state
 
 
 def verify_commutator_xf_p(
@@ -334,44 +341,38 @@ def verify_spacetime_commutator(
 # uncertainties
 
 
-def _expect(psi: np.ndarray, op_psi: np.ndarray, dp: float) -> float:
-    """<psi|A psi> for a Hermitian A, from psi and A psi."""
-    return float(np.real(np.sum(np.conj(psi) * op_psi) * dp))
-
-
 def uncertainty_report(state: GridState, s: SmearingParams, scheme: str = "spectral") -> UncertaintyReport:
     """Spreads of the fuzzy position and momentum, the Robertson bound, and dx0.
 
     Requires a normalised plain-measure state.  dx0 = (2/m) sqrt(<X><P>) is
     reported as None when the product <X><P> is negative.  X = i D and
-    X_f = i G D G act matrix-free, with D applied to psi and G psi in one call.
+    X_f = i G D G act matrix-free, with D applied to the rows psi and G psi in one call.
     """
     if state.measure != "plain":
         raise ContractError("uncertainty_report expects a plain-measure momentum state")
     if abs(state.norm() - 1.0) > _NORM_TOL:
         raise ContractError(f"state is not normalised (norm = {state.norm()!r})")
     psi = state.samples
-    grid = state.grid
-    dp = grid.spacing
-    p = grid.points
+    dp = state.grid.spacing
+    p = state.grid.points
 
     g = s.gaussian(p, half=True)
-    d = apply_d1(np.stack([psi, g * psi], axis=1), dp, scheme)
-    x_psi = 1j * d[:, 0]
-    xf_psi = 1j * g * d[:, 1]
+    d = apply_d1(np.stack([psi, g * psi]), dp, scheme, axis=1)
+    x_psi = 1j * d[0]
+    xf_psi = 1j * g * d[1]
+    rho = psi.real**2 + psi.imag**2
 
-    mean_xf = _expect(psi, xf_psi, dp)
-    mean_xf2 = float(np.sum(np.abs(xf_psi) ** 2) * dp)  # <Xf^2> via ||Xf psi||^2
+    mean_xf = float(np.vdot(psi, xf_psi).real * dp)
+    mean_xf2 = float(np.vdot(xf_psi, xf_psi).real * dp)  # <Xf^2> via ||Xf psi||^2
     dxf = float(np.sqrt(max(mean_xf2 - mean_xf**2, 0.0)))
 
-    mean_p = float(np.sum(p * np.abs(psi) ** 2) * dp)
-    mean_p2 = float(np.sum(p**2 * np.abs(psi) ** 2) * dp)
+    mean_p = float(np.dot(p, rho) * dp)
+    mean_p2 = float(np.dot(p * p, rho) * dp)
     dpu = float(np.sqrt(max(mean_p2 - mean_p**2, 0.0)))
 
-    mean_g = float(np.sum(s.gaussian(p) * np.abs(psi) ** 2) * dp)
-    bound = 0.5 * abs(mean_g)
+    bound = 0.5 * abs(float(np.dot(g * g, rho) * dp))  # G^2 = exp(-p^2/m^2)
 
-    mean_x = _expect(psi, x_psi, dp)
+    mean_x = float(np.vdot(psi, x_psi).real * dp)
     prod = mean_x * mean_p
     dx0 = (2.0 / s.mass) * float(np.sqrt(prod)) if prod >= 0 else None
     return UncertaintyReport(dxf, dpu, bound, mean_x, mean_p, dx0)

@@ -55,6 +55,11 @@ def test_negative_nmax_usage_error(tmp_path):
         ("oscillator", "--omega", "0.01", "--mass", "1e300"),
         ("commutators", "--mass", "1e-300", "--levels", "2", "--n0", "16", "--states", "2"),
         ("commutators", "--mass", "1e300", "--levels", "2", "--n0", "16", "--states", "2"),
+        ("commutators", "--n0", "1099511627776", "--levels", "2"),
+        ("commutators", "--n0", "128", "--levels", "11"),
+        ("commutators", "--levels", "1000000000000"),
+        ("oscillator", "--omega", "0.01", "--mass", "1", "--npoints", "1099511627776"),
+        ("oscillator", "--omega", "0.01", "--mass", "1", "--npoints", "8193"),
     ],
 )
 def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, capsys, args):
@@ -64,6 +69,18 @@ def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, capsys, args):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("commutators", "--n0", "8192", "--levels", "4"),
+        ("commutators", "--n0", "8", "--levels", "14"),
+        ("oscillator", "--omega", "0.01", "--mass", "1", "--npoints", "8192"),
+    ],
+)
+def test_grid_size_limits_are_inclusive(args):
+    assert cli._argument_error(cli.build_parser().parse_args(args)) is None
 
 
 @pytest.mark.parametrize(
@@ -111,6 +128,8 @@ def test_unknown_config_key_rejected(tmp_path):
         "hbar_c = 1e-300",
         "m_proton = 1e-300\nm_neutron = 1e-300",
         "cutoff_mult = 1e300",
+        "n_points = 8193",
+        "n_points = 1099511627776",
     ],
 )
 def test_config_value_outside_domain_exits_2_with_one_line(tmp_path, capsys, line):

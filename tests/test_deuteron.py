@@ -399,13 +399,31 @@ def test_pencil_eigenvalue_matches_dense_generalized_eigh(seed):
 
 
 def test_pencil_eigenvalue_fails_loudly():
-    # a NaN pivot is never negative, so the doubled upper end stops at its cap instead of looping
+    # the lowest eigenvalue, about 0.198 / 1e-305, lies beyond the cap the doubled upper end stops at
     diag, off = np.full(6, 2.0), np.full(5, -1.0)
-    for weight in (np.full(6, np.nan), np.r_[np.nan, np.ones(5)]):
-        with pytest.raises(RefinementError, match="did not bracket"):
-            deuteron._lowest_pencil_eigenvalue(diag, off, weight)
+    with pytest.raises(RefinementError, match="did not bracket"):
+        deuteron._lowest_pencil_eigenvalue(diag, off, np.full(6, 1e-305))
     with pytest.raises(ValueError, match="positive definite"):
         deuteron._lowest_pencil_eigenvalue(-diag, off, np.ones(6))
+
+
+@pytest.mark.parametrize(
+    "name, row, value",
+    [
+        ("weight", 1, np.nan),  # a NaN pivot is never negative: returned 1.9999999999999432 unchecked
+        ("weight", 0, np.nan),
+        ("weight", 2, np.inf),  # 0 * inf is NaN at the bottom of the bracket: the bisection never ended
+        ("diag", 3, np.nan),  # returned 0.585786437626922 unchecked
+        ("off", 4, -np.inf),
+        ("weight", 3, -1.0),  # returned 0.33885209892666524 unchecked
+        ("weight", 5, 0.0),
+    ],
+)
+def test_pencil_eigenvalue_rejects_bad_input(name, row, value):
+    pencil = {"diag": np.full(6, 2.0), "off": np.full(5, -1.0), "weight": np.ones(6)}
+    pencil[name][row] = value
+    with pytest.raises(ValueError, match="finite and its weight positive"):
+        deuteron._lowest_pencil_eigenvalue(pencil["diag"], pencil["off"], pencil["weight"])
 
 
 def test_exact_depth_at_the_sigma_range():

@@ -12,7 +12,7 @@ from fuzzyqm.numerics import (
     derivative_matrix,
     eig_generalized,
 )
-from fuzzyqm.numerics.linalg import WEIGHT_CAP
+from fuzzyqm.numerics.linalg import WEIGHT_CAP, _d1_spectrum
 
 # --- grids -------------------------------------------------------------------
 
@@ -39,6 +39,13 @@ def test_radial_grid():
     g = MomentumGrid(np.linspace(0.0, 5.0, 16))
     assert g.points[0] == 0.0
     assert g.cutoff == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-3.0, 3.0), (0.0, 5.0), (-7.0, 2.0), (-9.0, -1.0), (1.0, 4.0)])
+def test_grid_cutoff_is_the_largest_magnitude(lo, hi):
+    # read from the two endpoints, which holds because the points increase
+    pts = np.linspace(lo, hi, 17)
+    assert MomentumGrid(pts).cutoff == np.max(np.abs(pts))
 
 
 def test_operator_matrix_hermitian_tag_enforced():
@@ -130,6 +137,30 @@ def test_apply_d1_matches_dense_matrix(n, scheme):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # the central stencil keeps a real field real; the FFT route is complex
     assert apply_d1(field, g.spacing, scheme, axis=1).dtype == (np.float64 if scheme == "central" else np.complex128)
+
+
+def test_apply_d1_spectral_cache_is_keyed_on_spacing():
+    # one n, two spacings, and the first again: a spectrum cached on n alone would serve one spacing to the other
+    rng = np.random.default_rng(64)
+    vec = rng.normal(size=64) + 1j * rng.normal(size=64)
+    for cutoff in (3.0, 7.5, 3.0):
+        g = MomentumGrid.symmetric(64, cutoff)
+        want = derivative_matrix(g, 1, "spectral").entries @ vec
+        got = apply_d1(vec, g.spacing, "spectral")
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_apply_d1_spectral_cache_cannot_be_written_through():
+    g = MomentumGrid.symmetric(32, 3.0)
+    vec = np.exp(-(g.points**2))
+    first = apply_d1(vec, g.spacing, "spectral")
+    want = first.copy()
+    first[:] = 1e9
+    assert np.array_equal(apply_d1(vec, g.spacing, "spectral"), want)
+    spectrum = _d1_spectrum(32, g.spacing)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 1.0
 
 
 def test_apply_d1_rejects_unknown_scheme():

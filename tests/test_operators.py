@@ -340,6 +340,37 @@ def test_checks_build_no_dense_operator(monkeypatch):
     verify_spacetime_commutator(MomentumGrid.symmetric(48, 6.0 * MASS), S)
 
 
+def test_random_smooth_state_is_plain_and_normalised():
+    g = _grid(512)
+    rng = np.random.default_rng(20241018)
+    for _ in range(20):
+        st = random_smooth_state(g, rng)
+        assert st.measure == "plain" and st.grid is g
+        assert abs(st.norm() - 1.0) <= 1e-13
+
+
+class _ZeroAmplitudes:
+    """Stands in for a Generator whose amplitude draws are all zero."""
+
+    def uniform(self, lo, hi):
+        return 0.5 * (lo + hi)
+
+    def normal(self):
+        return 0.0
+
+
+def test_random_smooth_state_rejects_the_zero_state():
+    with pytest.raises(ValueError, match="zero state"):
+        random_smooth_state(_grid(), _ZeroAmplitudes())
+
+
+def test_plain_norm_matches_the_weighted_sum():
+    g = _grid(300)
+    rng = np.random.default_rng(300)
+    psi = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    assert GridState(psi, g).norm() == pytest.approx(np.sqrt(np.sum(g.spacing * np.abs(psi) ** 2)), rel=1e-14)
+
+
 def test_robertson_inequality_random_states():
     g = _grid(256)
     rng = np.random.default_rng(20240807)
