@@ -25,6 +25,11 @@ alpha* at r0 = 0.3596 fm (reduced-mass smearing) the terms are +1.728 and
 This integrand is entire and decays at both ends, so the trapezoid rule in ln u
 converges exponentially (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)); the
 rule on every other node must agree with it to 1e-9 at every alpha.
+
+Each depth V0*(r0) = min_alpha (T - E_t)/g is one minimisation over alpha.
+The smeared min_alpha T scales exactly as r0^-4, so the core radius where
+V0* changes sign is a closed form in one more minimisation (``core_radius``);
+no root finder is involved.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import BracketingError, ContractError, OverflowGuardError, RefinementError
-from .numerics.linalg import d2_lags
-from .numerics.solvers import find_root, golden_section
+from .numerics.solvers import golden_section
 
 _ALPHA_SCAN = np.logspace(np.log10(0.01), np.log10(20.0), 200)
 _KINETIC_REL_TOL = 1e-9
@@ -267,33 +271,41 @@ def range_depth_curve(
     return points
 
 
-def core_radius(
-    template: ProblemTemplate,
-    bracket: tuple[float, float] = (0.2, 1.0),
-    tol: float = 5e-4,
-) -> CoreRadiusResult:
-    """Radius where the smeared well depth crosses zero, by a Brent root on r0 -> V0*(r0).
+def core_radius(template: ProblemTemplate, bracket: tuple[float, float] = (0.2, 1.0)) -> CoreRadiusResult:
+    """Radius where the smeared well depth crosses zero, in closed form from one minimisation.
 
     Below the core radius the depth that reproduces the binding energy is
-    negative: the effective interaction has turned repulsive.
+    negative: the effective interaction has turned repulsive.  With v = alpha u
+    the smeared kinetic term is T = 4 k b J(beta)/beta, beta = b/alpha^2, where
+    J(beta) = integral (v^2 + 2 beta v^3 - 3 beta^2 v^4) exp(-2 beta v^2 - 2 v) dv,
+    and k b is proportional to r0^-4, so min_alpha T(alpha; r0) = C/r0^4.  Since
+    g > 0 the depth V0*(r0) = min_alpha (T - E_t)/g is zero exactly when
+    min_alpha T = E_t, which gives r_c = r0 (min_alpha T(alpha; r0)/E_t)^(1/4)
+    at any r0.  The minimum is taken at the bracket's upper end; the depths at
+    both ends are solved as evidence and must straddle zero around r_c.
     """
     if template.smearing_mass is None:
         raise ContractError("the core radius is defined for the smeared (fuzzy) problem")
+    e_t = template.constants.e0_binding
+    if e_t >= 0:
+        raise ValueError("the core radius needs a bound target, e0_binding < 0")
     lo, hi = float(bracket[0]), float(bracket[1])
     depths: dict[float, float] = {}
-
-    def depth(r0: float) -> float:
+    for r0 in (lo, hi):
         point = solve_depth(r0, template)
         if not point.converged:
             raise RefinementError(f"depth at r0={r0:g} fm unconverged: alpha*={point.alpha_star:g} on the scan edge")
         depths[r0] = point.depth
-        return point.depth
-
-    try:
-        r_c = find_root(depth, (lo, hi), tol=tol)
-    except BracketingError as exc:
+    _, k, b = _scales(template, hi)
+    alpha, t_min, interior = _minimise_over_alpha(lambda a: _kinetic_and_binding(k, b, a)[0])
+    if not interior:
+        raise RefinementError(f"kinetic minimum at r0={hi:g} fm: alpha={alpha:g} on the scan edge")
+    if t_min >= 0:
+        raise RefinementError(f"kinetic minimum {t_min:.6g} MeV at r0={hi:g} fm is not negative: no core")
+    r_c = hi * (t_min / e_t) ** 0.25
+    if not (depths[lo] < 0 < depths[hi] and lo < r_c < hi):
         curve = ", ".join(f"r0={r:.2f}: {v:.2f}" for r, v in depths.items())
-        raise BracketingError(f"no sign change of the depth in [{lo}, {hi}] fm; curve: {curve}") from exc
+        raise BracketingError(f"no sign change of the depth in [{lo}, {hi}] fm around r_c={r_c:.4f} fm; curve: {curve}")
     return CoreRadiusResult(r_c, lo, hi, depths[lo], depths[hi])
 
 
@@ -413,9 +425,10 @@ def _sturmian_depth(n: int, box: float, r0_fm: float, e_target: float, constants
     """Lowest Sturmian depth with 3-point differences on r_i = i box/n, u(0) = u(box) = 0."""
     h = box / n
     r = h * np.arange(1, n)
-    c = -(constants.hbar_c**2 / (2.0 * constants.reduced_mass)) * d2_lags(2, h, "central")
+    kin = constants.hbar_c**2 / (2.0 * constants.reduced_mass)
     w = np.exp(-r / r0_fm) / (r / r0_fm)
-    return _lowest_pencil_eigenvalue(np.full(n - 1, c[0] - e_target), np.full(n - 2, c[1]), w)
+    diag, off = np.full(n - 1, kin * (2.0 / h**2) - e_target), np.full(n - 2, -kin * (1.0 / h**2))
+    return _lowest_pencil_eigenvalue(diag, off, w)
 
 
 def exact_depth(r0_fm: float, constants: PhysicalConstants = DEFAULT_CONSTANTS, e_target: float | None = None) -> float:

@@ -1,8 +1,8 @@
-"""Foundation layer: grids, derivative operators, scalar solvers, dense generalized eigensolver."""
+"""Foundation layer: grids, derivative operators, the scalar minimiser, dense generalized eigensolver."""
 
 from .grids import MomentumGrid, OperatorMatrix
 from .linalg import apply_d1, d2_lags, derivative_matrix, eig_generalized
-from .solvers import find_root, golden_section
+from .solvers import golden_section
 
 __all__ = [
     "MomentumGrid",
@@ -11,6 +11,5 @@ __all__ = [
     "d2_lags",
     "derivative_matrix",
     "eig_generalized",
-    "find_root",
     "golden_section",
 ]

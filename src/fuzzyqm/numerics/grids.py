@@ -23,6 +23,8 @@ class MomentumGrid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 8:
             raise ValueError(f"grid needs at least 8 points, got shape {pts.shape}")
+        if not np.all(np.isfinite(pts)):  # every comparison below is False for NaN
+            raise ValueError("grid points must be finite")
         steps = np.diff(pts)
         if np.any(steps <= 0):
             raise ValueError("grid points must be strictly increasing")

@@ -22,6 +22,7 @@ from .numerics.grids import MomentumGrid, OperatorMatrix
 from .numerics.linalg import apply_d1, derivative_matrix
 
 _NORM_TOL = 1e-8
+_SNYDER_WIDTH = 0.07  # width, in mass units, of the low-momentum state of the spacetime check
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,6 @@ def verify_commutator_xf_p(
 def verify_spacetime_commutator(
     axis_grid: MomentumGrid,
     s: SmearingParams,
-    snyder_width: float = 0.07,
     max_axis_points: int = 128,
 ) -> SpacetimeCommutatorReport:
     """Check the closed form of the two-component fuzzy-position commutator.
@@ -270,8 +270,8 @@ def verify_spacetime_commutator(
     matrix-free, and returns the interior max deviation.  It also verifies
     both sides are anti-Hermitian on four seeded random states u, through the
     real and imaginary parts, Re<u, A u> = <Re u, A Re u> + <Im u, A Im u>, and
-    that a low-momentum state (p^2/m^2 of order 0.01, ``snyder_width`` in mass
-    units) feels the undressed combination C.  An isotropic probe would be
+    that a low-momentum state (p^2/m^2 of order 0.01, width ``_SNYDER_WIDTH`` in
+    mass units) feels the undressed combination C.  An isotropic probe would be
     useless here: the rotation generator annihilates it.
     """
     n = axis_grid.n
@@ -324,7 +324,7 @@ def verify_spacetime_commutator(
 
     # large-patch limit on its own, finer momentum window: the narrow state
     # must stay grid-resolved while p^2/m^2 stays small
-    wn = snyder_width * s.mass
+    wn = _SNYDER_WIDTH * s.mass
     ps = np.linspace(-8.0 * wn, 8.0 * wn, n)
     p1s, p2s, lhs_s, core_s, _ = make_ops(ps, ps[1] - ps[0])
     chi = np.exp(-((p1s - 0.7 * wn) ** 2) / (2.0 * (0.9 * wn) ** 2) - ((p2s + 0.5 * wn) ** 2) / (2.0 * (1.3 * wn) ** 2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fuzzyqm.constants import DEFAULT_CONSTANTS
 from fuzzyqm import deuteron
@@ -22,7 +23,6 @@ from fuzzyqm.deuteron import (
     trial_samples,
     _smeared_kinetic_integral,
 )
-from fuzzyqm.numerics import find_root
 
 C = DEFAULT_CONSTANTS
 MU = C.reduced_mass
@@ -127,7 +127,7 @@ def test_depth_root_against_depth_scan_oracle():
 def test_range_depth_curve_ordinary_matches_closed_form_oracle():
     point = solve_depth(1.43, ProblemTemplate())
 
-    oracle = find_root(lambda v0: closed_min_energy(v0, 1.43) - C.e0_binding, (1.0, 500.0), tol=1e-8)
+    oracle = brentq(lambda v0: closed_min_energy(v0, 1.43) - C.e0_binding, 1.0, 500.0, xtol=1e-8)
     assert point.depth == pytest.approx(oracle, rel=1e-3)
 
 
@@ -301,14 +301,65 @@ def test_core_radius_bracket_verification(fuzzy_template):
     assert solve_depth(res.r_c - 0.1, fuzzy_template).depth < 0
 
 
-def test_core_radius_stable_under_refinement(fuzzy_template):
-    coarse = core_radius(fuzzy_template, tol=1e-3).r_c
-    fine = core_radius(fuzzy_template, tol=1e-4).r_c
-    assert abs(coarse - fine) <= 0.005
+def _min_kinetic(template, r0):
+    _, k, b = deuteron._scales(template, r0)
+    _, t_min, interior = deuteron._minimise_over_alpha(lambda a: deuteron._kinetic_and_binding(k, b, a)[0])
+    assert interior
+    return t_min
+
+
+def test_min_smeared_kinetic_scales_as_r0_to_minus_four(fuzzy_template):
+    # T = 4 k b J(b/alpha^2)/(b/alpha^2) with k b proportional to r0^-4, so min_alpha T r0^4 is one constant
+    scaled = [_min_kinetic(fuzzy_template, r0) * r0**4 for r0 in (0.2, R0_SIGMA, 0.72, 1.0)]
+    assert scaled[0] == pytest.approx(-0.216151702541, rel=1e-10)
+    assert max(scaled) - min(scaled) <= 1e-12 * abs(scaled[0])
+
+
+def test_core_radius_matches_root_of_the_depth_curve(fuzzy_template):
+    # independent oracle: a Brent root of the solved depth curve itself
+    oracle = brentq(lambda r: solve_depth(r, fuzzy_template).depth, 0.2, 1.0, xtol=1e-14)
+    r_c = core_radius(fuzzy_template).r_c
+    assert abs(r_c - oracle) <= 1e-12
+    assert abs(solve_depth(r_c, fuzzy_template).depth) <= 1e-9
+
+
+def test_core_radius_solves_only_the_bracket_ends(fuzzy_template, monkeypatch):
+    calls = []
+
+    def counted(r0, template, e_target=None):
+        calls.append(r0)
+        return solve_depth(r0, template, e_target)
+
+    monkeypatch.setattr(deuteron, "solve_depth", counted)
+    core_radius(fuzzy_template)
+    assert calls == [0.2, 1.0]
+
+
+def test_core_radius_rejects_unconverged_kinetic_minimum(fuzzy_template):
+    # the kinetic minimiser sits at alpha r0 = 0.22 fm, below the alpha scan at 30 fm, where the depth still converges
+    with pytest.raises(RefinementError, match="kinetic minimum at r0=30 fm"):
+        core_radius(fuzzy_template, bracket=(0.2, 30.0))
+
+
+def test_core_radius_does_not_depend_on_the_sigma_range(fuzzy_template):
+    moved = ProblemTemplate(C.with_overrides(r0_sigma_fm=100.0), smearing_mass=fuzzy_template.smearing_mass)
+    assert core_radius(moved) == core_radius(fuzzy_template)
+
+
+def test_core_radius_rejects_a_non_negative_kinetic_minimum(fuzzy_template, monkeypatch):
+    # an interior minimum T = 4 k > 0: no range makes the depth negative
+    monkeypatch.setattr(deuteron, "_smeared_kinetic_integral", lambda a, b: ((a - 0.6) ** 2 + 1.0) / a**3)
+    with pytest.raises(RefinementError, match="not negative: no core"):
+        core_radius(fuzzy_template)
+
+
+def test_core_radius_requires_a_bound_target():
+    with pytest.raises(ValueError, match="bound target"):
+        core_radius(ProblemTemplate(C.with_overrides(e0_binding=0.0), smearing_mass=MU))
 
 
 def test_core_radius_rejects_unconverged_depth(fuzzy_template):
-    # an edge-of-scan depth at 100 fm must not enter the root-find as if it were a depth
+    # an edge-of-scan depth at 100 fm must not enter the bracket evidence as if it were a depth
     with pytest.raises(RefinementError, match="scan edge"):
         core_radius(fuzzy_template, bracket=(0.2, 100.0))
 
@@ -354,7 +405,7 @@ def test_effective_potential_sign_regions():
 
 def test_effective_potential_zero_crossing_near_ranges():
     f = lambda r: effective_potential(660.77, 1419.07, R0_SIGMA, R1_OMEGA, r)
-    crossing = find_root(f, (0.2, 1.0), tol=1e-10)
+    crossing = brentq(f, 0.2, 1.0, xtol=1e-10)
     assert 0.5 * R1_OMEGA < crossing < 3.0 * R0_SIGMA
 
 

@@ -34,6 +34,17 @@ def test_grid_rejects_decreasing():
         MomentumGrid(np.linspace(1, -1, 16))
 
 
+@pytest.mark.parametrize(
+    "pts",
+    [np.r_[np.linspace(-1, 1, 15), np.nan], np.r_[np.nan, np.linspace(-1, 1, 15)], np.full(16, np.nan)],
+    ids=["nan-last", "nan-first", "all-nan"],
+)
+def test_grid_rejects_non_finite_points(pts):
+    # every comparison with NaN is False, so the ordering and uniformity checks alone let these through
+    with pytest.raises(ValueError, match="finite"):
+        MomentumGrid(pts)
+
+
 def test_radial_grid():
     # the [0, P] axis of an S-state problem needs no tag: the points carry it
     g = MomentumGrid(np.linspace(0.0, 5.0, 16))

@@ -1,10 +1,10 @@
-"""Brent minimisation (golden section with parabolic steps) and root finding."""
+"""Brent minimisation (golden section with parabolic steps)."""
 
 import numpy as np
 import pytest
 
-from fuzzyqm.errors import BracketingError, RefinementError
-from fuzzyqm.numerics import find_root, golden_section
+from fuzzyqm.errors import RefinementError
+from fuzzyqm.numerics import golden_section
 
 
 def test_parabola_minimum():
@@ -66,34 +66,7 @@ def test_minimum_raises_when_out_of_iterations():
         golden_section(lambda x: (x - 1.0) ** 2, 0.0, 3.0, tol=1e-20)
 
 
-def test_root_linear():
-    assert find_root(lambda x: x - 1.0, (0.0, 2.0)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_root_sqrt2():
-    assert find_root(lambda x: x**2 - 2.0, (0.0, 2.0)) == pytest.approx(np.sqrt(2.0), abs=1e-10)
-
-
-def test_root_requires_sign_change():
-    with pytest.raises(BracketingError, match="sign change"):
-        find_root(lambda x: x**2 + 1.0, (0.0, 2.0))
-
-
-def test_root_raises_when_out_of_iterations():
-    # three Brent steps cannot shrink [0, 3] to 1e-10; the last bracket is reported
-    with pytest.raises(RefinementError, match=r"3 iterations: bracket \[.*\] of width"):
-        find_root(lambda x: np.cos(x) - 0.3 * x, (0.0, 3.0), max_iter=3)
-
-
-def test_root_endpoint_zero():
-    assert find_root(lambda x: x, (0.0, 2.0)) == 0.0
-
-
 def test_deterministic_bit_identical():
-    f = lambda x: np.cos(x) - x * 0.3
-    r1 = find_root(f, (0.0, 3.0))
-    r2 = find_root(f, (0.0, 3.0))
-    assert r1 == r2
     g = lambda x: (x - 0.7) ** 4 + 0.1 * x
     m1 = golden_section(g, 0.0, 2.0)
     m2 = golden_section(g, 0.0, 2.0)
