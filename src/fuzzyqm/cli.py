@@ -1,8 +1,11 @@
 """Command-line surface: machine-readable tables and reports for every headline result.
 
 Outputs are deterministic: identical command line plus config produce
-byte-identical files (no timestamps; fixed float formatting).  Exit codes:
-0 all checks pass, 1 numerical check failure, 2 usage or config error.
+byte-identical files (no timestamps; fixed float formatting) on the same
+machine with the same numpy, BLAS and BLAS thread count.  A different BLAS
+thread count can move the last digits of dense eigensolves (the oscillator's
+dense rung).  Exit codes: 0 all checks pass, 1 numerical check failure,
+2 usage or config error.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +133,14 @@ def _check_config_domain(constants: PhysicalConstants, n_points: int, cutoff_mul
         raise ConfigError(problem)
 
 
+@lru_cache(maxsize=None)
+def _row_format(types: tuple[type, ...]) -> str:
+    """%-template of a CSV row with cells of these types: floats to 12 significant digits, the rest by str."""
+    return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types)
+
+
 def _fmt(v: object) -> str:
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
+    return _row_format((type(v),)) % (v,)
 
 
 def _header_lines(cfg: RunConfig) -> list[str]:
@@ -158,7 +166,7 @@ def _write_table(cfg: RunConfig, name: str, columns: list[str], rows: list[list[
         path = cfg.out / f"{name}.csv"
         lines = [f"# {h}" for h in _header_lines(cfg)]
         lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in r) for r in rows)
+        lines.extend(_row_format(tuple(map(type, r))) % tuple(r) for r in rows)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -279,19 +287,15 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
     res = numeric_spectrum(quartic, 1, n_points=args.npoints, return_eigenfunctions=True)
     grid = res.eigenfunctions[0].grid
     harm_spec = OscillatorSpec(spec.omega, spec.mass, "quadratic")
-    efn_rows = []
-    harm = [eigenfunction(harm_spec, i, grid) for i in (0, 1)] if spec.omega < spec.mass / 2 else None
-    for j, p in enumerate(grid.points):
-        row: list[object] = [float(p)]
-        for i in (0, 1):
-            row.append(float(np.real(harm[i].samples[j])) if harm else float("nan"))
-            row.append(float(np.real(res.eigenfunctions[i].samples[j])))
-        efn_rows.append(row)
+    columns = [grid.points]
+    for i in (0, 1):
+        harm = eigenfunction(harm_spec, i, grid).samples if spec.omega < spec.mass / 2 else np.full(grid.n, np.nan)
+        columns += [np.real(harm), np.real(res.eigenfunctions[i].samples)]
     path2 = _write_table(
         cfg,
         "oscillator_eigenfunctions",
         ["p_MeV", "psi_harmonic_n0", "psi_anharmonic_n0", "psi_harmonic_n1", "psi_anharmonic_n1"],
-        efn_rows,
+        np.column_stack(columns).tolist(),
     )
     print(f"wrote {path2}")
     return 0 if ok else 1
@@ -439,8 +443,7 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     r_grid = np.arange(0.05, 3.0001, 0.005)
     v = effective_potential(report.V0, report.V1, report.r0, report.r1, r_grid)
-    rows = [[float(r), float(val)] for r, val in zip(r_grid, v)]
-    path2 = _write_table(cfg, "effective_potential", ["r_fm", "V_MeV"], rows)
+    path2 = _write_table(cfg, "effective_potential", ["r_fm", "V_MeV"], np.column_stack([r_grid, v]).tolist())
     print(f"wrote {path2}")
 
     # optimal trial states at the pion and sigma ranges (smeared vs ordinary); a solved
@@ -450,13 +453,12 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         p_axis = np.linspace(1.0, 1200.0, 400)
         psi_o, _ = trial_samples(ordinary_tpl, r0, o.alpha_star, p_axis)
         psi_f, phi_f = trial_samples(fuzzy_tpl, r0, f.alpha_star, p_axis)
-        rows = [
-            [float(p), float(po_v), float(pf_v), float(ph_v)]
-            for p, po_v, pf_v, ph_v in zip(p_axis, psi_o, psi_f, phi_f)
-        ]
         tag = f"{r0:g}".replace(".", "p")
         path3 = _write_table(
-            cfg, f"deuteron_wavefunctions_r0_{tag}", ["p_MeV", "psi_ordinary", "psi_fuzzy", "phi_fuzzy"], rows
+            cfg,
+            f"deuteron_wavefunctions_r0_{tag}",
+            ["p_MeV", "psi_ordinary", "psi_fuzzy", "phi_fuzzy"],
+            np.column_stack([p_axis, psi_o, psi_f, phi_f]).tolist(),
         )
         print(f"wrote {path3}")
 

@@ -44,6 +44,7 @@ from .errors import BracketingError, ContractError, OverflowGuardError, Refineme
 from .numerics.solvers import golden_section
 
 _ALPHA_SCAN = np.logspace(np.log10(0.01), np.log10(20.0), 200)
+_ALPHA_RTOL = 4.0 * float(np.sqrt(np.finfo(float).eps))  # Brent's final bracket, relative to the scan minimum
 _KINETIC_REL_TOL = 1e-9
 _KINETIC_STEP = 0.06  # step in ln u of the fine smeared-kinetic rule; the check rule doubles it
 _ORACLE_BOX = 10.0  # exact-depth box radius in units of the bound state's decay length 1/kappa
@@ -189,17 +190,20 @@ def _minimise_over_alpha(f) -> tuple[float, float, bool]:
     """Scan f (vectorised over alpha) on the log grid, then refine with Brent's minimiser.
 
     The scan is the global search; the refinement brackets the scan minimum
-    by its two neighbours and shrinks that bracket to 1e-9 in about 15
-    evaluations.  Returns (alpha, f(alpha), interior); interior is False when
-    the scan minimum sits on the bracket edge, which is then returned unrefined.
+    alpha_i by its two neighbours and shrinks that bracket to 4 sqrt(eps)
+    alpha_i in about 10 evaluations.  Near a smooth minimum f changes by
+    O(f'' dx^2), which is below the rounding of f once dx is under sqrt(eps)
+    alpha, so a finer bracket would only follow noise (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5).  Returns
+    (alpha, f(alpha), interior); interior is False when the scan minimum sits
+    on the bracket edge, which is then returned unrefined.
     """
     values = f(_ALPHA_SCAN)
     i = int(np.argmin(values))
     if i == 0 or i == len(_ALPHA_SCAN) - 1:
         return float(_ALPHA_SCAN[i]), float(values[i]), False
-    a, fa = golden_section(
-        lambda x: float(f(np.array([x]))[0]), float(_ALPHA_SCAN[i - 1]), float(_ALPHA_SCAN[i + 1]), tol=1e-9
-    )
+    lo, mid, hi = _ALPHA_SCAN[i - 1 : i + 2].tolist()
+    a, fa = golden_section(lambda x: float(f(np.array([x]))[0]), lo, hi, tol=_ALPHA_RTOL * mid)
     return float(a), float(fa), True
 
 

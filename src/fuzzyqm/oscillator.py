@@ -7,11 +7,15 @@ momentum basis becomes, for phi = exp(-p^2/m^2) psi,
 
 Three truncations are provided.  ``exact`` solves the full weighted
 generalized problem.  The ``quadratic`` and ``quartic`` paths implement the
-same order-by-order bookkeeping as the closed-form spectra: the weight
-expansion is kept against the kinetic term p^2/2m (up to the stated order)
-while the energy-side weight corrections, which enter one perturbative order
-higher than the retained shifts, are dropped.  This makes the numeric
-spectra directly comparable to the closed forms at their stated accuracy.
+bookkeeping of the closed-form spectra: the weight expansion is kept against
+the kinetic term p^2/2m (up to the stated order) and the energy-side weight
+corrections are dropped, so the numeric spectra test those closed forms at
+their stated accuracy.  The dropped terms are not of higher order: to first
+order -E 2p^2/m^2 shifts level n by -2(n + 1/2)^2 w^2/m, the same order as the
+retained shift, so ``exact`` levels leave the quartic formula already at
+O(w^2/m).  The ``quadratic`` truncation is itself a harmonic oscillator with
+levels (n + 1/2) w sqrt(1 + w^2/m^2) - w^2/2m; the closed form is their
+O(w^2/m) expansion.
 
 On a symmetric grid the problem splits into an even and an odd block.  Each
 block is first solved by Rayleigh-Ritz in the Hermite functions of its

@@ -1,14 +1,17 @@
 """Command-line surface: exit codes, file formats, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzyqm import cli
-from fuzzyqm.cli import main
+from fuzzyqm.cli import RunConfig, main
+from fuzzyqm.constants import DEFAULT_CONSTANTS
 
 CLI = [sys.executable, "-m", "fuzzyqm.cli"]
 
@@ -298,3 +301,59 @@ def test_byte_identical_reruns(tmp_path):
     assert r2.returncode == 0
     second = (tmp_path / "a" / "deuteron_range_depth.csv").read_bytes()
     assert first == second
+
+
+_TRICKY_CELLS = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-300, 1.797e308, 1.0 / 3.0, 1e16,
+    np.float64(2.0 / 3.0), np.float64("nan"), np.int64(-7), True, False, 0, "50%", "-", None,
+]
+
+
+def _cell(v):
+    # the CSV cell rule: floats (np.float64 included) to 12 significant digits, everything else by str
+    return format(v, ".12g") if isinstance(v, float) else str(v)
+
+
+@pytest.mark.parametrize("cell", _TRICKY_CELLS, ids=repr)
+def test_row_format_writes_the_cell_rule(cell):
+    assert cli._row_format((type(cell),)) % (cell,) == cli._fmt(cell) == _cell(cell)
+
+
+def test_mixed_type_table_writes_the_per_cell_join(tmp_path):
+    # laid out like commutators.csv: name, int size, float residual, float order (nan on the first row), status
+    columns = ["check", "N", "residual", "measured_order", "status"]
+    rows = [
+        ["commutator_xf_p", 128, 1.2345678901234e-3, float("nan"), "-"],
+        ["commutator_xf_p", 256, np.float64(3.0864e-4), 2.0000000000004, "OK"],
+        ["robertson", 1000, 0.0, float("nan"), "OK"],
+        ["spacetime", 48, -0.0, float("inf"), "50%"],
+        ["mixed", True, None, 1e16, 1.0 / 3.0],
+    ]
+    cfg = RunConfig(DEFAULT_CONSTANTS, 512, 8.0, tmp_path, "csv", "fuzzyqm commutators")
+    body = cli._write_table(cfg, "table", columns, rows).read_text().splitlines()[4:]
+    assert body == [",".join(_cell(v) for v in r) for r in rows]
+    cfg.fmt = "json"
+    doc = json.loads(cli._write_table(cfg, "table", columns, rows).read_text())
+    want = [dict(zip(columns, r)) for r in rows]
+    assert json.dumps(doc["rows"], sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_dense_rung_numbers_agree_across_blas_thread_counts(tmp_path):
+    # the dense eigh of the strong-coupling oscillator may round differently on one BLAS thread: bytes may
+    # differ, the numbers may not.  JSON tables carry every float digit, so the bounds compare numbers, not
+    # the 12-digit CSV rounding.
+    args = ("--format", "json", "oscillator", "--omega", "0.3", "--mass", "1", "--truncation", "exact")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    tables = []
+    for name, threads in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        r = run("--out", str(tmp_path / name), *args, env={**env, **threads})
+        assert r.returncode == 0, r.stderr
+        tables.append(
+            [json.loads((tmp_path / name / f"oscillator_{t}.json").read_text()) for t in ("spectrum", "eigenfunctions")]
+        )
+    (spec_a, efn_a), (spec_b, efn_b) = tables
+    e_a, e_b = (np.array([row["E_diag_MeV"] for row in s["rows"]]) for s in (spec_a, spec_b))
+    assert np.all(np.abs(e_a - e_b) <= 1e-12 * np.abs(e_a))
+    for col in efn_a["columns"]:
+        a, b = (np.array([row[col] for row in e["rows"]]) for e in (efn_a, efn_b))
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))

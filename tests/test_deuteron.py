@@ -159,7 +159,7 @@ def test_smeared_depth_refinement_evaluation_count(monkeypatch):
     monkeypatch.setattr(deuteron, "_smeared_kinetic_integral", counted)
     assert solve_depth(R0_SIGMA, ProblemTemplate(C, smearing_mass=MU)).converged
     assert sizes[0] == 200 and set(sizes[1:]) == {1}
-    assert len(sizes) - 1 <= 20  # golden section alone took about 40
+    assert len(sizes) - 1 <= 12  # golden section alone took about 40, Brent to a 1e-9 bracket about 15
 
 
 def test_fuzzy_curve_below_ordinary_everywhere():

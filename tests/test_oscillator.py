@@ -92,6 +92,19 @@ def test_quadratic_diagonalisation_matches_closed_form():
     assert np.all(np.abs(diag - formula) <= budget)
 
 
+@pytest.mark.parametrize("n_points", [512, 1024])
+@pytest.mark.parametrize("ratio", [0.001, 0.01, 0.1, 0.3])
+def test_quadratic_diagonalisation_matches_its_exact_levels(ratio, n_points):
+    # -(m w^2/2) phi'' + (1 + w^2/m^2) p^2/2m phi - (w^2/2m) phi = E phi is a harmonic oscillator:
+    # E_n = (n + 1/2) w sqrt(1 + w^2/m^2) - w^2/2m, of which the closed form is the O(w^2/m) expansion
+    spec = OscillatorSpec(ratio * M, M, "quadratic")
+    res = numeric_spectrum(spec, 7, n_points=n_points)
+    n = np.arange(8)
+    exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + ratio**2) - spec.omega**2 / (2.0 * M)
+    assert np.max(np.abs(np.array(res.energies) / exact - 1.0)) <= 1e-10
+    assert res.method == ("dense/dense" if ratio == 0.3 else "ritz32/ritz32")  # both rungs are checked
+
+
 def test_quartic_diagonalisation_matches_closed_form():
     spec = OscillatorSpec(W, M, "quartic")
     diag = np.array(numeric_spectrum(spec, 3).energies)
