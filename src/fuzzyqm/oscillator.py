@@ -22,8 +22,12 @@ block is first solved by Rayleigh-Ritz in the Hermite functions of its
 parity at scale sqrt(m w), which are the reduced closed-form eigenstates; an
 answer is kept only when every wanted pair passes a residual bound, which
 puts an eigenvalue of the grid problem next to each kept value.  That rung
-needs only A times the Hermite functions, one FFT convolution with the
-second derivative's lag vector per grid, so no block is formed.  Where the
+needs only A times the Hermite functions, so no block is formed.  A is the
+Toeplitz second derivative plus a diagonal, and only the diagonal (and the
+weight) depends on the truncation: the Hermite functions and their Toeplitz
+product, one FFT convolution, are cached per grid, scheme, m and w
+(``_toeplitz_hermite``, two entries for a grid and its refinement), so the
+quadratic, quartic and exact solves on one grid share one transform.  Where the
 harmonic states do not carry the levels (strong coupling, coarse or narrow
 grids) the dense block of that parity is assembled and diagonalised.
 """
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,8 +64,8 @@ class OscillatorSpec:
     truncation: str = "quadratic"
 
     def __post_init__(self) -> None:
-        if self.omega <= 0 or self.mass <= 0:
-            raise ValueError("omega and mass must be positive")
+        if not (0.0 < self.omega < np.inf and 0.0 < self.mass < np.inf):  # also refuses nan
+            raise ValueError(f"omega and mass must be finite and positive, got {self.omega!r} and {self.mass!r}")
         if self.truncation not in _TRUNCATIONS:
             raise ValueError(f"truncation must be one of {_TRUNCATIONS}")
 
@@ -113,11 +117,18 @@ def anharmonic_spectrum_formula(spec: OscillatorSpec, n_max: int) -> SpectrumRes
     return SpectrumResult(tuple(float(v) for v in e), method="formula", breakdown=tuple(bool(f) for f in flags))
 
 
-def default_grid(spec: OscillatorSpec, n_max: int, n_points: int = 512) -> MomentumGrid:
-    """Grid sized to the reduced eigenfunctions (scale sqrt(m w)), capped for the exact weight."""
+def default_grid(spec: OscillatorSpec, n_max: int, n_points: int = 512, states: bool = False) -> MomentumGrid:
+    """Grid sized to the reduced eigenfunctions (scale sqrt(m w)), capped at 3.7 m where exp(p^2/m^2) enters.
+
+    The cap keeps the exact weight exp(2p^2/m^2) within WEIGHT_CAP
+    (``check_weight``) and, with ``states``, keeps below 1e6 the factor
+    exp(p^2/m^2) that turns phi into psi and multiplies phi's roundoff.  The
+    quadratic and quartic levels need neither, and a capped grid cuts into
+    their reduced states from w/m of about 0.12 up (at n_max = 3).
+    """
     coverage = (8.0 + np.sqrt(2.0 * n_max + 2.0)) * np.sqrt(spec.mass * spec.omega)
-    cutoff = min(3.7 * spec.mass, coverage)
-    return MomentumGrid.symmetric(n_points, cutoff)
+    capped = states or spec.truncation == "exact"
+    return MomentumGrid.symmetric(n_points, min(3.7 * spec.mass, coverage) if capped else coverage)
 
 
 def _diagonal_and_weight(spec: OscillatorSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,33 +173,63 @@ def _parity_block(c: np.ndarray, diag: np.ndarray, sign: int) -> np.ndarray:
     return a
 
 
-def _block_product(c: np.ndarray, diag: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """A x for every column x of ``coords``, in the coordinates of its parity block, without forming a block.
+def _block_product(c: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """T x for each column x of ``coords`` in its parity block's coordinates: T = c[|i - j|], A without its diagonal.
 
     Column j holds the coordinates (left half-grid, plus the middle point for
     odd n) of a vector of the even block for even j and of the odd block for
     odd j, as the Hermite functions h_j alternate in parity; an odd column's
     middle row is ignored.  Each column is mirrored onto the full grid as an
     even or odd vector (the middle sample of an even one is sqrt(2) times its
-    coordinate, of an odd one 0), the full Toeplitz c[|i - j|] is applied as
-    a zero-padded FFT convolution of length 2n (as ``apply_d1`` applies D1),
-    and the left half is read back into coordinates by the same middle rule,
-    where the diagonal is added.  Agrees with ``_parity_block`` times the
-    column up to roundoff.
+    coordinate, of an odd one 0), T is applied as a zero-padded FFT
+    convolution of length 2n (as ``apply_d1`` applies D1), one parity's
+    columns at a time with the spectrum multiplied in place, and the left
+    half is read back into coordinates by the same middle rule.  The diagonal
+    of A is not applied: T x plus diag times x agrees with ``_parity_block``
+    times the column up to roundoff.
     """
     n, k = c.size, c.size // 2
-    full = np.empty((coords.shape[1], n))
-    full[:, : n - k] = coords.T
-    full[:, n - k :] = full[:, :k][:, ::-1]
-    full[1::2, n - k :] *= -1.0
+    kernel = np.fft.rfft(np.concatenate([c, [0.0], c[:0:-1]]))  # lags 0 ... n-1, then -(n-1) ... -1 wrapped
+    out = np.empty((coords.shape[1], n - k))
+    for first, sign in ((0, 1.0), (1, -1.0)):
+        half = coords[:, first::2].T
+        full = np.empty((half.shape[0], n))
+        full[:, : n - k] = half
+        full[:, n - k :] = sign * half[:, :k][:, ::-1]
+        if n % 2:
+            full[:, k] = np.sqrt(2.0) * half[:, k] if sign > 0 else 0.0
+        spectrum = np.fft.rfft(full, 2 * n)
+        spectrum *= kernel
+        out[first::2] = np.fft.irfft(spectrum, 2 * n)[:, : n - k]
     if n % 2:
-        full[0::2, k] *= np.sqrt(2.0)
-        full[1::2, k] = 0.0
-    kernel = np.concatenate([c, [0.0], c[:0:-1]])  # lags 0 ... n-1, then -(n-1) ... -1 wrapped to the end
-    toeplitz = np.fft.irfft(np.fft.rfft(full, 2 * n) * np.fft.rfft(kernel), 2 * n)[:, : n - k]
-    if n % 2:
-        toeplitz[:, k] /= np.sqrt(2.0)
-    return toeplitz.T + diag[:, None] * coords
+        out[:, k] /= np.sqrt(2.0)
+    return out.T
+
+
+@lru_cache(maxsize=2)
+def _toeplitz_hermite(points: bytes, scheme: str, mass: float, omega: float) -> tuple[np.ndarray, ...]:
+    """Lag vector c, Hermite coordinates H and Toeplitz product T H of a symmetric grid; read-only, cached.
+
+    These are the parts of the parity problem that no truncation changes:
+    c is -(m w^2/2) times the second derivative's lag vector, H the first
+    64 Hermite functions at scale sqrt(m w) in block coordinates (the middle
+    row divided by sqrt(2) for odd n), and T H their ``_block_product``.
+    The truncation enters only through the diagonal and the weight, so the
+    quadratic, quartic and exact solves on one grid share one entry.  The
+    key is the grid's points as bytes (a ``MomentumGrid`` is not hashable),
+    the scheme, m and w.  Two entries hold a grid and its refinement, at
+    2 * 64 * (n - k) floats each: about 1.5 MB for n = 1024 and 2048.
+    """
+    p = np.frombuffer(points)
+    n, k = p.size, p.size // 2
+    c = -(mass * omega**2 / 2.0) * d2_lags(n, float(p[1] - p[0]), scheme)
+    hermite = _hermite_basis(OscillatorSpec(omega, mass), p[: n - k], 2 * _RITZ_SIZE)
+    if n % 2:  # coordinates of an even function: sqrt(2) times its sample, but the middle sample itself
+        hermite[k] /= np.sqrt(2.0)
+    toeplitz = _block_product(c, hermite)
+    for a in (c, hermite, toeplitz):
+        a.flags.writeable = False  # every truncation on the grid shares the cached arrays
+    return c, hermite, toeplitz
 
 
 def _hermite_basis(spec: OscillatorSpec, points: np.ndarray, count: int) -> np.ndarray:
@@ -274,20 +315,20 @@ def _parity_solve(
     """Lowest ``levels`` (energy, parity, block column) of both parity blocks by energy, and the rungs used.
 
     Each block is solved by ``_ladder`` in the Hermite functions of its parity
-    (``_hermite_basis``), sampled like the block's coordinates; A times all
-    of them, both parities, is one ``_block_product``.  The rungs are named
+    (``_hermite_basis``), sampled like the block's coordinates.  A times all
+    of them, both parities, is their Toeplitz product, shared with every
+    truncation on the grid through the ``_toeplitz_hermite`` cache, plus this
+    truncation's diagonal times them.  The rungs are named
     "even/odd", e.g. "ritz32/dense".  The block column (on the left
     half-grid, plus the middle point for odd n in the even block) is
     returned only with ``vectors``, else it is None.
     """
     n, k = grid.n, grid.n // 2
-    c = -(spec.mass * spec.omega**2 / 2.0) * d2_lags(n, grid.spacing, scheme)
     diag, weight = _diagonal_and_weight(spec, grid.points[: n - k])
     weight = check_weight(weight, n - k)  # the odd block's weight is a part of it
-    hermite = _hermite_basis(spec, grid.points[: n - k], 2 * _RITZ_SIZE)
-    if n % 2:  # coordinates of an even function: sqrt(2) times its sample, but the middle sample itself
-        hermite[k] /= np.sqrt(2.0)
-    product = _block_product(c, diag, hermite)
+    c, hermite, toeplitz = _toeplitz_hermite(grid.points.tobytes(), scheme, spec.mass, spec.omega)
+    product = diag[:, None] * hermite
+    product += toeplitz
     found, rungs = [], []
     for sign, dim in ((1, n - k), (-1, k)):
         cols = slice((1 - sign) // 2, None, 2)
@@ -343,6 +384,13 @@ def numeric_spectrum(
     skipped for w/m from 0.005 to 0.3.  ``method`` names the rung of each
     block as "even/odd", e.g. "ritz32/ritz32" or "dense/dense".  The states
     are exactly even or odd on the grid.
+    The Hermite functions and their FFT product do not depend on the
+    truncation, so they are cached read-only per grid, scheme, m and w
+    (``_toeplitz_hermite``): two entries of 2 * 64 * (n - n // 2) floats,
+    about 1.5 MB for a 1024-point grid and its refinement, and the three
+    truncations at one w transform each grid once.  Without ``grid``,
+    ``default_grid`` sizes it, capped at 3.7 m for ``exact`` and when the
+    states are asked for.
     Dirichlet boundary values are implicit (phi decays inside the grid).
     With ``check_refinement`` the solve is repeated on a grid with doubled
     points and 25% larger cutoff; a relative change above 1e-4 raises
@@ -352,7 +400,7 @@ def numeric_spectrum(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if grid is None:
-        grid = default_grid(spec, n_max, n_points)
+        grid = default_grid(spec, n_max, n_points, states=return_eigenfunctions)
     if n_max + 1 > grid.n:
         raise ValueError(f"n_max + 1 = {n_max + 1} levels exceed the {grid.n} grid points")
     levels, method = _parity_solve(spec, grid, scheme, n_max + 1, return_eigenfunctions)

@@ -84,6 +84,24 @@ def test_anharmonic_breakdown_flag():
 # --- diagonalisation -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite_omega_and_mass(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        OscillatorSpec(bad, M)
+    with pytest.raises(ValueError, match="finite and positive"):
+        OscillatorSpec(W, bad)
+
+
+@pytest.mark.parametrize("ratio", [0.01, 0.3])
+def test_default_grid_caps_the_cutoff_where_exp_p2_enters(ratio):
+    coverage = (8.0 + np.sqrt(8.0)) * np.sqrt(ratio) * M
+    capped = min(3.7 * M, coverage)
+    for truncation in ("quadratic", "quartic", "exact"):
+        spec = OscillatorSpec(ratio * M, M, truncation)
+        assert default_grid(spec, 3).cutoff == pytest.approx(capped if truncation == "exact" else coverage, rel=1e-15)
+        assert default_grid(spec, 3, states=True).cutoff == pytest.approx(capped, rel=1e-15)
+
+
 def test_quadratic_diagonalisation_matches_closed_form():
     spec = OscillatorSpec(W, M, "quadratic")
     diag = np.array(numeric_spectrum(spec, 3).energies)
@@ -93,16 +111,18 @@ def test_quadratic_diagonalisation_matches_closed_form():
 
 
 @pytest.mark.parametrize("n_points", [512, 1024])
-@pytest.mark.parametrize("ratio", [0.001, 0.01, 0.1, 0.3])
-def test_quadratic_diagonalisation_matches_its_exact_levels(ratio, n_points):
+@pytest.mark.parametrize("ratio", [0.001, 0.01, 0.1, 0.3, 0.5, 1.0])
+def test_quadratic_diagonalisation_matches_its_exact_levels(monkeypatch, ratio, n_points):
     # -(m w^2/2) phi'' + (1 + w^2/m^2) p^2/2m phi - (w^2/2m) phi = E phi is a harmonic oscillator:
     # E_n = (n + 1/2) w sqrt(1 + w^2/m^2) - w^2/2m, of which the closed form is the O(w^2/m) expansion
     spec = OscillatorSpec(ratio * M, M, "quadratic")
-    res = numeric_spectrum(spec, 7, n_points=n_points)
     n = np.arange(8)
     exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + ratio**2) - spec.omega**2 / (2.0 * M)
-    assert np.max(np.abs(np.array(res.energies) / exact - 1.0)) <= 1e-10
-    assert res.method == ("dense/dense" if ratio == 0.3 else "ritz32/ritz32")  # both rungs are checked
+    for rung in ("ritz32/ritz32", "dense/dense"):  # both rungs are checked
+        res = numeric_spectrum(spec, 7, n_points=n_points)
+        assert res.method == rung
+        assert np.max(np.abs(np.array(res.energies) / exact - 1.0)) <= 1e-10
+        _dense_rung(monkeypatch)
 
 
 def test_quartic_diagonalisation_matches_closed_form():
@@ -244,7 +264,7 @@ _LADDER_CASES = [
 @pytest.mark.parametrize("ratio, truncation, n, scheme", _LADDER_CASES)
 def test_ladder_matches_dense_rung(monkeypatch, ratio, truncation, n, scheme):
     spec = OscillatorSpec(ratio * M, M, truncation)
-    grid = default_grid(spec, 3, n)
+    grid = default_grid(spec, 3, n, states=True)
     ours = numeric_spectrum(spec, 3, grid=grid, scheme=scheme, return_eigenfunctions=True)
     _dense_rung(monkeypatch)
     dense = numeric_spectrum(spec, 3, grid=grid, scheme=scheme, return_eigenfunctions=True)
@@ -278,7 +298,7 @@ def test_block_product_matches_dense_block(n, scheme, truncation):
     c = -(spec.mass * spec.omega**2 / 2.0) * d2_lags(n, grid.spacing, scheme)
     diag, _ = _diagonal_and_weight(spec, grid.points[: n - k])
     x = np.random.default_rng(n).standard_normal((n - k, 8))
-    product = oscillator._block_product(c, diag, x)
+    product = oscillator._block_product(c, x) + diag[:, None] * x
     for sign in (1, -1):
         a = oscillator._parity_block(c, diag, sign)
         dim, cols = a.shape[0], slice((1 - sign) // 2, None, 2)
@@ -300,6 +320,53 @@ def test_hermite_rows_equal_the_column_recurrence(n):
     h = oscillator._hermite_basis(spec, p, 64)
     assert np.array_equal(h, columns)
     assert h.T.flags.c_contiguous
+
+
+def _shared(grid: MomentumGrid, scheme: str = "spectral", mass: float = M, omega: float = W) -> tuple[np.ndarray, ...]:
+    return oscillator._toeplitz_hermite(grid.points.tobytes(), scheme, mass, omega)
+
+
+def test_shared_product_is_keyed_on_everything_it_reads():
+    grid = default_grid(OscillatorSpec(W, M), 3, 64)
+    base = _shared(grid)
+    assert all(a is b for a, b in zip(_shared(grid), base))  # the same key answers from the cache
+    others = [
+        _shared(MomentumGrid.symmetric(64, 1.01 * grid.cutoff)),
+        _shared(grid, scheme="central"),
+        _shared(grid, mass=2.0 * M),
+        _shared(grid, omega=2.0 * W),
+    ]
+    for other in others:
+        assert not all(np.array_equal(a, b) for a, b in zip(base, other))
+    info = oscillator._toeplitz_hermite.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 5, 2)
+
+
+def test_shared_product_is_read_only():
+    for a in _shared(default_grid(OscillatorSpec(W, M), 3, 65)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_cold_and_warm_solves_are_bit_identical():
+    spec = OscillatorSpec(W, M, "exact")
+    numeric_spectrum(OscillatorSpec(W, M, "quadratic"), 3, n_points=1024)  # leaves the grid's entry
+    warm = numeric_spectrum(spec, 3, n_points=1024, return_eigenfunctions=True)
+    assert oscillator._toeplitz_hermite.cache_info().hits == 1
+    oscillator._toeplitz_hermite.cache_clear()
+    cold = numeric_spectrum(spec, 3, n_points=1024, return_eigenfunctions=True)
+    assert (warm.energies, warm.method) == (cold.energies, cold.method)
+    assert all(np.array_equal(x.samples, y.samples) for x, y in zip(warm.eigenfunctions, cold.eigenfunctions))
+
+
+def test_three_truncations_transform_each_grid_once(monkeypatch):
+    # the benchmark's operation: quadratic, quartic and exact at one omega, each checked on the refined grid
+    sizes = []
+    block_product = oscillator._block_product
+    monkeypatch.setattr(oscillator, "_block_product", lambda c, x: sizes.append(c.size) or block_product(c, x))
+    for truncation in ("quadratic", "quartic", "exact"):
+        numeric_spectrum(OscillatorSpec(0.0123, M, truncation), 3, n_points=1024, check_refinement=True)
+    assert sizes == [1024, 2048]
 
 
 def _record_eigensolves(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
