@@ -21,9 +21,6 @@ from .operators import (
     GridState,
     SmearingParams,
     UncertaintyReport,
-    build_fuzzy_position_op,
-    build_momentum_op,
-    build_position_op,
     fuzzy_angular_eigenvalue,
     uncertainty_report,
     verify_commutator_xf_p,
@@ -54,9 +51,6 @@ __all__ = [
     "SpectrumResult",
     "UncertaintyReport",
     "anharmonic_spectrum_formula",
-    "build_fuzzy_position_op",
-    "build_momentum_op",
-    "build_position_op",
     "calibrate_smearing_mass",
     "core_radius",
     "coupling_report",

@@ -103,7 +103,7 @@ def _build_run_config(args: argparse.Namespace, argv: list[str]) -> RunConfig:
         elif k == "cutoff_mult":
             cutoff_mult = float(v)
         elif k in ("out", "format"):
-            pass  # flags take precedence; accepted for completeness
+            pass  # read below, as the fallbacks of --out and --format
         else:
             raise ConfigError(f"unknown config key {k!r}")
     constants = DEFAULT_CONSTANTS.with_overrides(**const_overrides)
@@ -143,41 +143,29 @@ def _fmt(v: object) -> str:
     return _row_format((type(v),)) % (v,)
 
 
-def _header_lines(cfg: RunConfig) -> list[str]:
-    cfg_echo = " ".join(f"{k}={_fmt(v)}" for k, v in cfg.echo().items())
-    return [
-        f"tool: fuzzyqm {__version__}",
-        f"command: {cfg.command_line}",
-        f"config: {cfg_echo}",
-    ]
+def _header(cfg: RunConfig) -> dict[str, object]:
+    """What every output file states first: the tool, the command line and the config echo."""
+    return {"tool": f"fuzzyqm {__version__}", "command": cfg.command_line, "config": cfg.echo()}
 
 
 def _write_table(cfg: RunConfig, name: str, columns: list[str], rows: list[list[object]]) -> Path:
-    cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.fmt == "json":
-        path = cfg.out / f"{name}.json"
-        payload = {
-            "header": {"tool": f"fuzzyqm {__version__}", "command": cfg.command_line, "config": cfg.echo()},
-            "columns": columns,
-            "rows": [dict(zip(columns, r)) for r in rows],
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    else:
-        path = cfg.out / f"{name}.csv"
-        lines = [f"# {h}" for h in _header_lines(cfg)]
-        lines.append(",".join(columns))
-        lines.extend(_row_format(tuple(map(type, r))) % tuple(r) for r in rows)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return _write_report(cfg, name, {"columns": columns, "rows": [dict(zip(columns, r)) for r in rows]})
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    path = cfg.out / f"{name}.csv"
+    header = _header(cfg)
+    header["config"] = " ".join(f"{k}={_fmt(v)}" for k, v in header["config"].items())
+    lines = [f"# {k}: {v}" for k, v in header.items()]
+    lines.append(",".join(columns))
+    lines.extend(_row_format(tuple(map(type, r))) % tuple(r) for r in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
 def _write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / f"{name}.json"
-    doc = {
-        "header": {"tool": f"fuzzyqm {__version__}", "command": cfg.command_line, "config": cfg.echo()},
-        **payload,
-    }
+    doc = {"header": _header(cfg), **payload}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 

@@ -242,8 +242,8 @@ def trial_samples(
 # range-depth machinery
 
 
-def solve_depth(r0_fm: float, template: ProblemTemplate, e_target: float | None = None) -> RangeDepthPoint:
-    """Depth whose minimum variational energy equals the binding target.
+def solve_depth(r0_fm: float, template: ProblemTemplate) -> RangeDepthPoint:
+    """Depth whose minimum variational energy equals the binding target E_t, ``constants.e0_binding``.
 
     Because g(alpha) > 0, min_alpha [T - V0 g] >= E_t exactly when
     V0 <= (T - E_t)/g for every alpha, so the depth is the single minimisation
@@ -251,7 +251,7 @@ def solve_depth(r0_fm: float, template: ProblemTemplate, e_target: float | None 
     alpha at that depth.  A minimiser on the alpha bracket edge comes back with
     converged=False.
     """
-    target = template.constants.e0_binding if e_target is None else e_target
+    target = template.constants.e0_binding
     _, k, b = _scales(template, r0_fm)
 
     def depth(alpha: np.ndarray) -> np.ndarray:
@@ -262,14 +262,12 @@ def solve_depth(r0_fm: float, template: ProblemTemplate, e_target: float | None 
     return RangeDepthPoint(r0_fm, v0, alpha_star, converged=interior)
 
 
-def range_depth_curve(
-    r0_values, template: ProblemTemplate, e_target: float | None = None
-) -> list[RangeDepthPoint]:
+def range_depth_curve(r0_values, template: ProblemTemplate) -> list[RangeDepthPoint]:
     """Pointwise depth solve over the given ranges; failures are recorded, the curve continues."""
     points: list[RangeDepthPoint] = []
     for r0 in r0_values:
         try:
-            points.append(solve_depth(float(r0), template, e_target))
+            points.append(solve_depth(float(r0), template))
         except RefinementError:
             points.append(RangeDepthPoint(float(r0), float("nan"), float("nan"), False))
     return points
@@ -435,8 +433,8 @@ def _sturmian_depth(n: int, box: float, r0_fm: float, e_target: float, constants
     return _lowest_pencil_eigenvalue(diag, off, w)
 
 
-def exact_depth(r0_fm: float, constants: PhysicalConstants = DEFAULT_CONSTANTS, e_target: float | None = None) -> float:
-    """Depth whose exact ordinary ground energy equals the binding target.
+def exact_depth(r0_fm: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+    """Depth whose exact ordinary ground energy equals the binding target E_t, ``constants.e0_binding``.
 
     At fixed E_t < 0 the depth is the lowest eigenvalue V0 of the Sturmian
     problem (-hbar^2/2mu d^2/dr^2 - E_t) u = V0 w(r) u, w = exp(-r/r0)/(r/r0)
@@ -448,9 +446,9 @@ def exact_depth(r0_fm: float, constants: PhysicalConstants = DEFAULT_CONSTANTS, 
     wall where u has decayed by exp(-10); the step is about r0/16 and is
     halved once for Richardson extrapolation (4 V(2n) - V(n))/3.
     """
-    target = constants.e0_binding if e_target is None else e_target
+    target = constants.e0_binding
     if target >= 0:
-        raise ValueError("the exact depth needs a bound target, e_target < 0")
+        raise ValueError("the exact depth needs a bound target, e0_binding < 0")
     if r0_fm <= 0:
         raise ValueError("range r0 must be positive")
     kappa = np.sqrt(2.0 * constants.reduced_mass * -target) / constants.hbar_c  # fm^-1

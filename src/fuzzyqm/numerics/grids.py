@@ -53,9 +53,9 @@ class MomentumGrid:
     def cutoff(self) -> float:
         return float(max(abs(self.points[0]), abs(self.points[-1])))  # the points increase
 
-    def interior_slice(self, frac: float = 0.1) -> slice:
-        """Rows away from the boundary; finite grids cannot represent operators near the cutoff."""
-        k = max(1, int(round(frac * self.n)))
+    def interior_slice(self) -> slice:
+        """Rows away from the boundary, where finite grids cannot represent operators: a tenth at each end."""
+        k = max(1, int(round(0.1 * self.n)))
         return slice(k, self.n - k)
 
 

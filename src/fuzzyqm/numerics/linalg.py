@@ -1,4 +1,4 @@
-"""Derivative matrices, their lag vectors, and the dense generalized eigensolver."""
+"""Matrix-free d/dp, the spectral d^2/dp^2 lag vector, dense derivative matrices, the generalized eigensolver."""
 
 from __future__ import annotations
 
@@ -84,26 +84,17 @@ def apply_d1(f: np.ndarray, h: float, scheme: str = "central", axis: int = 0) ->
     return out.swapaxes(0, axis)[:n].swapaxes(0, axis)
 
 
-def d2_lags(n: int, h: float, scheme: str = "central") -> np.ndarray:
-    """Lag vector c of d^2/dp^2 on n points of spacing h: the matrix is c[|i - j|].
+def d2_lags(n: int, h: float) -> np.ndarray:
+    """Lag vector c of the spectral (sinc) d^2/dp^2 on n points of spacing h: the matrix is c[|i - j|].
 
-    Equals the entries of ``derivative_matrix(grid, 2, scheme)``, which is
-    symmetric Toeplitz for both schemes, without forming the n x n array.
+    Equals the entries of ``derivative_matrix(grid, 2, "spectral")``, which is
+    symmetric Toeplitz, without forming the n x n array.
     """
     c = np.zeros(n)
-    if scheme == "central":
-        c[0], c[1] = -2.0 / h**2, 1.0 / h**2
-    elif scheme == "spectral":
-        k = np.arange(1, n)
-        c[0] = -np.pi**2 / (3.0 * h**2)
-        c[1:] = -2.0 * (-1.0) ** k / (k**2 * h**2)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    k = np.arange(1, n)
+    c[0] = -np.pi**2 / (3.0 * h**2)
+    c[1:] = -2.0 * (-1.0) ** k / (k**2 * h**2)
     return c
-
-
-def _as_array(a) -> np.ndarray:
-    return a.entries if isinstance(a, OperatorMatrix) else np.asarray(a)
 
 
 def check_weight(weight, dim: int) -> np.ndarray:
@@ -125,7 +116,7 @@ def check_weight(weight, dim: int) -> np.ndarray:
 
 
 def eig_generalized(
-    a, weight: np.ndarray, return_eigenvectors: bool = False
+    a: np.ndarray, weight: np.ndarray, return_eigenvectors: bool = False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Solve A phi = E W phi for Hermitian A and diagonal positive W by the symmetric reduction.
 
@@ -135,9 +126,8 @@ def eig_generalized(
     asks for the phi columns, normalised in the W-weighted inner product.
     The weight is vetted by ``check_weight``.
     """
-    m = _as_array(a)
-    s = 1.0 / np.sqrt(check_weight(weight, m.shape[0]))
-    b = np.einsum("i,ij,j->ij", s, m, s)
+    s = 1.0 / np.sqrt(check_weight(weight, a.shape[0]))
+    b = np.einsum("i,ij,j->ij", s, a, s)
     if not return_eigenvectors:
         return np.linalg.eigvalsh(b)
     vals, vecs = np.linalg.eigh(b)

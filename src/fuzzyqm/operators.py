@@ -3,26 +3,25 @@
 The position operator conjugated with the Gaussian factor exp(-p^2/2m^2)
 acquires a noncanonical commutator with momentum, a modified uncertainty
 bound, smeared angular-momentum eigenvalues, and noncommuting position
-components.  The builders return dense grid matrices; the commutator and
-uncertainty checks apply the same operators matrix-free and act on smooth
-probe states, because entrywise matrix comparisons are meaningless for
-difference schemes: the discrete commutator only represents the continuum
-one on resolved functions.
+components.  The commutator and uncertainty checks apply the operators
+matrix-free through ``apply_d1`` and act on smooth probe states, because
+entrywise matrix comparisons are meaningless for difference schemes: the
+discrete commutator only represents the continuum one on resolved functions.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .numerics.grids import MomentumGrid, OperatorMatrix
-from .numerics.linalg import apply_d1, derivative_matrix
+from .numerics.grids import MomentumGrid
+from .numerics.linalg import apply_d1
 
 _NORM_TOL = 1e-8
 _SNYDER_WIDTH = 0.07  # width, in mass units, of the low-momentum state of the spacetime check
+_MAX_AXIS_POINTS = 128  # largest axis of the spacetime check, whose fields hold n^2 samples
 
 
 @dataclass(frozen=True)
@@ -84,11 +83,6 @@ class GridState:
             raise ValueError("cannot normalise the zero state")
         return GridState(self.samples / n, self.grid, self.measure, self.smearing)
 
-    def inner(self, other: "GridState") -> complex:
-        if other.grid is not self.grid and not np.array_equal(other.grid.points, self.grid.points):
-            raise ValueError("states live on different grids")
-        return complex(np.sum(self.measure_weights() * np.conj(self.samples) * other.samples))
-
 
 @dataclass(frozen=True)
 class UncertaintyReport:
@@ -119,92 +113,17 @@ class SpacetimeCommutatorReport:
 
 
 # ----------------------------------------------------------------------------
-# operator builders
-
-
-def build_momentum_op(grid: MomentumGrid) -> OperatorMatrix:
-    """Momentum is multiplicative in the momentum basis: diag(p)."""
-    return OperatorMatrix(np.diag(grid.points).astype(complex), grid, hermitian=True)
-
-
-def build_position_op(grid: MomentumGrid, scheme: str = "spectral") -> OperatorMatrix:
-    """Position as i d/dp.  Both schemes give an exactly Hermitian matrix.
-
-    Boundary rows are truncated (zero assumed outside the grid), so the
-    operator is only accurate on states that decay inside the grid.
-    """
-    d1 = derivative_matrix(grid, 1, scheme)
-    return OperatorMatrix(1j * d1.entries, grid, hermitian=True)
-
-
-def build_fuzzy_position_op(grid: MomentumGrid, s: SmearingParams, scheme: str = "spectral") -> OperatorMatrix:
-    """Smeared position G X G with G = diag(exp(-p^2/2m^2)); Hermitian by construction."""
-    g = s.gaussian(grid.points, half=True)
-    x = build_position_op(grid, scheme)
-    return OperatorMatrix(g[:, None] * x.entries * g[None, :], grid, hermitian=True)
-
-
-# ----------------------------------------------------------------------------
-# position-space smearing action
-
-
-def apply_fuzzy_position_convolution(state: GridState, s: SmearingParams) -> GridState:
-    """Act with the fuzzy position on a position-space state by Gaussian smearing.
-
-    The action translates the state by every shift lam, weights by the
-    Gaussian kernel of width 2/m, and multiplies by the midpoint coordinate:
-    (m / 2 sqrt(pi)) * integral dlam (x + lam/2) psi(x + lam) exp(-m^2 lam^2 / 4).
-    The kernel integrates to one, so the point-particle limit returns x*psi(x).
-    """
-    x = state.grid.points
-    dx = state.grid.spacing
-    psi = state.samples
-    prob = np.abs(psi) ** 2
-    total = float(np.sum(prob))
-    if total > 0:
-        k = max(1, int(round(0.1 * state.grid.n)))
-        outer = float(np.sum(prob[:k]) + np.sum(prob[-k:]))
-        if outer >= 0.01 * total:
-            warnings.warn(
-                "state has >= 1% of its probability in the outer 10% of the grid; "
-                "the smearing action will be contaminated by the boundary",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    lam = x[None, :] - x[:, None]
-    kernel = (s.mass / (2.0 * np.sqrt(np.pi))) * np.exp(-s.mass**2 * lam**2 / 4.0)
-    midpoint = 0.5 * (x[:, None] + x[None, :])
-    out = dx * np.sum(kernel * midpoint * psi[None, :], axis=1)
-    return GridState(out, state.grid, state.measure, state.smearing)
-
-
-def apply_fuzzy_position_fourier(state: GridState, s: SmearingParams) -> GridState:
-    """Dual route: conjugate with the half-Gaussian in momentum space via FFT.
-
-    result = G(p) . FT[ x . IFT[ G(p) . FT[psi] ] ] transformed back, which is
-    the momentum-basis matrix action expressed with spectral accuracy.
-    """
-    x = state.grid.points
-    dx = state.grid.spacing
-    p = 2.0 * np.pi * np.fft.fftfreq(state.grid.n, d=dx)
-    g = s.gaussian(p, half=True)
-    work = np.fft.ifft(g * np.fft.fft(state.samples))
-    work = np.fft.ifft(g * np.fft.fft(x * work))
-    return GridState(work, state.grid, state.measure, state.smearing)
-
-
-# ----------------------------------------------------------------------------
 # commutator checks
 
-_DEFAULT_PROBES = ((2.0, 0.0, 0.0), (2.5, 0.8, 0.0), (3.0, 0.0, 1.0), (2.0, -0.5, 0.5))
+_PROBES = ((2.0, 0.0, 0.0), (2.5, 0.8, 0.0), (3.0, 0.0, 1.0), (2.0, -0.5, 0.5))  # (width, x0, p0) in mass units
 
 
-def random_smooth_state(grid: MomentumGrid, rng: np.random.Generator, n_components: int = 3) -> GridState:
-    """Random superposition of resolved Gaussian wavepackets (for property suites)."""
+def random_smooth_state(grid: MomentumGrid, rng: np.random.Generator) -> GridState:
+    """Random superposition of three resolved Gaussian wavepackets (for property suites)."""
     p = grid.points
     scale = grid.cutoff / 8.0
     psi = np.zeros(grid.n, dtype=complex)
-    for _ in range(n_components):
+    for _ in range(3):
         width = scale * rng.uniform(0.4, 2.0)
         p0 = rng.uniform(-2.0, 2.0) * scale
         x0 = rng.uniform(-3.0, 3.0) / scale
@@ -217,13 +136,8 @@ def random_smooth_state(grid: MomentumGrid, rng: np.random.Generator, n_componen
     return state
 
 
-def verify_commutator_xf_p(
-    grid: MomentumGrid,
-    s: SmearingParams,
-    scheme: str = "central",
-    probes: tuple[tuple[float, float, float], ...] = _DEFAULT_PROBES,
-) -> float:
-    """Max interior deviation of [X_f, P] acting on probe states from i exp(-p^2/m^2).
+def verify_commutator_xf_p(grid: MomentumGrid, s: SmearingParams, scheme: str = "central") -> float:
+    """Max interior deviation of [X_f, P] acting on the four probe states from i exp(-p^2/m^2).
 
     Probe widths are in units of the smearing mass; the residual is the
     worst-case interior amplitude of the defect vector divided by the probe's
@@ -235,11 +149,11 @@ def verify_commutator_xf_p(
     psi = np.stack(
         [
             np.exp(-((p - p0 * s.mass) ** 2) / (2.0 * (width * s.mass) ** 2) + 1j * (x0 / s.mass) * p)
-            for width, x0, p0 in probes
+            for width, x0, p0 in _PROBES
         ],
         axis=1,
     )
-    k = len(probes)
+    k = len(_PROBES)
     # X_f = i G D G on p psi and psi in one call; [X_f, P] psi = X_f(p psi) - p X_f psi
     stacked = g[:, None] * np.concatenate([p[:, None] * psi, psi], axis=1)
     xf = 1j * g[:, None] * apply_d1(stacked, grid.spacing, scheme)
@@ -248,11 +162,7 @@ def verify_commutator_xf_p(
     return float(np.max(np.max(np.abs(defect[inner]), axis=0) / np.max(np.abs(psi), axis=0)))
 
 
-def verify_spacetime_commutator(
-    axis_grid: MomentumGrid,
-    s: SmearingParams,
-    max_axis_points: int = 128,
-) -> SpacetimeCommutatorReport:
+def verify_spacetime_commutator(axis_grid: MomentumGrid, s: SmearingParams) -> SpacetimeCommutatorReport:
     """Check the closed form of the two-component fuzzy-position commutator.
 
     With G = exp(-(p1^2+p2^2)/2m^2) and X_fi = G X_i G, working out the
@@ -275,8 +185,8 @@ def verify_spacetime_commutator(
     useless here: the rotation generator annihilates it.
     """
     n = axis_grid.n
-    if n > max_axis_points:
-        raise ValueError(f"axis size {n} exceeds the configured cap {max_axis_points}")
+    if n > _MAX_AXIS_POINTS:
+        raise ValueError(f"axis size {n} exceeds the cap {_MAX_AXIS_POINTS}")
     cutoff = axis_grid.cutoff
     k = max(1, int(round(0.15 * n)))
     interior = (slice(k, n - k), slice(k, n - k))
@@ -341,12 +251,12 @@ def verify_spacetime_commutator(
 # uncertainties
 
 
-def uncertainty_report(state: GridState, s: SmearingParams, scheme: str = "spectral") -> UncertaintyReport:
+def uncertainty_report(state: GridState, s: SmearingParams) -> UncertaintyReport:
     """Spreads of the fuzzy position and momentum, the Robertson bound, and dx0.
 
     Requires a normalised plain-measure state.  dx0 = (2/m) sqrt(<X><P>) is
     reported as None when the product <X><P> is negative.  X = i D and
-    X_f = i G D G act matrix-free, with D applied to the rows psi and G psi in one call.
+    X_f = i G D G act matrix-free, with the spectral D applied to the rows psi and G psi in one call.
     """
     if state.measure != "plain":
         raise ContractError("uncertainty_report expects a plain-measure momentum state")
@@ -357,7 +267,7 @@ def uncertainty_report(state: GridState, s: SmearingParams, scheme: str = "spect
     p = state.grid.points
 
     g = s.gaussian(p, half=True)
-    d = apply_d1(np.stack([psi, g * psi]), dp, scheme, axis=1)
+    d = apply_d1(np.stack([psi, g * psi]), dp, "spectral", axis=1)
     x_psi = 1j * d[0]
     xf_psi = 1j * g * d[1]
     rho = psi.real**2 + psi.imag**2
@@ -390,25 +300,3 @@ def fuzzy_angular_eigenvalue(k: int, p_rho: float, s: SmearingParams) -> float:
         raise ValueError("radial momentum must be nonnegative")
     return float(k) * float(np.exp(-(p_rho**2) / s.mass**2))
 
-
-def angular_eigenfunction_phase_samples(
-    l_fz: float, p_rho: float, s: SmearingParams, n_samples: int = 257
-) -> np.ndarray:
-    """Angular part of a rotation-generator eigenfunction on the closed interval [0, 2pi].
-
-    Samples exp(i * l_fz * exp(+p_rho^2/m^2) * r) including both endpoints,
-    so the periodicity (Hermiticity) constraint can be checked directly.  The
-    radial amplitude factor is constant at fixed p_rho and is omitted.
-    """
-    r = np.linspace(0.0, 2.0 * np.pi, n_samples)
-    return np.exp(1j * l_fz * np.exp(p_rho**2 / s.mass**2) * r)
-
-
-def check_lfz_hermiticity_constraint(phi_samples: np.ndarray, rtol: float = 1e-9) -> bool:
-    """True iff the angular samples match at 0 and 2pi within ``rtol`` relative."""
-    v = np.asarray(phi_samples)
-    a, b = complex(v[0]), complex(v[-1])
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return True
-    return abs(a - b) <= rtol * scale

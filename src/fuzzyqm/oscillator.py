@@ -25,7 +25,7 @@ puts an eigenvalue of the grid problem next to each kept value.  That rung
 needs only A times the Hermite functions, so no block is formed.  A is the
 Toeplitz second derivative plus a diagonal, and only the diagonal (and the
 weight) depends on the truncation: the Hermite functions and their Toeplitz
-product, one FFT convolution, are cached per grid, scheme, m and w
+product, one FFT convolution, are cached per grid, m and w
 (``_toeplitz_hermite``, two entries for a grid and its refinement), so the
 quadratic, quartic and exact solves on one grid share one transform.  Where the
 harmonic states do not carry the levels (strong coupling, coarse or narrow
@@ -207,22 +207,22 @@ def _block_product(c: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _toeplitz_hermite(points: bytes, scheme: str, mass: float, omega: float) -> tuple[np.ndarray, ...]:
+def _toeplitz_hermite(points: bytes, mass: float, omega: float) -> tuple[np.ndarray, ...]:
     """Lag vector c, Hermite coordinates H and Toeplitz product T H of a symmetric grid; read-only, cached.
 
     These are the parts of the parity problem that no truncation changes:
-    c is -(m w^2/2) times the second derivative's lag vector, H the first
-    64 Hermite functions at scale sqrt(m w) in block coordinates (the middle
-    row divided by sqrt(2) for odd n), and T H their ``_block_product``.
-    The truncation enters only through the diagonal and the weight, so the
-    quadratic, quartic and exact solves on one grid share one entry.  The
-    key is the grid's points as bytes (a ``MomentumGrid`` is not hashable),
-    the scheme, m and w.  Two entries hold a grid and its refinement, at
+    c is -(m w^2/2) times the spectral second derivative's lag vector, H the
+    first 64 Hermite functions at scale sqrt(m w) in block coordinates (the
+    middle row divided by sqrt(2) for odd n), and T H their
+    ``_block_product``.  The truncation enters only through the diagonal and
+    the weight, so the quadratic, quartic and exact solves on one grid share
+    one entry.  The key is the grid's points as bytes (a ``MomentumGrid`` is
+    not hashable), m and w.  Two entries hold a grid and its refinement, at
     2 * 64 * (n - k) floats each: about 1.5 MB for n = 1024 and 2048.
     """
     p = np.frombuffer(points)
     n, k = p.size, p.size // 2
-    c = -(mass * omega**2 / 2.0) * d2_lags(n, float(p[1] - p[0]), scheme)
+    c = -(mass * omega**2 / 2.0) * d2_lags(n, float(p[1] - p[0]))
     hermite = _hermite_basis(OscillatorSpec(omega, mass), p[: n - k], 2 * _RITZ_SIZE)
     if n % 2:  # coordinates of an even function: sqrt(2) times its sample, but the middle sample itself
         hermite[k] /= np.sqrt(2.0)
@@ -310,7 +310,7 @@ def _ladder(
 
 
 def _parity_solve(
-    spec: OscillatorSpec, grid: MomentumGrid, scheme: str, levels: int, vectors: bool
+    spec: OscillatorSpec, grid: MomentumGrid, levels: int, vectors: bool
 ) -> tuple[list[tuple[float, int, np.ndarray | None]], str]:
     """Lowest ``levels`` (energy, parity, block column) of both parity blocks by energy, and the rungs used.
 
@@ -326,7 +326,7 @@ def _parity_solve(
     n, k = grid.n, grid.n // 2
     diag, weight = _diagonal_and_weight(spec, grid.points[: n - k])
     weight = check_weight(weight, n - k)  # the odd block's weight is a part of it
-    c, hermite, toeplitz = _toeplitz_hermite(grid.points.tobytes(), scheme, spec.mass, spec.omega)
+    c, hermite, toeplitz = _toeplitz_hermite(grid.points.tobytes(), spec.mass, spec.omega)
     product = diag[:, None] * hermite
     product += toeplitz
     found, rungs = [], []
@@ -363,11 +363,10 @@ def numeric_spectrum(
     n_max: int,
     grid: MomentumGrid | None = None,
     n_points: int = 512,
-    scheme: str = "spectral",
     check_refinement: bool = False,
     return_eigenfunctions: bool = False,
 ) -> SpectrumResult:
-    """Lowest n_max+1 levels of the reduced equation on a grid.
+    """Lowest n_max+1 levels of the reduced equation on a grid, with the sinc second derivative.
 
     The grid is symmetric and the problem even under p -> -p, so it is solved
     as two half-size blocks, one per parity (see ``_parity_block``), and the
@@ -385,7 +384,7 @@ def numeric_spectrum(
     block as "even/odd", e.g. "ritz32/ritz32" or "dense/dense".  The states
     are exactly even or odd on the grid.
     The Hermite functions and their FFT product do not depend on the
-    truncation, so they are cached read-only per grid, scheme, m and w
+    truncation, so they are cached read-only per grid, m and w
     (``_toeplitz_hermite``): two entries of 2 * 64 * (n - n // 2) floats,
     about 1.5 MB for a 1024-point grid and its refinement, and the three
     truncations at one w transform each grid once.  Without ``grid``,
@@ -403,14 +402,14 @@ def numeric_spectrum(
         grid = default_grid(spec, n_max, n_points, states=return_eigenfunctions)
     if n_max + 1 > grid.n:
         raise ValueError(f"n_max + 1 = {n_max + 1} levels exceed the {grid.n} grid points")
-    levels, method = _parity_solve(spec, grid, scheme, n_max + 1, return_eigenfunctions)
+    levels, method = _parity_solve(spec, grid, n_max + 1, return_eigenfunctions)
     energies = np.array([e for e, _, _ in levels])
 
     if check_refinement:
         fine = MomentumGrid.symmetric(2 * grid.n, 1.25 * grid.cutoff)
         if spec.truncation == "exact" and 2.0 * fine.cutoff**2 / spec.mass**2 > np.log(WEIGHT_CAP):
             fine = MomentumGrid.symmetric(2 * grid.n, grid.cutoff)
-        ref = np.array([e for e, _, _ in _parity_solve(spec, fine, scheme, n_max + 1, False)[0]])
+        ref = np.array([e for e, _, _ in _parity_solve(spec, fine, n_max + 1, False)[0]])
         rel = np.max(np.abs(ref - energies) / np.maximum(np.abs(ref), 1e-300))
         if rel > 1e-4:
             raise RefinementError(f"spectrum changed by {rel:.2e} under grid refinement")

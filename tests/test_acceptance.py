@@ -24,11 +24,9 @@ from fuzzyqm.deuteron import (
     repulsive_strength,
     solve_depth,
 )
-from fuzzyqm.numerics import MomentumGrid
+from fuzzyqm.numerics import MomentumGrid, apply_d1
 from fuzzyqm.operators import (
     SmearingParams,
-    build_fuzzy_position_op,
-    build_position_op,
     fuzzy_angular_eigenvalue,
     random_smooth_state,
     uncertainty_report,
@@ -228,11 +226,12 @@ def test_criterion_8_property_suites():
     slope = float(np.polyfit(np.log(spacings), np.log(residuals), 1)[0])
     slope_ok = abs(slope - 2.0) <= 0.3
 
+    # X_f = i G D G and X = i D as the operators' matrix-free route applies them, column by column
     g64 = MomentumGrid.symmetric(64, 8.0)
-    huge = SmearingParams(1e6 * g64.cutoff)
-    ops_ok = np.max(
-        np.abs(build_fuzzy_position_op(g64, huge).entries - build_position_op(g64).entries)
-    ) <= 1e-8 * np.max(np.abs(build_position_op(g64).entries))
+    g = SmearingParams(1e6 * g64.cutoff).gaussian(g64.points, half=True)
+    x = 1j * apply_d1(np.eye(64), g64.spacing, "spectral")
+    xf = 1j * g[:, None] * apply_d1(g[:, None] * np.eye(64), g64.spacing, "spectral")
+    ops_ok = np.max(np.abs(xf - x)) <= 1e-8 * np.max(np.abs(x))
 
     w = 0.01
     sho = (np.arange(3) + 0.5) * w

@@ -326,9 +326,9 @@ def test_core_radius_matches_root_of_the_depth_curve(fuzzy_template):
 def test_core_radius_solves_only_the_bracket_ends(fuzzy_template, monkeypatch):
     calls = []
 
-    def counted(r0, template, e_target=None):
+    def counted(r0, template):
         calls.append(r0)
-        return solve_depth(r0, template, e_target)
+        return solve_depth(r0, template)
 
     monkeypatch.setattr(deuteron, "solve_depth", counted)
     core_radius(fuzzy_template)
@@ -502,7 +502,7 @@ def test_problem_inputs_rejected():
 def test_exact_depth_rejects_unbound_target_and_nonpositive_range():
     for e_target in (0.0, 1.0):
         with pytest.raises(ValueError, match="bound target"):
-            exact_depth(1.0, e_target=e_target)
+            exact_depth(1.0, C.with_overrides(e0_binding=e_target))
     for r0 in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive"):
             exact_depth(r0)
@@ -522,9 +522,10 @@ SHOOTING_ENERGY = {
 
 def test_variational_upper_bound_property():
     for (v0, r0), e in SHOOTING_ENERGY.items():
-        v_exact = exact_depth(r0, e_target=e)
+        constants = C.with_overrides(e0_binding=e)
+        v_exact = exact_depth(r0, constants)
         assert v_exact == pytest.approx(v0, rel=3e-4)
-        assert solve_depth(r0, ProblemTemplate(), e_target=e).depth >= v_exact
+        assert solve_depth(r0, ProblemTemplate(constants)).depth >= v_exact
 
 
 # --- eigenfunction push-out ---------------------------------------------------------
