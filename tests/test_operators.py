@@ -15,7 +15,14 @@ from fuzzyqm.operators import (
     verify_commutator_xf_p,
     verify_spacetime_commutator,
 )
-from oracles import build_fuzzy_position_op, build_momentum_op, build_position_op
+from oracles import (
+    SNYDER_WIDTH,
+    build_fuzzy_position_op,
+    build_momentum_op,
+    build_position_op,
+    spacetime_antihermiticity,
+    spacetime_snyder_deviation,
+)
 
 MASS = 1.0
 S = SmearingParams(MASS)
@@ -151,14 +158,20 @@ def test_commutator_regression_value_spectral():
     assert res <= 1e-4
 
 
+# the residuals the commutators command writes at its defaults (mass 1, cutoff 6 m)
+_SPACETIME_RESIDUALS = {48: 0.0443730674749, 64: 0.0246969808662, 96: 0.0116988817644, 128: 0.00672583259724}
+
+
 def test_spacetime_commutator_converges_and_is_antihermitian():
-    res = []
-    for n in (48, 64, 96):
-        rep = verify_spacetime_commutator(MomentumGrid.symmetric(n, 6.0 * MASS), S)
-        assert rep.lhs_antihermiticity <= 1e-12
-        assert rep.rhs_antihermiticity <= 1e-12
-        res.append((rep.residual, 12.0 * MASS / (n - 1)))
-    slope = np.log(res[0][0] / res[-1][0]) / np.log(res[0][1] / res[-1][1])
+    res = {}
+    for n, pinned in _SPACETIME_RESIDUALS.items():
+        grid = MomentumGrid.symmetric(n, 6.0 * MASS)
+        lhs_ah, rhs_ah = spacetime_antihermiticity(grid, MASS)
+        assert lhs_ah <= 1e-12
+        assert rhs_ah <= 1e-12
+        res[n] = verify_spacetime_commutator(grid, S).residual
+        assert res[n] == pytest.approx(pinned, rel=1e-11)
+    slope = np.log(res[48] / res[96]) / np.log(95 / 47)  # the spacing is 12 m / (n - 1)
     assert abs(slope - 2.0) <= 0.3
 
 
@@ -192,7 +205,7 @@ def test_spacetime_commutator_matches_dense_oracle(n):
     psi /= psi.max()
     residual = np.max(np.abs(((lhs - rhs) @ psi.ravel()).reshape(n, n)[inner]))
 
-    wn = 0.07 * MASS
+    wn = SNYDER_WIDTH * MASS
     lhs_s, core_s, _, q1, q2 = _dense_spacetime_sides(np.linspace(-8.0 * wn, 8.0 * wn, n), MASS)
     chi = np.exp(-((q1 - 0.7 * wn) ** 2) / (2.0 * (0.9 * wn) ** 2) - ((q2 + 0.5 * wn) ** 2) / (2.0 * (1.3 * wn) ** 2))
     chi /= chi.max()
@@ -200,9 +213,8 @@ def test_spacetime_commutator_matches_dense_oracle(n):
     defect = (lhs_s @ chi.ravel()).reshape(n, n)[inner] - core_chi
     snyder = np.max(np.abs(defect)) / np.max(np.abs(core_chi))
 
-    rep = verify_spacetime_commutator(grid, S)
-    assert rep.residual == pytest.approx(residual, rel=1e-10)
-    assert rep.snyder_relative_deviation == pytest.approx(snyder, rel=1e-10)
+    assert verify_spacetime_commutator(grid, S).residual == pytest.approx(residual, rel=1e-10)
+    assert spacetime_snyder_deviation(n, MASS) == pytest.approx(snyder, rel=1e-10)
 
 
 def test_spacetime_point_particle_limit_commutes():
@@ -212,8 +224,15 @@ def test_spacetime_point_particle_limit_commutes():
 
 
 def test_spacetime_snyder_limit_for_low_momentum_states():
-    rep = verify_spacetime_commutator(MomentumGrid.symmetric(96, 6.0 * MASS), S)
-    assert rep.snyder_relative_deviation <= 0.05
+    assert spacetime_snyder_deviation(96, MASS) <= 0.05
+
+
+def test_spacetime_check_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random generator was seeded")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    verify_spacetime_commutator(MomentumGrid.symmetric(48, 6.0 * MASS), S)
 
 
 def test_spacetime_memory_guard():
