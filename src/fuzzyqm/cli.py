@@ -353,47 +353,43 @@ def _fuzzy_template(cfg: RunConfig) -> tuple[ProblemTemplate, dict[str, object],
 
 
 def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.action == "range-depth":
-        template = _fuzzy_template(cfg)[0] if args.variant == "fuzzy" else ProblemTemplate(cfg.constants)
-        r0s = _parse_r0_list(args.r0) if args.r0 else [cfg.constants.r0_sigma_fm]
-        points = range_depth_curve(r0s, template)
-        rows = [[p.r0, p.depth, p.alpha_star, p.converged] for p in points]
-        path = _write_table(cfg, "deuteron_range_depth", ["r0_fm", "depth_MeV", "alpha_star", "converged"], rows)
-        print(f"wrote {path}")
-        for p in points:
-            print(f"r0={p.r0:g} fm: depth={p.depth:.4f} MeV (alpha*={p.alpha_star:.4f}, converged={p.converged})")
-        if not all(p.converged for p in points):
-            print("deuteron range-depth: unconverged point(s)", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.action == "core-radius":
-        template, meta, _ = _fuzzy_template(cfg)
-        try:
-            res = core_radius(template)
-        except (BracketingError, RefinementError) as exc:
-            print(f"deuteron core-radius: {exc}", file=sys.stderr)
-            return 1
-        payload = {
-            "core_radius_fm": res.r_c,
-            "bracket": {
-                "lo_fm": res.bracket_lo,
-                "hi_fm": res.bracket_hi,
-                "depth_at_lo_MeV": res.depth_lo,
-                "depth_at_hi_MeV": res.depth_hi,
-            },
-            "metadata": meta,
-        }
-        path = _write_report(cfg, "deuteron_core_radius", payload)
-        print(f"wrote {path}")
-        print(f"core radius r_c = {res.r_c:.4f} fm (depth sign change {res.depth_lo:.1f} -> {res.depth_hi:.1f} MeV)")
-        return 0
-
-    # couplings: the full pipeline
     c = cfg.constants
     stage = "calibration"
     try:
+        if args.action == "range-depth":
+            template = _fuzzy_template(cfg)[0] if args.variant == "fuzzy" else ProblemTemplate(c)
+            r0s = _parse_r0_list(args.r0) if args.r0 else [c.r0_sigma_fm]
+            rows = [[p.r0, p.depth, p.alpha_star, bool(np.isfinite(p.depth))] for p in range_depth_curve(r0s, template)]
+            path = _write_table(cfg, "deuteron_range_depth", ["r0_fm", "depth_MeV", "alpha_star", "converged"], rows)
+            print(f"wrote {path}")
+            for r0, depth, alpha_star, solved in rows:
+                print(f"r0={r0:g} fm: depth={depth:.4f} MeV (alpha*={alpha_star:.4f}, converged={solved})")
+            failed = [f"{r0:g}" for r0, _, _, solved in rows if not solved]
+            if failed:
+                print(f"deuteron range-depth: unconverged at r0 = {', '.join(failed)} fm", file=sys.stderr)
+                return 1
+            return 0
+
         fuzzy_tpl, meta, cal = _fuzzy_template(cfg)
+        if args.action == "core-radius":
+            stage = "core radius"
+            res = core_radius(fuzzy_tpl)
+            payload = {
+                "core_radius_fm": res.r_c,
+                "bracket": {
+                    "lo_fm": res.bracket_lo,
+                    "hi_fm": res.bracket_hi,
+                    "depth_at_lo_MeV": res.depth_lo,
+                    "depth_at_hi_MeV": res.depth_hi,
+                },
+                "metadata": meta,
+            }
+            path = _write_report(cfg, "deuteron_core_radius", payload)
+            print(f"wrote {path}")
+            print(f"core radius r_c = {res.r_c:.4f} fm (depth sign change {res.depth_lo:.1f} -> {res.depth_hi:.1f} MeV)")
+            return 0
+
+        # couplings: the full pipeline
         p_fuz = cal.points[cal.choice]  # the smeared depth at the sigma range, solved by the calibration
         ordinary_tpl = ProblemTemplate(c)
         stage = "ordinary depth"
@@ -402,13 +398,11 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         rc = core_radius(fuzzy_tpl)
         stage = "pion-range depths"
         pion = (solve_depth(1.43, ordinary_tpl), solve_depth(1.43, fuzzy_tpl))
-        if not all(p.converged for p in (p_ord, p_fuz, *pion)):
-            raise RefinementError("range-depth solve did not converge")
     except (BracketingError, ContractError, OverflowGuardError, RefinementError) as exc:
-        print(f"deuteron couplings: stage '{stage}' failed: {exc}", file=sys.stderr)
+        print(f"deuteron {args.action}: stage '{stage}' failed: {exc}", file=sys.stderr)
         return 1
 
-    report = coupling_report(c, p_ord.depth, p_fuz.depth, rc.r_c, meta["smearing_mass_MeV"], meta["smearing_mass_choice"])
+    report = coupling_report(c, p_ord.depth, p_fuz.depth, rc.r_c)
     payload = {
         "couplings": {
             "V0_MeV": report.V0,

@@ -59,7 +59,6 @@ class RangeDepthPoint:
     r0: float
     depth: float
     alpha_star: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,6 @@ class CouplingReport:
     g_omega_phenom_sq_over_4pi: float
     r0: float
     r1: float
-    smearing_mass: float
-    smearing_mass_choice: str
     phenom_deviation_percent: float
 
 
@@ -186,25 +183,24 @@ def _kinetic_and_binding(k: float, b: float | None, alpha: np.ndarray) -> tuple[
     return k * 4.0 * alpha**3 * _smeared_kinetic_integral(alpha, b), g
 
 
-def _minimise_over_alpha(f) -> tuple[float, float, bool]:
-    """Scan f (vectorised over alpha) on the log grid, then refine with Brent's minimiser.
+def _minimise_over_alpha(f, what: str) -> tuple[float, float]:
+    """(alpha, f(alpha)) at the minimum of f (vectorised over alpha): a log-grid scan refined by Brent's minimiser.
 
     The scan is the global search; the refinement brackets the scan minimum
     alpha_i by its two neighbours and shrinks that bracket to 4 sqrt(eps)
     alpha_i in about 10 evaluations.  Near a smooth minimum f changes by
     O(f'' dx^2), which is below the rounding of f once dx is under sqrt(eps)
     alpha, so a finer bracket would only follow noise (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 5).  Returns
-    (alpha, f(alpha), interior); interior is False when the scan minimum sits
-    on the bracket edge, which is then returned unrefined.
+    Minimization without Derivatives, 1973, ch. 5).  A scan minimum on the
+    first or last scan point is no minimum: RefinementError, naming ``what``.
     """
     values = f(_ALPHA_SCAN)
     i = int(np.argmin(values))
     if i == 0 or i == len(_ALPHA_SCAN) - 1:
-        return float(_ALPHA_SCAN[i]), float(values[i]), False
+        raise RefinementError(f"{what} unconverged: alpha*={_ALPHA_SCAN[i]:g} on the scan edge")
     lo, mid, hi = _ALPHA_SCAN[i - 1 : i + 2].tolist()
     a, fa = golden_section(lambda x: float(f(np.array([x]))[0]), lo, hi, tol=_ALPHA_RTOL * mid)
-    return float(a), float(fa), True
+    return float(a), float(fa)
 
 
 def energy_expectation(template: ProblemTemplate, V0: float, r0_fm: float, alpha: float) -> float:
@@ -248,8 +244,8 @@ def solve_depth(r0_fm: float, template: ProblemTemplate) -> RangeDepthPoint:
     Because g(alpha) > 0, min_alpha [T - V0 g] >= E_t exactly when
     V0 <= (T - E_t)/g for every alpha, so the depth is the single minimisation
     V0* = min_alpha (T(alpha) - E_t)/g(alpha), and its minimiser is the optimal
-    alpha at that depth.  A minimiser on the alpha bracket edge comes back with
-    converged=False.
+    alpha at that depth.  Raises RefinementError when the minimiser sits on the
+    edge of the alpha scan.
     """
     target = template.constants.e0_binding
     _, k, b = _scales(template, r0_fm)
@@ -258,8 +254,8 @@ def solve_depth(r0_fm: float, template: ProblemTemplate) -> RangeDepthPoint:
         t, g = _kinetic_and_binding(k, b, alpha)
         return (t - target) / g
 
-    alpha_star, v0, interior = _minimise_over_alpha(depth)
-    return RangeDepthPoint(r0_fm, v0, alpha_star, converged=interior)
+    alpha_star, v0 = _minimise_over_alpha(depth, f"depth at r0={r0_fm:g} fm")
+    return RangeDepthPoint(r0_fm, v0, alpha_star)
 
 
 def range_depth_curve(r0_values, template: ProblemTemplate) -> list[RangeDepthPoint]:
@@ -269,7 +265,7 @@ def range_depth_curve(r0_values, template: ProblemTemplate) -> list[RangeDepthPo
         try:
             points.append(solve_depth(float(r0), template))
         except RefinementError:
-            points.append(RangeDepthPoint(float(r0), float("nan"), float("nan"), False))
+            points.append(RangeDepthPoint(float(r0), float("nan"), float("nan")))
     return points
 
 
@@ -292,16 +288,9 @@ def core_radius(template: ProblemTemplate, bracket: tuple[float, float] = (0.2, 
     if e_t >= 0:
         raise ValueError("the core radius needs a bound target, e0_binding < 0")
     lo, hi = float(bracket[0]), float(bracket[1])
-    depths: dict[float, float] = {}
-    for r0 in (lo, hi):
-        point = solve_depth(r0, template)
-        if not point.converged:
-            raise RefinementError(f"depth at r0={r0:g} fm unconverged: alpha*={point.alpha_star:g} on the scan edge")
-        depths[r0] = point.depth
+    depths = {r0: solve_depth(r0, template).depth for r0 in (lo, hi)}
     _, k, b = _scales(template, hi)
-    alpha, t_min, interior = _minimise_over_alpha(lambda a: _kinetic_and_binding(k, b, a)[0])
-    if not interior:
-        raise RefinementError(f"kinetic minimum at r0={hi:g} fm: alpha={alpha:g} on the scan edge")
+    _, t_min = _minimise_over_alpha(lambda a: _kinetic_and_binding(k, b, a)[0], f"kinetic minimum at r0={hi:g} fm")
     if t_min >= 0:
         raise RefinementError(f"kinetic minimum {t_min:.6g} MeV at r0={hi:g} fm is not negative: no core")
     r_c = hi * (t_min / e_t) ** 0.25
@@ -317,6 +306,7 @@ def calibrate_smearing_mass(constants: PhysicalConstants = DEFAULT_CONSTANTS) ->
 
     The candidate reproducing the reference smeared depth of -81.0 MeV at
     r0 = 0.3596 fm more closely is selected and recorded in output metadata.
+    A candidate whose depth minimiser sits on the alpha scan edge raises RefinementError.
     """
     target = -81.0
     candidates = {"nucleon": constants.nucleon_mass, "reduced": constants.reduced_mass}
@@ -354,14 +344,7 @@ def effective_potential(V0: float, V1: float, r0: float, r1: float, r) -> float 
     return float(v) if np.isscalar(r) else v
 
 
-def coupling_report(
-    constants: PhysicalConstants,
-    V0: float,
-    V0_prime: float,
-    r_c: float,
-    smearing_mass: float,
-    smearing_mass_choice: str,
-) -> CouplingReport:
+def coupling_report(constants: PhysicalConstants, V0: float, V0_prime: float, r_c: float) -> CouplingReport:
     """Couplings from the depths: g^2/4pi = depth * range / (hbar c) per Yukawa term."""
     r0, r1 = constants.r0_sigma_fm, constants.r1_omega_fm
     v1 = repulsive_strength(V0, V0_prime, r0, r1)
@@ -381,8 +364,6 @@ def coupling_report(
         g_omega_phenom_sq_over_4pi=prediction,
         r0=r0,
         r1=r1,
-        smearing_mass=smearing_mass,
-        smearing_mass_choice=smearing_mass_choice,
         phenom_deviation_percent=deviation,
     )
 

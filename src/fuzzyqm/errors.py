@@ -2,7 +2,7 @@
 
 
 class BracketingError(ValueError):
-    """No sign change of the function across the root bracket."""
+    """The smeared depths at the core-radius bracket ends do not change sign around the closed-form radius."""
 
 
 class NonHermitianError(ValueError):

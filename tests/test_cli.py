@@ -242,12 +242,28 @@ def test_deuteron_range_depth_headline(tmp_path):
 
 
 def test_deuteron_range_depth_unconverged_exits_1(tmp_path):
-    # at 100 fm the optimal alpha lies beyond the scan bracket: flagged, not returned as an answer
+    # at 100 fm the optimal alpha lies beyond the scan bracket: recorded as a NaN row, not returned as an answer
     r = run("--out", str(tmp_path), "deuteron", "range-depth", "--variant", "ordinary", "--r0", "100")
     assert r.returncode == 1
-    assert "unconverged" in r.stderr
+    assert "unconverged at r0 = 100 fm" in r.stderr
     _, rows = read_csv(tmp_path / "deuteron_range_depth.csv")
-    assert rows[0]["converged"] == "False"
+    assert rows[0] == {"r0_fm": "100", "depth_MeV": "nan", "alpha_star": "nan", "converged": "False"}
+
+
+@pytest.mark.parametrize(
+    "args", [("range-depth", "--variant", "fuzzy"), ("core-radius",), ("couplings",)], ids=lambda a: a[0]
+)
+def test_deuteron_scan_edge_calibration_exits_1_with_one_line(tmp_path, capsys, args):
+    # at r0_sigma = 0.001 fm both smearing-mass candidates minimise on the alpha scan edge: no candidate is an answer
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("r0_sigma_fm = 0.001\n")
+    out = tmp_path / "o"
+    code = main(["--config", str(cfg), "--out", str(out), "deuteron", *args])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"deuteron {args[0]}: stage 'calibration' failed: ") and "scan edge" in err
+    assert not out.exists()
 
 
 def test_deuteron_constants_override(tmp_path):

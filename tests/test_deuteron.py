@@ -89,14 +89,12 @@ def test_fuzzy_point_particle_limit():
 
 def test_ordinary_headline_depth():
     point = solve_depth(R0_SIGMA, ProblemTemplate())
-    assert point.converged
     assert point.depth == pytest.approx(660.77, rel=0.02)
 
 
 def test_fuzzy_headline_depth_after_calibration():
     cal = calibrate_smearing_mass(C)
     point = solve_depth(R0_SIGMA, ProblemTemplate(C, smearing_mass=cal.mass))
-    assert point.converged
     assert point.depth < 0
     assert point.depth == pytest.approx(-81.0, rel=0.10)
 
@@ -107,7 +105,13 @@ def test_calibration_sweeps_both_candidates():
     assert cal.choice in cal.points
     best = min(cal.points, key=lambda k: abs(cal.points[k].depth - cal.target))
     assert cal.choice == best
-    assert all(p.r0 == R0_SIGMA and p.converged for p in cal.points.values())
+    assert all(p.r0 == R0_SIGMA for p in cal.points.values())
+
+
+def test_calibration_refuses_a_scan_edge_candidate():
+    # at 0.001 fm both candidates' depth minimisers sit on the alpha = 20 edge; comparing them would pick an edge
+    with pytest.raises(RefinementError, match="depth at r0=0.001 fm unconverged: .* on the scan edge"):
+        calibrate_smearing_mass(C.with_overrides(r0_sigma_fm=0.001))
 
 
 def test_min_energy_monotone_in_depth():
@@ -143,7 +147,6 @@ def _cubic_root_alpha(r0):
 def test_ordinary_alpha_star_is_the_cubic_root(r0):
     # alpha* shapes every wavefunction the CLI writes, not only the depth
     point = solve_depth(r0, ProblemTemplate())
-    assert point.converged
     assert point.alpha_star == pytest.approx(_cubic_root_alpha(r0), rel=1e-7)
 
 
@@ -157,7 +160,7 @@ def test_smeared_depth_refinement_evaluation_count(monkeypatch):
         return original(alpha, b)
 
     monkeypatch.setattr(deuteron, "_smeared_kinetic_integral", counted)
-    assert solve_depth(R0_SIGMA, ProblemTemplate(C, smearing_mass=MU)).converged
+    solve_depth(R0_SIGMA, ProblemTemplate(C, smearing_mass=MU))
     assert sizes[0] == 200 and set(sizes[1:]) == {1}
     assert len(sizes) - 1 <= 12  # golden section alone took about 40, Brent to a 1e-9 bracket about 15
 
@@ -182,21 +185,19 @@ def test_range_depth_curve_order_independent():
 def test_solve_depth_flags_alpha_on_scan_edge():
     # at 100 fm the family minimiser (root of the criterion-6 cubic, ~23) lies
     # beyond the alpha bracket, so the scan minimum sits on its 20.0 edge
-    point = solve_depth(100.0, ProblemTemplate())
-    assert point.alpha_star == pytest.approx(20.0, rel=1e-12)
-    assert not point.converged
+    with pytest.raises(RefinementError, match=r"depth at r0=100 fm unconverged: alpha\*=20 on the scan edge"):
+        solve_depth(100.0, ProblemTemplate())
 
 
 def test_range_depth_curve_records_failures_and_continues():
     points = range_depth_curve([100.0, 1.0], ProblemTemplate())
-    assert points[0].r0 == 100.0 and not points[0].converged
-    assert points[1].converged
+    assert points[0].r0 == 100.0 and np.isnan(points[0].depth) and np.isnan(points[0].alpha_star)
+    assert points[1].r0 == 1.0 and points[1].depth == solve_depth(1.0, ProblemTemplate()).depth
 
 
 def test_solve_depth_needs_no_depth_bracket():
     # a depth far beyond any fixed V0 bracket: the minimisation form has none
     point = solve_depth(0.05, ProblemTemplate())
-    assert point.converged
     assert point.depth == pytest.approx(33194.6, rel=1e-5)
     assert point.alpha_star == pytest.approx(0.501, abs=1e-3)
 
@@ -217,7 +218,6 @@ def test_solve_depth_matches_nested_solver(variant, r0):
     tpl = ProblemTemplate() if variant == "ordinary" else ProblemTemplate(C, smearing_mass=MU)
     want = NESTED_SOLVER_DEPTHS[variant][r0]
     point = solve_depth(r0, tpl)
-    assert point.converged
     # the nested solver's V0 root tolerance was 1e-6 MeV, which dominates near the zero crossing
     assert point.depth == pytest.approx(want, rel=1e-8, abs=1e-6 if r0 == 0.56 else 0.0)
 
@@ -303,8 +303,7 @@ def test_core_radius_bracket_verification(fuzzy_template):
 
 def _min_kinetic(template, r0):
     _, k, b = deuteron._scales(template, r0)
-    _, t_min, interior = deuteron._minimise_over_alpha(lambda a: deuteron._kinetic_and_binding(k, b, a)[0])
-    assert interior
+    _, t_min = deuteron._minimise_over_alpha(lambda a: deuteron._kinetic_and_binding(k, b, a)[0], "kinetic minimum")
     return t_min
 
 
@@ -418,7 +417,7 @@ def test_effective_potential_domain_error():
 
 
 def test_coupling_report_reference_inputs():
-    rep = coupling_report(C, 660.77, -81.0, r_c=0.563, smearing_mass=MU, smearing_mass_choice="reduced")
+    rep = coupling_report(C, 660.77, -81.0, r_c=0.563)
     assert rep.g_sigma_sq_over_4pi == pytest.approx(1.20, rel=0.01)
     assert rep.g_omega_sq_over_4pi == pytest.approx(1.815, rel=0.01)
     assert rep.ratio == pytest.approx(1.512, rel=0.01)
@@ -427,8 +426,8 @@ def test_coupling_report_reference_inputs():
 
 
 def test_coupling_ratio_invariant_under_common_rescaling():
-    a = coupling_report(C, 660.77, -81.0, 0.563, MU, "reduced")
-    b = coupling_report(C, 2 * 660.77, 2 * (-81.0), 0.563, MU, "reduced")
+    a = coupling_report(C, 660.77, -81.0, 0.563)
+    b = coupling_report(C, 2 * 660.77, 2 * (-81.0), 0.563)
     assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
     assert b.g_omega_phenom_sq_over_4pi == pytest.approx(a.g_omega_phenom_sq_over_4pi, rel=1e-12)
 
