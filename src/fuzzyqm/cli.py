@@ -28,7 +28,6 @@ from .deuteron import (
     core_radius,
     coupling_report,
     effective_potential,
-    range_depth_curve,
     solve_depth,
     trial_samples,
 )
@@ -359,13 +358,22 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         if args.action == "range-depth":
             template = _fuzzy_template(cfg)[0] if args.variant == "fuzzy" else ProblemTemplate(c)
             r0s = _parse_r0_list(args.r0) if args.r0 else [c.r0_sigma_fm]
-            rows = [[p.r0, p.depth, p.alpha_star, bool(np.isfinite(p.depth))] for p in range_depth_curve(r0s, template)]
+            rows, reasons = [], []
+            for r0 in r0s:  # a range that fails is a NaN row with its reason, and the others go on
+                try:
+                    p = solve_depth(r0, template)
+                    rows.append([p.r0, p.depth, p.alpha_star, bool(np.isfinite(p.depth))])
+                except RefinementError as exc:
+                    rows.append([r0, float("nan"), float("nan"), False])
+                    reasons.append(f"deuteron range-depth: {exc}")
             path = _write_table(cfg, "deuteron_range_depth", ["r0_fm", "depth_MeV", "alpha_star", "converged"], rows)
             print(f"wrote {path}")
             for r0, depth, alpha_star, solved in rows:
                 print(f"r0={r0:g} fm: depth={depth:.4f} MeV (alpha*={alpha_star:.4f}, converged={solved})")
             failed = [f"{r0:g}" for r0, _, _, solved in rows if not solved]
             if failed:
+                for reason in reasons:
+                    print(reason, file=sys.stderr)
                 print(f"deuteron range-depth: unconverged at r0 = {', '.join(failed)} fm", file=sys.stderr)
                 return 1
             return 0

@@ -22,21 +22,25 @@ block is first solved by Rayleigh-Ritz in the Hermite functions of its
 parity at scale sqrt(m w), which are the reduced closed-form eigenstates; an
 answer is kept only when every wanted pair passes a residual bound, which
 puts an eigenvalue of the grid problem next to each kept value.  That rung
-needs only A times the Hermite functions, so no block is formed.  A is the
-Toeplitz second derivative plus a diagonal, and only the diagonal (and the
-weight) depends on the truncation: the Hermite functions and their Toeplitz
-product, one FFT convolution, are cached per grid, m and w
-(``_toeplitz_hermite``, two entries for a grid and its refinement), so the
-quadratic, quartic and exact solves on one grid share one transform.  Where the
-harmonic states do not carry the levels (strong coupling, coarse or narrow
-grids) the dense block of that parity is assembled and diagonalised.
+needs A only on the span of the Hermite functions h, so no block is formed.
+A is the second derivative T (Toeplitz on the grid, Toeplitz plus or minus
+Hankel in a parity block) plus a diagonal, and only the diagonal (and the
+weight) depends on the truncation: the Hermite functions, their product T h
+(one FFT convolution of length n per parity), the projection h^T (T h) and
+the eigendecomposition of h^T h are cached per grid, m and w
+(``_toeplitz_hermite``, two entries for a grid and its refinement).  So the
+quadratic, quartic and exact solves on one grid share one transform, and
+each forms its 32 x 32 reduced problem from one or two products with h.
+Where the harmonic states do not carry the levels (strong coupling, coarse
+or narrow grids) the dense block of that parity is assembled and
+diagonalised.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -174,51 +178,74 @@ def _parity_block(c: np.ndarray, diag: np.ndarray, sign: int) -> np.ndarray:
 
 
 def _block_product(c: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """T x for each column x of ``coords`` in its parity block's coordinates: T = c[|i - j|], A without its diagonal.
+    """T x for each column x of ``coords`` in its parity block's coordinates: T is A's block without its diagonal.
 
     Column j holds the coordinates (left half-grid, plus the middle point for
     odd n) of a vector of the even block for even j and of the odd block for
     odd j, as the Hermite functions h_j alternate in parity; an odd column's
-    middle row is ignored.  Each column is mirrored onto the full grid as an
-    even or odd vector (the middle sample of an even one is sqrt(2) times its
-    coordinate, of an odd one 0), T is applied as a zero-padded FFT
-    convolution of length 2n (as ``apply_d1`` applies D1), one parity's
-    columns at a time with the spectrum multiplied in place, and the left
-    half is read back into coordinates by the same middle rule.  The diagonal
-    of A is not applied: T x plus diag times x agrees with ``_parity_block``
-    times the column up to roundoff.
+    middle row is ignored.  On its m = n - n // 2 coordinates block s is
+    c[|i - j|] + s c[n - 1 - i - j] (``_parity_block``): a Toeplitz part, a
+    circular convolution of length 2m with the lags -(m - 1) ... m - 1, and a
+    Hankel part, the circular correlation with z[t] = c[n - 1 - t], whose
+    spectrum is Z times conj(X) for real x.  So one transform of length 2m
+    answers both: Y = C X + s Z conj(X), one parity's columns at a time with
+    the spectrum multiplied in place.  For odd n the middle point p = 0 is
+    its own mirror and both parts see it: its coordinate is scaled by
+    1/sqrt(2) on the way in (an odd column's by 0) and on the way out, which
+    gives the sqrt(2) coupling of the even block.  T x plus diag times x
+    agrees with ``_parity_block`` times the column up to roundoff.
     """
-    n, k = c.size, c.size // 2
-    kernel = np.fft.rfft(np.concatenate([c, [0.0], c[:0:-1]]))  # lags 0 ... n-1, then -(n-1) ... -1 wrapped
-    out = np.empty((coords.shape[1], n - k))
-    for first, sign in ((0, 1.0), (1, -1.0)):
-        half = coords[:, first::2].T
-        full = np.empty((half.shape[0], n))
-        full[:, : n - k] = half
-        full[:, n - k :] = sign * half[:, :k][:, ::-1]
+    n, m = c.size, c.size - c.size // 2
+    toeplitz = np.fft.rfft(np.concatenate([c[:m], [0.0], c[m - 1 : 0 : -1]]))  # lags 0 ... m-1, -(m-1) ... -1
+    hankel = np.fft.rfft(np.append(c[::-1][: 2 * m - 1], 0.0))  # z[t] = c[n-1-t], t <= 2m - 2
+    out = np.empty((coords.shape[1], m))
+    for parity, sign in ((0, 1.0), (1, -1.0)):
+        x = coords[:, parity::2].T
         if n % 2:
-            full[:, k] = np.sqrt(2.0) * half[:, k] if sign > 0 else 0.0
-        spectrum = np.fft.rfft(full, 2 * n)
-        spectrum *= kernel
-        out[first::2] = np.fft.irfft(spectrum, 2 * n)[:, : n - k]
+            x = x.copy()
+            x[:, m - 1] *= np.sqrt(0.5) if sign > 0 else 0.0
+        spectrum = np.fft.rfft(x, 2 * m)
+        mirrored = np.conj(spectrum)
+        mirrored *= sign * hankel
+        spectrum *= toeplitz
+        spectrum += mirrored
+        out[parity::2] = np.fft.irfft(spectrum, 2 * m)[:, :m]
     if n % 2:
-        out[:, k] /= np.sqrt(2.0)
+        out[:, m - 1] *= np.sqrt(0.5)
     return out.T
 
 
+class _RitzBasis(NamedTuple):
+    """One parity's Hermite functions h in its block coordinates, with what no truncation changes; read-only.
+
+    ``product`` is T h (``_block_product``), ``projected`` is h^T (T h), and
+    ``gram``, ``gram_vectors`` are the eigendecomposition of the unit-weight
+    Gram matrix h^T h (ascending).
+    """
+
+    h: np.ndarray
+    product: np.ndarray
+    projected: np.ndarray
+    gram: np.ndarray
+    gram_vectors: np.ndarray
+
+
 @lru_cache(maxsize=2)
-def _toeplitz_hermite(points: bytes, mass: float, omega: float) -> tuple[np.ndarray, ...]:
-    """Lag vector c, Hermite coordinates H and Toeplitz product T H of a symmetric grid; read-only, cached.
+def _toeplitz_hermite(points: bytes, mass: float, omega: float) -> tuple[np.ndarray, _RitzBasis, _RitzBasis]:
+    """Lag vector c and the even and odd ``_RitzBasis`` of a symmetric grid; read-only, cached.
 
     These are the parts of the parity problem that no truncation changes:
-    c is -(m w^2/2) times the spectral second derivative's lag vector, H the
-    first 64 Hermite functions at scale sqrt(m w) in block coordinates (the
-    middle row divided by sqrt(2) for odd n), and T H their
-    ``_block_product``.  The truncation enters only through the diagonal and
-    the weight, so the quadratic, quartic and exact solves on one grid share
-    one entry.  The key is the grid's points as bytes (a ``MomentumGrid`` is
-    not hashable), m and w.  Two entries hold a grid and its refinement, at
-    2 * 64 * (n - k) floats each: about 1.5 MB for n = 1024 and 2048.
+    c is -(m w^2/2) times the spectral second derivative's lag vector, and
+    each basis holds the first 32 Hermite functions of its parity at scale
+    sqrt(m w) in block coordinates (the middle row divided by sqrt(2) for
+    odd n), their ``_block_product`` T h, the projection h^T (T h) and the
+    eigendecomposition of h^T h.  The truncation enters only through the
+    diagonal and the weight, so the quadratic, quartic and exact solves on
+    one grid share one entry.  The key is the grid's points as bytes (a
+    ``MomentumGrid`` is not hashable), m and w.  Two entries hold a grid and
+    its refinement, at 64 n floats for the functions and their product, n
+    for c and 4160 for the 32 x 32 pieces each: about 1.6 MB for n = 1024
+    and 2048.
     """
     p = np.frombuffer(points)
     n, k = p.size, p.size // 2
@@ -226,10 +253,14 @@ def _toeplitz_hermite(points: bytes, mass: float, omega: float) -> tuple[np.ndar
     hermite = _hermite_basis(OscillatorSpec(omega, mass), p[: n - k], 2 * _RITZ_SIZE)
     if n % 2:  # coordinates of an even function: sqrt(2) times its sample, but the middle sample itself
         hermite[k] /= np.sqrt(2.0)
-    toeplitz = _block_product(c, hermite)
-    for a in (c, hermite, toeplitz):
+    product = _block_product(c, hermite)
+    bases = []
+    for parity, dim in enumerate((n - k, k)):  # each parity's columns copied together, for plain matrix products
+        h, bh = (np.ascontiguousarray(a[:dim, parity::2].T).T for a in (hermite, product))
+        bases.append(_RitzBasis(h, bh, h.T @ bh, *np.linalg.eigh(h.T @ h)))
+    for a in (c, *bases[0], *bases[1]):
         a.flags.writeable = False  # every truncation on the grid shares the cached arrays
-    return c, hermite, toeplitz
+    return c, *bases
 
 
 def _hermite_basis(spec: OscillatorSpec, points: np.ndarray, count: int) -> np.ndarray:
@@ -251,14 +282,20 @@ def _hermite_basis(spec: OscillatorSpec, points: np.ndarray, count: int) -> np.n
 
 
 def _ritz(
-    a_basis: np.ndarray, weight: np.ndarray, basis: np.ndarray, levels: int
+    basis: _RitzBasis, diag: np.ndarray, weight: np.ndarray, levels: int, unit_weight: bool
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lowest ``levels`` Ritz pairs of A x = E W x in span(basis), or None if any fails the residual bound.
+    """Lowest ``levels`` Ritz pairs of A x = E W x in span(basis.h), or None if the rung cannot answer.
 
-    ``a_basis`` is A times ``basis`` (``_block_product``); A itself is not
-    needed.  The basis is W-orthonormalised through its Gram matrix; an
-    ill-conditioned Gram matrix (functions that leave the grid or are not
-    resolved by it) gives None.  A pair (theta, x) is accepted when
+    A = T + diag, so on the basis A is h^T (T h) + h^T (diag h): the cached
+    projection plus one product; A itself is not needed.  The basis is
+    W-orthonormalised through the eigendecomposition of its Gram matrix,
+    the cached one with ``unit_weight`` and h^T (W h) otherwise, and the
+    32 x 32 reduced problem is solved in those coordinates S; a Ritz vector
+    is x = h (S y) and A x = (T h)(S y) + diag x.  None is returned for a
+    basis with fewer columns than wanted levels or more than the block size,
+    and for an ill-conditioned Gram matrix (functions that leave the grid or
+    are not resolved by it), which is refused before it is divided by.  A
+    pair (theta, x) is accepted when
     ||A x - theta W x||_(W^-1) <= _RITZ_RTOL |theta| ||x||_W, which puts an
     eigenvalue of the grid problem within that distance of theta (Kato, J.
     Phys. Soc. Jpn. 4, 334 (1949)).  The bound locates an eigenvalue but not
@@ -268,45 +305,25 @@ def _ritz(
     comparison with the dense rung (``test_ladder_matches_dense_rung``,
     ``test_parity_blocks_match_full_eigh``).
     """
-    g, u = np.linalg.eigh(basis.T @ (weight[:, None] * basis))
+    h = basis.h
+    if not levels <= h.shape[1] <= h.shape[0]:
+        return None
+    if unit_weight:
+        g, u = basis.gram, basis.gram_vectors
+    else:
+        g, u = np.linalg.eigh(h.T @ (weight[:, None] * h))
     if not g[0] > _GRAM_RCOND * g[-1]:
         return None
     scale = u / np.sqrt(g)
-    q = basis @ scale
-    aq = a_basis @ scale
-    theta, y = np.linalg.eigh(q.T @ aq)
-    theta, y = theta[:levels], y[:, :levels]
-    x = q @ y
+    theta, y = np.linalg.eigh(scale.T @ (basis.projected + h.T @ (diag[:, None] * h)) @ scale)
+    theta, coef = theta[:levels], scale @ y[:, :levels]
+    x = h @ coef
+    ax = basis.product @ coef + diag[:, None] * x
     wx = weight[:, None] * x
-    residual = np.sqrt(np.sum((aq @ y - theta * wx) ** 2 / weight[:, None], axis=0))
+    residual = np.sqrt(np.sum((ax - theta * wx) ** 2 / weight[:, None], axis=0))
     if np.all(residual <= _RITZ_RTOL * np.abs(theta) * np.sqrt(np.sum(x * wx, axis=0))):
         return theta, x
     return None
-
-
-def _ladder(
-    block: Callable[[], np.ndarray],
-    a_basis: np.ndarray,
-    weight: np.ndarray,
-    basis: np.ndarray,
-    levels: int,
-    vectors: bool,
-) -> tuple[str, np.ndarray, np.ndarray | None]:
-    """(rung, values, columns) of the block A x = E W x from the first rung that answers it.
-
-    The first rung is Rayleigh-Ritz in the columns of ``basis``, given A
-    times them as ``a_basis``, skipped when it has fewer columns than wanted
-    levels or more than the block size; the last is the dense block, built
-    by ``block()`` only when it is reached, which computes columns only with
-    ``vectors``, else they are None.
-    """
-    size = basis.shape[1]
-    pairs = _ritz(a_basis, weight, basis, levels) if levels <= size <= basis.shape[0] else None
-    if pairs is not None:
-        return f"ritz{size}", *pairs
-    if vectors:
-        return "dense", *eig_generalized(block(), weight, return_eigenvectors=True)
-    return "dense", eig_generalized(block(), weight), None
 
 
 def _parity_solve(
@@ -314,26 +331,27 @@ def _parity_solve(
 ) -> tuple[list[tuple[float, int, np.ndarray | None]], str]:
     """Lowest ``levels`` (energy, parity, block column) of both parity blocks by energy, and the rungs used.
 
-    Each block is solved by ``_ladder`` in the Hermite functions of its parity
-    (``_hermite_basis``), sampled like the block's coordinates.  A times all
-    of them, both parities, is their Toeplitz product, shared with every
-    truncation on the grid through the ``_toeplitz_hermite`` cache, plus this
-    truncation's diagonal times them.  The rungs are named
-    "even/odd", e.g. "ritz32/dense".  The block column (on the left
+    Each block is answered by the first rung that can: Rayleigh-Ritz
+    (``_ritz``) in the Hermite functions of its parity, from the
+    ``_toeplitz_hermite`` cache shared with every truncation on the grid,
+    then the dense block (``_parity_block``), assembled only when it is
+    reached and with eigenvectors only with ``vectors``.  The rungs are
+    named "even/odd", e.g. "ritz32/dense".  The block column (on the left
     half-grid, plus the middle point for odd n in the even block) is
     returned only with ``vectors``, else it is None.
     """
     n, k = grid.n, grid.n // 2
     diag, weight = _diagonal_and_weight(spec, grid.points[: n - k])
     weight = check_weight(weight, n - k)  # the odd block's weight is a part of it
-    c, hermite, toeplitz = _toeplitz_hermite(grid.points.tobytes(), spec.mass, spec.omega)
-    product = diag[:, None] * hermite
-    product += toeplitz
+    c, *bases = _toeplitz_hermite(grid.points.tobytes(), spec.mass, spec.omega)
     found, rungs = [], []
-    for sign, dim in ((1, n - k), (-1, k)):
-        cols = slice((1 - sign) // 2, None, 2)
-        block = partial(_parity_block, c, diag, sign)  # built only if the dense rung is reached
-        rung, vals, vecs = _ladder(block, product[:dim, cols], weight[:dim], hermite[:dim, cols], levels, vectors)
+    for sign, dim, basis in zip((1, -1), (n - k, k), bases):
+        pairs = _ritz(basis, diag[:dim], weight[:dim], levels, spec.truncation != "exact")
+        if pairs is not None:
+            rung, (vals, vecs) = f"ritz{_RITZ_SIZE}", pairs
+        else:  # the dense block, assembled only here
+            rung, a = "dense", _parity_block(c, diag, sign)
+            vals, vecs = eig_generalized(a, weight[:dim], True) if vectors else (eig_generalized(a, weight[:dim]), None)
         rungs.append(rung)
         found += [(float(e), sign, vecs[:, j] if vectors else None) for j, e in enumerate(vals[:levels])]
     return sorted(found, key=lambda level: level[0])[:levels], "/".join(rungs)
@@ -371,25 +389,27 @@ def numeric_spectrum(
     The grid is symmetric and the problem even under p -> -p, so it is solved
     as two half-size blocks, one per parity (see ``_parity_block``), and the
     lowest levels of both are merged.  Each block is answered by the first
-    rung of a ladder (``_ladder``): Rayleigh-Ritz in the first 32 Hermite
-    functions of its parity, with A times them from one FFT product per grid
-    (``_block_product``), kept only when every wanted Ritz pair passes a
-    residual bound that puts an eigenvalue of the block within 1e-9 relative
-    of it; last the dense block, assembled only when this rung is reached,
-    whose eigenvectors are computed only when ``return_eigenfunctions`` asks
-    for the states.  The bound does not show that the located eigenvalue is
-    the i-th lowest; the comparison with the dense rung in the tests
-    (``test_ladder_matches_dense_rung``) is the evidence that no level is
-    skipped for w/m from 0.005 to 0.3.  ``method`` names the rung of each
-    block as "even/odd", e.g. "ritz32/ritz32" or "dense/dense".  The states
-    are exactly even or odd on the grid.
-    The Hermite functions and their FFT product do not depend on the
-    truncation, so they are cached read-only per grid, m and w
-    (``_toeplitz_hermite``): two entries of 2 * 64 * (n - n // 2) floats,
-    about 1.5 MB for a 1024-point grid and its refinement, and the three
-    truncations at one w transform each grid once.  Without ``grid``,
-    ``default_grid`` sizes it, capped at 3.7 m for ``exact`` and when the
-    states are asked for.
+    rung that can (``_parity_solve``): Rayleigh-Ritz in the first 32 Hermite
+    functions of its parity (``_ritz``), kept only when every wanted Ritz
+    pair passes a residual bound that puts an eigenvalue of the block within
+    1e-9 relative of it; last the dense block, assembled only when this rung
+    is reached, whose eigenvectors are computed only when
+    ``return_eigenfunctions`` asks for the states.  The bound does not show
+    that the located eigenvalue is the i-th lowest; the comparison with the
+    dense rung in the tests (``test_ladder_matches_dense_rung``) is the
+    evidence that no level is skipped for w/m from 0.005 to 0.3.  ``method``
+    names the rung of each block as "even/odd", e.g. "ritz32/ritz32" or
+    "dense/dense".  The states are exactly even or odd on the grid.
+    What does not depend on the truncation is cached read-only per grid, m
+    and w (``_toeplitz_hermite``): per parity the Hermite functions h, their
+    product T h with the second derivative (``_block_product``, one FFT of
+    length n per parity), the projection h^T (T h) and the eigendecomposition
+    of h^T h.  Two entries of about 65 n floats each, about 1.6 MB, hold a
+    1024-point grid and its refinement; the three truncations at one w
+    transform each grid once, and each Ritz solve adds one product
+    h^T (diag h), and for ``exact`` the weighted Gram matrix h^T (W h).
+    Without ``grid``, ``default_grid`` sizes it, capped at 3.7 m for
+    ``exact`` and when the states are asked for.
     Dirichlet boundary values are implicit (phi decays inside the grid).
     With ``check_refinement`` the solve is repeated on a grid with doubled
     points and 25% larger cutoff; a relative change above 1e-4 raises

@@ -160,7 +160,7 @@ def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, config):
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])
 def test_out_naming_a_file_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, out):
     (tmp_path / "taken").write_text("keep\n")
-    monkeypatch.setattr(cli, "range_depth_curve", lambda *a: pytest.fail("solved before checking --out"))
+    monkeypatch.setattr(cli, "solve_depth", lambda *a: pytest.fail("solved before checking --out"))
     code = main(["--out", str(tmp_path / out), "deuteron", "range-depth"])
     err = capsys.readouterr().err
     assert code == 2
@@ -245,7 +245,10 @@ def test_deuteron_range_depth_unconverged_exits_1(tmp_path):
     # at 100 fm the optimal alpha lies beyond the scan bracket: recorded as a NaN row, not returned as an answer
     r = run("--out", str(tmp_path), "deuteron", "range-depth", "--variant", "ordinary", "--r0", "100")
     assert r.returncode == 1
-    assert "unconverged at r0 = 100 fm" in r.stderr
+    assert r.stderr.splitlines() == [
+        "deuteron range-depth: depth at r0=100 fm unconverged: alpha*=20 on the scan edge",
+        "deuteron range-depth: unconverged at r0 = 100 fm",
+    ]
     _, rows = read_csv(tmp_path / "deuteron_range_depth.csv")
     assert rows[0] == {"r0_fm": "100", "depth_MeV": "nan", "alpha_star": "nan", "converged": "False"}
 

@@ -290,7 +290,7 @@ def test_ritz_rejects_a_basis_that_misses_the_ground_state(monkeypatch):
     assert all(np.array_equal(x.samples, y.samples) for x, y in zip(res.eigenfunctions, dense.eigenfunctions))
 
 
-@pytest.mark.parametrize("n", [64, 65, 1024])
+@pytest.mark.parametrize("n", [16, 17, 64, 65, 509, 1024])  # tiny, odd and prime n among them
 @pytest.mark.parametrize("scheme", ["central", "spectral"])
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
 def test_block_product_matches_dense_block(n, scheme, truncation):
@@ -325,13 +325,16 @@ def test_hermite_rows_equal_the_column_recurrence(n):
     assert h.T.flags.c_contiguous
 
 
-def _shared(grid: MomentumGrid, mass: float = M, omega: float = W) -> tuple[np.ndarray, ...]:
-    return oscillator._toeplitz_hermite(grid.points.tobytes(), mass, omega)
+def _shared(grid: MomentumGrid, mass: float = M, omega: float = W) -> list[np.ndarray]:
+    """Every array of the grid's cache entry: c, then each field of the even and the odd basis."""
+    c, even, odd = oscillator._toeplitz_hermite(grid.points.tobytes(), mass, omega)
+    return [c, *even, *odd]
 
 
 def test_shared_product_is_keyed_on_everything_it_reads():
     grid = default_grid(OscillatorSpec(W, M), 3, 64)
     base = _shared(grid)
+    assert len(base) == 11
     assert all(a is b for a, b in zip(_shared(grid), base))  # the same key answers from the cache
     others = [
         _shared(MomentumGrid.symmetric(64, 1.01 * grid.cutoff)),
@@ -339,15 +342,16 @@ def test_shared_product_is_keyed_on_everything_it_reads():
         _shared(grid, omega=2.0 * W),
     ]
     for other in others:
-        assert not all(np.array_equal(a, b) for a, b in zip(base, other))
+        assert not any(np.array_equal(a, b) for a, b in zip(base, other))
     info = oscillator._toeplitz_hermite.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 4, 2)
 
 
 def test_shared_product_is_read_only():
-    for a in _shared(default_grid(OscillatorSpec(W, M), 3, 65)):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0.0
+    for n in (64, 65):
+        for a in _shared(default_grid(OscillatorSpec(W, M), 3, n)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 def test_cold_and_warm_solves_are_bit_identical():
@@ -392,6 +396,17 @@ def test_harmonic_regime_solves_no_eigenproblem_above_32(monkeypatch, truncation
     )
     assert res.method == "ritz32/ritz32"
     assert shapes["eigh"] and max(max(shape) for shape in shapes["eigh"] + shapes["eigvalsh"]) <= 32
+
+
+@pytest.mark.parametrize("truncation, solves", [("quadratic", 2), ("quartic", 2), ("exact", 4)])
+def test_ritz_on_a_cached_grid_diagonalises_only_its_reduced_problems(monkeypatch, truncation, solves):
+    # the unit-weight Gram matrices come from the cache; only exact's weight needs its own, one per parity
+    spec = OscillatorSpec(W, M, truncation)
+    grid = default_grid(spec, 3, 1024)
+    _shared(grid)
+    shapes = _record_eigensolves(monkeypatch)
+    assert numeric_spectrum(spec, 3, grid=grid).method == "ritz32/ritz32"
+    assert shapes == {"eigh": [(32, 32)] * solves, "eigvalsh": []}
 
 
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
