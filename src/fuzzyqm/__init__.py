@@ -13,7 +13,6 @@ from .deuteron import (
     effective_potential,
     energy_expectation,
     exact_depth,
-    range_depth_curve,
     repulsive_strength,
     solve_depth,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "fuzzy_angular_eigenvalue",
     "harmonic_spectrum_formula",
     "numeric_spectrum",
-    "range_depth_curve",
     "repulsive_strength",
     "solve_depth",
     "uncertainty_report",

@@ -147,16 +147,26 @@ def _header(cfg: RunConfig) -> dict[str, object]:
     return {"tool": f"fuzzyqm {__version__}", "command": cfg.command_line, "config": cfg.echo()}
 
 
-def _write_table(cfg: RunConfig, name: str, columns: list[str], rows: list[list[object]]) -> Path:
+def _write_table(cfg: RunConfig, name: str, columns: list[str], rows: list[list[object]] | np.ndarray) -> Path:
+    """Write rows of cells, or a float matrix, as <name>.csv or <name>.json under the output directory.
+
+    A row list formats each row with the template of its cell types; a float matrix is all floats, so one
+    template formats it in a single operation.
+    """
+    matrix = isinstance(rows, np.ndarray)
     if cfg.fmt == "json":
-        return _write_report(cfg, name, {"columns": columns, "rows": [dict(zip(columns, r)) for r in rows]})
+        cells = rows.tolist() if matrix else rows
+        return _write_report(cfg, name, {"columns": columns, "rows": [dict(zip(columns, r)) for r in cells]})
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / f"{name}.csv"
     header = _header(cfg)
     header["config"] = " ".join(f"{k}={_fmt(v)}" for k, v in header["config"].items())
     lines = [f"# {k}: {v}" for k, v in header.items()]
     lines.append(",".join(columns))
-    lines.extend(_row_format(tuple(map(type, r))) % tuple(r) for r in rows)
+    if not matrix:
+        lines.extend(_row_format(tuple(map(type, r))) % tuple(r) for r in rows)
+    elif rows.size:
+        lines.append("\n".join([_row_format((float,) * rows.shape[1])] * len(rows)) % tuple(rows.ravel().tolist()))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -282,7 +292,7 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
         cfg,
         "oscillator_eigenfunctions",
         ["p_MeV", "psi_harmonic_n0", "psi_anharmonic_n0", "psi_harmonic_n1", "psi_anharmonic_n1"],
-        np.column_stack(columns).tolist(),
+        np.column_stack(columns),
     )
     print(f"wrote {path2}")
     return 0 if ok else 1
@@ -406,6 +416,15 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         rc = core_radius(fuzzy_tpl)
         stage = "pion-range depths"
         pion = (solve_depth(1.43, ordinary_tpl), solve_depth(1.43, fuzzy_tpl))
+        # optimal trial states at the pion and sigma ranges (smeared vs ordinary), sampled before any file is
+        # written; a solved point's alpha_star is also the energy minimiser at its depth
+        stage = "trial wavefunctions"
+        p_axis = np.linspace(1.0, 1200.0, 400)
+        wavefunctions = {}
+        for o, f in (pion, (p_ord, p_fuz)):
+            psi_o, _ = trial_samples(ordinary_tpl, o.r0, o.alpha_star, p_axis)
+            psi_f, phi_f = trial_samples(fuzzy_tpl, o.r0, f.alpha_star, p_axis)
+            wavefunctions[f"{o.r0:g}".replace(".", "p")] = np.column_stack([p_axis, psi_o, psi_f, phi_f])
     except (BracketingError, ContractError, OverflowGuardError, RefinementError) as exc:
         print(f"deuteron {args.action}: stage '{stage}' failed: {exc}", file=sys.stderr)
         return 1
@@ -433,22 +452,12 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     r_grid = np.arange(0.05, 3.0001, 0.005)
     v = effective_potential(report.V0, report.V1, report.r0, report.r1, r_grid)
-    path2 = _write_table(cfg, "effective_potential", ["r_fm", "V_MeV"], np.column_stack([r_grid, v]).tolist())
+    path2 = _write_table(cfg, "effective_potential", ["r_fm", "V_MeV"], np.column_stack([r_grid, v]))
     print(f"wrote {path2}")
 
-    # optimal trial states at the pion and sigma ranges (smeared vs ordinary); a solved
-    # point's alpha_star is also the energy minimiser at its depth
-    for o, f in (pion, (p_ord, p_fuz)):
-        r0 = o.r0
-        p_axis = np.linspace(1.0, 1200.0, 400)
-        psi_o, _ = trial_samples(ordinary_tpl, r0, o.alpha_star, p_axis)
-        psi_f, phi_f = trial_samples(fuzzy_tpl, r0, f.alpha_star, p_axis)
-        tag = f"{r0:g}".replace(".", "p")
+    for tag, samples in wavefunctions.items():
         path3 = _write_table(
-            cfg,
-            f"deuteron_wavefunctions_r0_{tag}",
-            ["p_MeV", "psi_ordinary", "psi_fuzzy", "phi_fuzzy"],
-            np.column_stack([p_axis, psi_o, psi_f, phi_f]).tolist(),
+            cfg, f"deuteron_wavefunctions_r0_{tag}", ["p_MeV", "psi_ordinary", "psi_fuzzy", "phi_fuzzy"], samples
         )
         print(f"wrote {path3}")
 

@@ -44,12 +44,15 @@ from .errors import BracketingError, ContractError, OverflowGuardError, Refineme
 from .numerics.solvers import golden_section
 
 _ALPHA_SCAN = np.logspace(np.log10(0.01), np.log10(20.0), 200)
+_SCAN_LO, _SCAN_HI = _ALPHA_SCAN[[0, -1]].tolist()
 _ALPHA_RTOL = 4.0 * float(np.sqrt(np.finfo(float).eps))  # Brent's final bracket, relative to the scan minimum
 _KINETIC_REL_TOL = 1e-9
 _KINETIC_STEP = 0.06  # step in ln u of the fine smeared-kinetic rule; the check rule doubles it
 _ORACLE_BOX = 10.0  # exact-depth box radius in units of the bound state's decay length 1/kappa
 _ORACLE_STEPS_PER_RANGE = 16  # coarse exact-depth grid steps per range r0
 _PENCIL_CAP = 1e300  # largest upper end the exact-depth bisection doubles to
+_CORE_KINETIC_R0 = 1.0  # fm, the range of the core radius's kinetic minimisation; any range gives the same r_c
+_CORE_EVIDENCE_STEP = 0.1  # the core radius's evidence depths are solved at r_c (1 -+ this)
 
 
 @dataclass(frozen=True)
@@ -139,22 +142,27 @@ def _kinetic_weights(b: float, a_lo: float, a_hi: float) -> tuple[np.ndarray, np
     return u, w
 
 
-def _smeared_kinetic_integral(alpha: np.ndarray, b: float) -> np.ndarray:
-    """integral (a^2 u^2 + 2 a b u^3 - 3 b^2 u^4) exp(-2 b u^2 - 2 a u) du for every a in alpha.
+def _smeared_kinetic_integral(alpha, b: float):
+    """integral (a^2 u^2 + 2 a b u^3 - 3 b^2 u^4) exp(-2 b u^2 - 2 a u) du at alpha, a float or a 1-D array.
 
-    alpha enters only through exp(-2 a u): one exponential and one product give the moments of both rules.
+    alpha enters only through exp(-2 a u): one exponential and one (rows, n) @ (n, 6) product give the moments
+    of both rules, a float being one row.  A float's moments are read out as floats, so its Horner sums and
+    rule-doubling check run in float arithmetic.
     """
-    u, w = _kinetic_weights(b, min(alpha.min(), _ALPHA_SCAN[0]), max(alpha.max(), _ALPHA_SCAN[-1]))
-    e = np.multiply.outer(alpha, -2.0 * u)
+    scalar = not isinstance(alpha, np.ndarray)
+    a_lo, a_hi = (alpha, alpha) if scalar else (alpha.min(), alpha.max())
+    u, w = _kinetic_weights(b, min(a_lo, _SCAN_LO), max(a_hi, _SCAN_HI))
+    e = np.multiply.outer((alpha,) if scalar else alpha, -2.0 * u)
     np.exp(e, out=e)
-    m = (e @ w).reshape(len(alpha), 2, 3).swapaxes(0, 1)
-    fine, coarse = (m[..., 0] * alpha + 2.0 * b * m[..., 1]) * alpha - 3.0 * b**2 * m[..., 2]
-    stable = np.abs(fine - coarse) <= _KINETIC_REL_TOL * np.maximum(np.abs(fine), 1e-300)
-    if not np.all(stable):
-        i = int(np.argmin(stable))
+    m = (e @ w).tolist()[0] if scalar else (e @ w).T
+    fine, coarse = ((m[i] * alpha + 2.0 * b * m[i + 1]) * alpha - 3.0 * b**2 * m[i + 2] for i in (0, 3))
+    stable = abs(fine - coarse) <= _KINETIC_REL_TOL * abs(fine)
+    if not (stable if scalar else stable.all()):
+        i = int(np.argmin(np.atleast_1d(stable)))
+        a, c, f = (np.atleast_1d(x)[i] for x in (alpha, coarse, fine))
         raise RefinementError(
-            f"smeared kinetic integral at alpha={alpha[i]:.6g} did not stabilise to {_KINETIC_REL_TOL:g} "
-            f"under rule doubling ({coarse[i]:.12g} vs {fine[i]:.12g})"
+            f"smeared kinetic integral at alpha={a:.6g} did not stabilise to {_KINETIC_REL_TOL:g} "
+            f"under rule doubling ({c:.12g} vs {f:.12g})"
         )
     return fine
 
@@ -170,8 +178,8 @@ def _scales(template: ProblemTemplate, r0_fm: float) -> tuple[float, float, floa
     return r0n, k, b
 
 
-def _kinetic_and_binding(k: float, b: float | None, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T(alpha), g(alpha)) with E(alpha; V0) = T - V0 g over a 1-D alpha array, for k and b from ``_scales``.
+def _kinetic_and_binding(k: float, b: float | None, alpha):
+    """(T(alpha), g(alpha)) with E(alpha; V0) = T - V0 g at a float alpha or over a 1-D array, k and b from ``_scales``.
 
     The norm, potential and plain kinetic integrals are 1/(4 a^3), 1/(2a+1)^2
     and 1/(4 a), so g = 4 a^3/(2a+1)^2 > 0 and the ordinary T = k a^2; only
@@ -184,7 +192,7 @@ def _kinetic_and_binding(k: float, b: float | None, alpha: np.ndarray) -> tuple[
 
 
 def _minimise_over_alpha(f, what: str) -> tuple[float, float]:
-    """(alpha, f(alpha)) at the minimum of f (vectorised over alpha): a log-grid scan refined by Brent's minimiser.
+    """(alpha, f(alpha)) at the minimum of f (of a float or an array): an array scan refined by Brent on floats.
 
     The scan is the global search; the refinement brackets the scan minimum
     alpha_i by its two neighbours and shrinks that bracket to 4 sqrt(eps)
@@ -199,16 +207,15 @@ def _minimise_over_alpha(f, what: str) -> tuple[float, float]:
     if i == 0 or i == len(_ALPHA_SCAN) - 1:
         raise RefinementError(f"{what} unconverged: alpha*={_ALPHA_SCAN[i]:g} on the scan edge")
     lo, mid, hi = _ALPHA_SCAN[i - 1 : i + 2].tolist()
-    a, fa = golden_section(lambda x: float(f(np.array([x]))[0]), lo, hi, tol=_ALPHA_RTOL * mid)
-    return float(a), float(fa)
+    return golden_section(lambda x: float(f(x)), lo, hi, tol=_ALPHA_RTOL * mid)
 
 
 def energy_expectation(template: ProblemTemplate, V0: float, r0_fm: float, alpha: float) -> float:
     """Energy <psi|H|psi>/<psi|psi> (MeV) of the trial alpha at depth V0 and range r0, in the problem's measure."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    t, g = _kinetic_and_binding(*_scales(template, r0_fm)[1:], np.array([alpha]))
-    return float(t[0] - V0 * g[0])
+    t, g = _kinetic_and_binding(*_scales(template, r0_fm)[1:], alpha)
+    return float(t - V0 * g)
 
 
 def trial_samples(
@@ -250,7 +257,7 @@ def solve_depth(r0_fm: float, template: ProblemTemplate) -> RangeDepthPoint:
     target = template.constants.e0_binding
     _, k, b = _scales(template, r0_fm)
 
-    def depth(alpha: np.ndarray) -> np.ndarray:
+    def depth(alpha):
         t, g = _kinetic_and_binding(k, b, alpha)
         return (t - target) / g
 
@@ -258,18 +265,7 @@ def solve_depth(r0_fm: float, template: ProblemTemplate) -> RangeDepthPoint:
     return RangeDepthPoint(r0_fm, v0, alpha_star)
 
 
-def range_depth_curve(r0_values, template: ProblemTemplate) -> list[RangeDepthPoint]:
-    """Pointwise depth solve over the given ranges; failures are recorded, the curve continues."""
-    points: list[RangeDepthPoint] = []
-    for r0 in r0_values:
-        try:
-            points.append(solve_depth(float(r0), template))
-        except RefinementError:
-            points.append(RangeDepthPoint(float(r0), float("nan"), float("nan")))
-    return points
-
-
-def core_radius(template: ProblemTemplate, bracket: tuple[float, float] = (0.2, 1.0)) -> CoreRadiusResult:
+def core_radius(template: ProblemTemplate) -> CoreRadiusResult:
     """Radius where the smeared well depth crosses zero, in closed form from one minimisation.
 
     Below the core radius the depth that reproduces the binding energy is
@@ -279,25 +275,28 @@ def core_radius(template: ProblemTemplate, bracket: tuple[float, float] = (0.2, 
     and k b is proportional to r0^-4, so min_alpha T(alpha; r0) = C/r0^4.  Since
     g > 0 the depth V0*(r0) = min_alpha (T - E_t)/g is zero exactly when
     min_alpha T = E_t, which gives r_c = r0 (min_alpha T(alpha; r0)/E_t)^(1/4)
-    at any r0.  The minimum is taken at the bracket's upper end; the depths at
-    both ends are solved as evidence and must straddle zero around r_c.
+    at any r0.  The minimum is taken at 1 fm; the depths at r_c (1 -+ 0.1) are
+    solved as evidence and must straddle zero.
     """
     if template.smearing_mass is None:
         raise ContractError("the core radius is defined for the smeared (fuzzy) problem")
     e_t = template.constants.e0_binding
     if e_t >= 0:
         raise ValueError("the core radius needs a bound target, e0_binding < 0")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    depths = {r0: solve_depth(r0, template).depth for r0 in (lo, hi)}
-    _, k, b = _scales(template, hi)
-    _, t_min = _minimise_over_alpha(lambda a: _kinetic_and_binding(k, b, a)[0], f"kinetic minimum at r0={hi:g} fm")
+    _, k, b = _scales(template, _CORE_KINETIC_R0)
+    what = f"kinetic minimum at r0={_CORE_KINETIC_R0:g} fm"
+    _, t_min = _minimise_over_alpha(lambda a: _kinetic_and_binding(k, b, a)[0], what)
     if t_min >= 0:
-        raise RefinementError(f"kinetic minimum {t_min:.6g} MeV at r0={hi:g} fm is not negative: no core")
-    r_c = hi * (t_min / e_t) ** 0.25
-    if not (depths[lo] < 0 < depths[hi] and lo < r_c < hi):
-        curve = ", ".join(f"r0={r:.2f}: {v:.2f}" for r, v in depths.items())
-        raise BracketingError(f"no sign change of the depth in [{lo}, {hi}] fm around r_c={r_c:.4f} fm; curve: {curve}")
-    return CoreRadiusResult(r_c, lo, hi, depths[lo], depths[hi])
+        raise RefinementError(f"{what} {t_min:.6g} MeV is not negative: no core")
+    r_c = _CORE_KINETIC_R0 * (t_min / e_t) ** 0.25
+    lo, hi = r_c * (1.0 - _CORE_EVIDENCE_STEP), r_c * (1.0 + _CORE_EVIDENCE_STEP)
+    depth_lo, depth_hi = (solve_depth(r0, template).depth for r0 in (lo, hi))
+    if not depth_lo < 0 < depth_hi:
+        raise BracketingError(
+            f"no sign change of the depth in [{lo:.4f}, {hi:.4f}] fm around r_c={r_c:.4f} fm; "
+            f"curve: r0={lo:.4f}: {depth_lo:.2f}, r0={hi:.4f}: {depth_hi:.2f}"
+        )
+    return CoreRadiusResult(r_c, lo, hi, depth_lo, depth_hi)
 
 
 @lru_cache(maxsize=8)

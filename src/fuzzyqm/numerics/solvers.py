@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from ..errors import RefinementError
 
-_GOLDEN_STEP = 0.5 * (3.0 - np.sqrt(5.0))  # share of the larger segment that a golden step covers
+_GOLDEN_STEP = 0.5 * (3.0 - math.sqrt(5.0))  # share of the larger segment that a golden step covers
 _MAX_STEPS = 200  # golden steps alone would shrink the bracket by 1e-41 in as many
 
 

@@ -20,7 +20,6 @@ from fuzzyqm.deuteron import (
     coupling_report,
     energy_expectation,
     exact_depth,
-    range_depth_curve,
     repulsive_strength,
     solve_depth,
 )
@@ -262,8 +261,8 @@ def test_criterion_8_property_suites():
 
 def test_criterion_9_fuzzy_below_ordinary(fuzzy_template):
     r0s = np.linspace(0.25, 1.5, 10)
-    ordinary = range_depth_curve(r0s, ProblemTemplate())
-    fuzzy = range_depth_curve(r0s, fuzzy_template)
+    ordinary = [solve_depth(r0, ProblemTemplate()) for r0 in r0s.tolist()]
+    fuzzy = [solve_depth(r0, fuzzy_template) for r0 in r0s.tolist()]
     exceptions = [
         (o.r0, o.depth, f.depth) for o, f in zip(ordinary, fuzzy) if not (f.depth < o.depth)
     ]

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fuzzyqm import cli
 from fuzzyqm.cli import RunConfig, main
 from fuzzyqm.constants import DEFAULT_CONSTANTS
+from fuzzyqm.deuteron import ProblemTemplate, calibrate_smearing_mass, solve_depth
 
 CLI = [sys.executable, "-m", "fuzzyqm.cli"]
 
@@ -269,6 +271,18 @@ def test_deuteron_scan_edge_calibration_exits_1_with_one_line(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_deuteron_overflowing_trial_samples_exit_1_with_one_line(tmp_path, capsys):
+    # with 40 MeV nucleons every depth solves, but the smeared trial at 1200 MeV overflows: no file may be written
+    cfg = tmp_path / "light.cfg"
+    cfg.write_text("m_proton = 40\nm_neutron = 40\n")
+    out = tmp_path / "o"
+    code = main(["--config", str(cfg), "--out", str(out), "deuteron", "couplings"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("deuteron couplings: stage 'trial wavefunctions' failed: smeared trial exponent ")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
 def test_deuteron_constants_override(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("e0_binding = -1.0\n")
@@ -289,7 +303,22 @@ def test_deuteron_core_radius_report(tmp_path):
     doc = json.loads((tmp_path / "deuteron_core_radius.json").read_text())
     assert abs(doc["core_radius_fm"] - 0.563) <= 0.03
     assert doc["bracket"]["depth_at_lo_MeV"] < 0 < doc["bracket"]["depth_at_hi_MeV"]
+    assert [doc["bracket"]["lo_fm"], doc["bracket"]["hi_fm"]] == pytest.approx(
+        [0.9 * doc["core_radius_fm"], 1.1 * doc["core_radius_fm"]], rel=1e-15
+    )
     assert doc["metadata"]["smearing_mass_choice"] in ("nucleon", "reduced")
+
+
+def test_core_radius_evidence_follows_r_c_for_light_nucleons(tmp_path):
+    # 80 MeV nucleons put r_c at 2.50 fm, outside any fixed evidence bracket such as [0.2, 1.0] fm
+    cfg = tmp_path / "light.cfg"
+    cfg.write_text("m_proton = 80\nm_neutron = 80\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "deuteron", "couplings"]) == 0
+    r_c = json.loads((tmp_path / "o" / "deuteron_couplings.json").read_text())["couplings"]["core_radius_fm"]
+    constants = DEFAULT_CONSTANTS.with_overrides(m_proton=80.0, m_neutron=80.0)
+    template = ProblemTemplate(constants, smearing_mass=calibrate_smearing_mass(constants).mass)
+    oracle = brentq(lambda r: solve_depth(r, template).depth, 2.0, 3.0, xtol=1e-14)
+    assert abs(r_c - oracle) <= 1e-9
 
 
 def test_deuteron_couplings_pipeline(tmp_path):
@@ -355,6 +384,23 @@ def test_mixed_type_table_writes_the_per_cell_join(tmp_path):
     doc = json.loads(cli._write_table(cfg, "table", columns, rows).read_text())
     want = [dict(zip(columns, r)) for r in rows]
     assert json.dumps(doc["rows"], sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [3, 0])
+def test_float_matrix_table_writes_the_row_bytes(tmp_path, fmt, n_rows):
+    # the one-template matrix path and the per-row path must not differ by a byte
+    matrix = np.array(
+        [[float("nan"), float("inf"), -float("inf")], [-0.0, 1e16, 1.0 / 3.0], [5e-324, 1.797e308, -2.5]]
+    )[:n_rows]
+    columns = ["a", "b", "c"]
+    written = []
+    for name, rows in (("matrix", matrix), ("rows", matrix.tolist())):
+        cfg = RunConfig(DEFAULT_CONSTANTS, 512, 8.0, tmp_path / name, fmt, "fuzzyqm deuteron couplings")
+        written.append(cli._write_table(cfg, "table", columns, rows).read_bytes())
+    assert written[0] == written[1]
+    if fmt == "csv":
+        assert len(written[0].splitlines()) == 4 + n_rows  # three header lines and the column names
 
 
 def test_dense_rung_numbers_agree_across_blas_thread_counts(tmp_path):

@@ -17,7 +17,6 @@ from fuzzyqm.deuteron import (
     effective_potential,
     energy_expectation,
     exact_depth,
-    range_depth_curve,
     repulsive_strength,
     solve_depth,
     trial_samples,
@@ -151,35 +150,44 @@ def test_ordinary_alpha_star_is_the_cubic_root(r0):
 
 
 def test_smeared_depth_refinement_evaluation_count(monkeypatch):
-    # the scan is one 200-alpha call; every size-1 call after it is one step of the minimiser
-    sizes = []
+    # the scan is one 200-alpha array call; every float call after it is one step of the minimiser
+    alphas = []
     original = deuteron._smeared_kinetic_integral
 
     def counted(alpha, b):
-        sizes.append(len(alpha))
+        alphas.append(alpha)
         return original(alpha, b)
 
     monkeypatch.setattr(deuteron, "_smeared_kinetic_integral", counted)
     solve_depth(R0_SIGMA, ProblemTemplate(C, smearing_mass=MU))
-    assert sizes[0] == 200 and set(sizes[1:]) == {1}
-    assert len(sizes) - 1 <= 12  # golden section alone took about 40, Brent to a 1e-9 bracket about 15
+    assert isinstance(alphas[0], np.ndarray) and alphas[0].shape == (200,)
+    assert {type(a) for a in alphas[1:]} == {float}
+    assert len(alphas) - 1 <= 12  # golden section alone took about 40, Brent to a 1e-9 bracket about 15
+
+
+@pytest.mark.parametrize("r0", [0.2, R0_SIGMA, 1.0, 1.43])
+@pytest.mark.parametrize("smearing_mass", [None, MU])
+def test_float_alpha_matches_a_one_element_array(smearing_mass, r0):
+    # Brent's floats and the scan's arrays go through the same expressions; only x**3 may round apart
+    _, k, b = deuteron._scales(ProblemTemplate(C, smearing_mass=smearing_mass), r0)
+    for a in deuteron._ALPHA_SCAN.tolist():
+        t, g = deuteron._kinetic_and_binding(k, b, a)
+        (t_arr,), (g_arr,) = deuteron._kinetic_and_binding(k, b, np.array([a]))
+        assert type(t) is float and type(g) is float
+        assert abs(t - t_arr) <= 1e-15 * abs(t_arr) and abs(g - g_arr) <= 1e-15 * g_arr
 
 
 def test_fuzzy_curve_below_ordinary_everywhere():
     cal = calibrate_smearing_mass(C)
-    r0s = np.linspace(0.25, 1.5, 6)
-    ordinary = range_depth_curve(r0s, ProblemTemplate())
-    fuzzy = range_depth_curve(r0s, ProblemTemplate(C, smearing_mass=cal.mass))
-    for o, f in zip(ordinary, fuzzy):
-        assert f.depth < o.depth
+    for r0 in np.linspace(0.25, 1.5, 6).tolist():
+        assert solve_depth(r0, ProblemTemplate(C, smearing_mass=cal.mass)).depth < solve_depth(r0, ProblemTemplate()).depth
 
 
 def test_range_depth_curve_order_independent():
     r0s = [0.4, 0.8, 1.2]
-    fwd = range_depth_curve(r0s, ProblemTemplate())
-    rev = range_depth_curve(r0s[::-1], ProblemTemplate())
-    for a, b in zip(fwd, rev[::-1]):
-        assert a.depth == b.depth and a.alpha_star == b.alpha_star
+    fwd = [solve_depth(r0, ProblemTemplate()) for r0 in r0s]
+    rev = [solve_depth(r0, ProblemTemplate()) for r0 in r0s[::-1]]
+    assert fwd == rev[::-1]
 
 
 def test_solve_depth_flags_alpha_on_scan_edge():
@@ -190,9 +198,11 @@ def test_solve_depth_flags_alpha_on_scan_edge():
 
 
 def test_range_depth_curve_records_failures_and_continues():
-    points = range_depth_curve([100.0, 1.0], ProblemTemplate())
-    assert points[0].r0 == 100.0 and np.isnan(points[0].depth) and np.isnan(points[0].alpha_star)
-    assert points[1].r0 == 1.0 and points[1].depth == solve_depth(1.0, ProblemTemplate()).depth
+    # a failed range leaves nothing behind: the next solve equals a fresh one
+    fresh = solve_depth(1.0, ProblemTemplate())
+    with pytest.raises(RefinementError, match="scan edge"):
+        solve_depth(100.0, ProblemTemplate())
+    assert solve_depth(1.0, ProblemTemplate()) == fresh
 
 
 def test_solve_depth_needs_no_depth_bracket():
@@ -263,12 +273,15 @@ def test_smeared_kinetic_beyond_the_scan_matches_scalar_quadrature(mass, r0):
 
 
 def test_smeared_kinetic_raises_when_rule_doubling_disagrees(monkeypatch):
-    # a step of 0.5 in ln u (1.0 for the check rule) is too coarse at alpha = 0.01
+    # a step of 0.5 in ln u (1.0 for the check rule) is too coarse at alpha = 0.01, for the scan and for a float
     monkeypatch.setattr(deuteron, "_KINETIC_STEP", 0.5)
     deuteron._kinetic_weights.cache_clear()
     try:
         with pytest.raises(RefinementError, match="did not stabilise"):
             solve_depth(R0_SIGMA, ProblemTemplate(C, smearing_mass=MU))
+        _, _, b = deuteron._scales(_fuzzy(MU), R0_SIGMA)
+        with pytest.raises(RefinementError, match=r"alpha=0\.01 did not stabilise"):
+            _smeared_kinetic_integral(0.01, b)
     finally:
         deuteron._kinetic_weights.cache_clear()
 
@@ -330,14 +343,15 @@ def test_core_radius_solves_only_the_bracket_ends(fuzzy_template, monkeypatch):
         return solve_depth(r0, template)
 
     monkeypatch.setattr(deuteron, "solve_depth", counted)
-    core_radius(fuzzy_template)
-    assert calls == [0.2, 1.0]
+    res = core_radius(fuzzy_template)
+    assert calls == [res.bracket_lo, res.bracket_hi] == pytest.approx([0.9 * res.r_c, 1.1 * res.r_c], rel=1e-15)
 
 
 def test_core_radius_rejects_unconverged_kinetic_minimum(fuzzy_template):
-    # the kinetic minimiser sits at alpha r0 = 0.22 fm, below the alpha scan at 30 fm, where the depth still converges
-    with pytest.raises(RefinementError, match="kinetic minimum at r0=30 fm"):
-        core_radius(fuzzy_template, bracket=(0.2, 30.0))
+    # the kinetic minimiser at 1 fm, alpha = 0.22 at the calibrated mass, scales as 1/M: below the scan at 30 M
+    heavy = ProblemTemplate(C, smearing_mass=30.0 * fuzzy_template.smearing_mass)
+    with pytest.raises(RefinementError, match=r"kinetic minimum at r0=1 fm unconverged: alpha\*=0\.01 on the scan edge"):
+        core_radius(heavy)
 
 
 def test_core_radius_does_not_depend_on_the_sigma_range(fuzzy_template):
@@ -357,10 +371,15 @@ def test_core_radius_requires_a_bound_target():
         core_radius(ProblemTemplate(C.with_overrides(e0_binding=0.0), smearing_mass=MU))
 
 
+def _shallow(template, e0_binding):
+    return ProblemTemplate(C.with_overrides(e0_binding=e0_binding), smearing_mass=template.smearing_mass)
+
+
 def test_core_radius_rejects_unconverged_depth(fuzzy_template):
-    # an edge-of-scan depth at 100 fm must not enter the bracket evidence as if it were a depth
-    with pytest.raises(RefinementError, match="scan edge"):
-        core_radius(fuzzy_template, bracket=(0.2, 100.0))
+    # r_c grows as |E_t|^(-1/4), to 28 fm here, and the depth minimiser there falls below the scan's alpha = 0.01:
+    # that edge-of-scan depth must not enter the evidence as if it were a depth
+    with pytest.raises(RefinementError, match=r"depth at r0=28\.25\d* fm unconverged: alpha\*=0\.01 on the scan edge"):
+        core_radius(_shallow(fuzzy_template, -2.226e-7))
 
 
 def test_core_radius_requires_fuzzy_variant():
@@ -369,8 +388,9 @@ def test_core_radius_requires_fuzzy_variant():
 
 
 def test_core_radius_no_sign_change_dump(fuzzy_template):
-    with pytest.raises(BracketingError, match="curve"):
-        core_radius(fuzzy_template, bracket=(0.7, 1.0))
+    # at r_c = 56 fm the depth's negative region lies below the alpha scan, and an interior scan minimum is positive
+    with pytest.raises(BracketingError, match=r"around r_c=55\.8224 fm; curve: r0=50\.2401: 0\.03, r0=61\.4046: 0\.02"):
+        core_radius(_shallow(fuzzy_template, -2.226e-8))
 
 
 # --- repulsive strength and effective interaction ---------------------------------

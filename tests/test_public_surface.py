@@ -29,7 +29,6 @@ EXPORTS = {
         "fuzzy_angular_eigenvalue",
         "harmonic_spectrum_formula",
         "numeric_spectrum",
-        "range_depth_curve",
         "repulsive_strength",
         "solve_depth",
         "uncertainty_report",
