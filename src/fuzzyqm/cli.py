@@ -50,7 +50,8 @@ _SPAN = f"within [{_SCALE_RANGE[0]:g}, {_SCALE_RANGE[1]:g}]"
 _MAX_LADDER_POINTS = 65_536  # finest commutator ladder grid, n0 * 2^(levels - 1)
 _MAX_GRID_POINTS = 8_192  # --npoints and the n_points config key
 _HARMONIC_RATIO_MAX = 2.0**52  # --omega/--mass of the quadratic closed form: its spacing w spans two roundings of w^2/2m
-_POSITIVE_CONSTANTS = ("hbar_c", "m_proton", "m_neutron", "m_sigma", "m_omega", "m_pi", "r0_sigma_fm", "r1_omega_fm")
+_POSITIVE_CONSTANTS = ("hbar_c", "m_proton", "m_neutron", "r0_sigma_fm", "r1_omega_fm")
+_PION_RANGE_FM = 1.43  # range of the pion-range depths and trial wavefunctions
 
 
 class ConfigError(Exception):
@@ -91,7 +92,7 @@ def _build_run_config(args: argparse.Namespace, argv: list[str]) -> RunConfig:
     overrides: dict[str, str] = {}
     if args.config:
         overrides.update(_load_config_file(args.config))
-    const_fields = set(PhysicalConstants().as_dict()) - {"reduced_mass"}
+    const_fields = DEFAULT_CONSTANTS.as_dict()
     const_overrides: dict[str, float] = {}
     n_points, cutoff_mult = 512, 8.0
     for k, v in overrides.items():
@@ -415,7 +416,7 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         stage = "core radius"
         rc = core_radius(fuzzy_tpl)
         stage = "pion-range depths"
-        pion = (solve_depth(1.43, ordinary_tpl), solve_depth(1.43, fuzzy_tpl))
+        pion = (solve_depth(_PION_RANGE_FM, ordinary_tpl), solve_depth(_PION_RANGE_FM, fuzzy_tpl))
         # optimal trial states at the pion and sigma ranges (smeared vs ordinary), sampled before any file is
         # written; a solved point's alpha_star is also the energy minimiser at its depth
         stage = "trial wavefunctions"
@@ -429,12 +430,12 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"deuteron {args.action}: stage '{stage}' failed: {exc}", file=sys.stderr)
         return 1
 
-    report = coupling_report(c, p_ord.depth, p_fuz.depth, rc.r_c)
+    report = coupling_report(c, p_ord.depth, p_fuz.depth)
     payload = {
         "couplings": {
-            "V0_MeV": report.V0,
-            "V0_prime_MeV": report.V0_prime,
-            "core_radius_fm": report.r_c,
+            "V0_MeV": p_ord.depth,
+            "V0_prime_MeV": p_fuz.depth,
+            "core_radius_fm": rc.r_c,
             "V1_MeV": report.V1,
             "g_sigma_sq_over_4pi": report.g_sigma_sq_over_4pi,
             "g_omega_sq_over_4pi": report.g_omega_sq_over_4pi,
@@ -442,8 +443,8 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
             "g_omega_phenom_sq_over_4pi": report.g_omega_phenom_sq_over_4pi,
             "phenom_reference": c.g_omega_phenom_sq_over_4pi,
             "phenom_deviation_percent": report.phenom_deviation_percent,
-            "r0_fm": report.r0,
-            "r1_fm": report.r1,
+            "r0_fm": c.r0_sigma_fm,
+            "r1_fm": c.r1_omega_fm,
         },
         "metadata": meta,
     }
@@ -451,7 +452,7 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"wrote {path}")
 
     r_grid = np.arange(0.05, 3.0001, 0.005)
-    v = effective_potential(report.V0, report.V1, report.r0, report.r1, r_grid)
+    v = effective_potential(p_ord.depth, report.V1, c.r0_sigma_fm, c.r1_omega_fm, r_grid)
     path2 = _write_table(cfg, "effective_potential", ["r_fm", "V_MeV"], np.column_stack([r_grid, v]))
     print(f"wrote {path2}")
 
@@ -462,7 +463,7 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"wrote {path3}")
 
     print(
-        f"V0={report.V0:.2f} MeV, V0'={report.V0_prime:.2f} MeV, r_c={report.r_c:.4f} fm, "
+        f"V0={p_ord.depth:.2f} MeV, V0'={p_fuz.depth:.2f} MeV, r_c={rc.r_c:.4f} fm, "
         f"V1={report.V1:.2f} MeV, g_sigma^2/4pi={report.g_sigma_sq_over_4pi:.4f}, "
         f"g_omega^2/4pi={report.g_omega_sq_over_4pi:.4f}, ratio={report.ratio:.4f}, "
         f"prediction={report.g_omega_phenom_sq_over_4pi:.4f} "

@@ -12,20 +12,16 @@ from dataclasses import dataclass, fields, replace
 class PhysicalConstants:
     """Constants entering the deuteron / meson-coupling pipeline.
 
-    The meson ranges ``r0_sigma_fm`` and ``r1_omega_fm`` are the conventional
-    rounded values used throughout the coupling extraction.  They correspond
-    to hbar*c / m_meson with a slightly different conversion constant than the
-    modern 197.327 MeV fm, so they are kept as explicit inputs rather than
-    recomputed.
+    The meson ranges are inputs, not derived from meson masses: hbar*c / m at
+    197.327 MeV fm gives 0.3588, 0.2523 and 1.4135 fm for the sigma (550 MeV),
+    omega (782 MeV) and pion (139.6 MeV), while the chain uses the rounded
+    0.3596, 0.2529 and 1.43 fm.  The pion range is fixed in the CLI.
     """
 
     hbar_c: float = 197.327            # MeV fm
     m_proton: float = 938.272          # MeV
     m_neutron: float = 939.565         # MeV
     e0_binding: float = -2.226         # MeV, deuteron ground state
-    m_sigma: float = 550.0             # MeV
-    m_omega: float = 782.0             # MeV
-    m_pi: float = 139.6                # MeV
     g_sigma_phenom_sq_over_4pi: float = 7.303
     g_omega_phenom_sq_over_4pi: float = 10.83
     r0_sigma_fm: float = 0.3596        # fm, sigma-exchange range
@@ -50,9 +46,7 @@ class PhysicalConstants:
         return replace(self, **{k: float(v) for k, v in overrides.items()})
 
     def as_dict(self) -> dict[str, float]:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["reduced_mass"] = self.reduced_mass
-        return d
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

@@ -77,18 +77,17 @@ class CoreRadiusResult:
 
 @dataclass(frozen=True)
 class CouplingReport:
-    """End-to-end outputs of the meson-coupling extraction."""
+    """What ``coupling_report`` computes; the depths and ranges it reads stay with the caller.
 
-    V0: float
-    V0_prime: float
-    r_c: float
+    V1 (MeV), both g^2/4pi and their ratio, and the omega prediction with its deviation (percent) from the
+    phenomenological value.
+    """
+
     V1: float
     g_sigma_sq_over_4pi: float
     g_omega_sq_over_4pi: float
     ratio: float
     g_omega_phenom_sq_over_4pi: float
-    r0: float
-    r1: float
     phenom_deviation_percent: float
 
 
@@ -201,11 +200,21 @@ def _minimise_over_alpha(f, what: str) -> tuple[float, float]:
     alpha, so a finer bracket would only follow noise (Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 5).  A scan minimum on the
     first or last scan point is no minimum: RefinementError, naming ``what``.
+    For either f here (the depth, and the kinetic term of ``core_radius``) the
+    scan can vouch for its lower minimum only if it rises at both edges; a scan
+    whose values fall towards either edge may miss a lower minimum beyond it:
+    RefinementError as well.
     """
     values = f(_ALPHA_SCAN)
     i = int(np.argmin(values))
     if i == 0 or i == len(_ALPHA_SCAN) - 1:
         raise RefinementError(f"{what} unconverged: alpha*={_ALPHA_SCAN[i]:g} on the scan edge")
+    for edge, inner in ((0, 1), (-1, -2)):
+        if not values[edge] > values[inner]:
+            raise RefinementError(
+                f"{what} unconverged: the scan falls towards its edge alpha={_ALPHA_SCAN[edge]:g}, "
+                "beyond which a lower minimum may lie"
+            )
     lo, mid, hi = _ALPHA_SCAN[i - 1 : i + 2].tolist()
     return golden_section(lambda x: float(f(x)), lo, hi, tol=_ALPHA_RTOL * mid)
 
@@ -343,8 +352,12 @@ def effective_potential(V0: float, V1: float, r0: float, r1: float, r) -> float 
     return float(v) if np.isscalar(r) else v
 
 
-def coupling_report(constants: PhysicalConstants, V0: float, V0_prime: float, r_c: float) -> CouplingReport:
-    """Couplings from the depths: g^2/4pi = depth * range / (hbar c) per Yukawa term."""
+def coupling_report(constants: PhysicalConstants, V0: float, V0_prime: float) -> CouplingReport:
+    """Couplings from the ordinary and smeared depths V0 and V0_prime (MeV) at the sigma range.
+
+    g^2/4pi = depth * range / (hbar c) for the sigma term V0 at ``r0_sigma_fm`` and the omega term V1
+    (``repulsive_strength``) at ``r1_omega_fm``.
+    """
     r0, r1 = constants.r0_sigma_fm, constants.r1_omega_fm
     v1 = repulsive_strength(V0, V0_prime, r0, r1)
     g_sigma = V0 * r0 / constants.hbar_c
@@ -352,19 +365,7 @@ def coupling_report(constants: PhysicalConstants, V0: float, V0_prime: float, r_
     ratio = g_omega / g_sigma
     prediction = ratio * constants.g_sigma_phenom_sq_over_4pi
     deviation = 100.0 * (prediction / constants.g_omega_phenom_sq_over_4pi - 1.0)
-    return CouplingReport(
-        V0=V0,
-        V0_prime=V0_prime,
-        r_c=r_c,
-        V1=v1,
-        g_sigma_sq_over_4pi=g_sigma,
-        g_omega_sq_over_4pi=g_omega,
-        ratio=ratio,
-        g_omega_phenom_sq_over_4pi=prediction,
-        r0=r0,
-        r1=r1,
-        phenom_deviation_percent=deviation,
-    )
+    return CouplingReport(v1, g_sigma, g_omega, ratio, prediction, deviation)
 
 
 # ----------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_criterion_4_repulsive_strength():
 
 
 def test_criterion_5_couplings():
-    rep = coupling_report(C, 660.77, -81.0, r_c=0.563)
+    rep = coupling_report(C, 660.77, -81.0)
     checks = {
         "g_sigma": abs(rep.g_sigma_sq_over_4pi / 1.20 - 1.0) <= 0.01,
         "g_omega": abs(rep.g_omega_sq_over_4pi / 1.815 - 1.0) <= 0.01,

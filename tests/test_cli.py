@@ -114,6 +114,16 @@ def test_unknown_config_key_rejected(tmp_path):
     assert "no_such_knob" in r.stderr
 
 
+def test_meson_mass_is_an_unknown_config_key(tmp_path, capsys):
+    # the chain reads the meson ranges, never the masses, so a mass is no input
+    cfg = tmp_path / "mass.cfg"
+    cfg.write_text("m_pi = 139.6\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "deuteron", "couplings"]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key 'm_pi'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -124,10 +134,10 @@ def test_unknown_config_key_rejected(tmp_path):
         "cutoff_mult = nan",
         "hbar_c = 0",
         "m_proton = -938.272",
-        "m_pi = 0",
+        "m_neutron = 0",
         "r1_omega_fm = -0.2529",
         "g_sigma_phenom_sq_over_4pi = inf",
-        "m_sigma = nan",
+        "r0_sigma_fm = nan",
         "e0_binding = 0",
         "e0_binding = 2.226",
         "hbar_c = 1e-300",
@@ -295,6 +305,38 @@ def test_deuteron_constants_override(tmp_path):
     assert r2.returncode == 0
     _, rows2 = read_csv(tmp_path / "o2" / "deuteron_range_depth.csv")
     assert shallower < float(rows2[0]["depth_MeV"])
+
+
+def test_scan_falling_towards_its_edge_exits_1_at_calibration(tmp_path, capsys):
+    # at this range the depth's scan has an interior minimum of +0.0328 MeV, but it falls towards alpha = 0.01,
+    # below which the depth reaches -0.0424 MeV at alpha = 0.004
+    cfg = tmp_path / "shallow.cfg"
+    cfg.write_text("e0_binding = -2.226e-8\nr0_sigma_fm = 50.2401\n")
+    out = tmp_path / "o"
+    code = main(["--config", str(cfg), "--out", str(out), "deuteron", "range-depth", "--variant", "fuzzy",
+                 "--r0", "50.2401"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("deuteron range-depth: stage 'calibration' failed: depth at r0=50.2401 fm unconverged: ")
+    assert "edge alpha=0.01" in err
+    assert not out.exists()
+
+
+def test_every_constant_moves_the_couplings(tmp_path):
+    # each field of PhysicalConstants is an input of the chain: raising it by 1% moves a computed coupling value
+    # (the report's echoed inputs phenom_reference, r0_fm and r1_fm are left out, as they would move on the echo alone)
+    echoed = {"phenom_reference", "r0_fm", "r1_fm"}
+
+    def couplings(name, config):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / name), "deuteron", "couplings"]) == 0
+        doc = json.loads((tmp_path / name / "deuteron_couplings.json").read_text())
+        return {k: v for k, v in doc["couplings"].items() if k not in echoed}
+
+    base = couplings("base", "")
+    fields = DEFAULT_CONSTANTS.as_dict()
+    assert not [k for k, v in fields.items() if couplings(k, f"{k} = {1.01 * v!r}\n") == base]
 
 
 def test_deuteron_core_radius_report(tmp_path):

@@ -388,9 +388,31 @@ def test_core_radius_requires_fuzzy_variant():
 
 
 def test_core_radius_no_sign_change_dump(fuzzy_template):
-    # at r_c = 56 fm the depth's negative region lies below the alpha scan, and an interior scan minimum is positive
-    with pytest.raises(BracketingError, match=r"around r_c=55\.8224 fm; curve: r0=50\.2401: 0\.03, r0=61\.4046: 0\.02"):
+    # at r_c = 56 fm the depth's negative region lies below the alpha scan, and the scan's interior minimum is
+    # positive: the evidence depth is refused where the scan falls towards its edge, not passed on as a depth
+    with pytest.raises(
+        RefinementError, match=r"depth at r0=50\.2401\d* fm unconverged: the scan falls towards its edge alpha=0\.01,"
+    ):
         core_radius(_shallow(fuzzy_template, -2.226e-8))
+
+
+def test_core_radius_dumps_evidence_without_a_sign_change(fuzzy_template, monkeypatch):
+    monkeypatch.setattr(deuteron, "solve_depth", lambda r0, template: deuteron.RangeDepthPoint(r0, 0.5 + r0, 1.0))
+    with pytest.raises(BracketingError, match=r"around r_c=0\.5\d+ fm; curve: r0=0\.\d+: 1\.0\d, r0=0\.\d+: 1\.1\d"):
+        core_radius(fuzzy_template)
+
+
+@pytest.mark.parametrize(
+    "f, edge",
+    [
+        # in x = ln alpha: the scan minimum -1 at x = 0, then a second well at x = 4, beyond the scan's x = 3
+        (lambda a: -np.exp(-np.log(a) ** 2) - 0.5 * np.exp(-(np.log(a) - 4.0) ** 2), "20"),
+        (lambda a: -np.exp(-np.log(a) ** 2) - 0.5 * np.exp(-(np.log(a) + 6.0) ** 2), "0.01"),
+    ],
+)
+def test_minimisation_refuses_a_scan_falling_towards_an_edge(f, edge):
+    with pytest.raises(RefinementError, match=rf"^toy unconverged: the scan falls towards its edge alpha={edge},"):
+        deuteron._minimise_over_alpha(f, "toy")
 
 
 # --- repulsive strength and effective interaction ---------------------------------
@@ -437,7 +459,7 @@ def test_effective_potential_domain_error():
 
 
 def test_coupling_report_reference_inputs():
-    rep = coupling_report(C, 660.77, -81.0, r_c=0.563)
+    rep = coupling_report(C, 660.77, -81.0)
     assert rep.g_sigma_sq_over_4pi == pytest.approx(1.20, rel=0.01)
     assert rep.g_omega_sq_over_4pi == pytest.approx(1.815, rel=0.01)
     assert rep.ratio == pytest.approx(1.512, rel=0.01)
@@ -446,8 +468,8 @@ def test_coupling_report_reference_inputs():
 
 
 def test_coupling_ratio_invariant_under_common_rescaling():
-    a = coupling_report(C, 660.77, -81.0, 0.563)
-    b = coupling_report(C, 2 * 660.77, 2 * (-81.0), 0.563)
+    a = coupling_report(C, 660.77, -81.0)
+    b = coupling_report(C, 2 * 660.77, 2 * (-81.0))
     assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
     assert b.g_omega_phenom_sq_over_4pi == pytest.approx(a.g_omega_phenom_sq_over_4pi, rel=1e-12)
 
