@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import _SCALE_RANGE, _SPAN, DEFAULT_CONSTANTS, PhysicalConstants
 from .deuteron import (
     CalibrationResult,
     ProblemTemplate,
@@ -45,12 +45,11 @@ from .oscillator import (
 
 _NOMINAL_ORDER = 2.0  # central-difference ladder
 _ORDER_TOL = 0.3
-_SCALE_RANGE = (1e-50, 1e50)  # --mass, --omega, cutoff_mult, positive constants: squares, 4th powers finite, nonzero
-_SPAN = f"within [{_SCALE_RANGE[0]:g}, {_SCALE_RANGE[1]:g}]"
 _MAX_LADDER_POINTS = 65_536  # finest commutator ladder grid, n0 * 2^(levels - 1)
-_MAX_GRID_POINTS = 8_192  # --npoints and the n_points config key
+_LADDER_CUTOFF = 8.0  # cutoff of the [X_f, P] ladder and the Robertson grid, in units of --mass
+_ROBERTSON_POINTS = 512  # grid of the Robertson states
+_MAX_GRID_POINTS = 8_192  # --npoints
 _HARMONIC_RATIO_MAX = 2.0**52  # --omega/--mass of the quadratic closed form: its spacing w spans two roundings of w^2/2m
-_POSITIVE_CONSTANTS = ("hbar_c", "m_proton", "m_neutron", "r0_sigma_fm", "r1_omega_fm")
 _PION_RANGE_FM = 1.43  # range of the pion-range depths and trial wavefunctions
 
 
@@ -61,18 +60,9 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     constants: PhysicalConstants
-    n_points: int
-    cutoff_mult: float
     out: Path
     fmt: str
     command_line: str
-
-    def echo(self) -> dict[str, object]:
-        d: dict[str, object] = dict(sorted(self.constants.as_dict().items()))
-        d["n_points"] = self.n_points
-        d["cutoff_mult"] = self.cutoff_mult
-        d["format"] = self.fmt
-        return d
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -89,48 +79,16 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _build_run_config(args: argparse.Namespace, argv: list[str]) -> RunConfig:
-    overrides: dict[str, str] = {}
-    if args.config:
-        overrides.update(_load_config_file(args.config))
-    const_fields = DEFAULT_CONSTANTS.as_dict()
-    const_overrides: dict[str, float] = {}
-    n_points, cutoff_mult = 512, 8.0
-    for k, v in overrides.items():
-        if k in const_fields:
-            const_overrides[k] = float(v)
-        elif k == "n_points":
-            n_points = int(v)
-        elif k == "cutoff_mult":
-            cutoff_mult = float(v)
-        elif k in ("out", "format"):
-            pass  # read below, as the fallbacks of --out and --format
-        else:
-            raise ConfigError(f"unknown config key {k!r}")
-    constants = DEFAULT_CONSTANTS.with_overrides(**const_overrides)
-    _check_config_domain(constants, n_points, cutoff_mult)
-    out = Path(args.out if args.out else overrides.get("out", "fuzzyqm_out"))
+    overrides = _load_config_file(args.config) if args.config else {}
+    known = DEFAULT_CONSTANTS.as_dict()
+    unknown = [k for k in overrides if k not in known]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    constants = DEFAULT_CONSTANTS.with_overrides(**{k: float(v) for k, v in overrides.items()})
+    out = Path(args.out or "fuzzyqm_out")
     if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
         raise ConfigError(f"output directory {str(out)!r} names an existing file")
-    fmt = args.format if args.format else overrides.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-    return RunConfig(constants, n_points, cutoff_mult, out, fmt, " ".join(argv))
-
-
-def _check_config_domain(constants: PhysicalConstants, n_points: int, cutoff_mult: float) -> None:
-    """Raise ConfigError naming the first config value outside its domain."""
-    values = constants.as_dict()
-    lo, hi = _SCALE_RANGE
-    checks = [
-        (8 <= n_points <= _MAX_GRID_POINTS, f"n_points must lie in [8, {_MAX_GRID_POINTS}], got {n_points}"),
-        (lo <= cutoff_mult <= hi, f"cutoff_mult must be finite and positive, {_SPAN}, got {cutoff_mult!r}"),
-        *((np.isfinite(v), f"{k} must be finite, got {v!r}") for k, v in values.items()),
-        *((lo <= values[k] <= hi, f"{k} must be positive, {_SPAN}, got {values[k]!r}") for k in _POSITIVE_CONSTANTS),
-        (values["e0_binding"] < 0, f"e0_binding must be negative (a bound state), got {values['e0_binding']!r}"),
-    ]
-    problem = next((msg for ok, msg in checks if not ok), None)
-    if problem:
-        raise ConfigError(problem)
+    return RunConfig(constants, out, args.format or "csv", " ".join(argv))
 
 
 @lru_cache(maxsize=None)
@@ -144,8 +102,9 @@ def _fmt(v: object) -> str:
 
 
 def _header(cfg: RunConfig) -> dict[str, object]:
-    """What every output file states first: the tool, the command line and the config echo."""
-    return {"tool": f"fuzzyqm {__version__}", "command": cfg.command_line, "config": cfg.echo()}
+    """What every output file states first: the tool, the command line and the physical constants in effect."""
+    constants = dict(sorted(cfg.constants.as_dict().items()))
+    return {"tool": f"fuzzyqm {__version__}", "command": cfg.command_line, "config": constants}
 
 
 def _write_table(cfg: RunConfig, name: str, columns: list[str], rows: list[list[object]] | np.ndarray) -> Path:
@@ -194,7 +153,7 @@ def cmd_commutators(cfg: RunConfig, args: argparse.Namespace) -> int:
     spacings: list[float] = []
     ns = [args.n0 * 2**k for k in range(args.levels)]
     for n in ns:
-        grid = MomentumGrid.symmetric(n, cfg.cutoff_mult * mass)
+        grid = MomentumGrid.symmetric(n, _LADDER_CUTOFF * mass)
         residuals.append(verify_commutator_xf_p(grid, s, scheme="central"))
         spacings.append(grid.spacing)
     for i, n in enumerate(ns):
@@ -207,7 +166,7 @@ def cmd_commutators(cfg: RunConfig, args: argparse.Namespace) -> int:
         rows.append(["commutator_xf_p", n, residuals[i], order, status])
 
     # Robertson inequality over random smooth states
-    grid = MomentumGrid.symmetric(cfg.n_points, cfg.cutoff_mult * mass)
+    grid = MomentumGrid.symmetric(_ROBERTSON_POINTS, _LADDER_CUTOFF * mass)
     rng = np.random.default_rng(20240801)
     violations = 0
     for _ in range(args.states):
@@ -478,7 +437,7 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fuzzyqm", description=__doc__)
-    ap.add_argument("--config", help="key=value config file (constants and grid overrides)")
+    ap.add_argument("--config", help="key=value config file of physical constants")
     ap.add_argument("--out", help="output directory (default fuzzyqm_out)")
     ap.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -514,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _build_run_config(args, ["fuzzyqm"] + argv)
-    except (ConfigError, OSError, ValueError, KeyError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.command == "commutators":

@@ -1,16 +1,27 @@
 """Physical constants and unit conversion for the nucleon-nucleon analysis.
 
-All energies are in MeV, lengths in fm; hbar*c converts between them.
+All energies are in MeV, lengths in fm; hbar*c converts between them.  The
+eight constants are the deuteron chain's only physical inputs and the only keys
+of the CLI's config file.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
+
+_SCALE_RANGE = (1e-50, 1e50)  # positive constants, --mass, --omega: their squares and 4th powers finite, nonzero
+_SPAN = f"within [{_SCALE_RANGE[0]:g}, {_SCALE_RANGE[1]:g}]"
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Constants entering the deuteron / meson-coupling pipeline.
+
+    Every constant must be finite; ``e0_binding`` must be negative (a bound
+    state) and every other constant positive, within ``_SCALE_RANGE``.  A value
+    outside its domain raises ValueError naming the field, so no consumer
+    checks a constant again.
 
     The meson ranges are inputs, not derived from meson masses: hbar*c / m at
     197.327 MeV fm gives 0.3588, 0.2523 and 1.4135 fm for the sigma (550 MeV),
@@ -27,6 +38,17 @@ class PhysicalConstants:
     r0_sigma_fm: float = 0.3596        # fm, sigma-exchange range
     r1_omega_fm: float = 0.2529        # fm, omega-exchange range
 
+    def __post_init__(self) -> None:
+        lo, hi = _SCALE_RANGE
+        for name, v in self.as_dict().items():
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+            if name == "e0_binding":
+                if v >= 0:
+                    raise ValueError(f"e0_binding must be negative (a bound state), got {v!r}")
+            elif not lo <= v <= hi:
+                raise ValueError(f"{name} must be positive, {_SPAN}, got {v!r}")
+
     @property
     def reduced_mass(self) -> float:
         """Neutron-proton reduced mass in MeV."""
@@ -38,11 +60,7 @@ class PhysicalConstants:
         return 0.5 * (self.m_proton + self.m_neutron)
 
     def with_overrides(self, **overrides: float) -> "PhysicalConstants":
-        """Return a copy with the given fields replaced; unknown keys raise KeyError."""
-        known = {f.name for f in fields(self)}
-        bad = sorted(set(overrides) - known)
-        if bad:
-            raise KeyError(f"unknown constants field(s): {', '.join(bad)}")
+        """Return a copy with the given fields replaced; an unknown field raises TypeError."""
         return replace(self, **{k: float(v) for k, v in overrides.items()})
 
     def as_dict(self) -> dict[str, float]:

@@ -290,8 +290,6 @@ def core_radius(template: ProblemTemplate) -> CoreRadiusResult:
     if template.smearing_mass is None:
         raise ContractError("the core radius is defined for the smeared (fuzzy) problem")
     e_t = template.constants.e0_binding
-    if e_t >= 0:
-        raise ValueError("the core radius needs a bound target, e0_binding < 0")
     _, k, b = _scales(template, _CORE_KINETIC_R0)
     what = f"kinetic minimum at r0={_CORE_KINETIC_R0:g} fm"
     _, t_min = _minimise_over_alpha(lambda a: _kinetic_and_binding(k, b, a)[0], what)
@@ -428,8 +426,6 @@ def exact_depth(r0_fm: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) 
     halved once for Richardson extrapolation (4 V(2n) - V(n))/3.
     """
     target = constants.e0_binding
-    if target >= 0:
-        raise ValueError("the exact depth needs a bound target, e0_binding < 0")
     if r0_fm <= 0:
         raise ValueError("range r0 must be positive")
     kappa = np.sqrt(2.0 * constants.reduced_mass * -target) / constants.hbar_c  # fm^-1

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file formats, reproducibility."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from scipy.optimize import brentq
 
 from fuzzyqm import cli
 from fuzzyqm.cli import RunConfig, main
-from fuzzyqm.constants import DEFAULT_CONSTANTS
+from fuzzyqm.constants import DEFAULT_CONSTANTS, PhysicalConstants
 from fuzzyqm.deuteron import ProblemTemplate, calibrate_smearing_mass, solve_depth
 
 CLI = [sys.executable, "-m", "fuzzyqm.cli"]
@@ -137,6 +138,8 @@ def test_meson_mass_is_an_unknown_config_key(tmp_path, capsys):
         "m_neutron = 0",
         "r1_omega_fm = -0.2529",
         "g_sigma_phenom_sq_over_4pi = inf",
+        "g_sigma_phenom_sq_over_4pi = 0",
+        "g_omega_phenom_sq_over_4pi = 0",
         "r0_sigma_fm = nan",
         "e0_binding = 0",
         "e0_binding = 2.226",
@@ -145,6 +148,8 @@ def test_meson_mass_is_an_unknown_config_key(tmp_path, capsys):
         "cutoff_mult = 1e300",
         "n_points = 8193",
         "n_points = 1099511627776",
+        "out = elsewhere",
+        "format = json",
     ],
 )
 def test_config_value_outside_domain_exits_2_with_one_line(tmp_path, capsys, line):
@@ -382,7 +387,9 @@ def test_deuteron_couplings_pipeline(tmp_path):
 
 def test_byte_identical_reruns(tmp_path):
     # identical command line and config must reproduce files byte for byte
-    args = ("--out", str(tmp_path / "a"), "deuteron", "range-depth", "--variant", "ordinary",
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("e0_binding = -2.5\n")
+    args = ("--config", str(cfg), "--out", str(tmp_path / "a"), "deuteron", "range-depth", "--variant", "ordinary",
             "--r0", "0.5,1.0")
     r1 = run(*args)
     assert r1.returncode == 0, r1.stderr
@@ -391,6 +398,15 @@ def test_byte_identical_reruns(tmp_path):
     assert r2.returncode == 0
     second = (tmp_path / "a" / "deuteron_range_depth.csv").read_bytes()
     assert first == second
+    # the header's config is the physical constants in effect, sorted, and nothing else
+    want = dict(sorted({**DEFAULT_CONSTANTS.as_dict(), "e0_binding": -2.5}.items()))
+    header, _ = read_csv(tmp_path / "a" / "deuteron_range_depth.csv")
+    echo = next(l for l in header if l.startswith("# config: ")).removeprefix("# config: ")
+    assert echo == " ".join(f"{k}={v:.12g}" for k, v in want.items())
+    assert main(["--format", "json", *args[:2], "--out", str(tmp_path / "j"), *args[4:]]) == 0
+    doc = json.loads((tmp_path / "j" / "deuteron_range_depth.json").read_text())
+    assert doc["header"]["config"] == want
+    assert sorted(want) == sorted(f.name for f in dataclasses.fields(PhysicalConstants))
 
 
 _TRICKY_CELLS = [
@@ -419,7 +435,7 @@ def test_mixed_type_table_writes_the_per_cell_join(tmp_path):
         ["spacetime", 48, -0.0, float("inf"), "50%"],
         ["mixed", True, None, 1e16, 1.0 / 3.0],
     ]
-    cfg = RunConfig(DEFAULT_CONSTANTS, 512, 8.0, tmp_path, "csv", "fuzzyqm commutators")
+    cfg = RunConfig(DEFAULT_CONSTANTS, tmp_path, "csv", "fuzzyqm commutators")
     body = cli._write_table(cfg, "table", columns, rows).read_text().splitlines()[4:]
     assert body == [",".join(_cell(v) for v in r) for r in rows]
     cfg.fmt = "json"
@@ -438,7 +454,7 @@ def test_float_matrix_table_writes_the_row_bytes(tmp_path, fmt, n_rows):
     columns = ["a", "b", "c"]
     written = []
     for name, rows in (("matrix", matrix), ("rows", matrix.tolist())):
-        cfg = RunConfig(DEFAULT_CONSTANTS, 512, 8.0, tmp_path / name, fmt, "fuzzyqm deuteron couplings")
+        cfg = RunConfig(DEFAULT_CONSTANTS, tmp_path / name, fmt, "fuzzyqm deuteron couplings")
         written.append(cli._write_table(cfg, "table", columns, rows).read_bytes())
     assert written[0] == written[1]
     if fmt == "csv":

@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from fuzzyqm.constants import DEFAULT_CONSTANTS
+from fuzzyqm.constants import DEFAULT_CONSTANTS, PhysicalConstants
 from fuzzyqm import deuteron
 from fuzzyqm.errors import BracketingError, ContractError, OverflowGuardError, RefinementError
 from fuzzyqm.deuteron import (
@@ -45,6 +45,28 @@ def closed_form_energy_plain(alpha, V0, r0_fm):
 def closed_min_energy(v0, r0):
     """Minimum of the closed-form ordinary energy over a dense alpha grid."""
     return np.min(closed_form_energy_plain(np.linspace(1e-3, 6.0, 30000), v0, r0))
+
+
+# --- constants -------------------------------------------------------------------
+
+_POSITIVE_FIELDS = [name for name in C.as_dict() if name != "e0_binding"]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, v) for name in _POSITIVE_FIELDS for v in (0.0, -1.0, 1e-300, 1e300, np.inf, np.nan)]
+    + [("e0_binding", v) for v in (0.0, 2.226, -np.inf, np.nan)],
+)
+def test_constants_refuse_a_value_outside_their_domain(name, value):
+    # every consumer reads the constants unchecked: a zero coupling or range, or an unbound target, is refused here
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        PhysicalConstants(**{name: value})
+
+
+def test_constants_accept_the_domain_edges_and_refuse_an_unknown_field():
+    assert PhysicalConstants(hbar_c=1e-50, r1_omega_fm=1e50, e0_binding=-1e-300).hbar_c == 1e-50
+    with pytest.raises(TypeError, match="m_pi"):
+        C.with_overrides(m_pi=139.6)
 
 
 # --- energy functional -----------------------------------------------------------
@@ -366,11 +388,6 @@ def test_core_radius_rejects_a_non_negative_kinetic_minimum(fuzzy_template, monk
         core_radius(fuzzy_template)
 
 
-def test_core_radius_requires_a_bound_target():
-    with pytest.raises(ValueError, match="bound target"):
-        core_radius(ProblemTemplate(C.with_overrides(e0_binding=0.0), smearing_mass=MU))
-
-
 def _shallow(template, e0_binding):
     return ProblemTemplate(C.with_overrides(e0_binding=e0_binding), smearing_mass=template.smearing_mass)
 
@@ -540,10 +557,7 @@ def test_problem_inputs_rejected():
             ProblemTemplate(C, smearing_mass=mass)
 
 
-def test_exact_depth_rejects_unbound_target_and_nonpositive_range():
-    for e_target in (0.0, 1.0):
-        with pytest.raises(ValueError, match="bound target"):
-            exact_depth(1.0, C.with_overrides(e0_binding=e_target))
+def test_exact_depth_rejects_nonpositive_range():
     for r0 in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive"):
             exact_depth(r0)
