@@ -198,17 +198,15 @@ def _minimise_over_alpha(f, what: str) -> tuple[float, float]:
     alpha_i in about 10 evaluations.  Near a smooth minimum f changes by
     O(f'' dx^2), which is below the rounding of f once dx is under sqrt(eps)
     alpha, so a finer bracket would only follow noise (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 5).  A scan minimum on the
-    first or last scan point is no minimum: RefinementError, naming ``what``.
-    For either f here (the depth, and the kinetic term of ``core_radius``) the
-    scan can vouch for its lower minimum only if it rises at both edges; a scan
-    whose values fall towards either edge may miss a lower minimum beyond it:
-    RefinementError as well.
+    Minimization without Derivatives, 1973, ch. 5).  For either f here (the
+    depth, and the kinetic term of ``core_radius``) the scan can vouch for its
+    lower minimum only if it rises at both edges; a scan whose values fall
+    towards either edge may miss a lower minimum beyond it: RefinementError,
+    naming ``what``.  That refuses a scan minimum on the first or last scan
+    point too, which is no minimum.
     """
     values = f(_ALPHA_SCAN)
     i = int(np.argmin(values))
-    if i == 0 or i == len(_ALPHA_SCAN) - 1:
-        raise RefinementError(f"{what} unconverged: alpha*={_ALPHA_SCAN[i]:g} on the scan edge")
     for edge, inner in ((0, 1), (-1, -2)):
         if not values[edge] > values[inner]:
             raise RefinementError(

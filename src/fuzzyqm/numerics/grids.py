@@ -8,50 +8,39 @@ import numpy as np
 
 from ..errors import NonHermitianError
 
-_UNIFORMITY_RTOL = 1e-12
 _HERMITICITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Uniformly spaced momentum axis, [-P, P] for 1-D problems or [0, P] for S states."""
+    """``n`` evenly spaced momenta on [-cutoff, cutoff], endpoints included; hashable on (n, cutoff).
 
-    points: np.ndarray
+    Every problem here is even under p -> -p, and the oscillator splits its
+    grid into an even and an odd block, so each point has its mirror.
+    ``points`` is built once, read-only, and not compared.
+    """
+
+    n: int
+    cutoff: float
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+        if self.n < 8:
+            raise ValueError(f"grid needs at least 8 points, got {self.n}")
+        if not 0.0 < self.cutoff < np.inf:  # also refuses nan
+            raise ValueError(f"grid cutoff must be finite and positive, got {self.cutoff!r}")
+        pts = np.linspace(-self.cutoff, self.cutoff, self.n)
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 8:
-            raise ValueError(f"grid needs at least 8 points, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):  # every comparison below is False for NaN
-            raise ValueError("grid points must be finite")
-        steps = np.diff(pts)
-        if np.any(steps <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        h = steps[0]
-        # representation error of an N-point axis grows like eps*N, so the
-        # per-step tolerance is relative to the spacing and scaled by N
-        if np.max(np.abs(steps - h)) > _UNIFORMITY_RTOL * abs(h) * pts.size:
-            raise ValueError("grid spacing is not uniform")
-        if self.cutoff <= 0:
-            raise ValueError("grid cutoff must be positive")
 
     @classmethod
     def symmetric(cls, n: int, cutoff: float) -> "MomentumGrid":
         """n points on [-cutoff, cutoff], endpoints included."""
-        return cls(np.linspace(-cutoff, cutoff, n))
-
-    @property
-    def n(self) -> int:
-        return int(self.points.size)
+        return cls(n, cutoff)
 
     @property
     def spacing(self) -> float:
         return float(self.points[1] - self.points[0])
-
-    @property
-    def cutoff(self) -> float:
-        return float(max(abs(self.points[0]), abs(self.points[-1])))  # the points increase
 
     def interior_slice(self) -> slice:
         """Rows away from the boundary, where finite grids cannot represent operators: a tenth at each end."""
@@ -61,7 +50,7 @@ class MomentumGrid:
 
 @dataclass
 class OperatorMatrix:
-    """Dense operator on a :class:`MomentumGrid` (dimension n, or n**2 for 2-D problems)."""
+    """Dense n x n operator on a :class:`MomentumGrid`."""
 
     entries: np.ndarray
     grid: MomentumGrid
@@ -69,11 +58,9 @@ class OperatorMatrix:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.entries)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"operator must be square, got shape {a.shape}")
         n = self.grid.n
-        if a.shape[0] not in (n, n * n):
-            raise ValueError(f"dimension {a.shape[0]} matches neither grid size {n} nor {n * n}")
+        if a.shape != (n, n):
+            raise ValueError(f"operator of shape {a.shape} does not match the grid's dimension {n}")
         self.entries = a
         if self.hermitian:
             scale = np.max(np.abs(a))
@@ -82,7 +69,3 @@ class OperatorMatrix:
                 raise NonHermitianError(
                     f"matrix tagged hermitian deviates by {dev:.3e} (allowed {_HERMITICITY_RTOL * scale:.3e})"
                 )
-
-    @property
-    def n(self) -> int:
-        return int(self.entries.shape[0])

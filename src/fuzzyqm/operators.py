@@ -44,15 +44,14 @@ class SmearingParams:
 
 @dataclass
 class GridState:
-    """Complex samples over a grid, with a declared integration measure.
+    """Complex samples over a grid, in the plain measure |psi|^2 dp or, with ``smearing``, the weighted one.
 
-    ``measure="plain"`` integrates |psi|^2 dp; ``measure="weighted"``
-    integrates exp(-2p^2/m^2) |psi|^2 dp and requires ``smearing``.
+    The weighted measure exp(-2p^2/m^2) |psi|^2 dp is that of the smeared
+    problems, with m the mass of ``smearing``.
     """
 
     samples: np.ndarray
     grid: MomentumGrid
-    measure: str = "plain"
     smearing: SmearingParams | None = None
 
     def __post_init__(self) -> None:
@@ -60,19 +59,15 @@ class GridState:
         if s.shape != (self.grid.n,):
             raise ValueError(f"samples shape {s.shape} does not match grid size {self.grid.n}")
         self.samples = s
-        if self.measure not in ("plain", "weighted"):
-            raise ValueError(f"unknown measure {self.measure!r}")
-        if self.measure == "weighted" and self.smearing is None:
-            raise ContractError("weighted measure requires smearing parameters")
 
     def measure_weights(self) -> np.ndarray:
         w = np.full(self.grid.n, self.grid.spacing)
-        if self.measure == "weighted":
+        if self.smearing is not None:
             w = w * self.smearing.gaussian(self.grid.points) ** 2  # exp(-2p^2/m^2)
         return w
 
     def norm(self) -> float:
-        if self.measure == "plain":
+        if self.smearing is None:
             return float(np.sqrt(self.grid.spacing * np.vdot(self.samples, self.samples).real))
         return float(np.sqrt(np.sum(self.measure_weights() * np.abs(self.samples) ** 2)))
 
@@ -80,7 +75,7 @@ class GridState:
         n = self.norm()
         if n == 0:
             raise ValueError("cannot normalise the zero state")
-        return GridState(self.samples / n, self.grid, self.measure, self.smearing)
+        return GridState(self.samples / n, self.grid, self.smearing)
 
 
 @dataclass(frozen=True)
@@ -227,11 +222,12 @@ def verify_spacetime_commutator(axis_grid: MomentumGrid, s: SmearingParams) -> S
 def uncertainty_report(state: GridState, s: SmearingParams) -> UncertaintyReport:
     """Spreads of the fuzzy position and momentum, the Robertson bound, and dx0.
 
-    Requires a normalised plain-measure state.  dx0 = (2/m) sqrt(<X><P>) is
-    reported as None when the product <X><P> is negative.  X = i D and
-    X_f = i G D G act matrix-free, with the spectral D applied to the rows psi and G psi in one call.
+    Requires a normalised state without ``smearing``, in the plain measure.
+    dx0 = (2/m) sqrt(<X><P>) is reported as None when the product <X><P> is
+    negative.  X = i D and X_f = i G D G act matrix-free, with the spectral D
+    applied to the rows psi and G psi in one call.
     """
-    if state.measure != "plain":
+    if state.smearing is not None:
         raise ContractError("uncertainty_report expects a plain-measure momentum state")
     if abs(state.norm() - 1.0) > _NORM_TOL:
         raise ContractError(f"state is not normalised (norm = {state.norm()!r})")

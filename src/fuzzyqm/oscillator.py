@@ -17,8 +17,8 @@ O(w^2/m).  The ``quadratic`` truncation is itself a harmonic oscillator with
 levels (n + 1/2) w sqrt(1 + w^2/m^2) - w^2/2m; the closed form is their
 O(w^2/m) expansion.
 
-On a symmetric grid the problem splits into an even and an odd block.  Each
-block is first solved by Rayleigh-Ritz in the Hermite functions of its
+The grid is symmetric, so the problem splits into an even and an odd block.
+Each block is first solved by Rayleigh-Ritz in the Hermite functions of its
 parity at scale sqrt(m w), which are the reduced closed-form eigenstates; an
 answer is kept only when every wanted pair passes a residual bound, which
 puts an eigenvalue of the grid problem next to each kept value.  That rung
@@ -231,8 +231,8 @@ class _RitzBasis(NamedTuple):
 
 
 @lru_cache(maxsize=2)
-def _toeplitz_hermite(points: bytes, mass: float, omega: float) -> tuple[np.ndarray, _RitzBasis, _RitzBasis]:
-    """Lag vector c and the even and odd ``_RitzBasis`` of a symmetric grid; read-only, cached.
+def _toeplitz_hermite(grid: MomentumGrid, mass: float, omega: float) -> tuple[np.ndarray, _RitzBasis, _RitzBasis]:
+    """Lag vector c and the even and odd ``_RitzBasis`` of a grid; read-only, cached.
 
     These are the parts of the parity problem that no truncation changes:
     c is -(m w^2/2) times the spectral second derivative's lag vector, and
@@ -241,16 +241,14 @@ def _toeplitz_hermite(points: bytes, mass: float, omega: float) -> tuple[np.ndar
     odd n), their ``_block_product`` T h, the projection h^T (T h) and the
     eigendecomposition of h^T h.  The truncation enters only through the
     diagonal and the weight, so the quadratic, quartic and exact solves on
-    one grid share one entry.  The key is the grid's points as bytes (a
-    ``MomentumGrid`` is not hashable), m and w.  Two entries hold a grid and
-    its refinement, at 64 n floats for the functions and their product, n
-    for c and 4160 for the 32 x 32 pieces each: about 1.6 MB for n = 1024
-    and 2048.
+    one grid share one entry.  The key is the grid, which is its size and
+    cutoff, m and w.  Two entries hold a grid and its refinement, at 64 n
+    floats for the functions and their product, n for c and 4160 for the
+    32 x 32 pieces each: about 1.6 MB for n = 1024 and 2048.
     """
-    p = np.frombuffer(points)
-    n, k = p.size, p.size // 2
-    c = -(mass * omega**2 / 2.0) * d2_lags(n, float(p[1] - p[0]))
-    hermite = _hermite_basis(OscillatorSpec(omega, mass), p[: n - k], 2 * _RITZ_SIZE)
+    n, k = grid.n, grid.n // 2
+    c = -(mass * omega**2 / 2.0) * d2_lags(n, grid.spacing)
+    hermite = _hermite_basis(OscillatorSpec(omega, mass), grid.points[: n - k], 2 * _RITZ_SIZE)
     if n % 2:  # coordinates of an even function: sqrt(2) times its sample, but the middle sample itself
         hermite[k] /= np.sqrt(2.0)
     product = _block_product(c, hermite)
@@ -343,7 +341,7 @@ def _parity_solve(
     n, k = grid.n, grid.n // 2
     diag, weight = _diagonal_and_weight(spec, grid.points[: n - k])
     weight = check_weight(weight, n - k)  # the odd block's weight is a part of it
-    c, *bases = _toeplitz_hermite(grid.points.tobytes(), spec.mass, spec.omega)
+    c, *bases = _toeplitz_hermite(grid, spec.mass, spec.omega)
     found, rungs = [], []
     for sign, dim, basis in zip((1, -1), (n - k, k), bases):
         pairs = _ritz(basis, diag[:dim], weight[:dim], levels, spec.truncation != "exact")
@@ -368,11 +366,10 @@ def _mirror_state(spec: OscillatorSpec, grid: MomentumGrid, column: np.ndarray, 
     half = np.exp(grid.points[: column.size] ** 2 / spec.mass**2) * column
     if grid.n % 2:  # the even block's middle basis vector is e_k, not (e_i + e_(n-1-i))/sqrt(2)
         half = np.append(half[:k], np.sqrt(2.0) * half[k] if sign > 0 else 0.0)
-    s = SmearingParams(spec.mass)
-    st = GridState(np.concatenate([half, sign * half[:k][::-1]]), grid, measure="weighted", smearing=s).normalize()
+    st = GridState(np.concatenate([half, sign * half[:k][::-1]]), grid, SmearingParams(spec.mass)).normalize()
     right = st.samples[k:]  # p >= 0
     if np.real(right[np.argmax(np.abs(right))]) < 0:
-        st = GridState(-st.samples, grid, "weighted", s)
+        st = GridState(-st.samples, grid, st.smearing)
     return st
 
 
@@ -458,5 +455,4 @@ def eigenfunction(spec: OscillatorSpec, n: int, grid: MomentumGrid) -> GridState
     p = grid.points
     herm = np.polynomial.hermite.Hermite.basis(n)(p / np.sqrt(spec.mass * spec.omega))
     envelope = np.exp(p**2 / spec.mass**2 * (1.0 - spec.mass / (2.0 * spec.omega)))
-    s = SmearingParams(spec.mass)
-    return GridState(envelope * herm, grid, measure="weighted", smearing=s).normalize()
+    return GridState(envelope * herm, grid, SmearingParams(spec.mass)).normalize()

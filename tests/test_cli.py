@@ -263,7 +263,8 @@ def test_deuteron_range_depth_unconverged_exits_1(tmp_path):
     r = run("--out", str(tmp_path), "deuteron", "range-depth", "--variant", "ordinary", "--r0", "100")
     assert r.returncode == 1
     assert r.stderr.splitlines() == [
-        "deuteron range-depth: depth at r0=100 fm unconverged: alpha*=20 on the scan edge",
+        "deuteron range-depth: depth at r0=100 fm unconverged: the scan falls towards its edge alpha=20, "
+        "beyond which a lower minimum may lie",
         "deuteron range-depth: unconverged at r0 = 100 fm",
     ]
     _, rows = read_csv(tmp_path / "deuteron_range_depth.csv")
@@ -282,7 +283,8 @@ def test_deuteron_scan_edge_calibration_exits_1_with_one_line(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert err.startswith(f"deuteron {args[0]}: stage 'calibration' failed: ") and "scan edge" in err
+    assert err.startswith(f"deuteron {args[0]}: stage 'calibration' failed: ")
+    assert "falls towards its edge alpha=20," in err
     assert not out.exists()
 
 

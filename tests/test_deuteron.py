@@ -131,7 +131,9 @@ def test_calibration_sweeps_both_candidates():
 
 def test_calibration_refuses_a_scan_edge_candidate():
     # at 0.001 fm both candidates' depth minimisers sit on the alpha = 20 edge; comparing them would pick an edge
-    with pytest.raises(RefinementError, match="depth at r0=0.001 fm unconverged: .* on the scan edge"):
+    with pytest.raises(
+        RefinementError, match="depth at r0=0.001 fm unconverged: the scan falls towards its edge alpha=20,"
+    ):
         calibrate_smearing_mass(C.with_overrides(r0_sigma_fm=0.001))
 
 
@@ -215,14 +217,16 @@ def test_range_depth_curve_order_independent():
 def test_solve_depth_flags_alpha_on_scan_edge():
     # at 100 fm the family minimiser (root of the criterion-6 cubic, ~23) lies
     # beyond the alpha bracket, so the scan minimum sits on its 20.0 edge
-    with pytest.raises(RefinementError, match=r"depth at r0=100 fm unconverged: alpha\*=20 on the scan edge"):
+    with pytest.raises(
+        RefinementError, match="depth at r0=100 fm unconverged: the scan falls towards its edge alpha=20,"
+    ):
         solve_depth(100.0, ProblemTemplate())
 
 
 def test_range_depth_curve_records_failures_and_continues():
     # a failed range leaves nothing behind: the next solve equals a fresh one
     fresh = solve_depth(1.0, ProblemTemplate())
-    with pytest.raises(RefinementError, match="scan edge"):
+    with pytest.raises(RefinementError, match="falls towards its edge"):
         solve_depth(100.0, ProblemTemplate())
     assert solve_depth(1.0, ProblemTemplate()) == fresh
 
@@ -372,7 +376,9 @@ def test_core_radius_solves_only_the_bracket_ends(fuzzy_template, monkeypatch):
 def test_core_radius_rejects_unconverged_kinetic_minimum(fuzzy_template):
     # the kinetic minimiser at 1 fm, alpha = 0.22 at the calibrated mass, scales as 1/M: below the scan at 30 M
     heavy = ProblemTemplate(C, smearing_mass=30.0 * fuzzy_template.smearing_mass)
-    with pytest.raises(RefinementError, match=r"kinetic minimum at r0=1 fm unconverged: alpha\*=0\.01 on the scan edge"):
+    with pytest.raises(
+        RefinementError, match=r"kinetic minimum at r0=1 fm unconverged: the scan falls towards its edge alpha=0\.01,"
+    ):
         core_radius(heavy)
 
 
@@ -395,7 +401,9 @@ def _shallow(template, e0_binding):
 def test_core_radius_rejects_unconverged_depth(fuzzy_template):
     # r_c grows as |E_t|^(-1/4), to 28 fm here, and the depth minimiser there falls below the scan's alpha = 0.01:
     # that edge-of-scan depth must not enter the evidence as if it were a depth
-    with pytest.raises(RefinementError, match=r"depth at r0=28\.25\d* fm unconverged: alpha\*=0\.01 on the scan edge"):
+    with pytest.raises(
+        RefinementError, match=r"depth at r0=28\.25\d* fm unconverged: the scan falls towards its edge alpha=0\.01,"
+    ):
         core_radius(_shallow(fuzzy_template, -2.226e-7))
 
 

@@ -18,45 +18,28 @@ from fuzzyqm.numerics.linalg import WEIGHT_CAP, _d1_spectrum
 
 
 def test_grid_requires_eight_points():
-    with pytest.raises(ValueError):
-        MomentumGrid(np.linspace(-1, 1, 5))
+    with pytest.raises(ValueError, match="8 points"):
+        MomentumGrid(5, 1.0)
 
 
-def test_grid_rejects_nonuniform():
-    pts = np.linspace(-1, 1, 16)
-    pts[7] += 1e-3
-    with pytest.raises(ValueError, match="uniform"):
-        MomentumGrid(pts)
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, np.inf, np.nan])
+def test_grid_refuses_a_cutoff_outside_zero_to_infinity(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        MomentumGrid(16, cutoff)
 
 
-def test_grid_rejects_decreasing():
-    with pytest.raises(ValueError, match="increasing"):
-        MomentumGrid(np.linspace(1, -1, 16))
+def test_grid_points_span_the_cutoff_and_are_read_only():
+    g = MomentumGrid.symmetric(17, 3.0)
+    assert (g.points[0], g.points[8], g.points[-1]) == (-3.0, 0.0, 3.0)
+    assert np.array_equal(g.points, -g.points[::-1])  # every point has its mirror
+    with pytest.raises(ValueError, match="read-only"):
+        g.points[0] = 0.0
 
 
-@pytest.mark.parametrize(
-    "pts",
-    [np.r_[np.linspace(-1, 1, 15), np.nan], np.r_[np.nan, np.linspace(-1, 1, 15)], np.full(16, np.nan)],
-    ids=["nan-last", "nan-first", "all-nan"],
-)
-def test_grid_rejects_non_finite_points(pts):
-    # every comparison with NaN is False, so the ordering and uniformity checks alone let these through
-    with pytest.raises(ValueError, match="finite"):
-        MomentumGrid(pts)
-
-
-def test_radial_grid():
-    # the [0, P] axis of an S-state problem needs no tag: the points carry it
-    g = MomentumGrid(np.linspace(0.0, 5.0, 16))
-    assert g.points[0] == 0.0
-    assert g.cutoff == pytest.approx(5.0)
-
-
-@pytest.mark.parametrize("lo, hi", [(-3.0, 3.0), (0.0, 5.0), (-7.0, 2.0), (-9.0, -1.0), (1.0, 4.0)])
-def test_grid_cutoff_is_the_largest_magnitude(lo, hi):
-    # read from the two endpoints, which holds because the points increase
-    pts = np.linspace(lo, hi, 17)
-    assert MomentumGrid(pts).cutoff == np.max(np.abs(pts))
+def test_grids_built_apart_are_equal_on_size_and_cutoff():
+    a, b = MomentumGrid.symmetric(64, 2.5), MomentumGrid(64, 2.5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != MomentumGrid(65, 2.5) and a != MomentumGrid(64, 2.6)
 
 
 def test_operator_matrix_hermitian_tag_enforced():
@@ -232,8 +215,7 @@ def test_eig_sym_residual_and_orthonormality():
 
 def _box_interior_grid(n: int, half_width: float) -> MomentumGrid:
     # interior points of [-L, L] so the implicit zeros sit exactly on the walls
-    h = 2.0 * half_width / (n + 1)
-    return MomentumGrid(np.linspace(-half_width + h, half_width - h, n))
+    return MomentumGrid.symmetric(n, half_width - 2.0 * half_width / (n + 1))
 
 
 def test_laplacian_spectrum_converges_to_box_levels():

@@ -46,7 +46,7 @@ def gaussian_probe(grid, width, x0=0.0, p0=0.0):
 
 
 def test_momentum_op_is_diagonal():
-    g = MomentumGrid(np.linspace(-1, 1, 9))
+    g = MomentumGrid.symmetric(9, 1.0)
     m = build_momentum_op(g)
     assert np.allclose(np.diag(m.entries), g.points)
     assert np.allclose(m.entries - np.diag(np.diag(m.entries)), 0.0)
@@ -175,10 +175,10 @@ def test_spacetime_commutator_converges_and_is_antihermitian():
     assert abs(slope - 2.0) <= 0.3
 
 
-def _dense_spacetime_sides(points, mass):
+def _dense_spacetime_sides(grid, mass):
     """Dense [X_f1, X_f2] and its symmetrised closed form on the n^2 product grid, row-major."""
-    n = points.size
-    d = derivative_matrix(MomentumGrid(points), 1, "central").entries
+    n, points = grid.n, grid.points
+    d = derivative_matrix(grid, 1, "central").entries
     eye = np.eye(n)
     x1, x2 = 1j * np.kron(d, eye), 1j * np.kron(eye, d)
     p1, p2 = np.repeat(points, n), np.tile(points, n)
@@ -197,7 +197,7 @@ def test_spacetime_commutator_matches_dense_oracle(n):
     k = max(1, int(round(0.15 * n)))
     inner = (slice(k, n - k), slice(k, n - k))
 
-    lhs, _, rhs, p1, p2 = _dense_spacetime_sides(grid.points, MASS)
+    lhs, _, rhs, p1, p2 = _dense_spacetime_sides(grid, MASS)
     for side in (lhs, rhs):
         assert np.max(np.abs(side + side.conj().T)) <= 1e-14 * np.max(np.abs(side))
     c = grid.cutoff
@@ -206,7 +206,7 @@ def test_spacetime_commutator_matches_dense_oracle(n):
     residual = np.max(np.abs(((lhs - rhs) @ psi.ravel()).reshape(n, n)[inner]))
 
     wn = SNYDER_WIDTH * MASS
-    lhs_s, core_s, _, q1, q2 = _dense_spacetime_sides(np.linspace(-8.0 * wn, 8.0 * wn, n), MASS)
+    lhs_s, core_s, _, q1, q2 = _dense_spacetime_sides(MomentumGrid.symmetric(n, 8.0 * wn), MASS)
     chi = np.exp(-((q1 - 0.7 * wn) ** 2) / (2.0 * (0.9 * wn) ** 2) - ((q2 + 0.5 * wn) ** 2) / (2.0 * (1.3 * wn) ** 2))
     chi /= chi.max()
     core_chi = (core_s @ chi.ravel()).reshape(n, n)[inner]
@@ -247,6 +247,14 @@ def test_uncertainty_requires_normalised_state():
     g = _grid()
     st = GridState(np.exp(-g.points**2).astype(complex), g)
     with pytest.raises(ContractError, match="normalised"):
+        uncertainty_report(st, S)
+
+
+def test_uncertainty_refuses_a_smeared_state():
+    # a state with smearing is normalised in the weighted measure; the report's moments are plain-measure sums
+    g = _grid()
+    st = GridState(gaussian_probe(g, 1.0).samples, g, S).normalize()
+    with pytest.raises(ContractError, match="plain-measure"):
         uncertainty_report(st, S)
 
 
@@ -314,7 +322,7 @@ def test_random_smooth_state_is_plain_and_normalised():
     rng = np.random.default_rng(20241018)
     for _ in range(20):
         st = random_smooth_state(g, rng)
-        assert st.measure == "plain" and st.grid is g
+        assert st.smearing is None and st.grid is g
         assert abs(st.norm() - 1.0) <= 1e-13
 
 

@@ -222,7 +222,7 @@ def _dense_oracle(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tupl
     vals, vecs = np.linalg.eigh(s[:, None] * a * s[None, :])
     boost = np.exp(grid.points**2 / spec.mass**2) * s
     states = [
-        GridState(boost * vecs[:, i], grid, "weighted", SmearingParams(spec.mass)).normalize() for i in range(4)
+        GridState(boost * vecs[:, i], grid, SmearingParams(spec.mass)).normalize() for i in range(4)
     ]
     return vals[:4], states
 
@@ -327,7 +327,7 @@ def test_hermite_rows_equal_the_column_recurrence(n):
 
 def _shared(grid: MomentumGrid, mass: float = M, omega: float = W) -> list[np.ndarray]:
     """Every array of the grid's cache entry: c, then each field of the even and the odd basis."""
-    c, even, odd = oscillator._toeplitz_hermite(grid.points.tobytes(), mass, omega)
+    c, even, odd = oscillator._toeplitz_hermite(grid, mass, omega)
     return [c, *even, *odd]
 
 
@@ -336,6 +336,9 @@ def test_shared_product_is_keyed_on_everything_it_reads():
     base = _shared(grid)
     assert len(base) == 11
     assert all(a is b for a, b in zip(_shared(grid), base))  # the same key answers from the cache
+    rebuilt = MomentumGrid.symmetric(grid.n, grid.cutoff)
+    assert rebuilt is not grid
+    assert all(a is b for a, b in zip(_shared(rebuilt), base))  # an equal grid built apart shares the entry
     others = [
         _shared(MomentumGrid.symmetric(64, 1.01 * grid.cutoff)),
         _shared(grid, mass=2.0 * M),
@@ -344,7 +347,7 @@ def test_shared_product_is_keyed_on_everything_it_reads():
     for other in others:
         assert not any(np.array_equal(a, b) for a, b in zip(base, other))
     info = oscillator._toeplitz_hermite.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 4, 2)
+    assert (info.hits, info.misses, info.currsize) == (2, 4, 2)
 
 
 def test_shared_product_is_read_only():
