@@ -263,7 +263,7 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _parse_r0_list(values: list[str]) -> list[float]:
-    """Ranges (fm) from comma-separated --r0 values; ValueError names the first that is not positive."""
+    """Ranges (fm) from comma-separated --r0 values; ValueError names the first not positive, or a list naming none."""
     out: list[float] = []
     for tok in filter(None, ",".join(values).split(",")):
         try:
@@ -273,6 +273,8 @@ def _parse_r0_list(values: list[str]) -> list[float]:
         if not 0.0 < r0 < np.inf:
             raise ValueError(f"--r0 must be a positive range in fm, got {tok!r}")
         out.append(r0)
+    if values and not out:
+        raise ValueError(f"--r0 names no range, got {','.join(values)!r}")
     return out
 
 

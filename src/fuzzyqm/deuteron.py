@@ -48,9 +48,6 @@ _SCAN_LO, _SCAN_HI = _ALPHA_SCAN[[0, -1]].tolist()
 _ALPHA_RTOL = 4.0 * float(np.sqrt(np.finfo(float).eps))  # Brent's final bracket, relative to the scan minimum
 _KINETIC_REL_TOL = 1e-9
 _KINETIC_STEP = 0.06  # step in ln u of the fine smeared-kinetic rule; the check rule doubles it
-_ORACLE_BOX = 10.0  # exact-depth box radius in units of the bound state's decay length 1/kappa
-_ORACLE_STEPS_PER_RANGE = 16  # coarse exact-depth grid steps per range r0
-_PENCIL_CAP = 1e300  # largest upper end the exact-depth bisection doubles to
 _CORE_KINETIC_R0 = 1.0  # fm, the range of the core radius's kinetic minimisation; any range gives the same r_c
 _CORE_EVIDENCE_STEP = 0.1  # the core radius's evidence depths are solved at r_c (1 -+ this)
 
@@ -168,8 +165,8 @@ def _smeared_kinetic_integral(alpha, b: float):
 
 def _scales(template: ProblemTemplate, r0_fm: float) -> tuple[float, float, float | None]:
     """(r0 in MeV^-1, k, b) at range r0: k = (hbar c)^2/(2 mu r0^2) MeV, b = (hbar c/(M r0))^2 or None if ordinary."""
-    if r0_fm <= 0:
-        raise ValueError("range r0 must be positive")
+    if not 0.0 < r0_fm < np.inf:
+        raise ValueError(f"range r0 must be positive and finite, got {r0_fm!r}")
     c = template.constants
     r0n = r0_fm / c.hbar_c
     k = 1.0 / (2.0 * c.reduced_mass * r0n**2)
@@ -368,66 +365,47 @@ def coupling_report(constants: PhysicalConstants, V0: float, V0_prime: float) ->
 # exact ordinary depth (independent oracle for the variational path)
 
 
-def _lowest_pencil_eigenvalue(diag: np.ndarray, off: np.ndarray, weight: np.ndarray) -> float:
-    """Lowest V0 of (A - V0 W) u = 0 for A = tridiag(off, diag, off) positive definite and W = diag(weight) > 0.
+@lru_cache(maxsize=1)
+def _laguerre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, w) of the m-node Gauss-Laguerre rule, read only; numpy.polynomial is first imported here, not at start-up."""
+    return np.polynomial.laguerre.laggauss(m)
 
-    By Sylvester's law of inertia the LDL^T pivots d_i = a_i - V0 w_i - o_(i-1)^2/d_(i-1) of A - V0 W include a
-    non-positive one exactly when an eigenvalue lies below V0 (Barth, Martin & Wilkinson, Numer. Math. 9, 386
-    (1967)); V0 is bisected on that from 0 and a doubled upper end to 1e-13 relative.
+
+def _laguerre_pencil(n: int, lam: float, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) in phi_k(u) = u e^(-lam u) L_k^(1)(2 lam u), k < n: A = -d^2/du^2 + kappa^2, B B^T = W the weight e^-u/u.
+
+    -phi_k'' + lam^2 phi_k = 2 lam (k+1) phi_k/u and integral phi_j phi_k/u du = delta_jk (k+1)/(4 lam^2) make A
+    diag((k+1)^2/(2 lam)) - (lam^2 - kappa^2) S, S the tridiagonal overlap.  In x = (2 lam + 1) u, W integrates a
+    polynomial of degree 2n - 1 against e^-x, which n + 1 Gauss-Laguerre nodes do exactly.
     """
-    if not (np.all(np.isfinite(np.r_[diag, off, weight])) and np.all(weight > 0)):  # a NaN pivot is never negative
-        raise ValueError("the pencil's entries must be finite and its weight positive")
-    rows = list(zip(diag.tolist(), weight.tolist(), [0.0] + (np.asarray(off) ** 2).tolist()))
-
-    def above(v0: float) -> bool:  # True when some eigenvalue lies below v0
-        d = 1.0
-        for a, w, o2 in rows:
-            d = a - v0 * w - o2 / d
-            if d <= 0.0:
-                return True
-        return False
-
-    if above(0.0):
-        raise ValueError("the pencil's matrix must be positive definite")
-    lo, hi = 0.0, 1.0
-    while not above(hi):
-        if hi > _PENCIL_CAP:
-            raise RefinementError(f"no pencil eigenvalue below {_PENCIL_CAP:g}: the upper end did not bracket it")
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if above(mid) else (mid, hi)
-    return 0.5 * (lo + hi)
-
-
-def _sturmian_depth(n: int, box: float, r0_fm: float, e_target: float, constants: PhysicalConstants) -> float:
-    """Lowest Sturmian depth with 3-point differences on r_i = i box/n, u(0) = u(box) = 0."""
-    h = box / n
-    r = h * np.arange(1, n)
-    kin = constants.hbar_c**2 / (2.0 * constants.reduced_mass)
-    w = np.exp(-r / r0_fm) / (r / r0_fm)
-    diag, off = np.full(n - 1, kin * (2.0 / h**2) - e_target), np.full(n - 2, -kin * (1.0 / h**2))
-    return _lowest_pencil_eigenvalue(diag, off, w)
+    k1 = np.arange(1.0, n + 1.0)
+    off = np.diag(k1[:-1] * k1[1:], 1)
+    a = np.diag(k1**2 / (2.0 * lam)) - (lam**2 - kappa**2) / (2.0 * lam) ** 3 * (np.diag(2.0 * k1**2) - off - off.T)
+    c = 2.0 * lam + 1.0
+    x, w = _laguerre_nodes(n + 1)
+    y = (2.0 * lam / c) * x
+    lag = [np.ones_like(y), 2.0 - y]
+    for k in range(1, n - 1):  # (k+1) L_(k+1) = (2k+2-y) L_k - (k+1) L_(k-1)
+        lag.append((2.0 * k + 2.0 - y) * lag[k] / (k + 1) - lag[k - 1])
+    return a, np.array(lag) * (np.sqrt(w * x) / c)
 
 
 def exact_depth(r0_fm: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Depth whose exact ordinary ground energy equals the binding target E_t, ``constants.e0_binding``.
 
-    At fixed E_t < 0 the depth is the lowest eigenvalue V0 of the Sturmian
-    problem (-hbar^2/2mu d^2/dr^2 - E_t) u = V0 w(r) u, w = exp(-r/r0)/(r/r0)
-    (Rotenberg, Ann. Phys. 19, 262 (1962)).  K - E_t is tridiagonal and
-    positive definite and W = w(r_i) a positive diagonal, so the lowest V0 of
-    the pencil is found by counting the negative pivots of K - E_t - V0 W
-    (Sylvester's law of inertia), without forming a dense matrix.  The
-    box R = 10/kappa, kappa = sqrt(2 mu |E_t|)/(hbar c), puts the Dirichlet
-    wall where u has decayed by exp(-10); the step is about r0/16 and is
-    halved once for Richardson extrapolation (4 V(2n) - V(n))/3.
+    At fixed E_t < 0 the depth is the lowest V0 of the Sturmian problem k (-d^2/du^2 + kappa^2) u = V0 (e^-u/u) u in
+    u = r/r0, k from ``_scales``, kappa = sqrt(-E_t/k) (Rotenberg, Ann. Phys. 19, 262 (1962)).  By Rayleigh-Ritz in
+    the 160 functions of ``_laguerre_pencil``, with A = L L^T and W = B B^T, it is k/||L^-1 B||_2^2; the first 80 rows
+    of L^-1 B give it in the nested first 80 functions, which can only raise it.  RefinementError is raised when the
+    two differ by more than 1e-9 relative: below about 0.04 fm (1.2e-10 at 0.05 fm, 3e-13 from 0.1 fm to 1e5 fm).
     """
-    target = constants.e0_binding
-    if r0_fm <= 0:
-        raise ValueError("range r0 must be positive")
-    kappa = np.sqrt(2.0 * constants.reduced_mass * -target) / constants.hbar_c  # fm^-1
-    box = _ORACLE_BOX / kappa
-    n = int(np.ceil(_ORACLE_STEPS_PER_RANGE * box / r0_fm))
-    coarse, fine = (_sturmian_depth(m, box, r0_fm, target, constants) for m in (n, 2 * n))
-    return (4.0 * fine - coarse) / 3.0
+    _, k, _ = _scales(ProblemTemplate(constants), r0_fm)
+    kappa = (-constants.e0_binding / k) ** 0.5
+    lam = max(2.0 * kappa, 1.5 * kappa**0.5)  # the bound state's tail sets the scale at long ranges, the well at short
+    a, b = _laguerre_pencil(160, lam, kappa)
+    white = np.linalg.solve(np.linalg.cholesky(a), b)
+    coarse, fine = (k / float(np.linalg.norm(white[:n], 2)) ** 2 for n in (80, 160))
+    if not abs(coarse - fine) <= 1e-9 * fine:
+        raise RefinementError(f"exact depth at r0={r0_fm:g} fm unconverged: {coarse:.12g} MeV with 80 Laguerre "
+                              f"functions, {fine:.12g} MeV with 160")
+    return fine

@@ -135,7 +135,7 @@ FINITE_DIFFERENCE_DEPTH = {0.72: 164.1106, 1.43: 48.8508}
 # Exact depths from the Numerov shooting oracle that the eigenproblem replaced:
 # outward integration with node counting (h = 0.005 fm, 40 fm window) inside a
 # Brent root on V0.  It shares no discretisation with exact_depth, whose own
-# method is a finite difference.
+# method is a Rayleigh-Ritz eigenproblem in Laguerre functions.
 SHOOTING_DEPTH = {0.72: 164.115770, 1.43: 48.851466}
 
 

@@ -107,6 +107,23 @@ def test_non_finite_argument_exits_2_with_one_line(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r0", [",", "", ",,", " "])
+def test_r0_list_naming_no_range_exits_2_with_one_line(tmp_path, capsys, r0):
+    # "--r0 ," used to write a header-only deuteron_range_depth.csv and exit 0
+    code = main(["--out", str(tmp_path / "o"), "deuteron", "range-depth", "--r0", r0])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("deuteron: --r0 ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_start_does_not_import_numpy_polynomial():
+    # every command and every benchmark's setup time pays for what importing the CLI loads
+    code = "import sys, fuzzyqm.cli; assert 'numpy.polynomial' not in sys.modules"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_knob = 3\n")

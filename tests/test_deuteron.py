@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import eval_genlaguerre
 
 from fuzzyqm.constants import DEFAULT_CONSTANTS, PhysicalConstants
 from fuzzyqm import deuteron
@@ -502,55 +503,65 @@ def test_coupling_ratio_invariant_under_common_rescaling():
 # --- exact oracle -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_pencil_eigenvalue_matches_dense_generalized_eigh(seed):
-    # random positive-definite tridiagonal A (diagonally dominant), weights over six decades
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(5, 41))
-    off = rng.normal(size=n - 1)
-    diag = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off]) + rng.uniform(0.1, 2.0, n)
-    weight = 10.0 ** rng.uniform(-3.0, 3.0, n)
-    a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    want = scipy.linalg.eigh(a, np.diag(weight), eigvals_only=True)[0]
-    assert deuteron._lowest_pencil_eigenvalue(diag, off, weight) == pytest.approx(want, rel=1e-10)
+def _basis_and_slope(k, lam, u):
+    """phi_k(u) = u e^(-lam u) L_k^(1)(2 lam u) and its derivative, from scipy's Laguerre polynomials."""
+    y, e = 2.0 * lam * u, np.exp(-lam * u)
+    lag = eval_genlaguerre(k, 1, y)
+    dlag = -eval_genlaguerre(k - 1, 2, y) if k else 0.0  # d/dy L_k^(1) = -L_(k-1)^(2)
+    return u * e * lag, e * ((1.0 - lam * u) * lag + 2.0 * lam * u * dlag)
 
 
-def test_pencil_eigenvalue_fails_loudly():
-    # the lowest eigenvalue, about 0.198 / 1e-305, lies beyond the cap the doubled upper end stops at
-    diag, off = np.full(6, 2.0), np.full(5, -1.0)
-    with pytest.raises(RefinementError, match="did not bracket"):
-        deuteron._lowest_pencil_eigenvalue(diag, off, np.full(6, 1e-305))
-    with pytest.raises(ValueError, match="positive definite"):
-        deuteron._lowest_pencil_eigenvalue(-diag, off, np.ones(6))
+@pytest.mark.parametrize("lam, kappa", [(1.2, 0.3), (0.9, 0.45)])
+def test_laguerre_pencil_matches_quadrature_on_the_basis(lam, kappa):
+    # adaptive quadrature on the functions themselves shares nothing with the closed forms or the Gauss-Laguerre sum
+    a, b = deuteron._laguerre_pencil(8, lam, kappa)
+    w = b @ b.T
+    for j, k in [(0, 0), (2, 3), (3, 2), (7, 7), (1, 4), (6, 7)]:
+        kinetic = quad(lambda u: _basis_and_slope(j, lam, u)[1] * _basis_and_slope(k, lam, u)[1]
+                       + kappa**2 * _basis_and_slope(j, lam, u)[0] * _basis_and_slope(k, lam, u)[0],
+                       0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        weight = quad(lambda u: _basis_and_slope(j, lam, u)[0] * _basis_and_slope(k, lam, u)[0] * np.exp(-u) / u,
+                      0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        assert a[j, k] == pytest.approx(kinetic, rel=1e-10, abs=1e-12)
+        assert w[j, k] == pytest.approx(weight, rel=1e-10, abs=1e-12)
+    assert np.count_nonzero(np.triu(a, 2)) == 0  # tridiagonal
 
 
-@pytest.mark.parametrize(
-    "name, row, value",
-    [
-        ("weight", 1, np.nan),  # a NaN pivot is never negative: returned 1.9999999999999432 unchecked
-        ("weight", 0, np.nan),
-        ("weight", 2, np.inf),  # 0 * inf is NaN at the bottom of the bracket: the bisection never ended
-        ("diag", 3, np.nan),  # returned 0.585786437626922 unchecked
-        ("off", 4, -np.inf),
-        ("weight", 3, -1.0),  # returned 0.33885209892666524 unchecked
-        ("weight", 5, 0.0),
-    ],
-)
-def test_pencil_eigenvalue_rejects_bad_input(name, row, value):
-    pencil = {"diag": np.full(6, 2.0), "off": np.full(5, -1.0), "weight": np.ones(6)}
-    pencil[name][row] = value
-    with pytest.raises(ValueError, match="finite and its weight positive"):
-        deuteron._lowest_pencil_eigenvalue(pencil["diag"], pencil["off"], pencil["weight"])
+@pytest.mark.parametrize("r0", [0.05, R0_SIGMA, 1.43])
+def test_ritz_depth_falls_with_the_basis_and_converges(r0):
+    _, k, _ = deuteron._scales(ProblemTemplate(), r0)
+    kappa = (-C.e0_binding / k) ** 0.5
+    lam = max(2.0 * kappa, 1.5 * kappa**0.5)
+    depths = []
+    for n in (5, 10, 20, 40, 80, 160):  # the lowest V0 of A c = V0 W c, by a dense generalized eigensolver
+        a, b = deuteron._laguerre_pencil(n, lam, kappa)
+        depths.append(k / scipy.linalg.eigh(b @ b.T, a, eigvals_only=True)[-1])
+    # nested bases: each depth is at most the last one, up to the rounding of the converged ones
+    assert all(fine <= coarse * (1.0 + 1e-12) for coarse, fine in zip(depths, depths[1:]))
+    assert depths[0] > depths[-1] * (1.0 + 1e-6)
+    assert depths[-2] == pytest.approx(depths[-1], rel=2e-10)
+    assert exact_depth(r0) == pytest.approx(depths[-1], rel=1e-12)
 
 
 def test_exact_depth_at_the_sigma_range():
     v_exact = exact_depth(R0_SIGMA)
-    assert v_exact == pytest.approx(598.716268287, rel=1e-9)
+    assert v_exact == pytest.approx(598.71626455, rel=1e-9)
     assert solve_depth(R0_SIGMA, ProblemTemplate()).depth > v_exact
 
 
+@pytest.mark.parametrize("r0, depth", [(0.72, 164.11059747), (1.43, 48.85080632), (0.05, 28300.273372)])
+def test_exact_depth_pinned(r0, depth):
+    # 0.05 fm is below the ranges a finite difference on a box of 10/kappa could reach: exp(-r/r0) underflowed there
+    assert exact_depth(r0) == pytest.approx(depth, rel=1e-9)
+
+
+def test_exact_depth_refuses_a_range_its_bases_cannot_resolve():
+    with pytest.raises(RefinementError, match=r"exact depth at r0=0\.01 fm unconverged: 698814\.\d+ MeV with 80 "):
+        exact_depth(0.01)
+
+
 def test_problem_inputs_rejected():
-    for r0 in (0.0, -1.0):
+    for r0 in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="range r0 must be positive"):
             solve_depth(r0, ProblemTemplate())
         with pytest.raises(ValueError, match="range r0 must be positive"):
@@ -566,8 +577,8 @@ def test_problem_inputs_rejected():
 
 
 def test_exact_depth_rejects_nonpositive_range():
-    for r0 in (0.0, -1.0):
-        with pytest.raises(ValueError, match="positive"):
+    for r0 in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="range r0 must be positive"):
             exact_depth(r0)
 
 
