@@ -3,9 +3,9 @@
 Outputs are deterministic: identical command line plus config produce
 byte-identical files (no timestamps; fixed float formatting) on the same
 machine with the same numpy, BLAS and BLAS thread count.  A different BLAS
-thread count can move the last digits of dense eigensolves (the oscillator's
-dense rung).  Exit codes: 0 all checks pass, 1 numerical check failure,
-2 usage or config error.
+thread count can move the last digits of the oscillator's eigensolves.
+Exit codes: 0 all checks pass, 1 numerical check failure, 2 usage or config
+error.
 """
 
 from __future__ import annotations

@@ -216,8 +216,8 @@ def _minimise_over_alpha(f, what: str) -> tuple[float, float]:
 
 def energy_expectation(template: ProblemTemplate, V0: float, r0_fm: float, alpha: float) -> float:
     """Energy <psi|H|psi>/<psi|psi> (MeV) of the trial alpha at depth V0 and range r0, in the problem's measure."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:  # also refuses nan
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     t, g = _kinetic_and_binding(*_scales(template, r0_fm)[1:], alpha)
     return float(t - V0 * g)
 
@@ -229,6 +229,8 @@ def trial_samples(
 
     Raises OverflowGuardError when the smeared trial's exponent would overflow.
     """
+    if not 0.0 < alpha < np.inf:  # also refuses nan
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     p = np.asarray(p, dtype=float)
     u = p * _scales(template, r0_fm)[0]
     if template.smearing_mass is None:

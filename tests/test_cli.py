@@ -481,8 +481,9 @@ def test_float_matrix_table_writes_the_row_bytes(tmp_path, fmt, n_rows):
 
 
 def test_dense_rung_numbers_agree_across_blas_thread_counts(tmp_path):
-    # the dense eigh of the strong-coupling oscillator may round differently on one BLAS thread: bytes may
-    # differ, the numbers may not.  JSON tables carry every float digit, so the bounds compare numbers, not
+    # the oscillator's eigensolves may round differently on one BLAS thread: bytes may differ, the numbers
+    # may not.  At w/m = 0.3 exact the Galerkin rung answers with K = 256 Hermite functions (the dense grid
+    # blocks only from about 0.6).  JSON tables carry every float digit, so the bounds compare numbers, not
     # the 12-digit CSV rounding.
     args = ("--format", "json", "oscillator", "--omega", "0.3", "--mass", "1", "--truncation", "exact")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

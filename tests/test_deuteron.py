@@ -568,9 +568,11 @@ def test_problem_inputs_rejected():
             energy_expectation(_fuzzy(MU), 100.0, r0, 1.0)
         with pytest.raises(ValueError, match="range r0 must be positive"):
             trial_samples(ProblemTemplate(), r0, 1.0, np.linspace(1.0, 10.0, 4))
-    for alpha in (0.0, -0.5):
+    for alpha in (0.0, -0.5, np.inf, np.nan):
         with pytest.raises(ValueError, match="alpha must be positive"):
             energy_expectation(ProblemTemplate(), 100.0, 1.0, alpha)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            trial_samples(ProblemTemplate(), 1.0, alpha, np.linspace(1.0, 10.0, 4))
     for mass in (0.0, -MU, np.inf, np.nan):
         with pytest.raises(ValueError, match="smearing mass must be finite and positive"):
             ProblemTemplate(C, smearing_mass=mass)

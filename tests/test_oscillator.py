@@ -9,7 +9,7 @@ from fuzzyqm.numerics import MomentumGrid, derivative_matrix
 from fuzzyqm.operators import GridState, SmearingParams
 from fuzzyqm.oscillator import (
     OscillatorSpec,
-    _diagonal_and_weight,
+    _kinetic_and_weight,
     anharmonic_shift,
     anharmonic_spectrum_formula,
     default_grid,
@@ -119,7 +119,7 @@ def test_quadratic_diagonalisation_matches_its_exact_levels(monkeypatch, ratio, 
     spec = OscillatorSpec(ratio * M, M, "quadratic")
     n = np.arange(8)
     exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + ratio**2) - spec.omega**2 / (2.0 * M)
-    for rung in ("ritz32/ritz32", "dense/dense"):  # both rungs are checked
+    for rung in ("galerkin64/galerkin64", "dense/dense"):  # both rungs are checked; the grid is the dense rung's
         res = numeric_spectrum(spec, 7, n_points=n_points)
         assert res.method == rung
         assert np.max(np.abs(np.array(res.energies) / exact - 1.0)) <= 1e-10
@@ -155,7 +155,8 @@ def test_exact_weight_spectrum_below_anharmonic_formula():
     assert np.all(np.abs(exact - formula) <= 3.0 * (n + 0.5) ** 2 * (W / M) ** 2 * M)
 
 
-def test_refinement_stability_invariant():
+def test_refinement_stability_invariant(monkeypatch):
+    _dense_rung(monkeypatch)  # the Galerkin levels depend on no grid
     spec = OscillatorSpec(W, M, "exact")
     grid = default_grid(spec, 2)
     e1 = np.array(numeric_spectrum(spec, 2, grid=grid).energies)
@@ -164,14 +165,16 @@ def test_refinement_stability_invariant():
     assert np.max(np.abs(e1 - e2) / np.abs(e2)) <= 1e-6
 
 
-def test_refinement_error_on_coarse_grid():
+def test_refinement_error_on_coarse_grid(monkeypatch):
+    _dense_rung(monkeypatch)  # the refinement check acts on the dense rung only
     spec = OscillatorSpec(W, M, "quadratic")
     coarse = MomentumGrid.symmetric(12, 0.05)
     with pytest.raises(RefinementError):
         numeric_spectrum(spec, 2, grid=coarse, check_refinement=True)
 
 
-def test_weight_overflow_guard():
+def test_weight_overflow_guard(monkeypatch):
+    _dense_rung(monkeypatch)  # the grid's weight enters the dense rung only
     spec = OscillatorSpec(W, M, "exact")
     wide = MomentumGrid.symmetric(64, 10.0 * M)  # exp(200) weight
     with pytest.raises(OverflowGuardError, match="cutoff"):
@@ -216,8 +219,9 @@ def test_more_levels_than_grid_points_rejected():
 
 def _dense_oracle(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tuple[np.ndarray, list[GridState]]:
     """Levels and eigenfunctions from np.linalg.eigh of the full n x n B = W^(-1/2) A W^(-1/2)."""
-    diag, weight = _diagonal_and_weight(spec, grid.points)
-    a = -(spec.mass * spec.omega**2 / 2.0) * derivative_matrix(grid, 2, scheme).entries + np.diag(diag)
+    kinetic, weight = _kinetic_and_weight(spec, grid.points)
+    confinement = (spec.mass * spec.omega**2 / 2.0) * (grid.points**2 / spec.mass**4 - 1.0 / spec.mass**2)
+    a = -(spec.mass * spec.omega**2 / 2.0) * derivative_matrix(grid, 2, scheme).entries + np.diag(confinement + kinetic)
     s = 1.0 / np.sqrt(weight)
     vals, vecs = np.linalg.eigh(s[:, None] * a * s[None, :])
     boost = np.exp(grid.points**2 / spec.mass**2) * s
@@ -230,7 +234,8 @@ def _dense_oracle(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tupl
 @pytest.mark.parametrize("n", [64, 65, 1024])
 @pytest.mark.parametrize("scheme", ["spectral"])  # the oracle's second derivative, the one numeric_spectrum uses
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
-def test_parity_blocks_match_full_eigh(n, scheme, truncation):
+def test_parity_blocks_match_full_eigh(monkeypatch, n, scheme, truncation):
+    _dense_rung(monkeypatch)
     spec = OscillatorSpec(W, M, truncation)
     grid = default_grid(spec, 3, n)
     res = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
@@ -245,29 +250,34 @@ def test_parity_blocks_match_full_eigh(n, scheme, truncation):
 
 
 def _dense_rung(monkeypatch) -> None:
-    """Make every parity block skip the Ritz rungs, so numeric_spectrum answers from the dense blocks."""
-    monkeypatch.setattr(oscillator, "_ritz", lambda *args: None)
+    """Make the Galerkin ladder give up, so numeric_spectrum answers from the dense parity blocks."""
+    monkeypatch.setattr(oscillator, "_galerkin", lambda *args: None)
 
 
 _LADDER_CASES = [
     (ratio, truncation, n)
     for ratio in (0.005, 0.02, 0.1, 0.3)
     for truncation in ("quadratic", "quartic", "exact")
-    for n in (64, 65)
+    for n in (64, 65, 2048)  # dense 2048-point blocks with states: 0.3 s a case
+    # 64 and 65 points leave exact's grid levels 2.5e-9 (w/m = 0.1) and 1.5e-7 (0.3) off the continuum ones
+    if n == 2048 or truncation != "exact" or ratio < 0.1
 ] + [
     (ratio, truncation, 1024) for ratio in (0.005, 0.02) for truncation in ("quadratic", "quartic", "exact")
 ] + [
-    (ratio, "exact", 2048) for ratio in (0.005, 0.02)  # the full weight; 0.4 s a case
+    (ratio, "exact", 1024) for ratio in (0.1, 0.3)  # exact's 1024- and 2048-point grids stand in for 65 and 64
 ]
 
 
 @pytest.mark.parametrize(
     "ratio, truncation, n", _LADDER_CASES, ids=[f"{r}-{t}-{n}-spectral" for r, t, n in _LADDER_CASES]
-)  # the ids end in the second derivative the solve uses
+)  # the ids end in the dense rung's second derivative
 def test_ladder_matches_dense_rung(monkeypatch, ratio, truncation, n):
+    # the Galerkin levels are the continuum's: a grid that resolves the states holds the same levels, and
+    # the Galerkin states sampled on it are the dense blocks' eigenvectors
     spec = OscillatorSpec(ratio * M, M, truncation)
     grid = default_grid(spec, 3, n, states=True)
     ours = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
+    assert ours.method.startswith("galerkin")
     _dense_rung(monkeypatch)
     dense = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
     assert dense.method == "dense/dense"
@@ -276,12 +286,11 @@ def test_ladder_matches_dense_rung(monkeypatch, ratio, truncation, n):
         assert np.real(inner(state, oracle)) >= 1.0 - 1e-10  # same state, same sign
 
 
-def test_ritz_rejects_a_basis_that_misses_the_ground_state(monkeypatch):
-    # h_2, h_4, ... and h_3, h_5, ...: the residual test must turn both blocks away
-    spec = OscillatorSpec(W, M, "exact")
-    grid = default_grid(spec, 3, 512)
-    hermite = oscillator._hermite_basis
-    monkeypatch.setattr(oscillator, "_hermite_basis", lambda spec, p, count: hermite(spec, p, count + 2)[:, 2:])
+def test_ladder_disagreement_falls_through_to_dense(monkeypatch):
+    # exact at w/m = 0.3 needs K = 256: a ladder that stops at 128 finds no agreement and hands over to the grid
+    spec = OscillatorSpec(0.3 * M, M, "exact")
+    grid = default_grid(spec, 3, 128)
+    monkeypatch.setattr(oscillator, "_LADDER", (32, 64, 128))
     res = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
     assert res.method == "dense/dense"
     _dense_rung(monkeypatch)
@@ -290,92 +299,68 @@ def test_ritz_rejects_a_basis_that_misses_the_ground_state(monkeypatch):
     assert all(np.array_equal(x.samples, y.samples) for x, y in zip(res.eigenfunctions, dense.eigenfunctions))
 
 
+@pytest.mark.parametrize("ratio", [0.5, 1.0])
+def test_levels_do_not_depend_on_the_states(ratio):
+    # asking for the states caps the default grid at 3.7 m, which cuts into these states; the levels use no grid
+    spec = OscillatorSpec(ratio * M, M, "quadratic")
+    n = np.arange(8)
+    exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + ratio**2) - spec.omega**2 / (2.0 * M)
+    levels = numeric_spectrum(spec, 7).energies
+    assert numeric_spectrum(spec, 7, return_eigenfunctions=True).energies == levels
+    assert np.max(np.abs(np.array(levels) / exact - 1.0)) <= 1e-10
+
+
 @pytest.mark.parametrize("n", [16, 17, 64, 65, 509, 1024])  # tiny, odd and prime n among them
 @pytest.mark.parametrize("scheme", ["central", "spectral"])
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
 def test_block_product_matches_dense_block(n, scheme, truncation):
-    # both products take any symmetric Toeplitz lag vector; the 3-point one is a banded second case
+    # a parity block is P^T A P for the full matrix A, P the orthonormal even or odd basis of the grid; the block
+    # takes any symmetric Toeplitz lag vector, and the 3-point one is a banded second case
     spec = OscillatorSpec(W, M, truncation)
     grid = default_grid(spec, 3, n)
     k = n // 2
-    c = -(spec.mass * spec.omega**2 / 2.0) * derivative_matrix(grid, 2, scheme).entries[0]
-    diag, _ = _diagonal_and_weight(spec, grid.points[: n - k])
+    second = -(spec.mass * spec.omega**2 / 2.0) * derivative_matrix(grid, 2, scheme).entries
+    kinetic, _ = _kinetic_and_weight(spec, grid.points)
+    diag = (spec.mass * spec.omega**2 / 2.0) * (grid.points**2 / spec.mass**4 - 1.0 / spec.mass**2) + kinetic
     x = np.random.default_rng(n).standard_normal((n - k, 8))
-    product = oscillator._block_product(c, x) + diag[:, None] * x
     for sign in (1, -1):
-        a = oscillator._parity_block(c, diag, sign)
-        dim, cols = a.shape[0], slice((1 - sign) // 2, None, 2)
+        a = oscillator._parity_block(second[0], diag, sign)
+        dim = a.shape[0]
         assert dim == (n - k if sign > 0 else k)
-        err = np.max(np.abs(product[:dim, cols] - a @ x[:dim, cols]))
-        assert err <= 1e-13 * np.max(np.abs(a)) * np.max(np.abs(x[:dim, cols]))
+        basis = np.zeros((n, dim))
+        basis[np.arange(k), np.arange(k)] = np.sqrt(0.5)
+        basis[n - 1 - np.arange(k), np.arange(k)] = sign * np.sqrt(0.5)
+        if dim > k:
+            basis[k, k] = 1.0  # the middle point of an odd grid, its own mirror
+        want = basis.T @ (second + np.diag(diag)) @ (basis @ x[:dim])
+        assert np.max(np.abs(a @ x[:dim] - want)) <= 1e-13 * np.max(np.abs(a)) * np.max(np.abs(x[:dim]))
 
 
 @pytest.mark.parametrize("n", [64, 65])
 def test_hermite_rows_equal_the_column_recurrence(n):
-    spec = OscillatorSpec(W, M)
-    p = default_grid(spec, 3, n).points
-    x = p / np.sqrt(spec.mass * spec.omega)
+    x = default_grid(OscillatorSpec(W, M), 3, n).points / np.sqrt(M * W)
     columns = np.empty((x.size, 64))
     columns[:, 0] = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
     columns[:, 1] = np.sqrt(2.0) * x * columns[:, 0]
     for j in range(2, 64):
         columns[:, j] = np.sqrt(2.0 / j) * x * columns[:, j - 1] - np.sqrt((j - 1) / j) * columns[:, j - 2]
-    h = oscillator._hermite_basis(spec, p, 64)
+    h = oscillator._hermite_basis(x, 64)
     assert np.array_equal(h, columns)
     assert h.T.flags.c_contiguous
 
 
-def _shared(grid: MomentumGrid, mass: float = M, omega: float = W) -> list[np.ndarray]:
-    """Every array of the grid's cache entry: c, then each field of the even and the odd basis."""
-    c, even, odd = oscillator._toeplitz_hermite(grid, mass, omega)
-    return [c, *even, *odd]
-
-
-def test_shared_product_is_keyed_on_everything_it_reads():
-    grid = default_grid(OscillatorSpec(W, M), 3, 64)
-    base = _shared(grid)
-    assert len(base) == 11
-    assert all(a is b for a, b in zip(_shared(grid), base))  # the same key answers from the cache
-    rebuilt = MomentumGrid.symmetric(grid.n, grid.cutoff)
-    assert rebuilt is not grid
-    assert all(a is b for a, b in zip(_shared(rebuilt), base))  # an equal grid built apart shares the entry
-    others = [
-        _shared(MomentumGrid.symmetric(64, 1.01 * grid.cutoff)),
-        _shared(grid, mass=2.0 * M),
-        _shared(grid, omega=2.0 * W),
-    ]
-    for other in others:
-        assert not any(np.array_equal(a, b) for a, b in zip(base, other))
-    info = oscillator._toeplitz_hermite.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 4, 2)
-
-
-def test_shared_product_is_read_only():
-    for n in (64, 65):
-        for a in _shared(default_grid(OscillatorSpec(W, M), 3, n)):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
-
-
 def test_cold_and_warm_solves_are_bit_identical():
     spec = OscillatorSpec(W, M, "exact")
-    numeric_spectrum(OscillatorSpec(W, M, "quadratic"), 3, n_points=1024)  # leaves the grid's entry
-    warm = numeric_spectrum(spec, 3, n_points=1024, return_eigenfunctions=True)
-    assert oscillator._toeplitz_hermite.cache_info().hits == 1
-    oscillator._toeplitz_hermite.cache_clear()
-    cold = numeric_spectrum(spec, 3, n_points=1024, return_eigenfunctions=True)
+    oscillator._gauss_hermite.cache_clear()
+    cold = numeric_spectrum(spec, 3, return_eigenfunctions=True)
+    warm = numeric_spectrum(spec, 3, return_eigenfunctions=True)
+    info = oscillator._gauss_hermite.cache_info()
+    assert (info.hits, info.misses) == (2, 2)  # the rules of K = 32 and 64, built once
     assert (warm.energies, warm.method) == (cold.energies, cold.method)
     assert all(np.array_equal(x.samples, y.samples) for x, y in zip(warm.eigenfunctions, cold.eigenfunctions))
-
-
-def test_three_truncations_transform_each_grid_once(monkeypatch):
-    # the benchmark's operation: quadratic, quartic and exact at one omega, each checked on the refined grid
-    sizes = []
-    block_product = oscillator._block_product
-    monkeypatch.setattr(oscillator, "_block_product", lambda c, x: sizes.append(c.size) or block_product(c, x))
-    for truncation in ("quadratic", "quartic", "exact"):
-        numeric_spectrum(OscillatorSpec(0.0123, M, truncation), 3, n_points=1024, check_refinement=True)
-    assert sizes == [1024, 2048]
+    for a in oscillator._gauss_hermite(40):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def _record_eigensolves(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
@@ -393,23 +378,13 @@ def _record_eigensolves(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
 
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
 def test_harmonic_regime_solves_no_eigenproblem_above_32(monkeypatch, truncation):
+    # K = 32, then 64 Hermite functions, half of them in each parity; no grid is solved
     shapes = _record_eigensolves(monkeypatch)
     res = numeric_spectrum(
         OscillatorSpec(W, M, truncation), 3, n_points=1024, check_refinement=True, return_eigenfunctions=True
     )
-    assert res.method == "ritz32/ritz32"
-    assert shapes["eigh"] and max(max(shape) for shape in shapes["eigh"] + shapes["eigvalsh"]) <= 32
-
-
-@pytest.mark.parametrize("truncation, solves", [("quadratic", 2), ("quartic", 2), ("exact", 4)])
-def test_ritz_on_a_cached_grid_diagonalises_only_its_reduced_problems(monkeypatch, truncation, solves):
-    # the unit-weight Gram matrices come from the cache; only exact's weight needs its own, one per parity
-    spec = OscillatorSpec(W, M, truncation)
-    grid = default_grid(spec, 3, 1024)
-    _shared(grid)
-    shapes = _record_eigensolves(monkeypatch)
-    assert numeric_spectrum(spec, 3, grid=grid).method == "ritz32/ritz32"
-    assert shapes == {"eigh": [(32, 32)] * solves, "eigvalsh": []}
+    assert res.method == "galerkin64/galerkin64"
+    assert shapes == {"eigh": [(16, 16), (16, 16), (32, 32), (32, 32)], "eigvalsh": []}
 
 
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
@@ -421,16 +396,17 @@ def test_harmonic_regime_assembles_no_block(monkeypatch, truncation):
     res = numeric_spectrum(
         OscillatorSpec(W, M, truncation), 3, n_points=1024, check_refinement=True, return_eigenfunctions=True
     )
-    assert res.method == "ritz32/ritz32"
+    assert res.method == "galerkin64/galerkin64"
 
 
 @pytest.mark.parametrize("n", [128, 129])
 def test_strong_coupling_falls_through_to_half_size_dense_blocks(monkeypatch, n):
-    # at w/m = 0.3 the exact weight spans ~1e12 over the grid and no Ritz rung passes
+    # at w/m = 0.3 the exact weight spans ~1e12 over the grid; on the dense rung each grid is two half-size blocks
+    _dense_rung(monkeypatch)
     shapes = _record_eigensolves(monkeypatch)
 
     def dense_solves():
-        found = {name: [shape for shape in got if max(shape) > 32] for name, got in shapes.items()}
+        found = {name: list(got) for name, got in shapes.items()}
         for got in shapes.values():
             got.clear()
         return found
