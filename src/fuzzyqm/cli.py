@@ -38,6 +38,7 @@ from .oscillator import (
     OscillatorSpec,
     anharmonic_shift,
     anharmonic_spectrum_formula,
+    default_grid,
     eigenfunction,
     harmonic_spectrum_formula,
     numeric_spectrum,
@@ -241,13 +242,13 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     # first two harmonic (closed-form) and anharmonic (diagonalised quartic) eigenfunctions
     quartic = OscillatorSpec(spec.omega, spec.mass, "quartic")
-    res = numeric_spectrum(quartic, 1, n_points=args.npoints, return_eigenfunctions=True)
-    grid = res.eigenfunctions[0].grid
+    grid = default_grid(quartic, 1, args.npoints, states=True)
+    res = numeric_spectrum(quartic, 1, grid=grid, return_eigenfunctions=True)
     harm_spec = OscillatorSpec(spec.omega, spec.mass, "quadratic")
     columns = [grid.points]
     for i in (0, 1):
-        harm = eigenfunction(harm_spec, i, grid).samples if spec.omega < spec.mass / 2 else np.full(grid.n, np.nan)
-        columns += [np.real(harm), np.real(res.eigenfunctions[i].samples)]
+        harm = eigenfunction(harm_spec, i, grid) if spec.omega < spec.mass / 2 else np.full(grid.n, np.nan)
+        columns += [harm, res.eigenfunctions[i]]
     path2 = _write_table(
         cfg,
         "oscillator_eigenfunctions",

@@ -1,4 +1,4 @@
-"""Matrix-free d/dp, the spectral d^2/dp^2 lag vector, dense derivative matrices, the generalized eigensolver."""
+"""Matrix-free d/dp and the dense derivative matrices."""
 
 from __future__ import annotations
 
@@ -6,10 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import OverflowGuardError
 from .grids import MomentumGrid, OperatorMatrix
-
-WEIGHT_CAP = 1e12  # largest max(w)/min(w) for which the W^(-1/2) reduction stays accurate
 
 
 def derivative_matrix(grid: MomentumGrid, order: int, scheme: str = "central") -> OperatorMatrix:
@@ -82,53 +79,3 @@ def apply_d1(f: np.ndarray, h: float, scheme: str = "central", axis: int = 0) ->
     shape[axis] = 2 * n
     out = np.fft.ifft(np.fft.fft(f, 2 * n, axis=axis) * _d1_spectrum(n, h).reshape(shape), axis=axis)
     return out.swapaxes(0, axis)[:n].swapaxes(0, axis)
-
-
-def d2_lags(n: int, h: float) -> np.ndarray:
-    """Lag vector c of the spectral (sinc) d^2/dp^2 on n points of spacing h: the matrix is c[|i - j|].
-
-    Equals the entries of ``derivative_matrix(grid, 2, "spectral")``, which is
-    symmetric Toeplitz, without forming the n x n array.
-    """
-    c = np.zeros(n)
-    k = np.arange(1, n)
-    c[0] = -np.pi**2 / (3.0 * h**2)
-    c[1:] = -2.0 * (-1.0) ** k / (k**2 * h**2)
-    return c
-
-
-def check_weight(weight, dim: int) -> np.ndarray:
-    """The diagonal weight W of a size-``dim`` generalized eigenproblem, as floats, once it is safe to use.
-
-    A weight that is not a positive vector of length ``dim`` raises
-    ValueError.  One that is not finite or spans more than WEIGHT_CAP
-    (compared in logarithms) raises OverflowGuardError: W^(-1/2) A W^(-1/2)
-    is then too badly scaled for the spectrum to be trusted.
-    """
-    w = np.asarray(weight, dtype=float)
-    if w.ndim != 1 or w.size != dim:
-        raise ValueError("weight must be a diagonal vector matching the matrix dimension")
-    if np.any(w <= 0):
-        raise ValueError("weight entries must be positive")
-    if not np.log(np.max(w)) - np.log(np.min(w)) <= np.log(WEIGHT_CAP):  # also catches inf and nan
-        raise OverflowGuardError(f"weight spans {np.max(w) / np.min(w):.2e} > {WEIGHT_CAP:.0e}; reduce the grid cutoff")
-    return w
-
-
-def eig_generalized(
-    a: np.ndarray, weight: np.ndarray, return_eigenvectors: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Solve A phi = E W phi for Hermitian A and diagonal positive W by the symmetric reduction.
-
-    The reduction B = W^(-1/2) A W^(-1/2) keeps the problem Hermitian; only
-    the lower triangle of A is read, so A must be Hermitian as given.  Only
-    the eigenvalues (ascending) are computed unless ``return_eigenvectors``
-    asks for the phi columns, normalised in the W-weighted inner product.
-    The weight is vetted by ``check_weight``.
-    """
-    s = 1.0 / np.sqrt(check_weight(weight, a.shape[0]))
-    b = np.einsum("i,ij,j->ij", s, a, s)
-    if not return_eigenvectors:
-        return np.linalg.eigvalsh(b)
-    vals, vecs = np.linalg.eigh(b)
-    return vals, s[:, None] * vecs

@@ -44,15 +44,10 @@ class SmearingParams:
 
 @dataclass
 class GridState:
-    """Complex samples over a grid, in the plain measure |psi|^2 dp or, with ``smearing``, the weighted one.
-
-    The weighted measure exp(-2p^2/m^2) |psi|^2 dp is that of the smeared
-    problems, with m the mass of ``smearing``.
-    """
+    """Complex samples over a grid, in the plain measure |psi|^2 dp."""
 
     samples: np.ndarray
     grid: MomentumGrid
-    smearing: SmearingParams | None = None
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=complex)
@@ -60,22 +55,8 @@ class GridState:
             raise ValueError(f"samples shape {s.shape} does not match grid size {self.grid.n}")
         self.samples = s
 
-    def measure_weights(self) -> np.ndarray:
-        w = np.full(self.grid.n, self.grid.spacing)
-        if self.smearing is not None:
-            w = w * self.smearing.gaussian(self.grid.points) ** 2  # exp(-2p^2/m^2)
-        return w
-
     def norm(self) -> float:
-        if self.smearing is None:
-            return float(np.sqrt(self.grid.spacing * np.vdot(self.samples, self.samples).real))
-        return float(np.sqrt(np.sum(self.measure_weights() * np.abs(self.samples) ** 2)))
-
-    def normalize(self) -> "GridState":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalise the zero state")
-        return GridState(self.samples / n, self.grid, self.smearing)
+        return float(np.sqrt(self.grid.spacing * np.vdot(self.samples, self.samples).real))
 
 
 @dataclass(frozen=True)
@@ -222,13 +203,11 @@ def verify_spacetime_commutator(axis_grid: MomentumGrid, s: SmearingParams) -> S
 def uncertainty_report(state: GridState, s: SmearingParams) -> UncertaintyReport:
     """Spreads of the fuzzy position and momentum, the Robertson bound, and dx0.
 
-    Requires a normalised state without ``smearing``, in the plain measure.
+    Requires a normalised state.
     dx0 = (2/m) sqrt(<X><P>) is reported as None when the product <X><P> is
     negative.  X = i D and X_f = i G D G act matrix-free, with the spectral D
     applied to the rows psi and G psi in one call.
     """
-    if state.smearing is not None:
-        raise ContractError("uncertainty_report expects a plain-measure momentum state")
     if abs(state.norm() - 1.0) > _NORM_TOL:
         raise ContractError(f"state is not normalised (norm = {state.norm()!r})")
     psi = state.samples

@@ -39,12 +39,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ContractError, RefinementError
+from .errors import ContractError, OverflowGuardError, RefinementError
 from .numerics.grids import MomentumGrid
-from .numerics.linalg import WEIGHT_CAP, check_weight, d2_lags, eig_generalized
-from .operators import GridState, SmearingParams
 
 _TRUNCATIONS = ("quadratic", "quartic", "exact")
+_WEIGHT_CAP = 1e12  # largest max(W)/min(W) on a grid for which the dense rung's W^(-1/2) reduction stays accurate
 _LADDER = (32, 64, 128, 256)  # Hermite functions on the Galerkin rung, each checked against the one before
 _LADDER_RTOL = 1e-10  # largest relative change of a level from K/2 to K functions for the Galerkin rung to answer
 
@@ -73,11 +72,11 @@ class OscillatorSpec:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Energies in MeV (ascending), how they were obtained, optional eigenfunctions."""
+    """Energies in MeV (ascending), how they were obtained, optional eigenfunctions psi sampled on a grid."""
 
     energies: tuple[float, ...]
     method: str
-    eigenfunctions: tuple[GridState, ...] | None = None
+    eigenfunctions: tuple[np.ndarray, ...] | None = None
     breakdown: tuple[bool, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -117,8 +116,8 @@ def anharmonic_spectrum_formula(spec: OscillatorSpec, n_max: int) -> SpectrumRes
 def default_grid(spec: OscillatorSpec, n_max: int, n_points: int = 512, states: bool = False) -> MomentumGrid:
     """Grid sized to the reduced eigenfunctions (scale sqrt(m w)), capped at 3.7 m where exp(p^2/m^2) enters.
 
-    The cap keeps the exact weight exp(2p^2/m^2) within WEIGHT_CAP
-    (``check_weight``) and, with ``states``, keeps below 1e6 the factor
+    The cap keeps the exact weight exp(2p^2/m^2) within the 1e12 span that
+    ``_parity_solve`` accepts and, with ``states``, keeps below 1e6 the factor
     exp(p^2/m^2) that turns phi into psi and multiplies phi's roundoff.  The
     dense rung's quadratic and quartic levels need neither, and a capped grid
     cuts into their reduced states from w/m of about 0.12 up (at n_max = 3).
@@ -137,7 +136,7 @@ def _kinetic_and_weight(spec: OscillatorSpec, p: np.ndarray) -> tuple[np.ndarray
     elif spec.truncation == "quartic":
         kinetic_weight = 1.0 + 2.0 * p**2 / m**2 + 2.0 * p**4 / m**4
     else:
-        kinetic_weight = weight = np.exp(2.0 * p**2 / m**2)  # on a grid, check_weight refuses a span above WEIGHT_CAP
+        kinetic_weight = weight = np.exp(2.0 * p**2 / m**2)  # on a grid, _parity_solve refuses a span above _WEIGHT_CAP
     return (p**2 / (2.0 * m)) * kinetic_weight, weight
 
 
@@ -173,12 +172,13 @@ def _galerkin(
     """Lowest ``levels`` (energy, parity, phi at ``points``) of the continuum problem and its K, or None.
 
     Rayleigh-Ritz of A phi = E W phi in the first K Hermite functions
-    h_j(p/s), split by parity, at s = lambda sqrt(m w) with lambda = 1 for
-    ``quadratic`` and 1/(1 + 10 w/m) otherwise, as the quartic term and the
-    weight narrow the states.  In x = p/s, -d^2/dx^2 and x^2 both have the
-    diagonal (2j+1)/2 and carry -sqrt((j+1)(j+2))/2 and +sqrt((j+1)(j+2))/2
-    at (j, j+2), so -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal
-    in closed form.  The kinetic term and the weight (``_kinetic_and_weight``)
+    h_j(p/s), split by parity, at s = lambda sqrt(m w).  ``quadratic`` is a
+    harmonic oscillator of stiffness 1 + w^2/m^2, diagonal in the h_j at
+    lambda = (1 + w^2/m^2)^(-1/4), so K = 64 answers at every w/m; otherwise
+    lambda = 1/(1 + 10 w/m), as the quartic term and the weight narrow the
+    states.  In x = p/s, -d^2/dx^2 and x^2 both have the diagonal (2j+1)/2
+    and carry -sqrt((j+1)(j+2))/2 and +sqrt((j+1)(j+2))/2 at (j, j+2), so
+    -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal in closed form.  The kinetic term and the weight (``_kinetic_and_weight``)
     are polynomials times at most exp(2p^2/m^2) = exp((1 - beta) x^2), with
     beta = 1 - 2s^2/m^2 for ``exact`` and 1 otherwise; against h_j h_k that
     is exp(-beta x^2) times a polynomial of degree at most 2K + 4, which the
@@ -192,7 +192,10 @@ def _galerkin(
     is sampled at ``points``, and is None without them.
     """
     m, w = spec.mass, spec.omega
-    scale = np.sqrt(m * w) / (1.0 if spec.truncation == "quadratic" else 1.0 + 10.0 * w / m)
+    if spec.truncation == "quadratic":
+        scale = np.sqrt(m * w / np.hypot(1.0, w / m))  # hypot keeps (w/m)^2 from overflowing
+    else:
+        scale = np.sqrt(m * w) / (1.0 + 10.0 * w / m)
     beta = 1.0 - 2.0 * scale**2 / m**2 if spec.truncation == "exact" else 1.0
     d2, x2 = m * w**2 / (2.0 * scale**2), m * w**2 * scale**2 / (2.0 * m**4)  # coefficients of -d^2/dx^2 and x^2
     previous = None
@@ -259,45 +262,66 @@ def _parity_solve(
 ) -> list[tuple[float, int, np.ndarray | None]]:
     """Lowest ``levels`` (energy, parity, phi on the left half-grid) of both dense parity blocks, by energy.
 
-    Each block (``_parity_block``) is diagonalised with eigenvectors only
-    with ``vectors``; without them phi is None.  phi is sampled at the first
-    n - n // 2 grid points, which for odd n end at the middle point p = 0.
+    The second derivative is the sinc one, the symmetric Toeplitz matrix of
+    the lags c[|i - j|].  Each block A (``_parity_block``) is solved as
+    A phi = E W phi by the symmetric reduction W^(-1/2) A W^(-1/2), with
+    eigenvectors only with ``vectors``; without them phi is None.  A weight
+    that spans more than _WEIGHT_CAP on the grid (or overflows) raises
+    OverflowGuardError: the reduced matrix is then too badly scaled for the
+    levels to be trusted.  phi is sampled at the first n - n // 2 grid
+    points, which for odd n end at the middle point p = 0.
     """
     n, k = grid.n, grid.n // 2
     p = grid.points[: n - k]
-    kinetic, weight = _kinetic_and_weight(spec, p)
-    weight = check_weight(weight, n - k)  # the odd block's weight is a part of it
+    kinetic, weight = _kinetic_and_weight(spec, p)  # the odd block's weight is a part of the even block's
+    if not np.log(np.max(weight)) - np.log(np.min(weight)) <= np.log(_WEIGHT_CAP):  # also catches inf and nan
+        raise OverflowGuardError(
+            f"weight spans {np.max(weight) / np.min(weight):.2e} > {_WEIGHT_CAP:.0e}; reduce the grid cutoff"
+        )
+    s = 1.0 / np.sqrt(weight)
     diag = (spec.mass * spec.omega**2 / 2.0) * (p**2 / spec.mass**4 - 1.0 / spec.mass**2) + kinetic
-    c = -(spec.mass * spec.omega**2 / 2.0) * d2_lags(n, grid.spacing)
+    h, lag = grid.spacing, np.arange(1, n)
+    c = np.empty(n)
+    c[0] = -np.pi**2 / (3.0 * h**2)
+    c[1:] = -2.0 * (-1.0) ** lag / (lag**2 * h**2)
+    c *= -(spec.mass * spec.omega**2 / 2.0)
     found = []
     for sign, dim in ((1, n - k), (-1, k)):
-        a = _parity_block(c, diag, sign)
+        b = np.einsum("i,ij,j->ij", s[:dim], _parity_block(c, diag, sign), s[:dim])
         if vectors:
-            vals, vecs = eig_generalized(a, weight[:dim], True)
+            vals, vecs = np.linalg.eigh(b)
+            vecs = s[:dim, None] * vecs  # phi, normalised in the W-weighted inner product
             if n % 2:  # the even block's middle basis vector is e_k, not (e_i + e_(n-1-i))/sqrt(2); an odd phi is 0 there
                 vecs = np.vstack([vecs[:k], np.sqrt(2.0) * vecs[k:] if sign > 0 else np.zeros((1, dim))])
         else:
-            vals, vecs = eig_generalized(a, weight[:dim]), None
+            vals, vecs = np.linalg.eigvalsh(b), None
         found += [(float(e), sign, None if vecs is None else vecs[:, j]) for j, e in enumerate(vals[:levels])]
     return sorted(found, key=lambda level: level[0])[:levels]
 
 
-def _mirror_state(spec: OscillatorSpec, grid: MomentumGrid, phi: np.ndarray, sign: int) -> GridState:
+def _normalised(spec: OscillatorSpec, grid: MomentumGrid, psi: np.ndarray) -> np.ndarray:
+    """psi scaled to unit norm in the weighted measure exp(-2p^2/m^2) dp on the grid."""
+    weights = grid.spacing * np.exp(-(grid.points**2) / spec.mass**2) ** 2
+    norm = float(np.sqrt(np.sum(weights * psi**2)))
+    if norm == 0:
+        raise ValueError("cannot normalise the zero state")
+    return psi * (1.0 / norm)
+
+
+def _mirror_state(spec: OscillatorSpec, grid: MomentumGrid, phi: np.ndarray, sign: int) -> np.ndarray:
     """Full-grid eigenfunction psi = exp(p^2/m^2) phi of parity ``sign`` from phi on the left half-grid.
 
     ``phi`` holds the first n - n // 2 samples, the middle point p = 0
     included for odd n.  The left half is mirrored exactly, so
-    psi(-p) = sign psi(p) holds sample by sample.  The overall sign makes the
-    largest |psi| on p >= 0 positive, the Hermite convention of
-    ``eigenfunction``.
+    psi(-p) = sign psi(p) holds sample by sample.  psi is normalised in the
+    weighted measure, and the overall sign makes the largest |psi| on p >= 0
+    positive, the Hermite convention of ``eigenfunction``.
     """
     k = grid.n // 2
     half = np.exp(grid.points[: phi.size] ** 2 / spec.mass**2) * phi
-    st = GridState(np.concatenate([half, sign * half[:k][::-1]]), grid, SmearingParams(spec.mass)).normalize()
-    right = st.samples[k:]  # p >= 0
-    if np.real(right[np.argmax(np.abs(right))]) < 0:
-        st = GridState(-st.samples, grid, st.smearing)
-    return st
+    psi = _normalised(spec, grid, np.concatenate([half, sign * half[:k][::-1]]))
+    right = psi[k:]  # p >= 0
+    return -psi if right[np.argmax(np.abs(right))] < 0 else psi
 
 
 def numeric_spectrum(
@@ -325,7 +349,8 @@ def numeric_spectrum(
     ``grid`` and ``check_refinement`` act only on the dense rung and on the
     state samples.  Without ``grid``, ``default_grid`` sizes it, capped at
     3.7 m for ``exact`` and when the states are asked for.  The states psi =
-    exp(p^2/m^2) phi are sampled on the grid, exactly even or odd.  With
+    exp(p^2/m^2) phi are real arrays of samples on the grid, exactly even or
+    odd, normalised in the weighted measure exp(-2p^2/m^2) dp.  With
     ``check_refinement`` a dense answer is repeated on a grid with doubled
     points and 25% larger cutoff; a relative change above 1e-4 raises
     RefinementError.  Asking for more levels than grid points raises
@@ -345,7 +370,7 @@ def numeric_spectrum(
         levels, method = _parity_solve(spec, grid, n_max + 1, return_eigenfunctions), "dense/dense"
         if check_refinement:
             fine = MomentumGrid.symmetric(2 * grid.n, 1.25 * grid.cutoff)
-            if spec.truncation == "exact" and 2.0 * fine.cutoff**2 / spec.mass**2 > np.log(WEIGHT_CAP):
+            if spec.truncation == "exact" and 2.0 * fine.cutoff**2 / spec.mass**2 > np.log(_WEIGHT_CAP):
                 fine = MomentumGrid.symmetric(2 * grid.n, grid.cutoff)
             ref = np.array([e for e, _, _ in _parity_solve(spec, fine, n_max + 1, False)])
             energies = np.array([e for e, _, _ in levels])
@@ -359,7 +384,7 @@ def numeric_spectrum(
     return SpectrumResult(tuple(e for e, _, _ in levels), method=method, eigenfunctions=eigenfunctions)
 
 
-def eigenfunction(spec: OscillatorSpec, n: int, grid: MomentumGrid) -> GridState:
+def eigenfunction(spec: OscillatorSpec, n: int, grid: MomentumGrid) -> np.ndarray:
     """Closed-form level-n eigenfunction of the large-confinement regime.
 
     psi(p) ~ exp(p^2/m^2 (1 - m/2w)) H_n(p / sqrt(m w)), normalised in the
@@ -375,4 +400,4 @@ def eigenfunction(spec: OscillatorSpec, n: int, grid: MomentumGrid) -> GridState
     p = grid.points
     herm = np.polynomial.hermite.Hermite.basis(n)(p / np.sqrt(spec.mass * spec.omega))
     envelope = np.exp(p**2 / spec.mass**2 * (1.0 - spec.mass / (2.0 * spec.omega)))
-    return GridState(envelope * herm, grid, SmearingParams(spec.mass)).normalize()
+    return _normalised(spec, grid, envelope * herm)

@@ -10,7 +10,7 @@ import numpy as np
 
 from fuzzyqm.numerics.grids import MomentumGrid, OperatorMatrix
 from fuzzyqm.numerics.linalg import derivative_matrix
-from fuzzyqm.operators import GridState, SmearingParams, _spacetime_sides
+from fuzzyqm.operators import SmearingParams, _spacetime_sides
 
 SNYDER_WIDTH = 0.07  # width, in mass units, of the low-momentum state of the Snyder probe
 
@@ -37,10 +37,9 @@ def build_fuzzy_position_op(grid: MomentumGrid, s: SmearingParams, scheme: str =
     return OperatorMatrix(g[:, None] * x.entries * g[None, :], grid, hermitian=True)
 
 
-def inner(a: GridState, b: GridState) -> complex:
-    """<a|b> in the measure of ``a``; both states must sample the same grid points."""
-    assert np.array_equal(a.grid.points, b.grid.points), "states live on different grids"
-    return complex(np.sum(a.measure_weights() * np.conj(a.samples) * b.samples))
+def inner(a: np.ndarray, b: np.ndarray, grid: MomentumGrid, mass: float) -> float:
+    """<a|b> of two real oscillator states sampled on ``grid``, in the weighted measure exp(-2p^2/m^2) dp."""
+    return float(np.sum(grid.spacing * np.exp(-2.0 * grid.points**2 / mass**2) * a * b))
 
 
 def spacetime_antihermiticity(axis_grid: MomentumGrid, mass: float) -> tuple[float, float]:

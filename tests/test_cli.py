@@ -249,6 +249,16 @@ def test_oscillator_zero_closed_form_level_has_no_ratio(tmp_path, omega):
     assert all(row["rel_dev"] != "nan" for row in rows if row not in zero)
 
 
+def test_oscillator_quadratic_strong_coupling_matches_its_exact_levels(tmp_path, capsys):
+    # the quadratic truncation is a harmonic oscillator: E_n = (n + 1/2) w sqrt(1 + w^2/m^2) - w^2/2m at every w/m
+    assert main(["--out", str(tmp_path), "oscillator", "--omega", "1000", "--mass", "1", "--truncation", "quadratic"]) == 0
+    capsys.readouterr()
+    _, rows = read_csv(tmp_path / "oscillator_spectrum.csv")
+    n = np.arange(len(rows))
+    exact = (n + 0.5) * 1000.0 * np.sqrt(1.0 + 1000.0**2) - 1000.0**2 / 2.0
+    assert np.max(np.abs(np.array([float(row["E_diag_MeV"]) for row in rows]) / exact - 1.0)) <= 1e-9
+
+
 def test_oscillator_eigenfunction_columns_share_a_sign(tmp_path):
     # closed-form and numeric states both follow the Hermite convention: largest |psi| on p >= 0 positive
     r = run("--out", str(tmp_path), "oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "1", "--npoints", "65")

@@ -1,18 +1,11 @@
-"""Grids, derivative matrices, and eigensolvers."""
+"""Grids and derivative matrices."""
 
 import numpy as np
 import pytest
 
-from fuzzyqm.errors import NonHermitianError, OverflowGuardError
-from fuzzyqm.numerics import (
-    MomentumGrid,
-    OperatorMatrix,
-    apply_d1,
-    d2_lags,
-    derivative_matrix,
-    eig_generalized,
-)
-from fuzzyqm.numerics.linalg import WEIGHT_CAP, _d1_spectrum
+from fuzzyqm.errors import NonHermitianError
+from fuzzyqm.numerics import MomentumGrid, OperatorMatrix, apply_d1, derivative_matrix
+from fuzzyqm.numerics.linalg import _d1_spectrum
 
 # --- grids -------------------------------------------------------------------
 
@@ -162,37 +155,11 @@ def test_apply_d1_rejects_unknown_scheme():
         apply_d1(np.ones(8), 0.1, "upwind")
 
 
-@pytest.mark.parametrize("n", [8, 9, 64, 65])
-@pytest.mark.parametrize("scheme", ["spectral"])
-def test_d2_lags_match_dense_matrix(n, scheme):
-    g = MomentumGrid.symmetric(n, 2.0)
-    i = np.arange(n)
-    c = d2_lags(n, g.spacing)
-    assert np.array_equal(c[np.abs(i[:, None] - i)], derivative_matrix(g, 2, scheme).entries)
-
-
-# --- symmetric eigenproblem: eig_generalized with unit weight ----------------
-
-
-def test_eig_sym_identity():
-    w, v = eig_generalized(np.eye(8), np.ones(8), return_eigenvectors=True)
-    assert np.allclose(w, 1.0)
-    assert np.allclose(v.conj().T @ v, np.eye(8), atol=1e-10)
-
-
-def test_eig_sym_diagonal_sorted():
-    m = np.diag([3.0, 1.0, 2.0, 5.0, 4.0, 7.0, 6.0, 8.0])
-    w = eig_generalized(m, np.ones(8))
-    assert np.allclose(w, [1, 2, 3, 4, 5, 6, 7, 8])
-
-
-def test_eig_sym_accepts_plain_arrays():
-    w = eig_generalized(np.diag([3.0, 1.0, 2.0]), np.ones(3))
-    assert np.allclose(w, [1.0, 2.0, 3.0])
+# --- dense operators in eigenproblems -------------------------------------------
 
 
 def test_eig_sym_rejects_nonhermitian():
-    # eig_generalized reads one triangle of its input without a scan, so a matrix is
+    # np.linalg.eigh reads one triangle of its input without a scan, so a matrix is
     # checked for Hermiticity where it is tagged: OperatorMatrix(hermitian=True)
     g = MomentumGrid.symmetric(8, 1.0)
     m = np.diag(np.arange(8.0))
@@ -200,17 +167,6 @@ def test_eig_sym_rejects_nonhermitian():
     with pytest.raises(NonHermitianError):
         OperatorMatrix(m, g, hermitian=True)
     OperatorMatrix(0.5 * (m + m.T), g, hermitian=True)
-
-
-def test_eig_sym_residual_and_orthonormality():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
-    a = a + a.conj().T
-    w, v = eig_generalized(a, np.ones(40), return_eigenvectors=True)
-    scale = np.linalg.norm(a, 2)
-    for i in range(40):
-        assert np.linalg.norm(a @ v[:, i] - w[i] * v[:, i]) <= 1e-8 * scale
-    assert np.max(np.abs(v.conj().T @ v - np.eye(40))) <= 1e-10
 
 
 def _box_interior_grid(n: int, half_width: float) -> MomentumGrid:
@@ -225,66 +181,7 @@ def test_laplacian_spectrum_converges_to_box_levels():
     for n in (64, 128, 256, 512):
         g = _box_interior_grid(n, L)
         d2 = derivative_matrix(g, 2, "central").entries
-        w = eig_generalized(-d2, np.ones(n))
+        w = np.linalg.eigvalsh(-d2)
         errs.append(np.max(np.abs(w[:3] - exact)))
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert abs(slopes[-1] - 2.0) < 0.2
-
-
-# --- generalized eigensolver -------------------------------------------------
-
-
-def test_generalized_with_identity_weight_matches_eig_sym():
-    # the unit-weight reduction is the plain symmetric eigenproblem
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(24, 24))
-    a = a + a.T
-    w_direct = np.linalg.eigh(a)[0]
-    w_gen = eig_generalized(a, np.ones(24))
-    assert np.max(np.abs(w_gen - w_direct)) <= 1e-10
-
-
-def test_generalized_small_example():
-    a = np.diag([2.0, 8.0])
-    w = eig_generalized(a, np.array([1.0, 2.0]))
-    assert np.allclose(w, [2.0, 4.0])
-
-
-def test_generalized_against_direct_dense_solve():
-    # independent route: eigenvalues of W^{-1} A (non-symmetric reduction)
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(30, 30))
-    a = a + a.T
-    wdiag = 1.0 + 2.0 * rng.random(30) + 2.0 * rng.random(30) ** 2
-    ours = eig_generalized(a, wdiag)
-    direct = np.sort(np.linalg.eigvals(a / wdiag[:, None]).real)
-    assert np.max(np.abs(ours - direct)) <= 1e-8 * max(1.0, np.max(np.abs(ours)))
-
-
-def test_generalized_weight_overflow_guard():
-    a = np.eye(8)
-    w = np.ones(8)
-    w[3] = 1e301
-    with pytest.raises(OverflowGuardError, match="cutoff"):
-        eig_generalized(a, w)
-
-
-def test_generalized_rejects_weight_spread_beyond_cap():
-    # the Sturmian weight exp(-r/r0)/(r/r0) at r0 = 0.72 fm on r_i = 0.04 i fm,
-    # i < 1000, spans 1.4e-26 to 17; the W^(-1/2) reduction returns a wrong
-    # lowest eigenvalue there instead of failing
-    r = 0.04 * np.arange(1, 1000)
-    w = np.exp(-r / 0.72) / (r / 0.72)
-    with pytest.raises(OverflowGuardError, match="spans"):
-        eig_generalized(np.eye(r.size), w)
-
-
-def test_generalized_accepts_weight_spread_at_cap():
-    # the oscillator's exact truncation: exp(2 p^2/m^2) from 1 up to the cap
-    w = np.exp(np.linspace(0.0, np.log(WEIGHT_CAP), 16))
-    assert np.allclose(eig_generalized(np.diag(w), w), 1.0)
-
-
-def test_generalized_weight_positive_required():
-    with pytest.raises(ValueError, match="positive"):
-        eig_generalized(np.eye(8), np.zeros(8))

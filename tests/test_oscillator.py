@@ -6,7 +6,6 @@ import pytest
 from fuzzyqm import oscillator
 from fuzzyqm.errors import ContractError, OverflowGuardError, RefinementError
 from fuzzyqm.numerics import MomentumGrid, derivative_matrix
-from fuzzyqm.operators import GridState, SmearingParams
 from fuzzyqm.oscillator import (
     OscillatorSpec,
     _kinetic_and_weight,
@@ -181,14 +180,56 @@ def test_weight_overflow_guard(monkeypatch):
         numeric_spectrum(spec, 2, grid=wide)
 
 
+def test_dense_rung_refuses_a_weight_near_the_float_maximum(monkeypatch):
+    # the span is compared in logs: a weight of 1e301 at the grid's edge is refused, not squared into inf
+    _dense_rung(monkeypatch)
+    spec = OscillatorSpec(W, M, "exact")
+    edge = MomentumGrid.symmetric(65, np.sqrt(np.log(1e301) / 2.0) * M)  # odd: p = 0 is held, where the weight is 1
+    with pytest.raises(OverflowGuardError, match=r"spans 1.00e\+301 > 1e\+12; reduce the grid cutoff"):
+        numeric_spectrum(spec, 2, grid=edge)
+
+
+_CAP_CUTOFF = np.sqrt(np.log(1e12) / 2.0) * M  # the exact weight exp(2p^2/m^2) spans 1e12 from p = 0 to this cutoff
+
+
+def test_dense_rung_accepts_weight_spread_at_cap(monkeypatch):
+    # an odd grid holds p = 0, so its weight spans exp(2c^2/m^2): 9.5e11 here, and the dense levels stay accurate
+    spec = OscillatorSpec(0.3 * M, M, "exact")
+    ladder = numeric_spectrum(spec, 3).energies
+    _dense_rung(monkeypatch)
+    res = numeric_spectrum(spec, 3, grid=MomentumGrid.symmetric(129, (1.0 - 1e-3) * _CAP_CUTOFF))
+    assert res.method == "dense/dense"
+    assert np.max(np.abs(np.array(res.energies) / ladder - 1.0)) <= 1e-10
+
+
+def test_dense_rung_rejects_weight_spread_beyond_cap(monkeypatch):
+    _dense_rung(monkeypatch)
+    spec = OscillatorSpec(0.3 * M, M, "exact")
+    with pytest.raises(OverflowGuardError, match=r"spans 1.06e\+12 > 1e\+12; reduce the grid cutoff"):
+        numeric_spectrum(spec, 3, grid=MomentumGrid.symmetric(129, (1.0 + 1e-3) * _CAP_CUTOFF))
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 65])
+@pytest.mark.parametrize("scheme", ["spectral"])
+def test_dense_rung_lags_match_dense_matrix(monkeypatch, n, scheme):
+    # both parity blocks are read from the lag vector c of the sinc second derivative: the matrix is c[|i - j|]
+    spec = OscillatorSpec(W, M, "quadratic")
+    grid = MomentumGrid.symmetric(n, 2.0)
+    lags, block = [], oscillator._parity_block
+    monkeypatch.setattr(oscillator, "_parity_block", lambda c, diag, sign: lags.append(c) or block(c, diag, sign))
+    oscillator._parity_solve(spec, grid, 1, False)
+    i = np.arange(n)
+    want = -(spec.mass * spec.omega**2 / 2.0) * derivative_matrix(grid, 2, scheme).entries
+    assert len(lags) == 2 and all(np.array_equal(c[np.abs(i[:, None] - i)], want) for c in lags)
+
+
 def test_weighted_orthonormality_of_eigenvectors():
     # the generalized problem pairs reduced vectors through its weight; this
     # is the plain overlap of the momentum-space states (the Hamiltonian is
     # Hermitian in the plain measure)
     spec = OscillatorSpec(W, M, "exact")
-    res = numeric_spectrum(spec, 3, return_eigenfunctions=True)
-    grid = res.eigenfunctions[0].grid
-    psis = [st.samples for st in res.eigenfunctions]
+    grid = default_grid(spec, 3, states=True)
+    psis = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True).eigenfunctions
     norms = [np.sqrt(np.sum(np.abs(p) ** 2) * grid.spacing) for p in psis]
     for i in range(4):
         for j in range(4):
@@ -202,10 +243,7 @@ def test_quartic_eigenfunctions_steeper_than_quadratic():
     moments = {}
     for trunc in ("quadratic", "quartic"):
         res = numeric_spectrum(OscillatorSpec(W, M, trunc), 1, grid=grid, return_eigenfunctions=True)
-        moments[trunc] = [
-            float(np.real(np.sum(st.measure_weights() * grid.points**2 * np.abs(st.samples) ** 2)))
-            for st in res.eigenfunctions
-        ]
+        moments[trunc] = [inner(psi, grid.points**2 * psi, grid, M) for psi in res.eigenfunctions]
     for n in (0, 1):
         assert moments["quartic"][n] < moments["quadratic"][n]
 
@@ -217,7 +255,7 @@ def test_more_levels_than_grid_points_rejected():
     assert len(numeric_spectrum(spec, 7, n_points=8).energies) == 8
 
 
-def _dense_oracle(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tuple[np.ndarray, list[GridState]]:
+def _dense_oracle(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tuple[np.ndarray, list[np.ndarray]]:
     """Levels and eigenfunctions from np.linalg.eigh of the full n x n B = W^(-1/2) A W^(-1/2)."""
     kinetic, weight = _kinetic_and_weight(spec, grid.points)
     confinement = (spec.mass * spec.omega**2 / 2.0) * (grid.points**2 / spec.mass**4 - 1.0 / spec.mass**2)
@@ -225,10 +263,8 @@ def _dense_oracle(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tupl
     s = 1.0 / np.sqrt(weight)
     vals, vecs = np.linalg.eigh(s[:, None] * a * s[None, :])
     boost = np.exp(grid.points**2 / spec.mass**2) * s
-    states = [
-        GridState(boost * vecs[:, i], grid, SmearingParams(spec.mass)).normalize() for i in range(4)
-    ]
-    return vals[:4], states
+    states = [boost * vecs[:, i] for i in range(4)]
+    return vals[:4], [psi / np.sqrt(inner(psi, psi, grid, spec.mass)) for psi in states]
 
 
 @pytest.mark.parametrize("n", [64, 65, 1024])
@@ -241,9 +277,8 @@ def test_parity_blocks_match_full_eigh(monkeypatch, n, scheme, truncation):
     res = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
     vals, states = _dense_oracle(spec, grid, scheme)
     assert np.max(np.abs(np.array(res.energies) - vals) / np.abs(vals)) <= 1e-10
-    for level, (ours, oracle) in enumerate(zip(res.eigenfunctions, states)):
-        assert abs(inner(ours, oracle)) >= 1.0 - 1e-10
-        psi = np.real(ours.samples)
+    for level, (psi, oracle) in enumerate(zip(res.eigenfunctions, states)):
+        assert abs(inner(psi, oracle, grid, spec.mass)) >= 1.0 - 1e-10
         assert np.max(np.abs(psi[::-1] - (-1) ** level * psi)) <= 1e-12 * np.max(np.abs(psi))
         right = psi[n // 2 :]  # p >= 0: the largest |psi| there is positive, as in ``eigenfunction``
         assert right[np.argmax(np.abs(right))] > 0
@@ -283,7 +318,7 @@ def test_ladder_matches_dense_rung(monkeypatch, ratio, truncation, n):
     assert dense.method == "dense/dense"
     assert np.max(np.abs(np.array(ours.energies) - dense.energies) / np.abs(dense.energies)) <= 1e-10
     for state, oracle in zip(ours.eigenfunctions, dense.eigenfunctions):
-        assert np.real(inner(state, oracle)) >= 1.0 - 1e-10  # same state, same sign
+        assert inner(state, oracle, grid, spec.mass) >= 1.0 - 1e-10  # same state, same sign
 
 
 def test_ladder_disagreement_falls_through_to_dense(monkeypatch):
@@ -296,7 +331,7 @@ def test_ladder_disagreement_falls_through_to_dense(monkeypatch):
     _dense_rung(monkeypatch)
     dense = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
     assert res.energies == dense.energies
-    assert all(np.array_equal(x.samples, y.samples) for x, y in zip(res.eigenfunctions, dense.eigenfunctions))
+    assert all(np.array_equal(x, y) for x, y in zip(res.eigenfunctions, dense.eigenfunctions))
 
 
 @pytest.mark.parametrize("ratio", [0.5, 1.0])
@@ -357,7 +392,7 @@ def test_cold_and_warm_solves_are_bit_identical():
     info = oscillator._gauss_hermite.cache_info()
     assert (info.hits, info.misses) == (2, 2)  # the rules of K = 32 and 64, built once
     assert (warm.energies, warm.method) == (cold.energies, cold.method)
-    assert all(np.array_equal(x.samples, y.samples) for x, y in zip(warm.eigenfunctions, cold.eigenfunctions))
+    assert all(np.array_equal(x, y) for x, y in zip(warm.eigenfunctions, cold.eigenfunctions))
     for a in oscillator._gauss_hermite(40):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -425,8 +460,7 @@ def test_strong_coupling_falls_through_to_half_size_dense_blocks(monkeypatch, n)
 def test_eigenfunction_ground_state_nodeless_even():
     spec = OscillatorSpec(W, M, "quadratic")
     grid = default_grid(spec, 1)
-    st = eigenfunction(spec, 0, grid)
-    vals = np.real(st.samples)
+    vals = eigenfunction(spec, 0, grid)
     assert np.all(vals > 0) or np.all(vals < 0)
     assert np.max(np.abs(vals - vals[::-1])) <= 1e-10 * np.max(np.abs(vals))
 
@@ -434,8 +468,7 @@ def test_eigenfunction_ground_state_nodeless_even():
 def test_eigenfunction_first_excited_odd_one_node():
     spec = OscillatorSpec(W, M, "quadratic")
     grid = default_grid(spec, 1)
-    st = eigenfunction(spec, 1, grid)
-    vals = np.real(st.samples)
+    vals = eigenfunction(spec, 1, grid)
     assert np.max(np.abs(vals + vals[::-1])) <= 1e-10 * np.max(np.abs(vals))
     signs = np.sign(vals[np.abs(vals) > 1e-12 * np.max(np.abs(vals))])
     assert np.count_nonzero(np.diff(signs)) == 1
@@ -443,8 +476,9 @@ def test_eigenfunction_first_excited_odd_one_node():
 
 def test_eigenfunction_normalised_in_weighted_measure():
     spec = OscillatorSpec(W, M, "quadratic")
-    st = eigenfunction(spec, 2, default_grid(spec, 2))
-    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    grid = default_grid(spec, 2)
+    psi = eigenfunction(spec, 2, grid)
+    assert np.sqrt(inner(psi, psi, grid, M)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigenfunction_overlap_with_diagonalisation():
@@ -452,7 +486,7 @@ def test_eigenfunction_overlap_with_diagonalisation():
     grid = default_grid(spec, 0)
     exact = eigenfunction(spec, 0, grid)
     res = numeric_spectrum(spec, 0, grid=grid, return_eigenfunctions=True)
-    overlap = abs(inner(exact, res.eigenfunctions[0]))
+    overlap = abs(inner(exact, res.eigenfunctions[0], grid, M))
     assert overlap >= 0.999
 
 

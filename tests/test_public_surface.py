@@ -39,9 +39,7 @@ EXPORTS = {
         "MomentumGrid",
         "OperatorMatrix",
         "apply_d1",
-        "d2_lags",
         "derivative_matrix",
-        "eig_generalized",
         "golden_section",
     ],
 }
