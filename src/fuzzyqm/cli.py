@@ -211,7 +211,10 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
     n = np.arange(args.nmax + 1)
     if spec.truncation == "quadratic":
         formula = harmonic_spectrum_formula(spec, args.nmax)
-        budget = 4.0 * (n + 0.5) * spec.omega_over_mass**3 * spec.mass
+        # the truncation's own levels, which the closed form expands to O(w^2/m): a right level lies as far from
+        # the formula as they do, up to its rounding
+        exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + spec.omega_over_mass**2) - spec.omega**2 / (2.0 * spec.mass)
+        budget = np.abs(exact - formula.energies) + 1e-9 * np.abs(exact)
         breakdown = (False,) * (args.nmax + 1)
     else:
         ref_spec = OscillatorSpec(spec.omega, spec.mass, "quartic")

@@ -24,11 +24,13 @@ closed-form eigenstates.  The derivative and confinement terms are
 pentadiagonal in them in closed form, and the kinetic term and the weight
 are polynomials times at most exp(2p^2/m^2), which Gauss-Hermite quadrature
 integrates exactly (J. P. Boyd, Chebyshev and Fourier Spectral Methods, 2nd
-ed., Dover 2001, ch. 17).  K = 32, 64, 128 and 256 functions are solved in
-turn, and the first K whose levels agree with K/2's answers; no grid enters
-those levels, and a grid only samples the states.  Where no K agrees (strong
-coupling, many levels) each parity's dense block of the sinc discretisation
-on a grid is diagonalised.
+ed., Dover 2001, ch. 17).  One rung of K = 64, 128 or 256 functions is
+assembled per step, the first step's K/2 levels are read from its leading
+blocks, and the first K whose levels agree with K/2's answers.  Its levels
+are eigenvalues alone, and its vectors are solved for only when the states
+are asked for.  No grid enters those levels, and a grid only samples the
+states.  Where no K agrees (strong coupling, many levels) each parity's
+dense block of the sinc discretisation on a grid is diagonalised.
 """
 
 from __future__ import annotations
@@ -161,9 +163,40 @@ def _hermite_basis(x: np.ndarray, count: int) -> np.ndarray:
     h = np.empty((count, x.size))
     h[0] = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
     h[1] = np.sqrt(2.0) * x * h[0]
-    for j in range(2, count):
-        h[j] = np.sqrt(2.0 / j) * x * h[j - 1] - np.sqrt((j - 1) / j) * h[j - 2]
+    j = np.arange(2, count)
+    for k, up, down in zip(range(2, count), np.sqrt(2.0 / j).tolist(), np.sqrt((j - 1) / j).tolist()):
+        h[k] = up * x * h[k - 1] - down * h[k - 2]
     return h.T
+
+
+@lru_cache(maxsize=2 * len(_LADDER))
+def _rung(count: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and quadrature-weighted basis q of the K = ``count`` Galerkin rung, read-only.
+
+    x = y / sqrt(beta) are the count + 8 Gauss-Hermite nodes y with weights
+    g, and q holds h_0 ... h_(count-1) at x, each node's row times
+    sqrt(g / sqrt(beta)) exp(y^2/2), so that q^T diag(f(x)) q integrates
+    f h_j h_k dx.  ``quadratic`` and ``quartic`` have beta = 1, so their
+    rungs depend on K alone.
+    """
+    y, gw = _gauss_hermite(count + 8)
+    x = y / np.sqrt(beta)
+    q = _hermite_basis(x, count) * (np.sqrt(gw / np.sqrt(beta)) * np.exp(y**2 / 2.0))[:, None]
+    for a in (x, q):
+        a.flags.writeable = False  # every solve at this (K, beta) shares the cached arrays
+    return x, q
+
+
+def _lowest(
+    blocks: list[tuple[np.ndarray, np.ndarray | None]], size: int, levels: int
+) -> list[tuple[float, int, int]]:
+    """(energy, parity, index in its block) of the lowest ``levels`` eigenvalues of the leading size x size blocks."""
+    found = [
+        (float(e), parity, i)
+        for parity, (a, _) in enumerate(blocks)
+        for i, e in enumerate(np.linalg.eigvalsh(a[:size, :size])[:levels])
+    ]
+    return sorted(found)[:levels]
 
 
 def _galerkin(
@@ -178,18 +211,27 @@ def _galerkin(
     lambda = 1/(1 + 10 w/m), as the quartic term and the weight narrow the
     states.  In x = p/s, -d^2/dx^2 and x^2 both have the diagonal (2j+1)/2
     and carry -sqrt((j+1)(j+2))/2 and +sqrt((j+1)(j+2))/2 at (j, j+2), so
-    -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal in closed form.  The kinetic term and the weight (``_kinetic_and_weight``)
-    are polynomials times at most exp(2p^2/m^2) = exp((1 - beta) x^2), with
+    -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal in closed form.
+    The kinetic term and the weight (``_kinetic_and_weight``) are
+    polynomials times at most exp(2p^2/m^2) = exp((1 - beta) x^2), with
     beta = 1 - 2s^2/m^2 for ``exact`` and 1 otherwise; against h_j h_k that
     is exp(-beta x^2) times a polynomial of degree at most 2K + 4, which the
     K + 8 Gauss-Hermite nodes y, placed at x = y / sqrt(beta), integrate
-    exactly.  lambda keeps beta >= 0.95.  For ``exact`` the problem is
-    reduced by the triangular factor R of the weight's Gram matrix
-    G = R^T R; otherwise G is the identity.  K = 32, 64, 128 and 256 are
-    solved in turn, each with at least ``levels`` functions per parity, and
-    the first K whose levels all agree with the previous K's within 1e-10
-    relative answers.  None means that no K did.  phi = sum_j c_j h_j(p/s)
-    is sampled at ``points``, and is None without them.
+    exactly (``_rung``).  lambda keeps beta >= 0.95.  For ``exact`` the
+    problem is reduced by the triangular factor R of the weight's Gram
+    matrix G = R^T R; otherwise G is the identity.
+
+    One rung is assembled per step, K = 64, 128 and 256, starting at the
+    first K whose K/2 still holds ``levels`` functions per parity.  The
+    first step reads the K/2 levels from the leading quarter-size block of
+    each parity's reduced matrix: K + 8 nodes integrate the K/2 products
+    exactly too, and R^-1 is triangular, so that block is the K/2 problem's
+    own.  Each later step compares with the step before.  The first K whose
+    levels all agree with K/2's within 1e-10 relative answers, and None
+    means that no K did.  Every level is an eigenvalue alone (eigvalsh);
+    with ``points``, the answering rung's blocks are solved again for their
+    eigenvectors c, and phi = sum_j c_j h_j(p/s) is sampled there.  Without
+    them phi is None, and the levels are the same bits either way.
     """
     m, w = spec.mass, spec.omega
     if spec.truncation == "quadratic":
@@ -199,33 +241,37 @@ def _galerkin(
     beta = 1.0 - 2.0 * scale**2 / m**2 if spec.truncation == "exact" else 1.0
     d2, x2 = m * w**2 / (2.0 * scale**2), m * w**2 * scale**2 / (2.0 * m**4)  # coefficients of -d^2/dx^2 and x^2
     previous = None
-    for count in _LADDER:
-        if count < 2 * levels:
+    for half, count in zip(_LADDER, _LADDER[1:]):
+        if half < 2 * levels:
             continue
-        y, gw = _gauss_hermite(count + 8)
-        x = y / np.sqrt(beta)
-        q = _hermite_basis(x, count) * (np.sqrt(gw / np.sqrt(beta)) * np.exp(y**2 / 2.0))[:, None]
+        x, q = _rung(count, beta)
         kinetic, weight = _kinetic_and_weight(spec, scale * x)
-        found = []
+        blocks = []  # (reduced matrix, R^-1 or None) per parity
         for parity in (0, 1):
             j, qp = np.arange(parity, count, 2), q[:, parity::2]
             off = (x2 - d2) * np.sqrt((j[:-1] + 1.0) * (j[:-1] + 2.0)) / 2.0
             a = qp.T @ (kinetic[:, None] * qp) + np.diag(off, 1) + np.diag(off, -1)
             a[np.diag_indices(j.size)] += (d2 + x2) * (j + 0.5) - w**2 / (2.0 * m)
+            r = None
             if spec.truncation == "exact":
                 # G = R^T R from the QR factors of sqrt(weight) times the nodal basis, without squaring G's
                 # condition number; r = R^-1
                 r = np.linalg.inv(np.linalg.qr(np.sqrt(weight)[:, None] * qp, mode="r"))
-                vals, vecs = np.linalg.eigh(r.T @ a @ r)
-                vecs = r @ vecs
-            else:
-                vals, vecs = np.linalg.eigh(a)
-            found += [(float(vals[i]), 1 - 2 * parity, vecs[:, i]) for i in range(levels)]
-        found = sorted(found, key=lambda level: level[0])[:levels]
+                a = r.T @ a @ r
+            blocks.append((a, r))
+        found = _lowest(blocks, count // 2, levels)
         energies = np.array([e for e, _, _ in found])
-        if previous is not None and np.all(np.abs(energies - previous) <= _LADDER_RTOL * np.abs(energies)):
-            h = None if points is None else _hermite_basis(points / scale, count)
-            return [(e, sign, None if h is None else h[:, (1 - sign) // 2 :: 2] @ c) for e, sign, c in found], count
+        if previous is None:
+            previous = np.array([e for e, _, _ in _lowest(blocks, count // 4, levels)])
+        if np.all(np.abs(energies - previous) <= _LADDER_RTOL * np.abs(energies)):
+            if points is None:
+                return [(e, 1 - 2 * parity, None) for e, parity, _ in found], count
+            h = _hermite_basis(points / scale, count)
+            vecs = []
+            for a, r in blocks:
+                c = np.linalg.eigh(a)[1]
+                vecs.append(c if r is None else r @ c)
+            return [(e, 1 - 2 * parity, h[:, parity::2] @ vecs[parity][:, i]) for e, parity, i in found], count
         previous = energies
     return None
 
@@ -337,9 +383,11 @@ def numeric_spectrum(
     The problem is even under p -> -p, so it is solved per parity and the
     lowest levels of both parities are merged.  The first rung
     (``_galerkin``) solves the continuum problem by Rayleigh-Ritz in the
-    first K Hermite functions, K = 32, 64, 128, 256, and answers at the
-    first K whose levels agree with K/2's within 1e-10 relative.  That
-    agreement is its refinement evidence, and its levels depend on no grid.
+    first K Hermite functions, one rung of K = 64, 128 or 256 at a time
+    (the first one's leading blocks give K/2), and answers at the first K
+    whose levels agree with K/2's within 1e-10 relative.  That agreement is
+    its refinement evidence, and its levels depend on no grid, nor on
+    whether the states are asked for.
     Where no K agrees, each parity's dense block of the sinc discretisation
     on the grid (``_parity_block``) is diagonalised, with eigenvectors only
     when ``return_eigenfunctions`` asks for the states; Dirichlet boundary

@@ -259,6 +259,33 @@ def test_oscillator_quadratic_strong_coupling_matches_its_exact_levels(tmp_path,
     assert np.max(np.abs(np.array([float(row["E_diag_MeV"]) for row in rows]) / exact - 1.0)) <= 1e-9
 
 
+def test_oscillator_quadratic_status_holds_right_levels_at_weak_coupling(tmp_path, capsys):
+    # at w/m = 1e-8 the levels are right to about 3e-15 relative, while (w/m)^3 m is 1e-24 MeV: the budget is
+    # the exact levels' distance from the closed form plus their rounding
+    assert main(["--out", str(tmp_path), "oscillator", "--omega", "1e-8", "--mass", "1"]) == 0
+    capsys.readouterr()
+    _, rows = read_csv(tmp_path / "oscillator_spectrum.csv")
+    assert [row["status"] for row in rows] == ["OK"] * 4
+
+
+def test_oscillator_quadratic_status_fails_a_wrong_level_at_strong_coupling(tmp_path, capsys, monkeypatch):
+    # at w/m = 1000 the closed form lies about 1e6 MeV from every exact level; a level a further 1e6 MeV off
+    # must fail, where a budget of 4 (n + 1/2) (w/m)^3 m (1.4e10 MeV) let it pass
+    solve = cli.numeric_spectrum
+
+    def one_wrong_level(spec, n_max, **kwargs):
+        res = solve(spec, n_max, **kwargs)
+        if kwargs.get("return_eigenfunctions"):
+            return res
+        return dataclasses.replace(res, energies=res.energies[:-1] + (res.energies[-1] + 1e6,))
+
+    monkeypatch.setattr(cli, "numeric_spectrum", one_wrong_level)
+    assert main(["--out", str(tmp_path), "oscillator", "--omega", "1000", "--mass", "1"]) == 1
+    capsys.readouterr()
+    _, rows = read_csv(tmp_path / "oscillator_spectrum.csv")
+    assert [row["status"] for row in rows] == ["OK", "OK", "OK", "FAIL"]
+
+
 def test_oscillator_eigenfunction_columns_share_a_sign(tmp_path):
     # closed-form and numeric states both follow the Hermite convention: largest |psi| on p >= 0 positive
     r = run("--out", str(tmp_path), "oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "1", "--npoints", "65")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fuzzyqm import oscillator
 from fuzzyqm.errors import ContractError, OverflowGuardError, RefinementError
@@ -334,15 +335,96 @@ def test_ladder_disagreement_falls_through_to_dense(monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(res.eigenfunctions, dense.eigenfunctions))
 
 
-@pytest.mark.parametrize("ratio", [0.5, 1.0])
-def test_levels_do_not_depend_on_the_states(ratio):
-    # asking for the states caps the default grid at 3.7 m, which cuts into these states; the levels use no grid
-    spec = OscillatorSpec(ratio * M, M, "quadratic")
-    n = np.arange(8)
-    exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + ratio**2) - spec.omega**2 / (2.0 * M)
-    levels = numeric_spectrum(spec, 7).energies
-    assert numeric_spectrum(spec, 7, return_eigenfunctions=True).energies == levels
-    assert np.max(np.abs(np.array(levels) / exact - 1.0)) <= 1e-10
+_STATES_CASES = [
+    pytest.param("quadratic", 0.5, 7, "galerkin64", id="0.5"),
+    pytest.param("quadratic", 1.0, 7, "galerkin64", id="1.0"),
+    pytest.param("quartic", 0.1, 7, "galerkin64", id="quartic-0.1"),
+    pytest.param("quartic", 0.3, 3, "galerkin256", id="quartic-0.3"),
+    pytest.param("exact", 0.05, 7, "galerkin128", id="exact-0.05"),
+    pytest.param("exact", 0.36, 3, "galerkin256", id="exact-0.36"),
+]
+
+
+@pytest.mark.parametrize("truncation, ratio, n_max, rung", _STATES_CASES)
+def test_levels_do_not_depend_on_the_states(truncation, ratio, n_max, rung):
+    # asking for the states caps the default grid at 3.7 m, which cuts into these states; the levels use no grid,
+    # and they are eigenvalues alone whether or not the answering rung is solved again for its vectors
+    spec = OscillatorSpec(ratio * M, M, truncation)
+    levels = numeric_spectrum(spec, n_max)
+    assert levels.method == f"{rung}/{rung}"
+    with_states = numeric_spectrum(spec, n_max, return_eigenfunctions=True)
+    assert (with_states.energies, with_states.method) == (levels.energies, levels.method)
+    if truncation == "quadratic":
+        n = np.arange(n_max + 1)
+        exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + ratio**2) - spec.omega**2 / (2.0 * M)
+        assert np.max(np.abs(np.array(levels.energies) / exact - 1.0)) <= 1e-10
+
+
+def _own_rung_levels(spec: OscillatorSpec, count: int, levels: int) -> np.ndarray:
+    """Lowest ``levels`` of the count-function Galerkin problem, assembled on its own count + 8 node rule.
+
+    The derivative enters by parts, as the Gram matrix of h_j' = sqrt(j/2) h_(j-1) - sqrt((j+1)/2) h_(j+1),
+    not in its closed pentadiagonal form, and each parity is solved against the weight's Gram matrix by
+    scipy's generalized eigensolver, not reduced by a QR factor.
+    """
+    m, w = spec.mass, spec.omega
+    if spec.truncation == "quadratic":
+        s = np.sqrt(m * w / np.hypot(1.0, w / m))
+    else:
+        s = np.sqrt(m * w) / (1.0 + 10.0 * w / m)
+    beta = 1.0 - 2.0 * s**2 / m**2 if spec.truncation == "exact" else 1.0
+    y, gw = np.polynomial.hermite.hermgauss(count + 8)
+    h = oscillator._hermite_basis(y, count + 1) * np.sqrt(gw * np.exp(y**2))[:, None]
+    j = np.arange(count)
+    deriv = np.sqrt(j / 2.0) * np.hstack([np.zeros((y.size, 1)), h[:, : count - 1]]) - np.sqrt((j + 1) / 2.0) * h[:, 1:]
+    h = h[:, :count]
+    a = (m * w**2 / (2.0 * s**2)) * deriv.T @ deriv + (m * w**2 * s**2 / (2.0 * m**4)) * h.T @ (y[:, None] ** 2 * h)
+    a -= w**2 / (2.0 * m) * h.T @ h
+    x = y / np.sqrt(beta)  # the kinetic term and the weight carry exp((1 - beta) x^2)
+    stretched = oscillator._hermite_basis(x, count) * np.sqrt(gw * np.exp(y**2) / np.sqrt(beta))[:, None]
+    kinetic, weight = _kinetic_and_weight(spec, s * x)
+    a += stretched.T @ (kinetic[:, None] * stretched)
+    g = stretched.T @ (weight[:, None] * stretched)
+    found = []
+    for parity in (0, 1):
+        block = np.ix_(j[parity::2], j[parity::2])
+        found += list(scipy.linalg.eigh(a[block], g[block], eigvals_only=True)[:levels])
+    return np.sort(found)[:levels]
+
+
+@pytest.mark.parametrize("ratio", [0.005, 0.3])
+@pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
+@pytest.mark.parametrize("n_max", [3, 20])
+def test_leading_block_levels_match_their_own_rung(monkeypatch, ratio, truncation, n_max):
+    # the first step reads K/2's levels from the leading block of K's reduced matrices; a K/2 problem assembled
+    # on its own, smaller rule holds the same levels
+    seen = []
+    lowest = oscillator._lowest
+
+    def spy(blocks, size, levels):
+        found = lowest(blocks, size, levels)
+        seen.append((size, blocks[0][0].shape[0], np.array([e for e, _, _ in found])))
+        return found
+
+    monkeypatch.setattr(oscillator, "_lowest", spy)
+    numeric_spectrum(OscillatorSpec(ratio * M, M, truncation), n_max)
+    [(size, full, ours)] = [step for step in seen if step[0] < step[1]]  # read once, on the first rung
+    assert size == full // 2
+    oracle = _own_rung_levels(OscillatorSpec(ratio * M, M, truncation), 2 * size, n_max + 1)
+    assert np.max(np.abs(ours - oracle) / np.abs(oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "truncation, ratio, n_max, method",
+    [
+        ("quartic", 0.439, 3, "galerkin256/galerkin256"),
+        ("exact", 0.362, 0, "galerkin128/galerkin128"),
+        ("quartic", 0.005, 20, "galerkin128/galerkin128"),
+        ("exact", 0.6, 3, "dense/dense"),
+    ],
+)
+def test_answering_rung_is_pinned(truncation, ratio, n_max, method):
+    assert numeric_spectrum(OscillatorSpec(ratio * M, M, truncation), n_max).method == method
 
 
 @pytest.mark.parametrize("n", [16, 17, 64, 65, 509, 1024])  # tiny, odd and prime n among them
@@ -387,13 +469,15 @@ def test_hermite_rows_equal_the_column_recurrence(n):
 def test_cold_and_warm_solves_are_bit_identical():
     spec = OscillatorSpec(W, M, "exact")
     oscillator._gauss_hermite.cache_clear()
+    oscillator._rung.cache_clear()
     cold = numeric_spectrum(spec, 3, return_eigenfunctions=True)
     warm = numeric_spectrum(spec, 3, return_eigenfunctions=True)
-    info = oscillator._gauss_hermite.cache_info()
-    assert (info.hits, info.misses) == (2, 2)  # the rules of K = 32 and 64, built once
+    rules, rungs = oscillator._gauss_hermite.cache_info(), oscillator._rung.cache_info()
+    assert (rules.hits, rules.misses) == (0, 1)  # the 72-node rule of K = 64, built by the cold solve alone
+    assert (rungs.hits, rungs.misses) == (1, 1)  # the warm solve reuses the rung's nodes and basis
     assert (warm.energies, warm.method) == (cold.energies, cold.method)
     assert all(np.array_equal(x, y) for x, y in zip(warm.eigenfunctions, cold.eigenfunctions))
-    for a in oscillator._gauss_hermite(40):
+    for a in (*oscillator._gauss_hermite(72), *oscillator._rung(64, 1.0)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 
@@ -413,13 +497,17 @@ def _record_eigensolves(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
 
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
 def test_harmonic_regime_solves_no_eigenproblem_above_32(monkeypatch, truncation):
-    # K = 32, then 64 Hermite functions, half of them in each parity; no grid is solved
+    # one rung of K = 64 Hermite functions, 32 in each parity: the levels of both parities' blocks and of their
+    # leading 16 x 16 blocks (K/2 = 32), and the vectors only when the states are asked for; no grid is solved
     shapes = _record_eigensolves(monkeypatch)
-    res = numeric_spectrum(
-        OscillatorSpec(W, M, truncation), 3, n_points=1024, check_refinement=True, return_eigenfunctions=True
-    )
-    assert res.method == "galerkin64/galerkin64"
-    assert shapes == {"eigh": [(16, 16), (16, 16), (32, 32), (32, 32)], "eigvalsh": []}
+    for states, vectors in ((False, []), (True, [(32, 32), (32, 32)])):
+        res = numeric_spectrum(
+            OscillatorSpec(W, M, truncation), 3, n_points=1024, check_refinement=True, return_eigenfunctions=states
+        )
+        assert res.method == "galerkin64/galerkin64"
+        assert shapes == {"eigh": vectors, "eigvalsh": [(32, 32), (32, 32), (16, 16), (16, 16)]}
+        for got in shapes.values():
+            got.clear()
 
 
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
