@@ -29,8 +29,10 @@ assembled per step, the first step's K/2 levels are read from its leading
 blocks, and the first K whose levels agree with K/2's answers.  Its levels
 are eigenvalues alone, and its vectors are solved for only when the states
 are asked for.  No grid enters those levels, and a grid only samples the
-states.  Where no K agrees (strong coupling, many levels) each parity's
-dense block of the sinc discretisation on a grid is diagonalised.
+states.  Where no K agrees the solve raises RefinementError; at n_max = 3
+that is ``exact`` beyond w/m of about 3.5, while ``quadratic`` and
+``quartic`` answer at every w/m.  At most 64 levels are solved, the most
+that K = 256's leading blocks hold.
 """
 
 from __future__ import annotations
@@ -39,15 +41,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ContractError, OverflowGuardError, RefinementError
+from .errors import ContractError, RefinementError
 from .numerics.grids import MomentumGrid
 
 _TRUNCATIONS = ("quadratic", "quartic", "exact")
-_WEIGHT_CAP = 1e12  # largest max(W)/min(W) on a grid for which the dense rung's W^(-1/2) reduction stays accurate
 _LADDER = (32, 64, 128, 256)  # Hermite functions on the Galerkin rung, each checked against the one before
 _LADDER_RTOL = 1e-10  # largest relative change of a level from K/2 to K functions for the Galerkin rung to answer
+MAX_LEVELS = _LADDER[-2] // 2  # levels per solve: K/2 must hold every level in each parity
+_SCALE_CAP = {"quartic": 0.6, "exact": 0.19}  # s/m at strong coupling; exact's keeps beta = 1 - 2s^2/m^2 >= 0.928
 
 
 @dataclass(frozen=True)
@@ -115,22 +117,19 @@ def anharmonic_spectrum_formula(spec: OscillatorSpec, n_max: int) -> SpectrumRes
     return SpectrumResult(tuple(float(v) for v in e), method="formula", breakdown=tuple(bool(f) for f in flags))
 
 
-def default_grid(spec: OscillatorSpec, n_max: int, n_points: int = 512, states: bool = False) -> MomentumGrid:
-    """Grid sized to the reduced eigenfunctions (scale sqrt(m w)), capped at 3.7 m where exp(p^2/m^2) enters.
+def default_grid(spec: OscillatorSpec, n_max: int, n_points: int = 512) -> MomentumGrid:
+    """Grid that samples the states: sized to the reduced eigenfunctions (scale sqrt(m w)), capped at 3.7 m.
 
-    The cap keeps the exact weight exp(2p^2/m^2) within the 1e12 span that
-    ``_parity_solve`` accepts and, with ``states``, keeps below 1e6 the factor
-    exp(p^2/m^2) that turns phi into psi and multiplies phi's roundoff.  The
-    dense rung's quadratic and quartic levels need neither, and a capped grid
-    cuts into their reduced states from w/m of about 0.12 up (at n_max = 3).
+    The cap keeps below 1e6 the factor exp(p^2/m^2) that turns phi into psi
+    and multiplies phi's roundoff.  It cuts into the reduced states from w/m
+    of about 0.12 up (at n_max = 3); no level depends on the grid.
     """
     coverage = (8.0 + np.sqrt(2.0 * n_max + 2.0)) * np.sqrt(spec.mass * spec.omega)
-    capped = states or spec.truncation == "exact"
-    return MomentumGrid.symmetric(n_points, min(3.7 * spec.mass, coverage) if capped else coverage)
+    return MomentumGrid.symmetric(n_points, min(3.7 * spec.mass, coverage))
 
 
 def _kinetic_and_weight(spec: OscillatorSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kinetic term p^2/2m times the truncation's weight expansion, and the weight W, at momenta p."""
+    """Kinetic term p^2/2m times the truncation's weight expansion, and the weight W, at momenta p (a rung's nodes)."""
     m = spec.mass
     weight = np.ones_like(p)
     if spec.truncation == "quadratic":
@@ -138,7 +137,7 @@ def _kinetic_and_weight(spec: OscillatorSpec, p: np.ndarray) -> tuple[np.ndarray
     elif spec.truncation == "quartic":
         kinetic_weight = 1.0 + 2.0 * p**2 / m**2 + 2.0 * p**4 / m**4
     else:
-        kinetic_weight = weight = np.exp(2.0 * p**2 / m**2)  # on a grid, _parity_solve refuses a span above _WEIGHT_CAP
+        kinetic_weight = weight = np.exp(2.0 * p**2 / m**2)
     return (p**2 / (2.0 * m)) * kinetic_weight, weight
 
 
@@ -201,24 +200,30 @@ def _lowest(
 
 def _galerkin(
     spec: OscillatorSpec, levels: int, points: np.ndarray | None
-) -> tuple[list[tuple[float, int, np.ndarray | None]], int] | None:
-    """Lowest ``levels`` (energy, parity, phi at ``points``) of the continuum problem and its K, or None.
+) -> tuple[list[tuple[float, int, np.ndarray | None]], int]:
+    """Lowest ``levels`` (energy, parity, phi at ``points``) of the continuum problem, and its K.
 
     Rayleigh-Ritz of A phi = E W phi in the first K Hermite functions
-    h_j(p/s), split by parity, at s = lambda sqrt(m w).  ``quadratic`` is a
-    harmonic oscillator of stiffness 1 + w^2/m^2, diagonal in the h_j at
-    lambda = (1 + w^2/m^2)^(-1/4), so K = 64 answers at every w/m; otherwise
-    lambda = 1/(1 + 10 w/m), as the quartic term and the weight narrow the
-    states.  In x = p/s, -d^2/dx^2 and x^2 both have the diagonal (2j+1)/2
-    and carry -sqrt((j+1)(j+2))/2 and +sqrt((j+1)(j+2))/2 at (j, j+2), so
-    -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal in closed form.
+    h_j(p/s), split by parity.  ``quadratic`` is a harmonic oscillator of
+    stiffness 1 + w^2/m^2, diagonal in the h_j at
+    s = sqrt(m w) (1 + w^2/m^2)^(-1/4), so K = 64 answers at every w/m.
+    Otherwise s = max(sqrt(m w)/(1 + 10 w/m), min(sqrt(m w)/2, c m)), with
+    c = 0.6 for ``quartic`` and 0.19 for ``exact``: the first term, which
+    holds for every w/m <= 0.1, narrows the basis as the quartic term and
+    the weight narrow the states, and the second stops it at strong
+    coupling, where the first would fall like m^(3/2)/(10 sqrt(w)) while
+    the states do not.  In x = p/s, -d^2/dx^2 and x^2 both have the
+    diagonal (2j+1)/2 and carry -sqrt((j+1)(j+2))/2 and +sqrt((j+1)(j+2))/2
+    at (j, j+2), so -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal
+    in closed form.
     The kinetic term and the weight (``_kinetic_and_weight``) are
     polynomials times at most exp(2p^2/m^2) = exp((1 - beta) x^2), with
     beta = 1 - 2s^2/m^2 for ``exact`` and 1 otherwise; against h_j h_k that
     is exp(-beta x^2) times a polynomial of degree at most 2K + 4, which the
     K + 8 Gauss-Hermite nodes y, placed at x = y / sqrt(beta), integrate
-    exactly (``_rung``).  lambda keeps beta >= 0.95.  For ``exact`` the
-    problem is reduced by the triangular factor R of the weight's Gram
+    exactly (``_rung``).  s keeps beta >= 0.928, for the condition number
+    of the weight's Gram matrix grows like exp(4K s^2/m^2).  For ``exact``
+    the problem is reduced by the triangular factor R of the weight's Gram
     matrix G = R^T R; otherwise G is the identity.
 
     One rung is assembled per step, K = 64, 128 and 256, starting at the
@@ -227,17 +232,19 @@ def _galerkin(
     each parity's reduced matrix: K + 8 nodes integrate the K/2 products
     exactly too, and R^-1 is triangular, so that block is the K/2 problem's
     own.  Each later step compares with the step before.  The first K whose
-    levels all agree with K/2's within 1e-10 relative answers, and None
-    means that no K did.  Every level is an eigenvalue alone (eigvalsh);
-    with ``points``, the answering rung's blocks are solved again for their
-    eigenvectors c, and phi = sum_j c_j h_j(p/s) is sampled there.  Without
-    them phi is None, and the levels are the same bits either way.
+    levels all agree with K/2's within 1e-10 relative answers, and
+    RefinementError, naming the last K/2-to-K change, means that no K did.
+    Every level is an eigenvalue alone (eigvalsh); with ``points``, the
+    answering rung's blocks are solved again for their eigenvectors c, and
+    phi = sum_j c_j h_j(p/s) is sampled there.  Without them phi is None,
+    and the levels are the same bits either way.
     """
     m, w = spec.mass, spec.omega
     if spec.truncation == "quadratic":
         scale = np.sqrt(m * w / np.hypot(1.0, w / m))  # hypot keeps (w/m)^2 from overflowing
     else:
-        scale = np.sqrt(m * w) / (1.0 + 10.0 * w / m)
+        root = np.sqrt(m * w)
+        scale = max(root / (1.0 + 10.0 * w / m), min(root / 2.0, _SCALE_CAP[spec.truncation] * m))
     beta = 1.0 - 2.0 * scale**2 / m**2 if spec.truncation == "exact" else 1.0
     d2, x2 = m * w**2 / (2.0 * scale**2), m * w**2 * scale**2 / (2.0 * m**4)  # coefficients of -d^2/dx^2 and x^2
     previous = None
@@ -263,7 +270,8 @@ def _galerkin(
         energies = np.array([e for e, _, _ in found])
         if previous is None:
             previous = np.array([e for e, _, _ in _lowest(blocks, count // 4, levels)])
-        if np.all(np.abs(energies - previous) <= _LADDER_RTOL * np.abs(energies)):
+        change = np.abs(energies - previous)
+        if np.all(change <= _LADDER_RTOL * np.abs(energies)):
             if points is None:
                 return [(e, 1 - 2 * parity, None) for e, parity, _ in found], count
             h = _hermite_basis(points / scale, count)
@@ -273,76 +281,10 @@ def _galerkin(
                 vecs.append(c if r is None else r @ c)
             return [(e, 1 - 2 * parity, h[:, parity::2] @ vecs[parity][:, i]) for e, parity, i in found], count
         previous = energies
-    return None
-
-
-def _parity_block(c: np.ndarray, diag: np.ndarray, sign: int) -> np.ndarray:
-    """Dense A of A phi = E W phi restricted to even (``sign`` 1) or odd (-1) phi, on the left half-grid.
-
-    A = -(m w^2/2) d^2/dp^2 + diag is even under p -> -p, so with n = c.size
-    and k = n // 2 the even block is A11 + A12 J and the odd block A11 - A12 J:
-    the Toeplitz part c[|i - j|] plus or minus its mirror c[n - 1 - i - j],
-    i, j < k.  Both are read as sliding windows of c, without index arrays.
-    For odd n the middle point p = 0 joins the even block, coupled with a
-    factor sqrt(2) in the orthonormal basis (e_i + e_(n-1-i))/sqrt(2).
-    """
-    n, k = c.size, c.size // 2
-    # window i of (c[k-1], ..., c[1], c[0], c[1], ..., c[k-1]) at offset j is
-    # c[|i + j - k + 1|]; with the windows in reverse order it is c[|i - j|]
-    toeplitz = sliding_window_view(np.concatenate([c[k - 1 : 0 : -1], c[:k]]), k)[::-1]
-    mirror = sliding_window_view(c[::-1][: 2 * k - 1], k)  # c[n-1-i-j]
-    if sign < 0:
-        a = toeplitz - mirror
-    else:
-        a = np.empty((n - k, n - k))
-        a[:k, :k] = toeplitz + mirror
-        if n % 2:
-            a[k, :k] = a[:k, k] = np.sqrt(2.0) * c[k:0:-1]
-            a[k, k] = c[0]
-    a[np.diag_indices(a.shape[0])] += diag[: a.shape[0]]
-    return a
-
-
-def _parity_solve(
-    spec: OscillatorSpec, grid: MomentumGrid, levels: int, vectors: bool
-) -> list[tuple[float, int, np.ndarray | None]]:
-    """Lowest ``levels`` (energy, parity, phi on the left half-grid) of both dense parity blocks, by energy.
-
-    The second derivative is the sinc one, the symmetric Toeplitz matrix of
-    the lags c[|i - j|].  Each block A (``_parity_block``) is solved as
-    A phi = E W phi by the symmetric reduction W^(-1/2) A W^(-1/2), with
-    eigenvectors only with ``vectors``; without them phi is None.  A weight
-    that spans more than _WEIGHT_CAP on the grid (or overflows) raises
-    OverflowGuardError: the reduced matrix is then too badly scaled for the
-    levels to be trusted.  phi is sampled at the first n - n // 2 grid
-    points, which for odd n end at the middle point p = 0.
-    """
-    n, k = grid.n, grid.n // 2
-    p = grid.points[: n - k]
-    kinetic, weight = _kinetic_and_weight(spec, p)  # the odd block's weight is a part of the even block's
-    if not np.log(np.max(weight)) - np.log(np.min(weight)) <= np.log(_WEIGHT_CAP):  # also catches inf and nan
-        raise OverflowGuardError(
-            f"weight spans {np.max(weight) / np.min(weight):.2e} > {_WEIGHT_CAP:.0e}; reduce the grid cutoff"
-        )
-    s = 1.0 / np.sqrt(weight)
-    diag = (spec.mass * spec.omega**2 / 2.0) * (p**2 / spec.mass**4 - 1.0 / spec.mass**2) + kinetic
-    h, lag = grid.spacing, np.arange(1, n)
-    c = np.empty(n)
-    c[0] = -np.pi**2 / (3.0 * h**2)
-    c[1:] = -2.0 * (-1.0) ** lag / (lag**2 * h**2)
-    c *= -(spec.mass * spec.omega**2 / 2.0)
-    found = []
-    for sign, dim in ((1, n - k), (-1, k)):
-        b = np.einsum("i,ij,j->ij", s[:dim], _parity_block(c, diag, sign), s[:dim])
-        if vectors:
-            vals, vecs = np.linalg.eigh(b)
-            vecs = s[:dim, None] * vecs  # phi, normalised in the W-weighted inner product
-            if n % 2:  # the even block's middle basis vector is e_k, not (e_i + e_(n-1-i))/sqrt(2); an odd phi is 0 there
-                vecs = np.vstack([vecs[:k], np.sqrt(2.0) * vecs[k:] if sign > 0 else np.zeros((1, dim))])
-        else:
-            vals, vecs = np.linalg.eigvalsh(b), None
-        found += [(float(e), sign, None if vecs is None else vecs[:, j]) for j, e in enumerate(vals[:levels])]
-    return sorted(found, key=lambda level: level[0])[:levels]
+    raise RefinementError(
+        f"{spec.truncation} levels at w/m = {w / m:.6g} did not settle: from K = {count // 2} to {count} "
+        f"Hermite functions they moved by {np.max(change / np.abs(previous)):.2e} relative, above {_LADDER_RTOL:.0e}"
+    )
 
 
 def _normalised(spec: OscillatorSpec, grid: MomentumGrid, psi: np.ndarray) -> np.ndarray:
@@ -378,58 +320,39 @@ def numeric_spectrum(
     check_refinement: bool = False,
     return_eigenfunctions: bool = False,
 ) -> SpectrumResult:
-    """Lowest n_max+1 levels of the reduced equation, from the Hermite-Galerkin ladder or the dense grid blocks.
+    """Lowest n_max+1 levels of the reduced equation, from the Hermite-Galerkin ladder.
 
     The problem is even under p -> -p, so it is solved per parity and the
-    lowest levels of both parities are merged.  The first rung
-    (``_galerkin``) solves the continuum problem by Rayleigh-Ritz in the
-    first K Hermite functions, one rung of K = 64, 128 or 256 at a time
-    (the first one's leading blocks give K/2), and answers at the first K
-    whose levels agree with K/2's within 1e-10 relative.  That agreement is
-    its refinement evidence, and its levels depend on no grid, nor on
-    whether the states are asked for.
-    Where no K agrees, each parity's dense block of the sinc discretisation
-    on the grid (``_parity_block``) is diagonalised, with eigenvectors only
-    when ``return_eigenfunctions`` asks for the states; Dirichlet boundary
-    values are implicit (phi decays inside the grid).  ``method`` names the
-    rung of each parity as "even/odd", e.g. "galerkin64/galerkin64" or
-    "dense/dense".
-    ``grid`` and ``check_refinement`` act only on the dense rung and on the
-    state samples.  Without ``grid``, ``default_grid`` sizes it, capped at
-    3.7 m for ``exact`` and when the states are asked for.  The states psi =
+    lowest levels of both parities are merged.  ``_galerkin`` solves the
+    continuum problem by Rayleigh-Ritz in the first K Hermite functions, one
+    rung of K = 64, 128 or 256 at a time (the first one's leading blocks
+    give K/2), and answers at the first K whose levels agree with K/2's
+    within 1e-10 relative.  That agreement is its refinement evidence, and
+    it is always checked; where no K agrees, RefinementError names the
+    truncation, w/m and the last change.  ``method`` names the answering
+    rung of each parity as "even/odd", e.g. "galerkin64/galerkin64".  The
+    levels depend on no grid, nor on whether the states are asked for.
+    More than MAX_LEVELS (64) levels raise ValueError.
+    ``grid`` and ``n_points`` only place the state samples: without
+    ``grid``, ``default_grid`` builds one of ``n_points``.  The states psi =
     exp(p^2/m^2) phi are real arrays of samples on the grid, exactly even or
-    odd, normalised in the weighted measure exp(-2p^2/m^2) dp.  With
-    ``check_refinement`` a dense answer is repeated on a grid with doubled
-    points and 25% larger cutoff; a relative change above 1e-4 raises
-    RefinementError.  Asking for more levels than grid points raises
-    ValueError.
+    odd, normalised in the weighted measure exp(-2p^2/m^2) dp.
+    ``check_refinement`` is accepted and changes nothing.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if grid is None:
-        grid = default_grid(spec, n_max, n_points, states=return_eigenfunctions)
-    if n_max + 1 > grid.n:
-        raise ValueError(f"n_max + 1 = {n_max + 1} levels exceed the {grid.n} grid points")
-    answer = _galerkin(spec, n_max + 1, grid.points[: grid.n - grid.n // 2] if return_eigenfunctions else None)
-    if answer is not None:
-        levels, count = answer
-        method = f"galerkin{count}/galerkin{count}"
-    else:
-        levels, method = _parity_solve(spec, grid, n_max + 1, return_eigenfunctions), "dense/dense"
-        if check_refinement:
-            fine = MomentumGrid.symmetric(2 * grid.n, 1.25 * grid.cutoff)
-            if spec.truncation == "exact" and 2.0 * fine.cutoff**2 / spec.mass**2 > np.log(_WEIGHT_CAP):
-                fine = MomentumGrid.symmetric(2 * grid.n, grid.cutoff)
-            ref = np.array([e for e, _, _ in _parity_solve(spec, fine, n_max + 1, False)])
-            energies = np.array([e for e, _, _ in levels])
-            rel = np.max(np.abs(ref - energies) / np.maximum(np.abs(ref), 1e-300))
-            if rel > 1e-4:
-                raise RefinementError(f"spectrum changed by {rel:.2e} under grid refinement")
-
+    if n_max + 1 > MAX_LEVELS:
+        raise ValueError(f"n_max + 1 = {n_max + 1} levels exceed the {MAX_LEVELS} that the Galerkin ladder solves")
+    if return_eigenfunctions and grid is None:
+        grid = default_grid(spec, n_max, n_points)
+    points = grid.points[: grid.n - grid.n // 2] if return_eigenfunctions else None
+    levels, count = _galerkin(spec, n_max + 1, points)
     eigenfunctions = None
     if return_eigenfunctions:
         eigenfunctions = tuple(_mirror_state(spec, grid, phi, sign) for _, sign, phi in levels)
-    return SpectrumResult(tuple(e for e, _, _ in levels), method=method, eigenfunctions=eigenfunctions)
+    return SpectrumResult(
+        tuple(e for e, _, _ in levels), method=f"galerkin{count}/galerkin{count}", eigenfunctions=eigenfunctions
+    )
 
 
 def eigenfunction(spec: OscillatorSpec, n: int, grid: MomentumGrid) -> np.ndarray:

@@ -1,18 +1,26 @@
-"""Dense oracles of the matrix-free operators, and the spacetime probes, for the tests only.
+"""Dense oracles of the matrix-free operators and of the oscillator, and the spacetime probes, for the tests only.
 
 No command builds these n x n matrices: ``operators`` applies the same
-operators through ``apply_d1``, and the tests compare the two.  No command
-reads the spacetime probes either: ``verify_spacetime_commutator`` reports only
-its residual, and the tests apply the same sides to the probes' states.
+operators through ``apply_d1``, and the tests compare the two.  The
+oscillator's levels come from its Hermite-Galerkin ladder in the continuum;
+its dense sinc parity blocks on a grid (``parity_solve``) are the
+independent oracle of those levels and states.  No command reads the
+spacetime probes either: ``verify_spacetime_commutator`` reports only its
+residual, and the tests apply the same sides to the probes' states.
 """
 
 import numpy as np
+import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
+from fuzzyqm.errors import OverflowGuardError
 from fuzzyqm.numerics.grids import MomentumGrid, OperatorMatrix
 from fuzzyqm.numerics.linalg import derivative_matrix
 from fuzzyqm.operators import SmearingParams, _spacetime_sides
+from fuzzyqm.oscillator import OscillatorSpec, _kinetic_and_weight, _mirror_state
 
 SNYDER_WIDTH = 0.07  # width, in mass units, of the low-momentum state of the Snyder probe
+WEIGHT_CAP = 1e12  # largest max(W)/min(W) on a grid for which the dense rung's W^(-1/2) reduction stays accurate
 
 
 def build_momentum_op(grid: MomentumGrid) -> OperatorMatrix:
@@ -79,3 +87,83 @@ def spacetime_snyder_deviation(n: int, mass: float) -> float:
     inner = (slice(k, n - k), slice(k, n - k))
     core_chi = core(chi)
     return float(np.max(np.abs((lhs(chi) - core_chi)[inner])) / np.max(np.abs(core_chi[inner])))
+
+
+def parity_block(c: np.ndarray, diag: np.ndarray, sign: int) -> np.ndarray:
+    """Dense A of A phi = E W phi restricted to even (``sign`` 1) or odd (-1) phi, on the left half-grid.
+
+    A = -(m w^2/2) d^2/dp^2 + diag is even under p -> -p, so with n = c.size
+    and k = n // 2 the even block is A11 + A12 J and the odd block A11 - A12 J:
+    the Toeplitz part c[|i - j|] plus or minus its mirror c[n - 1 - i - j],
+    i, j < k.  Both are read as sliding windows of c, without index arrays.
+    For odd n the middle point p = 0 joins the even block, coupled with a
+    factor sqrt(2) in the orthonormal basis (e_i + e_(n-1-i))/sqrt(2).
+    """
+    n, k = c.size, c.size // 2
+    # window i of (c[k-1], ..., c[1], c[0], c[1], ..., c[k-1]) at offset j is
+    # c[|i + j - k + 1|]; with the windows in reverse order it is c[|i - j|]
+    toeplitz = sliding_window_view(np.concatenate([c[k - 1 : 0 : -1], c[:k]]), k)[::-1]
+    mirror = sliding_window_view(c[::-1][: 2 * k - 1], k)  # c[n-1-i-j]
+    if sign < 0:
+        a = toeplitz - mirror
+    else:
+        a = np.empty((n - k, n - k))
+        a[:k, :k] = toeplitz + mirror
+        if n % 2:
+            a[k, :k] = a[:k, k] = np.sqrt(2.0) * c[k:0:-1]
+            a[k, k] = c[0]
+    a[np.diag_indices(a.shape[0])] += diag[: a.shape[0]]
+    return a
+
+
+def parity_solve(
+    spec: OscillatorSpec, grid: MomentumGrid, levels: int, vectors: bool
+) -> list[tuple[float, int, np.ndarray | None]]:
+    """Lowest ``levels`` (energy, parity, phi on the left half-grid) of both dense parity blocks, by energy.
+
+    The second derivative is the sinc one, the symmetric Toeplitz matrix of
+    the lags c[|i - j|].  Each block A (``parity_block``) is solved as
+    A phi = E W phi by the symmetric reduction W^(-1/2) A W^(-1/2), for its
+    lowest ``levels`` eigenvalues alone (LAPACK's syevr, by way of scipy),
+    with eigenvectors only with ``vectors``; without them phi is None.  A weight
+    that spans more than WEIGHT_CAP on the grid (or overflows) raises
+    OverflowGuardError: the reduced matrix is then too badly scaled for the
+    levels to be trusted.  phi is sampled at the first n - n // 2 grid
+    points, which for odd n end at the middle point p = 0.
+    """
+    n, k = grid.n, grid.n // 2
+    p = grid.points[: n - k]
+    kinetic, weight = _kinetic_and_weight(spec, p)  # the odd block's weight is a part of the even block's
+    if not np.log(np.max(weight)) - np.log(np.min(weight)) <= np.log(WEIGHT_CAP):  # also catches inf and nan
+        raise OverflowGuardError(
+            f"weight spans {np.max(weight) / np.min(weight):.2e} > {WEIGHT_CAP:.0e}; reduce the grid cutoff"
+        )
+    s = 1.0 / np.sqrt(weight)
+    diag = (spec.mass * spec.omega**2 / 2.0) * (p**2 / spec.mass**4 - 1.0 / spec.mass**2) + kinetic
+    h, lag = grid.spacing, np.arange(1, n)
+    c = np.empty(n)
+    c[0] = -np.pi**2 / (3.0 * h**2)
+    c[1:] = -2.0 * (-1.0) ** lag / (lag**2 * h**2)
+    c *= -(spec.mass * spec.omega**2 / 2.0)
+    found = []
+    for sign, dim in ((1, n - k), (-1, k)):
+        b = np.einsum("i,ij,j->ij", s[:dim], parity_block(c, diag, sign), s[:dim])
+        lowest = [0, min(levels, dim) - 1]
+        if vectors:
+            vals, vecs = scipy.linalg.eigh(b, subset_by_index=lowest, driver="evr")
+            vecs = s[:dim, None] * vecs  # phi, normalised in the W-weighted inner product
+            if n % 2:  # the even block's middle basis vector is e_k, not (e_i + e_(n-1-i))/sqrt(2); an odd phi is 0 there
+                vecs = np.vstack([vecs[:k], np.sqrt(2.0) * vecs[k:] if sign > 0 else np.zeros((1, vecs.shape[1]))])
+        else:
+            vals, vecs = scipy.linalg.eigh(b, eigvals_only=True, subset_by_index=lowest, driver="evr"), None
+        found += [(float(e), sign, None if vecs is None else vecs[:, j]) for j, e in enumerate(vals)]
+    return sorted(found, key=lambda level: level[0])[:levels]
+
+
+def dense_spectrum(spec: OscillatorSpec, grid: MomentumGrid, levels: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Lowest ``levels`` of the dense parity blocks on ``grid``, and their states psi on the full grid.
+
+    The states are mirrored and normalised as ``numeric_spectrum`` does it, so the two compare sample by sample.
+    """
+    found = parity_solve(spec, grid, levels, True)
+    return np.array([e for e, _, _ in found]), [_mirror_state(spec, grid, phi, sign) for _, sign, phi in found]

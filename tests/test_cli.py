@@ -55,7 +55,7 @@ def test_negative_nmax_usage_error(tmp_path):
         ("deuteron", "core-radius", "--r0", "5"),
         ("deuteron", "couplings", "--variant", "fuzzy"),
         ("deuteron", "couplings", "--r0", "5"),
-        ("oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "12", "--npoints", "8"),
+        ("oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "64"),
         ("commutators", "--states", "0"),
         ("oscillator", "--omega", "1e300", "--mass", "1"),
         ("oscillator", "--omega", "0.01", "--mass", "1e300"),
@@ -83,6 +83,7 @@ def test_out_of_domain_argument_exits_2_with_one_line(tmp_path, capsys, args):
         ("commutators", "--n0", "8192", "--levels", "4"),
         ("commutators", "--n0", "8", "--levels", "14"),
         ("oscillator", "--omega", "0.01", "--mass", "1", "--npoints", "8192"),
+        ("oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "63"),
     ],
 )
 def test_grid_size_limits_are_inclusive(args):
@@ -284,6 +285,25 @@ def test_oscillator_quadratic_status_fails_a_wrong_level_at_strong_coupling(tmp_
     capsys.readouterr()
     _, rows = read_csv(tmp_path / "oscillator_spectrum.csv")
     assert [row["status"] for row in rows] == ["OK", "OK", "OK", "FAIL"]
+
+
+@pytest.mark.parametrize("omega, code", [("3", 0), ("5", 1)])
+def test_oscillator_unsettled_ladder_exits_1_with_one_line(tmp_path, capsys, omega, code):
+    # at --nmax 3 the exact ladder answers through w/m = 3.5; at 5 it finds no agreement, and no file is written
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "oscillator", "--truncation", "exact", "--omega", omega, "--mass", "1"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.splitlines() == [
+            "oscillator: exact levels at w/m = 5 did not settle: from K = 128 to 256 Hermite functions they moved "
+            "by 8.76e-10 relative, above 1e-10"
+        ]
+        assert not out.exists()
+    else:
+        assert err == "" and sorted(f.name for f in out.iterdir()) == [
+            "oscillator_eigenfunctions.csv",
+            "oscillator_spectrum.csv",
+        ]
 
 
 def test_oscillator_eigenfunction_columns_share_a_sign(tmp_path):
@@ -517,23 +537,35 @@ def test_float_matrix_table_writes_the_row_bytes(tmp_path, fmt, n_rows):
         assert len(written[0].splitlines()) == 4 + n_rows  # three header lines and the column names
 
 
-def test_dense_rung_numbers_agree_across_blas_thread_counts(tmp_path):
+_BOTH_OMEGAS = """
+import sys
+from fuzzyqm.cli import main
+for omega in ("0.3", "3"):
+    args = ["--out", f"{sys.argv[1]}/{omega}", "--format", "json", "oscillator", "--omega", omega, "--mass", "1"]
+    assert main(args + ["--truncation", "exact"]) == 0
+"""
+
+
+def test_oscillator_numbers_agree_across_blas_thread_counts(tmp_path):
     # the oscillator's eigensolves may round differently on one BLAS thread: bytes may differ, the numbers
-    # may not.  At w/m = 0.3 exact the Galerkin rung answers with K = 256 Hermite functions (the dense grid
-    # blocks only from about 0.6).  JSON tables carry every float digit, so the bounds compare numbers, not
-    # the 12-digit CSV rounding.
-    args = ("--format", "json", "oscillator", "--omega", "0.3", "--mass", "1", "--truncation", "exact")
+    # may not.  Exact at w/m = 0.3 answers with K = 128 Hermite functions and at 3 with K = 256; one process per
+    # thread count runs both.  JSON tables carry every float digit, so the bounds compare numbers, not the
+    # 12-digit CSV rounding.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    tables = []
     for name, threads in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
-        r = run("--out", str(tmp_path / name), *args, env={**env, **threads})
+        r = subprocess.run([sys.executable, "-c", _BOTH_OMEGAS, str(tmp_path / name)], capture_output=True, text=True,
+                           env={**env, **threads})
         assert r.returncode == 0, r.stderr
-        tables.append(
-            [json.loads((tmp_path / name / f"oscillator_{t}.json").read_text()) for t in ("spectrum", "eigenfunctions")]
+    for omega in ("0.3", "3"):
+        (spec_a, efn_a), (spec_b, efn_b) = (
+            [json.loads((out / f"oscillator_{t}.json").read_text()) for t in ("spectrum", "eigenfunctions")]
+            for out in (tmp_path / "default" / omega, tmp_path / "one" / omega)
         )
-    (spec_a, efn_a), (spec_b, efn_b) = tables
-    e_a, e_b = (np.array([row["E_diag_MeV"] for row in s["rows"]]) for s in (spec_a, spec_b))
-    assert np.all(np.abs(e_a - e_b) <= 1e-12 * np.abs(e_a))
-    for col in efn_a["columns"]:
-        a, b = (np.array([row[col] for row in e["rows"]]) for e in (efn_a, efn_b))
-        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
+        e_a, e_b = (np.array([row["E_diag_MeV"] for row in s["rows"]]) for s in (spec_a, spec_b))
+        assert np.all(np.abs(e_a - e_b) <= 1e-12 * np.abs(e_a))
+        for col in efn_a["columns"]:
+            a, b = (np.array([row[col] for row in e["rows"]]) for e in (efn_a, efn_b))
+            if np.all(np.isnan(a)):  # the closed-form state columns at w >= m/2
+                assert np.all(np.isnan(b))
+                continue
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))

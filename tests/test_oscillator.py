@@ -1,13 +1,17 @@
 """Fuzzy oscillator: closed forms, diagonalisation, eigenfunctions."""
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from fuzzyqm import oscillator
 from fuzzyqm.errors import ContractError, OverflowGuardError, RefinementError
 from fuzzyqm.numerics import MomentumGrid, derivative_matrix
 from fuzzyqm.oscillator import (
+    MAX_LEVELS,
     OscillatorSpec,
     _kinetic_and_weight,
     anharmonic_shift,
@@ -95,12 +99,15 @@ def test_spec_rejects_non_finite_omega_and_mass(bad):
 
 @pytest.mark.parametrize("ratio", [0.01, 0.3])
 def test_default_grid_caps_the_cutoff_where_exp_p2_enters(ratio):
+    # the grid only samples the states, and exp(p^2/m^2) multiplies their roundoff: every truncation's grid covers
+    # the reduced states up to 3.7 m (ratio 0.3 reaches the cap, 0.01 does not), and the states are sampled on it
     coverage = (8.0 + np.sqrt(8.0)) * np.sqrt(ratio) * M
-    capped = min(3.7 * M, coverage)
     for truncation in ("quadratic", "quartic", "exact"):
         spec = OscillatorSpec(ratio * M, M, truncation)
-        assert default_grid(spec, 3).cutoff == pytest.approx(capped if truncation == "exact" else coverage, rel=1e-15)
-        assert default_grid(spec, 3, states=True).cutoff == pytest.approx(capped, rel=1e-15)
+        grid = default_grid(spec, 3)
+        assert grid.cutoff == pytest.approx(min(3.7 * M, coverage), rel=1e-15)
+        states = numeric_spectrum(spec, 3, return_eigenfunctions=True).eigenfunctions
+        assert all(psi.shape == grid.points.shape for psi in states)
 
 
 def test_quadratic_diagonalisation_matches_closed_form():
@@ -113,17 +120,17 @@ def test_quadratic_diagonalisation_matches_closed_form():
 
 @pytest.mark.parametrize("n_points", [512, 1024])
 @pytest.mark.parametrize("ratio", [0.001, 0.01, 0.1, 0.3, 0.5, 1.0])
-def test_quadratic_diagonalisation_matches_its_exact_levels(monkeypatch, ratio, n_points):
+def test_quadratic_diagonalisation_matches_its_exact_levels(ratio, n_points):
     # -(m w^2/2) phi'' + (1 + w^2/m^2) p^2/2m phi - (w^2/2m) phi = E phi is a harmonic oscillator:
     # E_n = (n + 1/2) w sqrt(1 + w^2/m^2) - w^2/2m, of which the closed form is the O(w^2/m) expansion
     spec = OscillatorSpec(ratio * M, M, "quadratic")
     n = np.arange(8)
     exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + ratio**2) - spec.omega**2 / (2.0 * M)
-    for rung in ("galerkin64/galerkin64", "dense/dense"):  # both rungs are checked; the grid is the dense rung's
-        res = numeric_spectrum(spec, 7, n_points=n_points)
-        assert res.method == rung
-        assert np.max(np.abs(np.array(res.energies) / exact - 1.0)) <= 1e-10
-        _dense_rung(monkeypatch)
+    res = numeric_spectrum(spec, 7, n_points=n_points)
+    assert res.method == "galerkin64/galerkin64"
+    dense = oracles.dense_spectrum(spec, _covering_grid(spec, 7, n_points), 8)[0]
+    for levels in (np.array(res.energies), dense):  # the ladder and its dense oracle are both checked
+        assert np.max(np.abs(levels / exact - 1.0)) <= 1e-10
 
 
 def test_quartic_diagonalisation_matches_closed_form():
@@ -155,59 +162,49 @@ def test_exact_weight_spectrum_below_anharmonic_formula():
     assert np.all(np.abs(exact - formula) <= 3.0 * (n + 0.5) ** 2 * (W / M) ** 2 * M)
 
 
-def test_refinement_stability_invariant(monkeypatch):
-    _dense_rung(monkeypatch)  # the Galerkin levels depend on no grid
+def _dense_levels(spec: OscillatorSpec, grid: MomentumGrid, levels: int) -> np.ndarray:
+    return np.array([e for e, _, _ in oracles.parity_solve(spec, grid, levels, False)])
+
+
+def test_refinement_stability_invariant():
+    # the dense oracle's levels hold under a grid with doubled points and 25% larger cutoff
     spec = OscillatorSpec(W, M, "exact")
     grid = default_grid(spec, 2)
-    e1 = np.array(numeric_spectrum(spec, 2, grid=grid).energies)
-    fine = MomentumGrid.symmetric(2 * grid.n, 1.25 * grid.cutoff)
-    e2 = np.array(numeric_spectrum(spec, 2, grid=fine).energies)
+    e1 = _dense_levels(spec, grid, 3)
+    e2 = _dense_levels(spec, MomentumGrid.symmetric(2 * grid.n, 1.25 * grid.cutoff), 3)
     assert np.max(np.abs(e1 - e2) / np.abs(e2)) <= 1e-6
 
 
-def test_refinement_error_on_coarse_grid(monkeypatch):
-    _dense_rung(monkeypatch)  # the refinement check acts on the dense rung only
-    spec = OscillatorSpec(W, M, "quadratic")
-    coarse = MomentumGrid.symmetric(12, 0.05)
-    with pytest.raises(RefinementError):
-        numeric_spectrum(spec, 2, grid=coarse, check_refinement=True)
-
-
-def test_weight_overflow_guard(monkeypatch):
-    _dense_rung(monkeypatch)  # the grid's weight enters the dense rung only
+def test_weight_overflow_guard():
     spec = OscillatorSpec(W, M, "exact")
     wide = MomentumGrid.symmetric(64, 10.0 * M)  # exp(200) weight
     with pytest.raises(OverflowGuardError, match="cutoff"):
-        numeric_spectrum(spec, 2, grid=wide)
+        oracles.parity_solve(spec, wide, 3, False)
 
 
-def test_dense_rung_refuses_a_weight_near_the_float_maximum(monkeypatch):
+def test_dense_rung_refuses_a_weight_near_the_float_maximum():
     # the span is compared in logs: a weight of 1e301 at the grid's edge is refused, not squared into inf
-    _dense_rung(monkeypatch)
     spec = OscillatorSpec(W, M, "exact")
     edge = MomentumGrid.symmetric(65, np.sqrt(np.log(1e301) / 2.0) * M)  # odd: p = 0 is held, where the weight is 1
     with pytest.raises(OverflowGuardError, match=r"spans 1.00e\+301 > 1e\+12; reduce the grid cutoff"):
-        numeric_spectrum(spec, 2, grid=edge)
+        oracles.parity_solve(spec, edge, 3, False)
 
 
 _CAP_CUTOFF = np.sqrt(np.log(1e12) / 2.0) * M  # the exact weight exp(2p^2/m^2) spans 1e12 from p = 0 to this cutoff
 
 
-def test_dense_rung_accepts_weight_spread_at_cap(monkeypatch):
+def test_dense_rung_accepts_weight_spread_at_cap():
     # an odd grid holds p = 0, so its weight spans exp(2c^2/m^2): 9.5e11 here, and the dense levels stay accurate
     spec = OscillatorSpec(0.3 * M, M, "exact")
     ladder = numeric_spectrum(spec, 3).energies
-    _dense_rung(monkeypatch)
-    res = numeric_spectrum(spec, 3, grid=MomentumGrid.symmetric(129, (1.0 - 1e-3) * _CAP_CUTOFF))
-    assert res.method == "dense/dense"
-    assert np.max(np.abs(np.array(res.energies) / ladder - 1.0)) <= 1e-10
+    dense = _dense_levels(spec, MomentumGrid.symmetric(129, (1.0 - 1e-3) * _CAP_CUTOFF), 4)
+    assert np.max(np.abs(dense / ladder - 1.0)) <= 1e-10
 
 
-def test_dense_rung_rejects_weight_spread_beyond_cap(monkeypatch):
-    _dense_rung(monkeypatch)
+def test_dense_rung_rejects_weight_spread_beyond_cap():
     spec = OscillatorSpec(0.3 * M, M, "exact")
     with pytest.raises(OverflowGuardError, match=r"spans 1.06e\+12 > 1e\+12; reduce the grid cutoff"):
-        numeric_spectrum(spec, 3, grid=MomentumGrid.symmetric(129, (1.0 + 1e-3) * _CAP_CUTOFF))
+        oracles.parity_solve(spec, MomentumGrid.symmetric(129, (1.0 + 1e-3) * _CAP_CUTOFF), 4, False)
 
 
 @pytest.mark.parametrize("n", [8, 9, 64, 65])
@@ -216,9 +213,9 @@ def test_dense_rung_lags_match_dense_matrix(monkeypatch, n, scheme):
     # both parity blocks are read from the lag vector c of the sinc second derivative: the matrix is c[|i - j|]
     spec = OscillatorSpec(W, M, "quadratic")
     grid = MomentumGrid.symmetric(n, 2.0)
-    lags, block = [], oscillator._parity_block
-    monkeypatch.setattr(oscillator, "_parity_block", lambda c, diag, sign: lags.append(c) or block(c, diag, sign))
-    oscillator._parity_solve(spec, grid, 1, False)
+    lags, block = [], oracles.parity_block
+    monkeypatch.setattr(oracles, "parity_block", lambda c, diag, sign: lags.append(c) or block(c, diag, sign))
+    oracles.parity_solve(spec, grid, 1, False)
     i = np.arange(n)
     want = -(spec.mass * spec.omega**2 / 2.0) * derivative_matrix(grid, 2, scheme).entries
     assert len(lags) == 2 and all(np.array_equal(c[np.abs(i[:, None] - i)], want) for c in lags)
@@ -229,7 +226,7 @@ def test_weighted_orthonormality_of_eigenvectors():
     # is the plain overlap of the momentum-space states (the Hamiltonian is
     # Hermitian in the plain measure)
     spec = OscillatorSpec(W, M, "exact")
-    grid = default_grid(spec, 3, states=True)
+    grid = default_grid(spec, 3)
     psis = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True).eigenfunctions
     norms = [np.sqrt(np.sum(np.abs(p) ** 2) * grid.spacing) for p in psis]
     for i in range(4):
@@ -249,11 +246,14 @@ def test_quartic_eigenfunctions_steeper_than_quadratic():
         assert moments["quartic"][n] < moments["quadratic"][n]
 
 
-def test_more_levels_than_grid_points_rejected():
+def test_more_levels_than_the_ladder_holds_rejected():
+    # K = 256's leading blocks hold 64 levels; the grid only samples the states, so it limits no level
     spec = OscillatorSpec(W, M, "quadratic")
-    with pytest.raises(ValueError, match="grid points"):
-        numeric_spectrum(spec, 12, n_points=8)
-    assert len(numeric_spectrum(spec, 7, n_points=8).energies) == 8
+    assert MAX_LEVELS == 64
+    with pytest.raises(ValueError, match="n_max \\+ 1 = 65 levels exceed the 64"):
+        numeric_spectrum(spec, MAX_LEVELS)
+    assert numeric_spectrum(spec, MAX_LEVELS - 1).method == "galerkin256/galerkin256"
+    assert len(numeric_spectrum(spec, 12, n_points=8).energies) == 13
 
 
 def _dense_oracle(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -269,25 +269,24 @@ def _dense_oracle(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tupl
 
 
 @pytest.mark.parametrize("n", [64, 65, 1024])
-@pytest.mark.parametrize("scheme", ["spectral"])  # the oracle's second derivative, the one numeric_spectrum uses
+@pytest.mark.parametrize("scheme", ["spectral"])  # the full matrix's second derivative, the one of the parity blocks
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
-def test_parity_blocks_match_full_eigh(monkeypatch, n, scheme, truncation):
-    _dense_rung(monkeypatch)
+def test_parity_blocks_match_full_eigh(n, scheme, truncation):
     spec = OscillatorSpec(W, M, truncation)
     grid = default_grid(spec, 3, n)
-    res = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
+    energies, eigenfunctions = oracles.dense_spectrum(spec, grid, 4)
     vals, states = _dense_oracle(spec, grid, scheme)
-    assert np.max(np.abs(np.array(res.energies) - vals) / np.abs(vals)) <= 1e-10
-    for level, (psi, oracle) in enumerate(zip(res.eigenfunctions, states)):
+    assert np.max(np.abs(energies - vals) / np.abs(vals)) <= 1e-10
+    for level, (psi, oracle) in enumerate(zip(eigenfunctions, states)):
         assert abs(inner(psi, oracle, grid, spec.mass)) >= 1.0 - 1e-10
         assert np.max(np.abs(psi[::-1] - (-1) ** level * psi)) <= 1e-12 * np.max(np.abs(psi))
         right = psi[n // 2 :]  # p >= 0: the largest |psi| there is positive, as in ``eigenfunction``
         assert right[np.argmax(np.abs(right))] > 0
 
 
-def _dense_rung(monkeypatch) -> None:
-    """Make the Galerkin ladder give up, so numeric_spectrum answers from the dense parity blocks."""
-    monkeypatch.setattr(oscillator, "_galerkin", lambda *args: None)
+def _covering_grid(spec: OscillatorSpec, n_max: int, n: int) -> MomentumGrid:
+    """n points covering the lowest n_max + 1 reduced states, uncapped: (8 + sqrt(2 n_max + 2)) sqrt(m w)."""
+    return MomentumGrid.symmetric(n, (8.0 + np.sqrt(2.0 * n_max + 2.0)) * np.sqrt(spec.mass * spec.omega))
 
 
 _LADDER_CASES = [
@@ -301,53 +300,56 @@ _LADDER_CASES = [
     (ratio, truncation, 1024) for ratio in (0.005, 0.02) for truncation in ("quadratic", "quartic", "exact")
 ] + [
     (ratio, "exact", 1024) for ratio in (0.1, 0.3)  # exact's 1024- and 2048-point grids stand in for 65 and 64
+] + [
+    # strong coupling, on the 3.7 m-capped grid; quartic at 10 is left out, as the cap cuts into its states there
+    (ratio, truncation, 1024) for truncation, ratios in (("quartic", (0.5, 1.0, 3.0)), ("exact", (0.6, 1.0, 3.0)))
+    for ratio in ratios
 ]
 
 
 @pytest.mark.parametrize(
     "ratio, truncation, n", _LADDER_CASES, ids=[f"{r}-{t}-{n}-spectral" for r, t, n in _LADDER_CASES]
-)  # the ids end in the dense rung's second derivative
-def test_ladder_matches_dense_rung(monkeypatch, ratio, truncation, n):
+)  # the ids end in the dense oracle's second derivative
+def test_ladder_matches_dense_rung(ratio, truncation, n):
     # the Galerkin levels are the continuum's: a grid that resolves the states holds the same levels, and
     # the Galerkin states sampled on it are the dense blocks' eigenvectors
     spec = OscillatorSpec(ratio * M, M, truncation)
-    grid = default_grid(spec, 3, n, states=True)
+    grid = default_grid(spec, 3, n)
     ours = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
     assert ours.method.startswith("galerkin")
-    _dense_rung(monkeypatch)
-    dense = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
-    assert dense.method == "dense/dense"
-    assert np.max(np.abs(np.array(ours.energies) - dense.energies) / np.abs(dense.energies)) <= 1e-10
-    for state, oracle in zip(ours.eigenfunctions, dense.eigenfunctions):
+    energies, states = oracles.dense_spectrum(spec, grid, 4)
+    assert np.max(np.abs(np.array(ours.energies) - energies) / np.abs(energies)) <= 1e-10
+    for state, oracle in zip(ours.eigenfunctions, states):
         assert inner(state, oracle, grid, spec.mass) >= 1.0 - 1e-10  # same state, same sign
 
 
-def test_ladder_disagreement_falls_through_to_dense(monkeypatch):
-    # exact at w/m = 0.3 needs K = 256: a ladder that stops at 128 finds no agreement and hands over to the grid
-    spec = OscillatorSpec(0.3 * M, M, "exact")
-    grid = default_grid(spec, 3, 128)
+def test_ladder_disagreement_raises_refinement_error(monkeypatch):
+    # exact at w/m = 0.6 needs K = 256: a ladder that stops at 128 finds no agreement, and no other rung answers
     monkeypatch.setattr(oscillator, "_LADDER", (32, 64, 128))
-    res = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
-    assert res.method == "dense/dense"
-    _dense_rung(monkeypatch)
-    dense = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
-    assert res.energies == dense.energies
-    assert all(np.array_equal(x, y) for x, y in zip(res.eigenfunctions, dense.eigenfunctions))
+    with pytest.raises(RefinementError, match=r"^exact levels at w/m = 0.6 did not settle: from K = 64 to 128 "):
+        numeric_spectrum(OscillatorSpec(0.6 * M, M, "exact"), 3, return_eigenfunctions=True)
+
+
+@pytest.mark.parametrize("ratio", [4.0, 5.0])
+def test_exact_beyond_the_ladder_raises(ratio):
+    # at n_max = 3 the exact ladder answers through w/m = 3.5; K = 128 and 256 disagree from 4 on
+    with pytest.raises(RefinementError, match=rf"^exact levels at w/m = {ratio:g} did not settle: from K = 128 to 256"):
+        numeric_spectrum(OscillatorSpec(ratio * M, M, "exact"), 3)
 
 
 _STATES_CASES = [
     pytest.param("quadratic", 0.5, 7, "galerkin64", id="0.5"),
     pytest.param("quadratic", 1.0, 7, "galerkin64", id="1.0"),
     pytest.param("quartic", 0.1, 7, "galerkin64", id="quartic-0.1"),
-    pytest.param("quartic", 0.3, 3, "galerkin256", id="quartic-0.3"),
+    pytest.param("quartic", 0.3, 3, "galerkin64", id="quartic-0.3"),
     pytest.param("exact", 0.05, 7, "galerkin128", id="exact-0.05"),
-    pytest.param("exact", 0.36, 3, "galerkin256", id="exact-0.36"),
+    pytest.param("exact", 0.36, 3, "galerkin128", id="exact-0.36"),
 ]
 
 
 @pytest.mark.parametrize("truncation, ratio, n_max, rung", _STATES_CASES)
 def test_levels_do_not_depend_on_the_states(truncation, ratio, n_max, rung):
-    # asking for the states caps the default grid at 3.7 m, which cuts into these states; the levels use no grid,
+    # the states' default grid is capped at 3.7 m, which cuts into these states; the levels use no grid,
     # and they are eigenvalues alone whether or not the answering rung is solved again for its vectors
     spec = OscillatorSpec(ratio * M, M, truncation)
     levels = numeric_spectrum(spec, n_max)
@@ -371,7 +373,8 @@ def _own_rung_levels(spec: OscillatorSpec, count: int, levels: int) -> np.ndarra
     if spec.truncation == "quadratic":
         s = np.sqrt(m * w / np.hypot(1.0, w / m))
     else:
-        s = np.sqrt(m * w) / (1.0 + 10.0 * w / m)
+        cap = {"quartic": 0.6, "exact": 0.19}[spec.truncation] * m
+        s = max(np.sqrt(m * w) / (1.0 + 10.0 * w / m), min(np.sqrt(m * w) / 2.0, cap))
     beta = 1.0 - 2.0 * s**2 / m**2 if spec.truncation == "exact" else 1.0
     y, gw = np.polynomial.hermite.hermgauss(count + 8)
     h = oscillator._hermite_basis(y, count + 1) * np.sqrt(gw * np.exp(y**2))[:, None]
@@ -392,12 +395,13 @@ def _own_rung_levels(spec: OscillatorSpec, count: int, levels: int) -> np.ndarra
     return np.sort(found)[:levels]
 
 
-@pytest.mark.parametrize("ratio", [0.005, 0.3])
+@pytest.mark.parametrize("ratio", [0.005, 0.3, 1.0, 3.0])
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
 @pytest.mark.parametrize("n_max", [3, 20])
 def test_leading_block_levels_match_their_own_rung(monkeypatch, ratio, truncation, n_max):
     # the first step reads K/2's levels from the leading block of K's reduced matrices; a K/2 problem assembled
-    # on its own, smaller rule holds the same levels
+    # on its own, smaller rule holds the same levels.  That holds also where the ladder goes on to find no
+    # agreement, as for exact from w/m = 0.3 with 21 levels
     seen = []
     lowest = oscillator._lowest
 
@@ -407,7 +411,8 @@ def test_leading_block_levels_match_their_own_rung(monkeypatch, ratio, truncatio
         return found
 
     monkeypatch.setattr(oscillator, "_lowest", spy)
-    numeric_spectrum(OscillatorSpec(ratio * M, M, truncation), n_max)
+    with contextlib.suppress(RefinementError):
+        numeric_spectrum(OscillatorSpec(ratio * M, M, truncation), n_max)
     [(size, full, ours)] = [step for step in seen if step[0] < step[1]]  # read once, on the first rung
     assert size == full // 2
     oracle = _own_rung_levels(OscillatorSpec(ratio * M, M, truncation), 2 * size, n_max + 1)
@@ -417,10 +422,10 @@ def test_leading_block_levels_match_their_own_rung(monkeypatch, ratio, truncatio
 @pytest.mark.parametrize(
     "truncation, ratio, n_max, method",
     [
-        ("quartic", 0.439, 3, "galerkin256/galerkin256"),
+        ("quartic", 0.439, 3, "galerkin64/galerkin64"),
         ("exact", 0.362, 0, "galerkin128/galerkin128"),
         ("quartic", 0.005, 20, "galerkin128/galerkin128"),
-        ("exact", 0.6, 3, "dense/dense"),
+        ("exact", 0.6, 3, "galerkin256/galerkin256"),
     ],
 )
 def test_answering_rung_is_pinned(truncation, ratio, n_max, method):
@@ -441,7 +446,7 @@ def test_block_product_matches_dense_block(n, scheme, truncation):
     diag = (spec.mass * spec.omega**2 / 2.0) * (grid.points**2 / spec.mass**4 - 1.0 / spec.mass**2) + kinetic
     x = np.random.default_rng(n).standard_normal((n - k, 8))
     for sign in (1, -1):
-        a = oscillator._parity_block(second[0], diag, sign)
+        a = oracles.parity_block(second[0], diag, sign)
         dim = a.shape[0]
         assert dim == (n - k if sign > 0 else k)
         basis = np.zeros((n, dim))
@@ -508,38 +513,6 @@ def test_harmonic_regime_solves_no_eigenproblem_above_32(monkeypatch, truncation
         assert shapes == {"eigh": vectors, "eigvalsh": [(32, 32), (32, 32), (16, 16), (16, 16)]}
         for got in shapes.values():
             got.clear()
-
-
-@pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
-def test_harmonic_regime_assembles_no_block(monkeypatch, truncation):
-    def refuse(*args):
-        raise AssertionError("a dense parity block was assembled")
-
-    monkeypatch.setattr(oscillator, "_parity_block", refuse)
-    res = numeric_spectrum(
-        OscillatorSpec(W, M, truncation), 3, n_points=1024, check_refinement=True, return_eigenfunctions=True
-    )
-    assert res.method == "galerkin64/galerkin64"
-
-
-@pytest.mark.parametrize("n", [128, 129])
-def test_strong_coupling_falls_through_to_half_size_dense_blocks(monkeypatch, n):
-    # at w/m = 0.3 the exact weight spans ~1e12 over the grid; on the dense rung each grid is two half-size blocks
-    _dense_rung(monkeypatch)
-    shapes = _record_eigensolves(monkeypatch)
-
-    def dense_solves():
-        found = {name: list(got) for name, got in shapes.items()}
-        for got in shapes.values():
-            got.clear()
-        return found
-
-    spec = OscillatorSpec(0.3 * M, M, "exact")
-    half, rest = (n + 1) // 2, n // 2
-    assert numeric_spectrum(spec, 3, n_points=n, check_refinement=True).method == "dense/dense"
-    assert dense_solves() == {"eigh": [], "eigvalsh": [(half, half), (rest, rest), (n, n), (n, n)]}
-    numeric_spectrum(spec, 3, n_points=n, check_refinement=True, return_eigenfunctions=True)
-    assert dense_solves() == {"eigh": [(half, half), (rest, rest)], "eigvalsh": [(n, n), (n, n)]}
 
 
 # --- closed-form eigenfunctions -------------------------------------------------
