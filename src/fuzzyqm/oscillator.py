@@ -26,7 +26,11 @@ are polynomials times at most exp(2p^2/m^2), which Gauss-Hermite quadrature
 integrates exactly (J. P. Boyd, Chebyshev and Fourier Spectral Methods, 2nd
 ed., Dover 2001, ch. 17).  One rung of K = 64, 128 or 256 functions is
 assembled per step, the first step's K/2 levels are read from its leading
-blocks, and the first K whose levels agree with K/2's answers.  Its levels
+blocks, and the first K whose levels agree with K/2's answers.  Each rung's
+nodes, basis and, for ``exact``, the factor of its weight's Gram matrix are
+built once and cached, and the weak-coupling scale of ``quartic`` and
+``exact`` is rounded to a quarter octave of m, so that nearby w share one
+``exact`` rung.  Its levels
 are eigenvalues alone, and its vectors are solved for only when the states
 are asked for.  No grid enters those levels, and a grid only samples the
 states.  Where no K agrees the solve raises RefinementError; at n_max = 3
@@ -168,22 +172,68 @@ def _hermite_basis(x: np.ndarray, count: int) -> np.ndarray:
     return h.T
 
 
-@lru_cache(maxsize=2 * len(_LADDER))
-def _rung(count: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and quadrature-weighted basis q of the K = ``count`` Galerkin rung, read-only.
+@lru_cache(maxsize=4 * len(_LADDER))
+def _rung(count: int, ratio: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Nodes x, quadrature-weighted basis q and each parity's R^-1 (or None) of the K = ``count`` rung, read-only.
 
-    x = y / sqrt(beta) are the count + 8 Gauss-Hermite nodes y with weights
-    g, and q holds h_0 ... h_(count-1) at x, each node's row times
-    sqrt(g / sqrt(beta)) exp(y^2/2), so that q^T diag(f(x)) q integrates
-    f h_j h_k dx.  ``quadratic`` and ``quartic`` have beta = 1, so their
-    rungs depend on K alone.
+    x = y / sqrt(beta), beta = 1 - 2 ratio^2, are the count + 8
+    Gauss-Hermite nodes y with weights g, and q holds h_0 ... h_(count-1)
+    at x, each node's row times sqrt(g / sqrt(beta)) exp(y^2/2), so that
+    q^T diag(f(x)) q integrates f h_j h_k dx.  ``exact`` takes ratio = s/m,
+    and R is the triangular factor of the QR of sqrt(W) q_p for each
+    parity's columns q_p, with the weight W = exp(2u^2) at u = ratio x: the
+    Gram matrix of the weight is R^T R, factored without squaring its
+    condition number.  ``quadratic`` and ``quartic`` take ratio = 0, where
+    W = 1 and q is orthonormal, so their rungs have no R and depend on K
+    alone.
     """
+    beta = 1.0 - 2.0 * ratio**2
     y, gw = _gauss_hermite(count + 8)
     x = y / np.sqrt(beta)
     q = _hermite_basis(x, count) * (np.sqrt(gw / np.sqrt(beta)) * np.exp(y**2 / 2.0))[:, None]
-    for a in (x, q):
-        a.flags.writeable = False  # every solve at this (K, beta) shares the cached arrays
-    return x, q
+    inverses = None
+    if ratio > 0:
+        root_weight = np.sqrt(np.exp(2.0 * (ratio * x) ** 2))
+        inverses = tuple(np.linalg.inv(np.linalg.qr(root_weight[:, None] * q[:, p::2], mode="r")) for p in (0, 1))
+    for a in (x, q, *(inverses or ())):
+        a.flags.writeable = False  # every solve on this rung shares the cached arrays
+    return x, q, inverses
+
+
+def _scale(spec: OscillatorSpec) -> float:
+    """The scale s of the Hermite functions h_j(p/s) (see ``_galerkin``)."""
+    m, w = spec.mass, spec.omega
+    if spec.truncation == "quadratic":
+        return np.sqrt(m * w / np.hypot(1.0, w / m))  # hypot keeps (w/m)^2 from overflowing
+    root = np.sqrt(m * w)
+    weak = m * 2.0 ** (np.round(4.0 * np.log2(root / (1.0 + 10.0 * w / m) / m)) / 4.0)  # nearest quarter octave of m
+    return max(weak, min(root / 2.0, _SCALE_CAP[spec.truncation] * m))
+
+
+def _blocks(spec: OscillatorSpec, scale: float, count: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Per parity, the Galerkin matrix A of the K = ``count`` rung at ``scale``, and R^-1 (``exact``) or None.
+
+    The kinetic term is integrated at the rung's cached nodes (``_rung``),
+    and -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is added to A's three
+    diagonals in its pentadiagonal closed form.
+    """
+    m, w = spec.mass, spec.omega
+    x, q, inverses = _rung(count, scale / m if spec.truncation == "exact" else 0.0)
+    kinetic, _ = _kinetic_and_weight(spec, scale * x)
+    d2, x2 = m * w**2 / (2.0 * scale**2), m * w**2 * scale**2 / (2.0 * m**4)  # coefficients of -d^2/dx^2 and x^2
+    j = np.arange(count)
+    off = (x2 - d2) * np.sqrt((j + 1.0) * (j + 2.0)) / 2.0  # at (j, j+2) and (j+2, j)
+    diagonal = (d2 + x2) * (j + 0.5) - w**2 / (2.0 * m)
+    blocks = []
+    for parity in (0, 1):
+        qp = q[:, parity::2]
+        a = qp.T @ (kinetic[:, None] * qp)
+        flat, step = a.reshape(-1), a.shape[0] + 1  # a view of the new C-contiguous a: its diagonals are strided
+        flat[1::step] += off[parity : count - 2 : 2]
+        flat[a.shape[0] :: step] += off[parity : count - 2 : 2]
+        flat[::step] += diagonal[parity::2]
+        blocks.append((a, None if inverses is None else inverses[parity]))
+    return blocks
 
 
 def _lowest(
@@ -212,19 +262,25 @@ def _galerkin(
     holds for every w/m <= 0.1, narrows the basis as the quartic term and
     the weight narrow the states, and the second stops it at strong
     coupling, where the first would fall like m^(3/2)/(10 sqrt(w)) while
-    the states do not.  In x = p/s, -d^2/dx^2 and x^2 both have the
-    diagonal (2j+1)/2 and carry -sqrt((j+1)(j+2))/2 and +sqrt((j+1)(j+2))/2
-    at (j, j+2), so -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal
-    in closed form.
+    the states do not.  The first term is rounded to the nearest m 2^(k/4)
+    in log (``_scale``), so that at weak coupling s/m, and with it
+    ``exact``'s rung, takes values from a fixed set.  In x = p/s,
+    -d^2/dx^2 and x^2 both have the diagonal (2j+1)/2 and carry
+    -sqrt((j+1)(j+2))/2 and +sqrt((j+1)(j+2))/2 at (j, j+2), so
+    -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal in closed form.
     The kinetic term and the weight (``_kinetic_and_weight``) are
     polynomials times at most exp(2p^2/m^2) = exp((1 - beta) x^2), with
     beta = 1 - 2s^2/m^2 for ``exact`` and 1 otherwise; against h_j h_k that
     is exp(-beta x^2) times a polynomial of degree at most 2K + 4, which the
     K + 8 Gauss-Hermite nodes y, placed at x = y / sqrt(beta), integrate
-    exactly (``_rung``).  s keeps beta >= 0.928, for the condition number
-    of the weight's Gram matrix grows like exp(4K s^2/m^2).  For ``exact``
-    the problem is reduced by the triangular factor R of the weight's Gram
-    matrix G = R^T R; otherwise G is the identity.
+    exactly.  s keeps beta >= 0.928, for the condition number of the
+    weight's Gram matrix grows like exp(4K s^2/m^2).  For ``exact`` the
+    problem is reduced by the triangular factor R of the weight's Gram
+    matrix G = R^T R; otherwise G is the identity.  A rung's nodes, basis
+    and R^-1 are built once per K (``quadratic``, ``quartic``) or per
+    (K, s/m) (``exact``) and cached read-only (``_rung``); a solve
+    integrates its kinetic term at the cached nodes and adds the
+    pentadiagonal terms (``_blocks``).
 
     One rung is assembled per step, K = 64, 128 and 256, starting at the
     first K whose K/2 still holds ``levels`` functions per parity.  The
@@ -239,33 +295,12 @@ def _galerkin(
     phi = sum_j c_j h_j(p/s) is sampled there.  Without them phi is None,
     and the levels are the same bits either way.
     """
-    m, w = spec.mass, spec.omega
-    if spec.truncation == "quadratic":
-        scale = np.sqrt(m * w / np.hypot(1.0, w / m))  # hypot keeps (w/m)^2 from overflowing
-    else:
-        root = np.sqrt(m * w)
-        scale = max(root / (1.0 + 10.0 * w / m), min(root / 2.0, _SCALE_CAP[spec.truncation] * m))
-    beta = 1.0 - 2.0 * scale**2 / m**2 if spec.truncation == "exact" else 1.0
-    d2, x2 = m * w**2 / (2.0 * scale**2), m * w**2 * scale**2 / (2.0 * m**4)  # coefficients of -d^2/dx^2 and x^2
+    scale = _scale(spec)
     previous = None
     for half, count in zip(_LADDER, _LADDER[1:]):
         if half < 2 * levels:
             continue
-        x, q = _rung(count, beta)
-        kinetic, weight = _kinetic_and_weight(spec, scale * x)
-        blocks = []  # (reduced matrix, R^-1 or None) per parity
-        for parity in (0, 1):
-            j, qp = np.arange(parity, count, 2), q[:, parity::2]
-            off = (x2 - d2) * np.sqrt((j[:-1] + 1.0) * (j[:-1] + 2.0)) / 2.0
-            a = qp.T @ (kinetic[:, None] * qp) + np.diag(off, 1) + np.diag(off, -1)
-            a[np.diag_indices(j.size)] += (d2 + x2) * (j + 0.5) - w**2 / (2.0 * m)
-            r = None
-            if spec.truncation == "exact":
-                # G = R^T R from the QR factors of sqrt(weight) times the nodal basis, without squaring G's
-                # condition number; r = R^-1
-                r = np.linalg.inv(np.linalg.qr(np.sqrt(weight)[:, None] * qp, mode="r"))
-                a = r.T @ a @ r
-            blocks.append((a, r))
+        blocks = [(a if r is None else r.T @ a @ r, r) for a, r in _blocks(spec, scale, count)]
         found = _lowest(blocks, count // 2, levels)
         energies = np.array([e for e, _, _ in found])
         if previous is None:
@@ -282,8 +317,9 @@ def _galerkin(
             return [(e, 1 - 2 * parity, h[:, parity::2] @ vecs[parity][:, i]) for e, parity, i in found], count
         previous = energies
     raise RefinementError(
-        f"{spec.truncation} levels at w/m = {w / m:.6g} did not settle: from K = {count // 2} to {count} "
-        f"Hermite functions they moved by {np.max(change / np.abs(previous)):.2e} relative, above {_LADDER_RTOL:.0e}"
+        f"{spec.truncation} levels at w/m = {spec.omega_over_mass:.6g} did not settle: from K = {count // 2} to "
+        f"{count} Hermite functions they moved by {np.max(change / np.abs(previous)):.2e} relative, "
+        f"above {_LADDER_RTOL:.0e}"
     )
 
 
@@ -329,7 +365,10 @@ def numeric_spectrum(
     give K/2), and answers at the first K whose levels agree with K/2's
     within 1e-10 relative.  That agreement is its refinement evidence, and
     it is always checked; where no K agrees, RefinementError names the
-    truncation, w/m and the last change.  ``method`` names the answering
+    truncation, w/m and the last change.  Each rung's nodes, basis and
+    (``exact``) Gram factor are cached, and the weak-coupling scale of
+    ``quartic`` and ``exact`` is rounded to a quarter octave of m, so that
+    nearby w reuse one ``exact`` rung.  ``method`` names the answering
     rung of each parity as "even/odd", e.g. "galerkin64/galerkin64".  The
     levels depend on no grid, nor on whether the states are asked for.
     More than MAX_LEVELS (64) levels raise ValueError.

@@ -17,7 +17,7 @@ from fuzzyqm.errors import OverflowGuardError
 from fuzzyqm.numerics.grids import MomentumGrid, OperatorMatrix
 from fuzzyqm.numerics.linalg import derivative_matrix
 from fuzzyqm.operators import SmearingParams, _spacetime_sides
-from fuzzyqm.oscillator import OscillatorSpec, _kinetic_and_weight, _mirror_state
+from fuzzyqm.oscillator import OscillatorSpec, _hermite_basis, _kinetic_and_weight, _mirror_state
 
 SNYDER_WIDTH = 0.07  # width, in mass units, of the low-momentum state of the Snyder probe
 WEIGHT_CAP = 1e12  # largest max(W)/min(W) on a grid for which the dense rung's W^(-1/2) reduction stays accurate
@@ -87,6 +87,35 @@ def spacetime_snyder_deviation(n: int, mass: float) -> float:
     inner = (slice(k, n - k), slice(k, n - k))
     core_chi = core(chi)
     return float(np.max(np.abs((lhs(chi) - core_chi)[inner])) / np.max(np.abs(core_chi[inner])))
+
+
+def galerkin_blocks(spec: OscillatorSpec, scale: float, count: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Per parity, the Galerkin matrix A of the K = ``count`` rung at ``scale``, and R^-1 (``exact``) or None.
+
+    Assembled anew on every call, where the oscillator reuses each rung's
+    cached nodes, basis and R^-1: a fresh count + 8 node Gauss-Hermite rule,
+    stretched by 1/sqrt(beta), the kinetic term integrated at its nodes, the
+    pentadiagonal derivative and confinement terms in closed form, and for
+    ``exact`` R from the QR of sqrt(W) times the nodal basis.
+    """
+    m, w = spec.mass, spec.omega
+    beta = 1.0 - 2.0 * scale**2 / m**2 if spec.truncation == "exact" else 1.0
+    y, gw = np.polynomial.hermite.hermgauss(count + 8)
+    x = y / np.sqrt(beta)
+    q = _hermite_basis(x, count) * (np.sqrt(gw / np.sqrt(beta)) * np.exp(y**2 / 2.0))[:, None]
+    kinetic, weight = _kinetic_and_weight(spec, scale * x)
+    d2, x2 = m * w**2 / (2.0 * scale**2), m * w**2 * scale**2 / (2.0 * m**4)
+    blocks = []
+    for parity in (0, 1):
+        j, qp = np.arange(parity, count, 2), q[:, parity::2]
+        off = (x2 - d2) * np.sqrt((j[:-1] + 1.0) * (j[:-1] + 2.0)) / 2.0
+        a = qp.T @ (kinetic[:, None] * qp) + np.diag(off, 1) + np.diag(off, -1)
+        a[np.diag_indices(j.size)] += (d2 + x2) * (j + 0.5) - w**2 / (2.0 * m)
+        r = None
+        if spec.truncation == "exact":
+            r = np.linalg.inv(np.linalg.qr(np.sqrt(weight)[:, None] * qp, mode="r"))
+        blocks.append((a, r))
+    return blocks
 
 
 def parity_block(c: np.ndarray, diag: np.ndarray, sign: int) -> np.ndarray:

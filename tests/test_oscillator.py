@@ -374,7 +374,9 @@ def _own_rung_levels(spec: OscillatorSpec, count: int, levels: int) -> np.ndarra
         s = np.sqrt(m * w / np.hypot(1.0, w / m))
     else:
         cap = {"quartic": 0.6, "exact": 0.19}[spec.truncation] * m
-        s = max(np.sqrt(m * w) / (1.0 + 10.0 * w / m), min(np.sqrt(m * w) / 2.0, cap))
+        weak = np.sqrt(m * w) / (1.0 + 10.0 * w / m)
+        weak = m * 2.0 ** (np.round(4.0 * np.log2(weak / m)) / 4.0)  # to the nearest quarter octave of m
+        s = max(weak, min(np.sqrt(m * w) / 2.0, cap))
     beta = 1.0 - 2.0 * s**2 / m**2 if spec.truncation == "exact" else 1.0
     y, gw = np.polynomial.hermite.hermgauss(count + 8)
     h = oscillator._hermite_basis(y, count + 1) * np.sqrt(gw * np.exp(y**2))[:, None]
@@ -479,12 +481,52 @@ def test_cold_and_warm_solves_are_bit_identical():
     warm = numeric_spectrum(spec, 3, return_eigenfunctions=True)
     rules, rungs = oscillator._gauss_hermite.cache_info(), oscillator._rung.cache_info()
     assert (rules.hits, rules.misses) == (0, 1)  # the 72-node rule of K = 64, built by the cold solve alone
-    assert (rungs.hits, rungs.misses) == (1, 1)  # the warm solve reuses the rung's nodes and basis
+    assert (rungs.hits, rungs.misses) == (1, 1)  # the warm solve reuses the cold one's nodes, basis and R^-1
     assert (warm.energies, warm.method) == (cold.energies, cold.method)
     assert all(np.array_equal(x, y) for x, y in zip(warm.eigenfunctions, cold.eigenfunctions))
-    for a in (*oscillator._gauss_hermite(72), *oscillator._rung(64, 1.0)):
+
+
+def test_exact_solves_in_one_quarter_octave_share_their_rung():
+    # the weak-coupling scale sqrt(m w)/(1 + 10 w/m) is rounded to m 2^(k/4): 0.0909 m and 0.0927 m both round to
+    # 2^(-7/2) m, so both exact solves run on one K = 64 rung, built once
+    oscillator._rung.cache_clear()
+    for ratio in (0.01, 0.0105):
+        assert numeric_spectrum(OscillatorSpec(ratio * M, M, "exact"), 3).method == "galerkin64/galerkin64"
+    assert oscillator._scale(OscillatorSpec(0.0105 * M, M, "exact")) == 2.0**-3.5 * M
+    rungs = oscillator._rung.cache_info()
+    assert (rungs.hits, rungs.misses, rungs.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
+def test_cached_arrays_are_read_only(truncation):
+    # every solve on a rung shares its cached rule, nodes, basis and R^-1; none of them can be written through
+    spec = OscillatorSpec(W, M, truncation)
+    numeric_spectrum(spec, 3)
+    misses = oscillator._rung.cache_info().misses
+    x, q, inverses = oscillator._rung(64, oscillator._scale(spec) / M if truncation == "exact" else 0.0)
+    assert oscillator._rung.cache_info().misses == misses  # the solve's own entry
+    assert (inverses is None) == (truncation != "exact")
+    for a in (*oscillator._gauss_hermite(72), x, q, *(inverses or ())):
         with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0.0
+            a[(0,) * a.ndim] = 0.0
+
+
+@pytest.mark.parametrize("count", [64, 256])
+@pytest.mark.parametrize("ratio", [0.005, 0.02, 0.3, 3.0])
+@pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
+def test_cached_rung_assembles_as_a_direct_assembly(truncation, ratio, count):
+    # a solve integrates on its rung's cached nodes and basis and reuses its R^-1; the oracle builds the rule, the
+    # basis and the QR anew.  A is compared before exact's reduction R^-T A R^-1, which magnifies A's last bits by
+    # up to the Gram matrix's condition number at K = 256
+    spec = OscillatorSpec(ratio * M, M, truncation)
+    scale = oscillator._scale(spec)
+    oracle = oracles.galerkin_blocks(spec, scale, count)
+    for (a, r), (want, want_r) in zip(oscillator._blocks(spec, scale, count), oracle):
+        assert a.shape == want.shape == (count // 2, count // 2)
+        assert np.max(np.abs(a - want)) <= 1e-13 * np.max(np.abs(want))
+        assert (r is None) == (want_r is None) == (truncation != "exact")
+        if r is not None:
+            assert np.max(np.abs(r - want_r)) <= 1e-13 * np.max(np.abs(want_r))
 
 
 def _record_eigensolves(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
