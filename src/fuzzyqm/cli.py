@@ -112,7 +112,7 @@ def _header(cfg: RunConfig) -> dict[str, object]:
 
 
 def _write_table(cfg: RunConfig, name: str, columns: list[str], rows: list[list[object]] | np.ndarray) -> Path:
-    """Write rows of cells, or a float matrix, as <name>.csv or <name>.json under the output directory.
+    """Write rows of cells, or a float matrix, as <name>.csv or <name>.json under the output directory, and say so.
 
     A row list formats each row with the template of its cell types; a float matrix is all floats, so one
     template formats it in a single operation.
@@ -132,14 +132,17 @@ def _write_table(cfg: RunConfig, name: str, columns: list[str], rows: list[list[
     elif rows.size:
         lines.append("\n".join([_row_format((float,) * rows.shape[1])] * len(rows)) % tuple(rows.ravel().tolist()))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
     return path
 
 
 def _write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
+    """Write the header and payload as <name>.json under the output directory, and say so."""
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / f"{name}.json"
     doc = {"header": _header(cfg), **payload}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
     return path
 
 
@@ -197,8 +200,7 @@ def cmd_commutators(cfg: RunConfig, args: argparse.Namespace) -> int:
     ok &= st_ok
     rows.append(["spacetime_order", st_ns[-1], st_res[-1], st_order, "OK" if st_ok else "FAIL"])
 
-    path = _write_table(cfg, "commutators", ["check", "N", "residual", "measured_order", "status"], rows)
-    print(f"wrote {path}")
+    _write_table(cfg, "commutators", ["check", "N", "residual", "measured_order", "status"], rows)
     if not ok:
         print("commutators: FAILED invariant (see status column)", file=sys.stderr)
         return 1
@@ -229,7 +231,7 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = default_grid(quartic, 1, args.npoints)
     try:
         diag = numeric_spectrum(spec, args.nmax)
-        res = numeric_spectrum(quartic, 1, grid=grid, return_eigenfunctions=True)
+        res = numeric_spectrum(quartic, 1, grid=grid)
     except RefinementError as exc:
         print(f"oscillator: {exc}", file=sys.stderr)
         return 1
@@ -246,26 +248,24 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
             ok &= status == "OK"
         warn = "perturbative-breakdown" if breakdown and breakdown[i] else "-"
         rows.append([int(i), ef, ed, dev, dev / abs(ef) if ef else float("nan"), float(budget[i]), status, warn])
-    path = _write_table(
+    _write_table(
         cfg,
         "oscillator_spectrum",
         ["n", "E_formula_MeV", "E_diag_MeV", "abs_dev_MeV", "rel_dev", "budget_MeV", "status", "warning"],
         rows,
     )
-    print(f"wrote {path}")
 
     harm_spec = OscillatorSpec(spec.omega, spec.mass, "quadratic")
     columns = [grid.points]
     for i in (0, 1):
         harm = eigenfunction(harm_spec, i, grid) if spec.omega < spec.mass / 2 else np.full(grid.n, np.nan)
         columns += [harm, res.eigenfunctions[i]]
-    path2 = _write_table(
+    _write_table(
         cfg,
         "oscillator_eigenfunctions",
         ["p_MeV", "psi_harmonic_n0", "psi_anharmonic_n0", "psi_harmonic_n1", "psi_anharmonic_n1"],
         np.column_stack(columns),
     )
-    print(f"wrote {path2}")
     return 0 if ok else 1
 
 
@@ -349,8 +349,7 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
                 except RefinementError as exc:
                     rows.append([r0, float("nan"), float("nan"), False])
                     reasons.append(f"deuteron range-depth: {exc}")
-            path = _write_table(cfg, "deuteron_range_depth", ["r0_fm", "depth_MeV", "alpha_star", "converged"], rows)
-            print(f"wrote {path}")
+            _write_table(cfg, "deuteron_range_depth", ["r0_fm", "depth_MeV", "alpha_star", "converged"], rows)
             for r0, depth, alpha_star, solved in rows:
                 print(f"r0={r0:g} fm: depth={depth:.4f} MeV (alpha*={alpha_star:.4f}, converged={solved})")
             failed = [f"{r0:g}" for r0, _, _, solved in rows if not solved]
@@ -375,8 +374,7 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
                 },
                 "metadata": meta,
             }
-            path = _write_report(cfg, "deuteron_core_radius", payload)
-            print(f"wrote {path}")
+            _write_report(cfg, "deuteron_core_radius", payload)
             print(f"core radius r_c = {res.r_c:.4f} fm (depth sign change {res.depth_lo:.1f} -> {res.depth_hi:.1f} MeV)")
             return 0
 
@@ -420,19 +418,16 @@ def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
         },
         "metadata": meta,
     }
-    path = _write_report(cfg, "deuteron_couplings", payload)
-    print(f"wrote {path}")
+    _write_report(cfg, "deuteron_couplings", payload)
 
     r_grid = np.arange(0.05, 3.0001, 0.005)
     v = effective_potential(p_ord.depth, report.V1, c.r0_sigma_fm, c.r1_omega_fm, r_grid)
-    path2 = _write_table(cfg, "effective_potential", ["r_fm", "V_MeV"], np.column_stack([r_grid, v]))
-    print(f"wrote {path2}")
+    _write_table(cfg, "effective_potential", ["r_fm", "V_MeV"], np.column_stack([r_grid, v]))
 
     for tag, samples in wavefunctions.items():
-        path3 = _write_table(
+        _write_table(
             cfg, f"deuteron_wavefunctions_r0_{tag}", ["p_MeV", "psi_ordinary", "psi_fuzzy", "phi_fuzzy"], samples
         )
-        print(f"wrote {path3}")
 
     print(
         f"V0={p_ord.depth:.2f} MeV, V0'={p_fuz.depth:.2f} MeV, r_c={rc.r_c:.4f} fm, "

@@ -17,26 +17,8 @@ O(w^2/m).  The ``quadratic`` truncation is itself a harmonic oscillator with
 levels (n + 1/2) w sqrt(1 + w^2/m^2) - w^2/2m; the closed form is their
 O(w^2/m) expansion.
 
-The problem is even under p -> -p and is solved per parity.  It is first
-solved in the continuum, by Rayleigh-Ritz in the Hermite functions
-h_j(p/s) at a scale s near sqrt(m w), whose lowest ones are the reduced
-closed-form eigenstates.  The derivative and confinement terms are
-pentadiagonal in them in closed form, and the kinetic term and the weight
-are polynomials times at most exp(2p^2/m^2), which Gauss-Hermite quadrature
-integrates exactly (J. P. Boyd, Chebyshev and Fourier Spectral Methods, 2nd
-ed., Dover 2001, ch. 17).  One rung of K = 64, 128 or 256 functions is
-assembled per step, the first step's K/2 levels are read from its leading
-blocks, and the first K whose levels agree with K/2's answers.  Each rung's
-nodes, basis and, for ``exact``, the factor of its weight's Gram matrix are
-built once and cached, and the weak-coupling scale of ``quartic`` and
-``exact`` is rounded to a quarter octave of m, so that nearby w share one
-``exact`` rung.  Its levels
-are eigenvalues alone, and its vectors are solved for only when the states
-are asked for.  No grid enters those levels, and a grid only samples the
-states.  Where no K agrees the solve raises RefinementError; at n_max = 3
-that is ``exact`` beyond w/m of about 3.5, while ``quadratic`` and
-``quartic`` answer at every w/m.  At most 64 levels are solved, the most
-that K = 256's leading blocks hold.
+``numeric_spectrum`` solves the problem per parity, in the continuum, on a
+Hermite-Galerkin ladder (``_galerkin``).
 """
 
 from __future__ import annotations
@@ -50,9 +32,9 @@ from .errors import ContractError, RefinementError
 from .numerics.grids import MomentumGrid
 
 _TRUNCATIONS = ("quadratic", "quartic", "exact")
-_LADDER = (32, 64, 128, 256)  # Hermite functions on the Galerkin rung, each checked against the one before
+_LADDER = (64, 128, 256)  # Hermite functions K on the Galerkin rungs (see ``_galerkin``)
 _LADDER_RTOL = 1e-10  # largest relative change of a level from K/2 to K functions for the Galerkin rung to answer
-MAX_LEVELS = _LADDER[-2] // 2  # levels per solve: K/2 must hold every level in each parity
+MAX_LEVELS = _LADDER[-1] // 4  # levels per solve: the top rung's K/2 must hold every level in each parity
 _SCALE_CAP = {"quartic": 0.6, "exact": 0.19}  # s/m at strong coupling; exact's keeps beta = 1 - 2s^2/m^2 >= 0.928
 
 
@@ -145,7 +127,7 @@ def _kinetic_and_weight(spec: OscillatorSpec, p: np.ndarray) -> tuple[np.ndarray
     return (p**2 / (2.0 * m)) * kinetic_weight, weight
 
 
-@lru_cache(maxsize=len(_LADDER))
+@lru_cache(maxsize=4)
 def _gauss_hermite(count: int) -> tuple[np.ndarray, np.ndarray]:
     """(y, w) of the count-node Gauss-Hermite rule, read-only; numpy.polynomial is first imported here, not at start-up."""
     rule = np.polynomial.hermite.hermgauss(count)
@@ -172,20 +154,13 @@ def _hermite_basis(x: np.ndarray, count: int) -> np.ndarray:
     return h.T
 
 
-@lru_cache(maxsize=4 * len(_LADDER))
+@lru_cache(maxsize=16)
 def _rung(count: int, ratio: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Nodes x, quadrature-weighted basis q and each parity's R^-1 (or None) of the K = ``count`` rung, read-only.
+    """Nodes x, quadrature-weighted basis q and each parity's R^-1 (or None) of the K = ``count`` rung (``_galerkin``).
 
-    x = y / sqrt(beta), beta = 1 - 2 ratio^2, are the count + 8
-    Gauss-Hermite nodes y with weights g, and q holds h_0 ... h_(count-1)
-    at x, each node's row times sqrt(g / sqrt(beta)) exp(y^2/2), so that
-    q^T diag(f(x)) q integrates f h_j h_k dx.  ``exact`` takes ratio = s/m,
-    and R is the triangular factor of the QR of sqrt(W) q_p for each
-    parity's columns q_p, with the weight W = exp(2u^2) at u = ratio x: the
-    Gram matrix of the weight is R^T R, factored without squaring its
-    condition number.  ``quadratic`` and ``quartic`` take ratio = 0, where
-    W = 1 and q is orthonormal, so their rungs have no R and depend on K
-    alone.
+    ratio is s/m for ``exact`` and 0 otherwise.  q holds h_0 ... h_(count-1)
+    at x, each node's row scaled so that q^T diag(f(x)) q integrates
+    f h_j h_k dx.  The arrays are read-only.
     """
     beta = 1.0 - 2.0 * ratio**2
     y, gw = _gauss_hermite(count + 8)
@@ -211,12 +186,7 @@ def _scale(spec: OscillatorSpec) -> float:
 
 
 def _blocks(spec: OscillatorSpec, scale: float, count: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Per parity, the Galerkin matrix A of the K = ``count`` rung at ``scale``, and R^-1 (``exact``) or None.
-
-    The kinetic term is integrated at the rung's cached nodes (``_rung``),
-    and -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is added to A's three
-    diagonals in its pentadiagonal closed form.
-    """
+    """Per parity, the Galerkin matrix A of the K = ``count`` rung at ``scale``, and R^-1 (``exact``) or None."""
     m, w = spec.mass, spec.omega
     x, q, inverses = _rung(count, scale / m if spec.truncation == "exact" else 0.0)
     kinetic, _ = _kinetic_and_weight(spec, scale * x)
@@ -251,54 +221,62 @@ def _lowest(
 def _galerkin(
     spec: OscillatorSpec, levels: int, points: np.ndarray | None
 ) -> tuple[list[tuple[float, int, np.ndarray | None]], int]:
-    """Lowest ``levels`` (energy, parity, phi at ``points``) of the continuum problem, and its K.
+    """Lowest ``levels`` (energy, parity, phi at ``points``) of the continuum problem, and the answering K.
 
     Rayleigh-Ritz of A phi = E W phi in the first K Hermite functions
-    h_j(p/s), split by parity.  ``quadratic`` is a harmonic oscillator of
-    stiffness 1 + w^2/m^2, diagonal in the h_j at
-    s = sqrt(m w) (1 + w^2/m^2)^(-1/4), so K = 64 answers at every w/m.
+    h_j(p/s), split by parity (J. P. Boyd, Chebyshev and Fourier Spectral
+    Methods, 2nd ed., Dover 2001, ch. 17).
+
+    Scale (``_scale``).  ``quadratic`` is a harmonic oscillator of stiffness
+    1 + w^2/m^2, diagonal in the h_j at s = sqrt(m w) (1 + w^2/m^2)^(-1/4).
     Otherwise s = max(sqrt(m w)/(1 + 10 w/m), min(sqrt(m w)/2, c m)), with
-    c = 0.6 for ``quartic`` and 0.19 for ``exact``: the first term, which
-    holds for every w/m <= 0.1, narrows the basis as the quartic term and
-    the weight narrow the states, and the second stops it at strong
-    coupling, where the first would fall like m^(3/2)/(10 sqrt(w)) while
-    the states do not.  The first term is rounded to the nearest m 2^(k/4)
-    in log (``_scale``), so that at weak coupling s/m, and with it
-    ``exact``'s rung, takes values from a fixed set.  In x = p/s,
-    -d^2/dx^2 and x^2 both have the diagonal (2j+1)/2 and carry
-    -sqrt((j+1)(j+2))/2 and +sqrt((j+1)(j+2))/2 at (j, j+2), so
-    -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal in closed form.
+    c = 0.6 for ``quartic`` and 0.19 for ``exact``.  The first term holds
+    for every w/m <= 0.1 and narrows the basis as the quartic term and the
+    weight narrow the states; it is rounded to the nearest m 2^(k/4) in log,
+    so that at weak coupling s/m takes values from a fixed set.  The second
+    stops it at strong coupling, where it would fall like
+    m^(3/2)/(10 sqrt(w)) while the states do not.
+
+    Matrices (``_blocks``).  In x = p/s, -d^2/dx^2 and x^2 both have the
+    diagonal (2j+1)/2 and carry -sqrt((j+1)(j+2))/2 and +sqrt((j+1)(j+2))/2
+    at (j, j+2), so -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal
+    in closed form.
     The kinetic term and the weight (``_kinetic_and_weight``) are
     polynomials times at most exp(2p^2/m^2) = exp((1 - beta) x^2), with
-    beta = 1 - 2s^2/m^2 for ``exact`` and 1 otherwise; against h_j h_k that
+    beta = 1 - 2s^2/m^2 for ``exact`` and 1 otherwise.  Against h_j h_k that
     is exp(-beta x^2) times a polynomial of degree at most 2K + 4, which the
-    K + 8 Gauss-Hermite nodes y, placed at x = y / sqrt(beta), integrate
-    exactly.  s keeps beta >= 0.928, for the condition number of the
-    weight's Gram matrix grows like exp(4K s^2/m^2).  For ``exact`` the
-    problem is reduced by the triangular factor R of the weight's Gram
-    matrix G = R^T R; otherwise G is the identity.  A rung's nodes, basis
-    and R^-1 are built once per K (``quadratic``, ``quartic``) or per
-    (K, s/m) (``exact``) and cached read-only (``_rung``); a solve
-    integrates its kinetic term at the cached nodes and adds the
-    pentadiagonal terms (``_blocks``).
+    K + 8 Gauss-Hermite nodes y with weights g, placed at x = y / sqrt(beta),
+    integrate exactly once each node's basis row is scaled by
+    sqrt(g / sqrt(beta)) exp(y^2/2).  For ``exact`` the problem is reduced by
+    the triangular factor R of the weight's Gram matrix G = R^T R, taken
+    from the QR of sqrt(W) times each parity's basis columns so as not to
+    square G's condition number, which grows like exp(4K s^2/m^2); c keeps
+    beta >= 0.928.  Otherwise W = 1, the scaled basis is orthonormal and
+    there is no R.
 
-    One rung is assembled per step, K = 64, 128 and 256, starting at the
-    first K whose K/2 still holds ``levels`` functions per parity.  The
-    first step reads the K/2 levels from the leading quarter-size block of
-    each parity's reduced matrix: K + 8 nodes integrate the K/2 products
-    exactly too, and R^-1 is triangular, so that block is the K/2 problem's
-    own.  Each later step compares with the step before.  The first K whose
-    levels all agree with K/2's within 1e-10 relative answers, and
-    RefinementError, naming the last K/2-to-K change, means that no K did.
-    Every level is an eigenvalue alone (eigvalsh); with ``points``, the
+    Cache (``_rung``).  A rung's nodes, basis and R^-1 are built once per K
+    (``quadratic``, ``quartic``) or per (K, s/m) (``exact``) and cached
+    read-only, so nearby w share one ``exact`` rung.  A solve integrates
+    its kinetic term at the cached nodes and adds the pentadiagonal terms.
+
+    Ladder.  One rung is assembled per K in ``_LADDER``, skipping any K
+    whose K/2 holds fewer than ``levels`` functions per parity.  The first
+    rung is checked against the K/2 levels of its own leading quarter-size
+    blocks, which are the K/2 problem's own (K + 8 nodes integrate the K/2
+    products exactly too, and R^-1 is triangular); each later rung against
+    the rung before.  The first K whose levels all agree with K/2's within
+    ``_LADDER_RTOL`` relative answers.  RefinementError, naming the last
+    K/2-to-K change, means that no K did: at n_max = 3, ``exact`` from w/m
+    of about 4 on, while ``quadratic`` and ``quartic`` answer at every w/m.
+    Every level is an eigenvalue alone (eigvalsh).  With ``points``, the
     answering rung's blocks are solved again for their eigenvectors c, and
-    phi = sum_j c_j h_j(p/s) is sampled there.  Without them phi is None,
-    and the levels are the same bits either way.
+    phi = sum_j c_j h_j(p/s) is sampled there; without them phi is None.
+    The levels are the same bits either way.
     """
     scale = _scale(spec)
     previous = None
-    for half, count in zip(_LADDER, _LADDER[1:]):
-        if half < 2 * levels:
+    for count in _LADDER:
+        if count < 4 * levels:
             continue
         blocks = [(a if r is None else r.T @ a @ r, r) for a, r in _blocks(spec, scale, count)]
         found = _lowest(blocks, count // 2, levels)
@@ -354,44 +332,24 @@ def numeric_spectrum(
     grid: MomentumGrid | None = None,
     n_points: int = 512,
     check_refinement: bool = False,
-    return_eigenfunctions: bool = False,
 ) -> SpectrumResult:
-    """Lowest n_max+1 levels of the reduced equation, from the Hermite-Galerkin ladder.
+    """Lowest n_max+1 levels of the reduced equation (``_galerkin``), and with a ``grid`` the states sampled on it.
 
-    The problem is even under p -> -p, so it is solved per parity and the
-    lowest levels of both parities are merged.  ``_galerkin`` solves the
-    continuum problem by Rayleigh-Ritz in the first K Hermite functions, one
-    rung of K = 64, 128 or 256 at a time (the first one's leading blocks
-    give K/2), and answers at the first K whose levels agree with K/2's
-    within 1e-10 relative.  That agreement is its refinement evidence, and
-    it is always checked; where no K agrees, RefinementError names the
-    truncation, w/m and the last change.  Each rung's nodes, basis and
-    (``exact``) Gram factor are cached, and the weak-coupling scale of
-    ``quartic`` and ``exact`` is rounded to a quarter octave of m, so that
-    nearby w reuse one ``exact`` rung.  ``method`` names the answering
-    rung of each parity as "even/odd", e.g. "galerkin64/galerkin64".  The
-    levels depend on no grid, nor on whether the states are asked for.
-    More than MAX_LEVELS (64) levels raise ValueError.
-    ``grid`` and ``n_points`` only place the state samples: without
-    ``grid``, ``default_grid`` builds one of ``n_points``.  The states psi =
-    exp(p^2/m^2) phi are real arrays of samples on the grid, exactly even or
-    odd, normalised in the weighted measure exp(-2p^2/m^2) dp.
-    ``check_refinement`` is accepted and changes nothing.
+    ``method`` names the answering rung, e.g. "galerkin64".  No grid enters
+    the levels.  The states psi = exp(p^2/m^2) phi are real arrays, exactly
+    even or odd, normalised in the weighted measure exp(-2p^2/m^2) dp, with
+    the largest |psi| on p >= 0 positive.  More than MAX_LEVELS levels raise
+    ValueError; RefinementError means that no rung settled.  ``n_points``
+    and ``check_refinement`` are accepted and change nothing.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max + 1 > MAX_LEVELS:
         raise ValueError(f"n_max + 1 = {n_max + 1} levels exceed the {MAX_LEVELS} that the Galerkin ladder solves")
-    if return_eigenfunctions and grid is None:
-        grid = default_grid(spec, n_max, n_points)
-    points = grid.points[: grid.n - grid.n // 2] if return_eigenfunctions else None
+    points = None if grid is None else grid.points[: grid.n - grid.n // 2]
     levels, count = _galerkin(spec, n_max + 1, points)
-    eigenfunctions = None
-    if return_eigenfunctions:
-        eigenfunctions = tuple(_mirror_state(spec, grid, phi, sign) for _, sign, phi in levels)
-    return SpectrumResult(
-        tuple(e for e, _, _ in levels), method=f"galerkin{count}/galerkin{count}", eigenfunctions=eigenfunctions
-    )
+    eigenfunctions = None if grid is None else tuple(_mirror_state(spec, grid, phi, sign) for _, sign, phi in levels)
+    return SpectrumResult(tuple(e for e, _, _ in levels), method=f"galerkin{count}", eigenfunctions=eigenfunctions)
 
 
 def eigenfunction(spec: OscillatorSpec, n: int, grid: MomentumGrid) -> np.ndarray:

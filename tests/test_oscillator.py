@@ -106,7 +106,7 @@ def test_default_grid_caps_the_cutoff_where_exp_p2_enters(ratio):
         spec = OscillatorSpec(ratio * M, M, truncation)
         grid = default_grid(spec, 3)
         assert grid.cutoff == pytest.approx(min(3.7 * M, coverage), rel=1e-15)
-        states = numeric_spectrum(spec, 3, return_eigenfunctions=True).eigenfunctions
+        states = numeric_spectrum(spec, 3, grid=grid).eigenfunctions
         assert all(psi.shape == grid.points.shape for psi in states)
 
 
@@ -127,7 +127,7 @@ def test_quadratic_diagonalisation_matches_its_exact_levels(ratio, n_points):
     n = np.arange(8)
     exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + ratio**2) - spec.omega**2 / (2.0 * M)
     res = numeric_spectrum(spec, 7, n_points=n_points)
-    assert res.method == "galerkin64/galerkin64"
+    assert res.method == "galerkin64"
     dense = oracles.dense_spectrum(spec, _covering_grid(spec, 7, n_points), 8)[0]
     for levels in (np.array(res.energies), dense):  # the ladder and its dense oracle are both checked
         assert np.max(np.abs(levels / exact - 1.0)) <= 1e-10
@@ -227,7 +227,7 @@ def test_weighted_orthonormality_of_eigenvectors():
     # Hermitian in the plain measure)
     spec = OscillatorSpec(W, M, "exact")
     grid = default_grid(spec, 3)
-    psis = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True).eigenfunctions
+    psis = numeric_spectrum(spec, 3, grid=grid).eigenfunctions
     norms = [np.sqrt(np.sum(np.abs(p) ** 2) * grid.spacing) for p in psis]
     for i in range(4):
         for j in range(4):
@@ -240,7 +240,7 @@ def test_quartic_eigenfunctions_steeper_than_quadratic():
     grid = default_grid(OscillatorSpec(W, M, "quadratic"), 1)
     moments = {}
     for trunc in ("quadratic", "quartic"):
-        res = numeric_spectrum(OscillatorSpec(W, M, trunc), 1, grid=grid, return_eigenfunctions=True)
+        res = numeric_spectrum(OscillatorSpec(W, M, trunc), 1, grid=grid)
         moments[trunc] = [inner(psi, grid.points**2 * psi, grid, M) for psi in res.eigenfunctions]
     for n in (0, 1):
         assert moments["quartic"][n] < moments["quadratic"][n]
@@ -252,7 +252,7 @@ def test_more_levels_than_the_ladder_holds_rejected():
     assert MAX_LEVELS == 64
     with pytest.raises(ValueError, match="n_max \\+ 1 = 65 levels exceed the 64"):
         numeric_spectrum(spec, MAX_LEVELS)
-    assert numeric_spectrum(spec, MAX_LEVELS - 1).method == "galerkin256/galerkin256"
+    assert numeric_spectrum(spec, MAX_LEVELS - 1).method == "galerkin256"
     assert len(numeric_spectrum(spec, 12, n_points=8).energies) == 13
 
 
@@ -315,7 +315,7 @@ def test_ladder_matches_dense_rung(ratio, truncation, n):
     # the Galerkin states sampled on it are the dense blocks' eigenvectors
     spec = OscillatorSpec(ratio * M, M, truncation)
     grid = default_grid(spec, 3, n)
-    ours = numeric_spectrum(spec, 3, grid=grid, return_eigenfunctions=True)
+    ours = numeric_spectrum(spec, 3, grid=grid)
     assert ours.method.startswith("galerkin")
     energies, states = oracles.dense_spectrum(spec, grid, 4)
     assert np.max(np.abs(np.array(ours.energies) - energies) / np.abs(energies)) <= 1e-10
@@ -325,9 +325,10 @@ def test_ladder_matches_dense_rung(ratio, truncation, n):
 
 def test_ladder_disagreement_raises_refinement_error(monkeypatch):
     # exact at w/m = 0.6 needs K = 256: a ladder that stops at 128 finds no agreement, and no other rung answers
-    monkeypatch.setattr(oscillator, "_LADDER", (32, 64, 128))
+    monkeypatch.setattr(oscillator, "_LADDER", (64, 128))
+    spec = OscillatorSpec(0.6 * M, M, "exact")
     with pytest.raises(RefinementError, match=r"^exact levels at w/m = 0.6 did not settle: from K = 64 to 128 "):
-        numeric_spectrum(OscillatorSpec(0.6 * M, M, "exact"), 3, return_eigenfunctions=True)
+        numeric_spectrum(spec, 3, grid=default_grid(spec, 3))
 
 
 @pytest.mark.parametrize("ratio", [4.0, 5.0])
@@ -353,13 +354,31 @@ def test_levels_do_not_depend_on_the_states(truncation, ratio, n_max, rung):
     # and they are eigenvalues alone whether or not the answering rung is solved again for its vectors
     spec = OscillatorSpec(ratio * M, M, truncation)
     levels = numeric_spectrum(spec, n_max)
-    assert levels.method == f"{rung}/{rung}"
-    with_states = numeric_spectrum(spec, n_max, return_eigenfunctions=True)
+    assert levels.method == rung
+    with_states = numeric_spectrum(spec, n_max, grid=default_grid(spec, n_max))
     assert (with_states.energies, with_states.method) == (levels.energies, levels.method)
     if truncation == "quadratic":
         n = np.arange(n_max + 1)
         exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + ratio**2) - spec.omega**2 / (2.0 * M)
         assert np.max(np.abs(np.array(levels.energies) / exact - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
+def test_states_come_with_a_grid_and_the_other_options_change_no_bit(truncation):
+    # states exactly when a grid is given; n_points and check_refinement move no level and no state sample
+    spec = OscillatorSpec(W, M, truncation)
+    grid = default_grid(spec, 3, 256)
+    bare = numeric_spectrum(spec, 3)
+    with_states = numeric_spectrum(spec, 3, grid=grid)
+    assert bare.eigenfunctions is None
+    assert [psi.shape for psi in with_states.eigenfunctions] == [grid.points.shape] * 4
+    assert (with_states.energies, with_states.method) == (bare.energies, bare.method)
+    for options in ({"n_points": 8}, {"check_refinement": True}, {"n_points": 2048, "check_refinement": True}):
+        res = numeric_spectrum(spec, 3, **options)
+        assert (res.energies, res.method, res.eigenfunctions) == (bare.energies, bare.method, None)
+        res = numeric_spectrum(spec, 3, grid=grid, **options)
+        assert res.energies == bare.energies
+        assert all(np.array_equal(x, y) for x, y in zip(res.eigenfunctions, with_states.eigenfunctions))
 
 
 def _own_rung_levels(spec: OscillatorSpec, count: int, levels: int) -> np.ndarray:
@@ -424,10 +443,10 @@ def test_leading_block_levels_match_their_own_rung(monkeypatch, ratio, truncatio
 @pytest.mark.parametrize(
     "truncation, ratio, n_max, method",
     [
-        ("quartic", 0.439, 3, "galerkin64/galerkin64"),
-        ("exact", 0.362, 0, "galerkin128/galerkin128"),
-        ("quartic", 0.005, 20, "galerkin128/galerkin128"),
-        ("exact", 0.6, 3, "galerkin256/galerkin256"),
+        ("quartic", 0.439, 3, "galerkin64"),
+        ("exact", 0.362, 0, "galerkin128"),
+        ("quartic", 0.005, 20, "galerkin128"),
+        ("exact", 0.6, 3, "galerkin256"),
     ],
 )
 def test_answering_rung_is_pinned(truncation, ratio, n_max, method):
@@ -477,8 +496,8 @@ def test_cold_and_warm_solves_are_bit_identical():
     spec = OscillatorSpec(W, M, "exact")
     oscillator._gauss_hermite.cache_clear()
     oscillator._rung.cache_clear()
-    cold = numeric_spectrum(spec, 3, return_eigenfunctions=True)
-    warm = numeric_spectrum(spec, 3, return_eigenfunctions=True)
+    cold = numeric_spectrum(spec, 3, grid=default_grid(spec, 3))
+    warm = numeric_spectrum(spec, 3, grid=default_grid(spec, 3))
     rules, rungs = oscillator._gauss_hermite.cache_info(), oscillator._rung.cache_info()
     assert (rules.hits, rules.misses) == (0, 1)  # the 72-node rule of K = 64, built by the cold solve alone
     assert (rungs.hits, rungs.misses) == (1, 1)  # the warm solve reuses the cold one's nodes, basis and R^-1
@@ -491,7 +510,7 @@ def test_exact_solves_in_one_quarter_octave_share_their_rung():
     # 2^(-7/2) m, so both exact solves run on one K = 64 rung, built once
     oscillator._rung.cache_clear()
     for ratio in (0.01, 0.0105):
-        assert numeric_spectrum(OscillatorSpec(ratio * M, M, "exact"), 3).method == "galerkin64/galerkin64"
+        assert numeric_spectrum(OscillatorSpec(ratio * M, M, "exact"), 3).method == "galerkin64"
     assert oscillator._scale(OscillatorSpec(0.0105 * M, M, "exact")) == 2.0**-3.5 * M
     rungs = oscillator._rung.cache_info()
     assert (rungs.hits, rungs.misses, rungs.currsize) == (1, 1, 1)
@@ -547,11 +566,11 @@ def test_harmonic_regime_solves_no_eigenproblem_above_32(monkeypatch, truncation
     # one rung of K = 64 Hermite functions, 32 in each parity: the levels of both parities' blocks and of their
     # leading 16 x 16 blocks (K/2 = 32), and the vectors only when the states are asked for; no grid is solved
     shapes = _record_eigensolves(monkeypatch)
+    spec = OscillatorSpec(W, M, truncation)
     for states, vectors in ((False, []), (True, [(32, 32), (32, 32)])):
-        res = numeric_spectrum(
-            OscillatorSpec(W, M, truncation), 3, n_points=1024, check_refinement=True, return_eigenfunctions=states
-        )
-        assert res.method == "galerkin64/galerkin64"
+        grid = default_grid(spec, 3, 1024) if states else None
+        res = numeric_spectrum(spec, 3, grid=grid, n_points=1024, check_refinement=True)
+        assert res.method == "galerkin64"
         assert shapes == {"eigh": vectors, "eigvalsh": [(32, 32), (32, 32), (16, 16), (16, 16)]}
         for got in shapes.values():
             got.clear()
@@ -588,7 +607,7 @@ def test_eigenfunction_overlap_with_diagonalisation():
     spec = OscillatorSpec(W, M, "quadratic")
     grid = default_grid(spec, 0)
     exact = eigenfunction(spec, 0, grid)
-    res = numeric_spectrum(spec, 0, grid=grid, return_eigenfunctions=True)
+    res = numeric_spectrum(spec, 0, grid=grid)
     overlap = abs(inner(exact, res.eigenfunctions[0], grid, M))
     assert overlap >= 0.999
 
