@@ -57,10 +57,6 @@ _HARMONIC_RATIO_MAX = 2.0**52  # --omega/--mass of the quadratic closed form: it
 _PION_RANGE_FM = 1.43  # range of the pion-range depths and trial wavefunctions
 
 
-class ConfigError(Exception):
-    pass
-
-
 @dataclass
 class RunConfig:
     constants: PhysicalConstants
@@ -76,7 +72,7 @@ def _load_config_file(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"malformed config line (expected key=value): {raw!r}")
+            raise ValueError(f"malformed config line (expected key=value): {raw!r}")
         k, v = line.split("=", 1)
         out[k.strip()] = v.strip()
     return out
@@ -87,11 +83,11 @@ def _build_run_config(args: argparse.Namespace, argv: list[str]) -> RunConfig:
     known = DEFAULT_CONSTANTS.as_dict()
     unknown = [k for k in overrides if k not in known]
     if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
+        raise ValueError(f"unknown config key {unknown[0]!r}")
     constants = DEFAULT_CONSTANTS.with_overrides(**{k: float(v) for k, v in overrides.items()})
     out = Path(args.out or "fuzzyqm_out")
     if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
-        raise ConfigError(f"output directory {str(out)!r} names an existing file")
+        raise ValueError(f"output directory {str(out)!r} names an existing file")
     return RunConfig(constants, out, args.format or "csv", " ".join(argv))
 
 
@@ -246,7 +242,7 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
         else:
             status = "OK" if dev <= budget[i] else "FAIL"
             ok &= status == "OK"
-        warn = "perturbative-breakdown" if breakdown and breakdown[i] else "-"
+        warn = "perturbative-breakdown" if breakdown[i] else "-"
         rows.append([int(i), ef, ed, dev, dev / abs(ef) if ef else float("nan"), float(budget[i]), status, warn])
     _write_table(
         cfg,
@@ -481,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _build_run_config(args, ["fuzzyqm"] + argv)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.command == "commutators":

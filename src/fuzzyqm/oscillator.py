@@ -98,8 +98,9 @@ def anharmonic_spectrum_formula(spec: OscillatorSpec, n_max: int) -> SpectrumRes
     if spec.truncation != "quartic":
         raise ContractError("anharmonic closed form applies to the quartic truncation")
     n = np.arange(n_max + 1)
-    e = (n + 0.5) * spec.omega - spec.omega**2 / (2.0 * spec.mass) + anharmonic_shift(spec, n)
-    flags = (3.0 * spec.omega / (4.0 * spec.mass)) * (1.0 + 2.0 * n + 2.0 * n**2) > 0.1 * (n + 0.5)
+    shift = anharmonic_shift(spec, n)
+    e = (n + 0.5) * spec.omega - spec.omega**2 / (2.0 * spec.mass) + shift
+    flags = shift > 0.1 * (n + 0.5) * spec.omega
     return SpectrumResult(tuple(float(v) for v in e), method="formula", breakdown=tuple(bool(f) for f in flags))
 
 
@@ -137,17 +138,17 @@ def _gauss_hermite(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermite_basis(x: np.ndarray, count: int) -> np.ndarray:
-    """Columns h_0 ... h_(count-1)(x): normalised Hermite functions by their three-term recurrence.
+    """Columns h_0 ... h_(count-1)(x), count >= 1: normalised Hermite functions by their three-term recurrence.
 
-    h_j(x) is proportional to exp(-x^2/2) H_j(x); at x = p / sqrt(m w) it is
-    the reduced form exp(-p^2/m^2) psi of the closed-form eigenstates
-    (``eigenfunction``).  The functions are built as the contiguous rows of a
-    (count, points) array and returned as its transposed view, so the
-    recurrence runs along contiguous memory.
+    h_j(x) is proportional to exp(-x^2/2) H_j(x), with H_j's sign; at
+    x = p / sqrt(m w), h_n is the reduced form exp(-p^2/m^2) psi of the
+    closed-form eigenstates (``eigenfunction``).  The functions are built as
+    the contiguous rows of a (count, points) array and returned as its
+    transposed view, so the recurrence runs along contiguous memory.
     """
     h = np.empty((count, x.size))
     h[0] = np.pi**-0.25 * np.exp(-(x**2) / 2.0)
-    h[1] = np.sqrt(2.0) * x * h[0]
+    h[1:2] = np.sqrt(2.0) * x * h[0]  # no row when count = 1
     j = np.arange(2, count)
     for k, up, down in zip(range(2, count), np.sqrt(2.0 / j).tolist(), np.sqrt((j - 1) / j).tolist()):
         h[k] = up * x * h[k - 1] - down * h[k - 2]
@@ -301,27 +302,24 @@ def _galerkin(
     )
 
 
-def _normalised(spec: OscillatorSpec, grid: MomentumGrid, psi: np.ndarray) -> np.ndarray:
-    """psi scaled to unit norm in the weighted measure exp(-2p^2/m^2) dp on the grid."""
+def _mirror_state(spec: OscillatorSpec, grid: MomentumGrid, phi: np.ndarray, sign: int) -> np.ndarray:
+    """Full-grid eigenfunction psi = exp(p^2/m^2) phi of parity ``sign`` from phi on the left half-grid.
+
+    Every state, numeric or closed form, is built here.  ``phi`` holds the
+    first n - n // 2 samples, the middle point p = 0 included for odd n.
+    The left half is mirrored exactly, so psi(-p) = sign psi(p) holds
+    sample by sample.  psi is normalised in the weighted measure
+    exp(-2p^2/m^2) dp, and its sign makes the largest |psi| on p >= 0
+    positive: H_n's sign only where the grid holds the outermost lobe.
+    """
+    k = grid.n // 2
+    half = np.exp(grid.points[: phi.size] ** 2 / spec.mass**2) * phi
+    psi = np.concatenate([half, sign * half[:k][::-1]])
     weights = grid.spacing * np.exp(-(grid.points**2) / spec.mass**2) ** 2
     norm = float(np.sqrt(np.sum(weights * psi**2)))
     if norm == 0:
         raise ValueError("cannot normalise the zero state")
-    return psi * (1.0 / norm)
-
-
-def _mirror_state(spec: OscillatorSpec, grid: MomentumGrid, phi: np.ndarray, sign: int) -> np.ndarray:
-    """Full-grid eigenfunction psi = exp(p^2/m^2) phi of parity ``sign`` from phi on the left half-grid.
-
-    ``phi`` holds the first n - n // 2 samples, the middle point p = 0
-    included for odd n.  The left half is mirrored exactly, so
-    psi(-p) = sign psi(p) holds sample by sample.  psi is normalised in the
-    weighted measure, and the overall sign makes the largest |psi| on p >= 0
-    positive, the Hermite convention of ``eigenfunction``.
-    """
-    k = grid.n // 2
-    half = np.exp(grid.points[: phi.size] ** 2 / spec.mass**2) * phi
-    psi = _normalised(spec, grid, np.concatenate([half, sign * half[:k][::-1]]))
+    psi = psi * (1.0 / norm)
     right = psi[k:]  # p >= 0
     return -psi if right[np.argmax(np.abs(right))] < 0 else psi
 
@@ -355,9 +353,10 @@ def numeric_spectrum(
 def eigenfunction(spec: OscillatorSpec, n: int, grid: MomentumGrid) -> np.ndarray:
     """Closed-form level-n eigenfunction of the large-confinement regime.
 
-    psi(p) ~ exp(p^2/m^2 (1 - m/2w)) H_n(p / sqrt(m w)), normalised in the
-    weighted measure exp(-2p^2/m^2) dp.  Needs w < m/2 so the Gaussian
-    exponent is negative; parity is (-1)^n with n interior nodes.
+    psi(p) ~ exp(p^2/m^2 (1 - m/2w)) H_n(p / sqrt(m w)), that is
+    exp(p^2/m^2) h_n(p / sqrt(m w)), built like every state
+    (``_mirror_state``): parity (-1)^n exactly, n interior nodes.  Needs
+    w < m/2 so the Gaussian exponent is negative.
     """
     if spec.truncation != "quadratic":
         raise ContractError("the closed-form eigenfunction belongs to the quadratic truncation")
@@ -365,7 +364,5 @@ def eigenfunction(spec: OscillatorSpec, n: int, grid: MomentumGrid) -> np.ndarra
         raise ContractError("omega >= mass/2: the closed-form eigenfunction is not normalisable")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = grid.points
-    herm = np.polynomial.hermite.Hermite.basis(n)(p / np.sqrt(spec.mass * spec.omega))
-    envelope = np.exp(p**2 / spec.mass**2 * (1.0 - spec.mass / (2.0 * spec.omega)))
-    return _normalised(spec, grid, envelope * herm)
+    x = grid.points[: grid.n - grid.n // 2] / np.sqrt(spec.mass * spec.omega)
+    return _mirror_state(spec, grid, _hermite_basis(x, n + 1)[:, n], (-1) ** n)

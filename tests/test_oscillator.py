@@ -1,6 +1,7 @@
 """Fuzzy oscillator: closed forms, diagonalisation, eigenfunctions."""
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -492,6 +493,23 @@ def test_hermite_rows_equal_the_column_recurrence(n):
     assert h.T.flags.c_contiguous
 
 
+def test_hermite_basis_matches_numpy_hermval():
+    # an independent evaluation: h_j(x) = exp(-x^2/2) H_j(x) / sqrt(2^j j! sqrt(pi)) with H_j summed by hermval
+    x = np.linspace(-10.0, 10.0, 801)
+    h = oscillator._hermite_basis(x, 64)
+    for j in range(64):
+        norm = np.sqrt(2.0**j * math.factorial(j) * np.sqrt(np.pi))
+        want = np.exp(-(x**2) / 2.0) * np.polynomial.hermite.hermval(x, np.eye(64)[j]) / norm
+        assert np.max(np.abs(h[:, j] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_hermite_basis_of_one_function_is_h0():
+    x = np.linspace(-3.0, 3.0, 7)
+    h = oscillator._hermite_basis(x, 1)
+    assert h.shape == (7, 1)
+    assert np.array_equal(h[:, 0], np.pi**-0.25 * np.exp(-(x**2) / 2.0))
+
+
 def test_cold_and_warm_solves_are_bit_identical():
     spec = OscillatorSpec(W, M, "exact")
     oscillator._gauss_hermite.cache_clear()
@@ -584,14 +602,14 @@ def test_eigenfunction_ground_state_nodeless_even():
     grid = default_grid(spec, 1)
     vals = eigenfunction(spec, 0, grid)
     assert np.all(vals > 0) or np.all(vals < 0)
-    assert np.max(np.abs(vals - vals[::-1])) <= 1e-10 * np.max(np.abs(vals))
+    assert np.array_equal(vals, vals[::-1])
 
 
 def test_eigenfunction_first_excited_odd_one_node():
     spec = OscillatorSpec(W, M, "quadratic")
     grid = default_grid(spec, 1)
     vals = eigenfunction(spec, 1, grid)
-    assert np.max(np.abs(vals + vals[::-1])) <= 1e-10 * np.max(np.abs(vals))
+    assert np.array_equal(vals, -vals[::-1])
     signs = np.sign(vals[np.abs(vals) > 1e-12 * np.max(np.abs(vals))])
     assert np.count_nonzero(np.diff(signs)) == 1
 
@@ -610,6 +628,40 @@ def test_eigenfunction_overlap_with_diagonalisation():
     res = numeric_spectrum(spec, 0, grid=grid)
     overlap = abs(inner(exact, res.eigenfunctions[0], grid, M))
     assert overlap >= 0.999
+
+
+@pytest.mark.parametrize("n", [150, 200])
+def test_eigenfunction_high_levels_are_finite_normalised_and_exactly_mirrored(n):
+    spec = OscillatorSpec(W, M, "quadratic")
+    grid = default_grid(spec, n)
+    psi = eigenfunction(spec, n, grid)
+    assert np.all(np.isfinite(psi))
+    assert np.sqrt(inner(psi, psi, grid, M)) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(psi, (-1) ** n * psi[::-1])
+
+
+@pytest.mark.parametrize("n", [80, 91])
+def test_eigenfunction_on_a_capped_grid_follows_the_numeric_sign_rule(n):
+    # the 3.7 m cap cuts the outermost lobe off this grid, so the rule, not H_n's leading sign, fixes the sign
+    spec = OscillatorSpec(0.1, M, "quadratic")
+    grid = default_grid(spec, n)
+    assert grid.points[-1] == 3.7 * M
+    right = eigenfunction(spec, n, grid)[grid.n // 2 :]  # p >= 0
+    assert right[np.argmax(np.abs(right))] > 0
+
+
+def test_eigenfunction_matches_the_numpy_hermite_closed_form():
+    # exp(p^2/m^2 (1 - m/2w)) H_n(p / sqrt(m w)) by numpy's Hermite series on grids the cap leaves whole, where the
+    # sign rule is H_n's own sign
+    spec = OscillatorSpec(W, M, "quadratic")
+    for n in range(61):
+        grid = default_grid(spec, n)
+        p = grid.points
+        want = np.exp(p**2 / M**2 * (1.0 - M / (2.0 * W))) * np.polynomial.hermite.hermval(
+            p / np.sqrt(M * W), np.eye(n + 1)[n]
+        )
+        want /= np.sqrt(inner(want, want, grid, M))
+        assert np.max(np.abs(eigenfunction(spec, n, grid) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_eigenfunction_rejects_strong_coupling():
