@@ -254,7 +254,10 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
     harm_spec = OscillatorSpec(spec.omega, spec.mass, "quadratic")
     columns = [grid.points]
     for i in (0, 1):
-        harm = eigenfunction(harm_spec, i, grid) if spec.omega < spec.mass / 2 else np.full(grid.n, np.nan)
+        try:
+            harm = eigenfunction(harm_spec, i, grid)
+        except ContractError:  # omega >= mass/2: no closed-form state that decays in dp
+            harm = np.full(grid.n, np.nan)
         columns += [harm, res.eigenfunctions[i]]
     _write_table(
         cfg,

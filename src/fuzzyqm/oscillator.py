@@ -32,7 +32,7 @@ from .errors import ContractError, RefinementError
 from .numerics.grids import MomentumGrid
 
 _TRUNCATIONS = ("quadratic", "quartic", "exact")
-_LADDER = (64, 128, 256)  # Hermite functions K on the Galerkin rungs (see ``_galerkin``)
+_LADDER = (32, 64, 128, 256)  # Hermite functions K on the Galerkin rungs (see ``_galerkin``)
 _LADDER_RTOL = 1e-10  # largest relative change of a level from K/2 to K functions for the Galerkin rung to answer
 MAX_LEVELS = _LADDER[-1] // 4  # levels per solve: the top rung's K/2 must hold every level in each parity
 _SCALE_CAP = {"quartic": 0.6, "exact": 0.19}  # s/m at strong coupling; exact's keeps beta = 1 - 2s^2/m^2 >= 0.928
@@ -70,8 +70,7 @@ class SpectrumResult:
     breakdown: tuple[bool, ...] | None = None
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.energies)
-        if e.size > 1 and np.any(np.diff(e) <= 0):
+        if any(b <= a for a, b in zip(self.energies, self.energies[1:])):
             raise ValueError("energies must be strictly increasing")
 
 
@@ -156,22 +155,24 @@ def _hermite_basis(x: np.ndarray, count: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _rung(count: int, ratio: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Nodes x, quadrature-weighted basis q and each parity's R^-1 (or None) of the K = ``count`` rung (``_galerkin``).
+def _rung(count: int, ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Nodes x, parity-split quadrature-weighted basis q and R^-1 (or None) of the K = ``count`` rung (``_galerkin``).
 
-    ratio is s/m for ``exact`` and 0 otherwise.  q holds h_0 ... h_(count-1)
-    at x, each node's row scaled so that q^T diag(f(x)) q integrates
-    f h_j h_k dx.  The arrays are read-only.
+    ratio is s/m for ``exact`` and 0 otherwise.  q[parity], of shape
+    (K + 8, K/2), holds h_parity, h_(parity+2), ... at x, each node's row
+    scaled so that q[parity]^T diag(f(x)) q[parity] integrates f h_j h_k dx;
+    R^-1 is (2, K/2, K/2) likewise.  The arrays are read-only.
     """
     beta = 1.0 - 2.0 * ratio**2
     y, gw = _gauss_hermite(count + 8)
     x = y / np.sqrt(beta)
-    q = _hermite_basis(x, count) * (np.sqrt(gw / np.sqrt(beta)) * np.exp(y**2 / 2.0))[:, None]
+    h = _hermite_basis(x, count) * (np.sqrt(gw / np.sqrt(beta)) * np.exp(y**2 / 2.0))[:, None]
+    q = np.stack([h[:, 0::2], h[:, 1::2]])
     inverses = None
     if ratio > 0:
         root_weight = np.sqrt(np.exp(2.0 * (ratio * x) ** 2))
-        inverses = tuple(np.linalg.inv(np.linalg.qr(root_weight[:, None] * q[:, p::2], mode="r")) for p in (0, 1))
-    for a in (x, q, *(inverses or ())):
+        inverses = np.linalg.inv(np.linalg.qr(root_weight[:, None] * q, mode="r"))
+    for a in (x, q) if inverses is None else (x, q, inverses):
         a.flags.writeable = False  # every solve on this rung shares the cached arrays
     return x, q, inverses
 
@@ -186,37 +187,27 @@ def _scale(spec: OscillatorSpec) -> float:
     return max(weak, min(root / 2.0, _SCALE_CAP[spec.truncation] * m))
 
 
-def _blocks(spec: OscillatorSpec, scale: float, count: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Per parity, the Galerkin matrix A of the K = ``count`` rung at ``scale``, and R^-1 (``exact``) or None."""
+def _blocks(spec: OscillatorSpec, scale: float, count: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Galerkin matrices A of the K = ``count`` rung at ``scale``, (2, K/2, K/2) by parity, and R^-1 (``exact``) or None."""
     m, w = spec.mass, spec.omega
     x, q, inverses = _rung(count, scale / m if spec.truncation == "exact" else 0.0)
     kinetic, _ = _kinetic_and_weight(spec, scale * x)
     d2, x2 = m * w**2 / (2.0 * scale**2), m * w**2 * scale**2 / (2.0 * m**4)  # coefficients of -d^2/dx^2 and x^2
     j = np.arange(count)
-    off = (x2 - d2) * np.sqrt((j + 1.0) * (j + 2.0)) / 2.0  # at (j, j+2) and (j+2, j)
+    off = (x2 - d2) * np.sqrt((j[:-2] + 1.0) * (j[:-2] + 2.0)) / 2.0  # at (j, j+2) and (j+2, j)
     diagonal = (d2 + x2) * (j + 0.5) - w**2 / (2.0 * m)
-    blocks = []
-    for parity in (0, 1):
-        qp = q[:, parity::2]
-        a = qp.T @ (kinetic[:, None] * qp)
-        flat, step = a.reshape(-1), a.shape[0] + 1  # a view of the new C-contiguous a: its diagonals are strided
-        flat[1::step] += off[parity : count - 2 : 2]
-        flat[a.shape[0] :: step] += off[parity : count - 2 : 2]
-        flat[::step] += diagonal[parity::2]
-        blocks.append((a, None if inverses is None else inverses[parity]))
-    return blocks
+    a = q.transpose(0, 2, 1) @ (kinetic[:, None] * q)
+    flat, step = a.reshape(2, -1), count // 2 + 1  # views of the new C-contiguous a: each block's diagonals are strided
+    flat[:, 1::step] += off.reshape(-1, 2).T  # row p holds parity p's entries, j = p, p + 2, ...
+    flat[:, count // 2 :: step] += off.reshape(-1, 2).T
+    flat[:, ::step] += diagonal.reshape(-1, 2).T
+    return a, inverses
 
 
-def _lowest(
-    blocks: list[tuple[np.ndarray, np.ndarray | None]], size: int, levels: int
-) -> list[tuple[float, int, int]]:
+def _lowest(blocks: np.ndarray, size: int, levels: int) -> list[tuple[float, int, int]]:
     """(energy, parity, index in its block) of the lowest ``levels`` eigenvalues of the leading size x size blocks."""
-    found = [
-        (float(e), parity, i)
-        for parity, (a, _) in enumerate(blocks)
-        for i, e in enumerate(np.linalg.eigvalsh(a[:size, :size])[:levels])
-    ]
-    return sorted(found)[:levels]
+    values = np.linalg.eigvalsh(blocks[:, :size, :size])[:, :levels].tolist()
+    return sorted((e, parity, i) for parity, row in enumerate(values) for i, e in enumerate(row))[:levels]
 
 
 def _galerkin(
@@ -253,51 +244,67 @@ def _galerkin(
     from the QR of sqrt(W) times each parity's basis columns so as not to
     square G's condition number, which grows like exp(4K s^2/m^2); c keeps
     beta >= 0.928.  Otherwise W = 1, the scaled basis is orthonormal and
-    there is no R.
+    there is no R.  A rung is one stacked (parity, j, k) problem: both
+    parities' A come from one batched product q^T diag(kinetic) q of the
+    (2, K + 8, K/2) basis, the pentadiagonal terms are added in place on
+    strided views of A's diagonals, and ``exact``'s reduction R^-T A R^-1
+    is one batched product of (2, K/2, K/2) arrays.
 
-    Cache (``_rung``).  A rung's nodes, basis and R^-1 are built once per K
-    (``quadratic``, ``quartic``) or per (K, s/m) (``exact``) and cached
-    read-only, so nearby w share one ``exact`` rung.  A solve integrates
-    its kinetic term at the cached nodes and adds the pentadiagonal terms.
+    Cache (``_rung``).  A rung's nodes, its (2, K + 8, K/2) basis and its
+    (2, K/2, K/2) R^-1 are built once per K (``quadratic``, ``quartic``) or
+    per (K, s/m) (``exact``) and cached read-only, so nearby w share one
+    ``exact`` rung.  A solve integrates its kinetic term at the cached nodes
+    and adds the pentadiagonal terms.  ``_gauss_hermite`` holds four rules,
+    one per K of the ladder (40, 72, 136 and 264 nodes), which every
+    truncation and scale shares.  ``_rung`` holds 16: ``quadratic`` and
+    ``quartic`` share at most four (s/m = 0), and at weak coupling
+    ``exact``'s s/m takes one value per quarter octave, so w/m from 0.005 to
+    0.02 builds ten rungs in all (five ``exact`` scales on K = 32, three of
+    them also on K = 64, and two at s/m = 0).
 
-    Ladder.  One rung is assembled per K in ``_LADDER``, skipping any K
-    whose K/2 holds fewer than ``levels`` functions per parity.  The first
-    rung is checked against the K/2 levels of its own leading quarter-size
-    blocks, which are the K/2 problem's own (K + 8 nodes integrate the K/2
-    products exactly too, and R^-1 is triangular); each later rung against
-    the rung before.  The first K whose levels all agree with K/2's within
-    ``_LADDER_RTOL`` relative answers.  RefinementError, naming the last
-    K/2-to-K change, means that no K did: at n_max = 3, ``exact`` from w/m
-    of about 4 on, while ``quadratic`` and ``quartic`` answer at every w/m.
-    Every level is an eigenvalue alone (eigvalsh).  With ``points``, the
-    answering rung's blocks are solved again for their eigenvectors c, and
-    phi = sum_j c_j h_j(p/s) is sampled there; without them phi is None.
-    The levels are the same bits either way.
+    Ladder.  One rung is assembled per K in ``_LADDER`` (32, 64, 128, 256),
+    skipping any K whose K/2 holds fewer than ``levels`` functions per
+    parity.  The first rung is checked against the K/2 levels of its own
+    leading quarter-size blocks, which are the K/2 problem's own (K + 8
+    nodes integrate the K/2 products exactly too, and R^-1 is triangular);
+    each later rung against the rung before, so it solves only its own K/2
+    blocks.  The first K whose levels all agree with K/2's within
+    ``_LADDER_RTOL`` relative answers: at weak coupling K = 32 (at n_max = 3
+    ``quadratic`` at every w/m, ``quartic`` and ``exact`` up to w/m of about
+    0.01).  RefinementError, naming the last K/2-to-K change, means that no
+    K did: at n_max = 3, ``exact`` from w/m of about 4 on, while
+    ``quadratic`` and ``quartic`` answer at every w/m.  Every level is an
+    eigenvalue alone: one eigvalsh call on a rung's stacked blocks (and one
+    more on the first rung's quarter-size blocks).  With ``points``, the
+    answering rung's stacked blocks are solved again, by one eigh call, for
+    their eigenvectors c, and phi = sum_j c_j h_j(p/s) is sampled there;
+    without them phi is None.  The levels are the same bits either way.
     """
     scale = _scale(spec)
     previous = None
     for count in _LADDER:
         if count < 4 * levels:
             continue
-        blocks = [(a if r is None else r.T @ a @ r, r) for a, r in _blocks(spec, scale, count)]
+        blocks, r = _blocks(spec, scale, count)
+        if r is not None:
+            blocks = r.transpose(0, 2, 1) @ blocks @ r
         found = _lowest(blocks, count // 2, levels)
-        energies = np.array([e for e, _, _ in found])
+        energies = [e for e, _, _ in found]
         if previous is None:
-            previous = np.array([e for e, _, _ in _lowest(blocks, count // 4, levels)])
-        change = np.abs(energies - previous)
-        if np.all(change <= _LADDER_RTOL * np.abs(energies)):
+            previous = [e for e, _, _ in _lowest(blocks, count // 4, levels)]
+        change = [abs(e - p) for e, p in zip(energies, previous)]
+        if all(c <= _LADDER_RTOL * abs(e) for c, e in zip(change, energies)):
             if points is None:
                 return [(e, 1 - 2 * parity, None) for e, parity, _ in found], count
             h = _hermite_basis(points / scale, count)
-            vecs = []
-            for a, r in blocks:
-                c = np.linalg.eigh(a)[1]
-                vecs.append(c if r is None else r @ c)
-            return [(e, 1 - 2 * parity, h[:, parity::2] @ vecs[parity][:, i]) for e, parity, i in found], count
+            vecs = np.linalg.eigh(blocks)[1]
+            if r is not None:
+                vecs = r @ vecs
+            return [(e, 1 - 2 * parity, h[:, parity::2] @ vecs[parity, :, i]) for e, parity, i in found], count
         previous = energies
     raise RefinementError(
         f"{spec.truncation} levels at w/m = {spec.omega_over_mass:.6g} did not settle: from K = {count // 2} to "
-        f"{count} Hermite functions they moved by {np.max(change / np.abs(previous)):.2e} relative, "
+        f"{count} Hermite functions they moved by {max(c / abs(e) for c, e in zip(change, previous)):.2e} relative, "
         f"above {_LADDER_RTOL:.0e}"
     )
 
@@ -356,12 +363,17 @@ def eigenfunction(spec: OscillatorSpec, n: int, grid: MomentumGrid) -> np.ndarra
     psi(p) ~ exp(p^2/m^2 (1 - m/2w)) H_n(p / sqrt(m w)), that is
     exp(p^2/m^2) h_n(p / sqrt(m w)), built like every state
     (``_mirror_state``): parity (-1)^n exactly, n interior nodes.  Needs
-    w < m/2 so the Gaussian exponent is negative.
+    w < m/2 so the Gaussian exponent is negative: from w = m/2 on psi grows
+    and does not decay in the plain measure dp, though its weighted norm
+    stays finite.
     """
     if spec.truncation != "quadratic":
         raise ContractError("the closed-form eigenfunction belongs to the quadratic truncation")
     if not spec.omega < spec.mass / 2.0:
-        raise ContractError("omega >= mass/2: the closed-form eigenfunction is not normalisable")
+        raise ContractError(
+            "omega >= mass/2: the closed-form eigenfunction's envelope exp(p^2/m^2 (1 - m/2w)) grows, "
+            "so it does not decay in the plain measure dp"
+        )
     if n < 0:
         raise ValueError("n must be nonnegative")
     x = grid.points[: grid.n - grid.n // 2] / np.sqrt(spec.mass * spec.omega)

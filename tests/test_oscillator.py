@@ -14,6 +14,7 @@ from fuzzyqm.numerics import MomentumGrid, derivative_matrix
 from fuzzyqm.oscillator import (
     MAX_LEVELS,
     OscillatorSpec,
+    SpectrumResult,
     _kinetic_and_weight,
     anharmonic_shift,
     anharmonic_spectrum_formula,
@@ -28,6 +29,17 @@ W, M = 0.01, 1.0  # omega, mass in MeV
 
 
 # --- closed forms -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("energies", [(1.0, 1.0), (2.0, 1.0), (0.5, 1.0, 0.75)])
+def test_spectrum_result_refuses_levels_that_do_not_increase(energies):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SpectrumResult(energies, method="formula")
+
+
+@pytest.mark.parametrize("energies", [(), (1.0,), (-1.0, 0.5, 2.0)])
+def test_spectrum_result_takes_increasing_levels(energies):
+    assert SpectrumResult(energies, method="formula").energies == energies
 
 
 def test_harmonic_levels_value():
@@ -128,7 +140,7 @@ def test_quadratic_diagonalisation_matches_its_exact_levels(ratio, n_points):
     n = np.arange(8)
     exact = (n + 0.5) * spec.omega * np.sqrt(1.0 + ratio**2) - spec.omega**2 / (2.0 * M)
     res = numeric_spectrum(spec, 7, n_points=n_points)
-    assert res.method == "galerkin64"
+    assert res.method == "galerkin32"
     dense = oracles.dense_spectrum(spec, _covering_grid(spec, 7, n_points), 8)[0]
     for levels in (np.array(res.energies), dense):  # the ladder and its dense oracle are both checked
         assert np.max(np.abs(levels / exact - 1.0)) <= 1e-10
@@ -340,8 +352,8 @@ def test_exact_beyond_the_ladder_raises(ratio):
 
 
 _STATES_CASES = [
-    pytest.param("quadratic", 0.5, 7, "galerkin64", id="0.5"),
-    pytest.param("quadratic", 1.0, 7, "galerkin64", id="1.0"),
+    pytest.param("quadratic", 0.5, 7, "galerkin32", id="0.5"),
+    pytest.param("quadratic", 1.0, 7, "galerkin32", id="1.0"),
     pytest.param("quartic", 0.1, 7, "galerkin64", id="quartic-0.1"),
     pytest.param("quartic", 0.3, 3, "galerkin64", id="quartic-0.3"),
     pytest.param("exact", 0.05, 7, "galerkin128", id="exact-0.05"),
@@ -429,7 +441,7 @@ def test_leading_block_levels_match_their_own_rung(monkeypatch, ratio, truncatio
 
     def spy(blocks, size, levels):
         found = lowest(blocks, size, levels)
-        seen.append((size, blocks[0][0].shape[0], np.array([e for e, _, _ in found])))
+        seen.append((size, blocks.shape[1], np.array([e for e, _, _ in found])))
         return found
 
     monkeypatch.setattr(oscillator, "_lowest", spy)
@@ -452,6 +464,19 @@ def test_leading_block_levels_match_their_own_rung(monkeypatch, ratio, truncatio
 )
 def test_answering_rung_is_pinned(truncation, ratio, n_max, method):
     assert numeric_spectrum(OscillatorSpec(ratio * M, M, truncation), n_max).method == method
+
+
+@pytest.mark.parametrize("ratio", np.geomspace(0.005, 0.02, 9).tolist())
+@pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
+def test_ladder_opening_at_32_matches_the_ladder_from_64(monkeypatch, truncation, ratio):
+    # K = 32 answers only where its levels agree with its own K = 16 blocks; where it does, they are those of the
+    # ladder that opens at K = 64 to 1e-13, and elsewhere the solve goes on to K = 64 and up
+    spec = OscillatorSpec(ratio * M, M, truncation)
+    opening = numeric_spectrum(spec, 3)
+    monkeypatch.setattr(oscillator, "_LADDER", (64, 128, 256))
+    later = numeric_spectrum(spec, 3)
+    assert later.method != "galerkin32"
+    assert np.max(np.abs(np.array(opening.energies) / np.array(later.energies) - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [16, 17, 64, 65, 509, 1024])  # tiny, odd and prime n among them
@@ -517,7 +542,7 @@ def test_cold_and_warm_solves_are_bit_identical():
     cold = numeric_spectrum(spec, 3, grid=default_grid(spec, 3))
     warm = numeric_spectrum(spec, 3, grid=default_grid(spec, 3))
     rules, rungs = oscillator._gauss_hermite.cache_info(), oscillator._rung.cache_info()
-    assert (rules.hits, rules.misses) == (0, 1)  # the 72-node rule of K = 64, built by the cold solve alone
+    assert (rules.hits, rules.misses) == (0, 1)  # the 40-node rule of K = 32, built by the cold solve alone
     assert (rungs.hits, rungs.misses) == (1, 1)  # the warm solve reuses the cold one's nodes, basis and R^-1
     assert (warm.energies, warm.method) == (cold.energies, cold.method)
     assert all(np.array_equal(x, y) for x, y in zip(warm.eigenfunctions, cold.eigenfunctions))
@@ -525,13 +550,13 @@ def test_cold_and_warm_solves_are_bit_identical():
 
 def test_exact_solves_in_one_quarter_octave_share_their_rung():
     # the weak-coupling scale sqrt(m w)/(1 + 10 w/m) is rounded to m 2^(k/4): 0.0909 m and 0.0927 m both round to
-    # 2^(-7/2) m, so both exact solves run on one K = 64 rung, built once
+    # 2^(-7/2) m, so both exact solves open on one K = 32 rung, built once; the second goes on to K = 64
     oscillator._rung.cache_clear()
-    for ratio in (0.01, 0.0105):
-        assert numeric_spectrum(OscillatorSpec(ratio * M, M, "exact"), 3).method == "galerkin64"
+    for ratio, method in ((0.01, "galerkin32"), (0.0105, "galerkin64")):
+        assert numeric_spectrum(OscillatorSpec(ratio * M, M, "exact"), 3).method == method
     assert oscillator._scale(OscillatorSpec(0.0105 * M, M, "exact")) == 2.0**-3.5 * M
     rungs = oscillator._rung.cache_info()
-    assert (rungs.hits, rungs.misses, rungs.currsize) == (1, 1, 1)
+    assert (rungs.hits, rungs.misses, rungs.currsize) == (1, 2, 2)
 
 
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
@@ -540,30 +565,34 @@ def test_cached_arrays_are_read_only(truncation):
     spec = OscillatorSpec(W, M, truncation)
     numeric_spectrum(spec, 3)
     misses = oscillator._rung.cache_info().misses
-    x, q, inverses = oscillator._rung(64, oscillator._scale(spec) / M if truncation == "exact" else 0.0)
+    x, q, inverses = oscillator._rung(32, oscillator._scale(spec) / M if truncation == "exact" else 0.0)
     assert oscillator._rung.cache_info().misses == misses  # the solve's own entry
+    assert q.shape == (2, 40, 16)
     assert (inverses is None) == (truncation != "exact")
-    for a in (*oscillator._gauss_hermite(72), x, q, *(inverses or ())):
+    for a in (*oscillator._gauss_hermite(40), x, q, *([] if inverses is None else [inverses])):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0.0
 
 
-@pytest.mark.parametrize("count", [64, 256])
+@pytest.mark.parametrize("count", [32, 64, 256])
 @pytest.mark.parametrize("ratio", [0.005, 0.02, 0.3, 3.0])
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
 def test_cached_rung_assembles_as_a_direct_assembly(truncation, ratio, count):
     # a solve integrates on its rung's cached nodes and basis and reuses its R^-1; the oracle builds the rule, the
-    # basis and the QR anew.  A is compared before exact's reduction R^-T A R^-1, which magnifies A's last bits by
-    # up to the Gram matrix's condition number at K = 256
+    # basis and the QR anew, one parity at a time.  A is compared before exact's reduction R^-T A R^-1, which
+    # magnifies A's last bits by up to the Gram matrix's condition number at K = 256
     spec = OscillatorSpec(ratio * M, M, truncation)
     scale = oscillator._scale(spec)
-    oracle = oracles.galerkin_blocks(spec, scale, count)
-    for (a, r), (want, want_r) in zip(oscillator._blocks(spec, scale, count), oracle):
-        assert a.shape == want.shape == (count // 2, count // 2)
-        assert np.max(np.abs(a - want)) <= 1e-13 * np.max(np.abs(want))
-        assert (r is None) == (want_r is None) == (truncation != "exact")
+    a, r = oscillator._blocks(spec, scale, count)
+    assert a.shape == (2, count // 2, count // 2)
+    assert (r is None) == (truncation != "exact")
+    if r is not None:
+        assert r.shape == a.shape
+    for parity, (want, want_r) in enumerate(oracles.galerkin_blocks(spec, scale, count)):
+        assert np.max(np.abs(a[parity] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert (want_r is None) == (r is None)
         if r is not None:
-            assert np.max(np.abs(r - want_r)) <= 1e-13 * np.max(np.abs(want_r))
+            assert np.max(np.abs(r[parity] - want_r)) <= 1e-13 * np.max(np.abs(want_r))
 
 
 def _record_eigensolves(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
@@ -581,15 +610,16 @@ def _record_eigensolves(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
 
 @pytest.mark.parametrize("truncation", ["quadratic", "quartic", "exact"])
 def test_harmonic_regime_solves_no_eigenproblem_above_32(monkeypatch, truncation):
-    # one rung of K = 64 Hermite functions, 32 in each parity: the levels of both parities' blocks and of their
-    # leading 16 x 16 blocks (K/2 = 32), and the vectors only when the states are asked for; no grid is solved
+    # one rung of K = 32 Hermite functions, 16 in each parity, solved as one stacked (parity, j, k) array: one call
+    # for the levels of both parities' blocks, one for those of their leading 8 x 8 blocks (K/2 = 16), and one for
+    # the vectors only when the states are asked for; no grid is solved
     shapes = _record_eigensolves(monkeypatch)
     spec = OscillatorSpec(W, M, truncation)
-    for states, vectors in ((False, []), (True, [(32, 32), (32, 32)])):
+    for states, vectors in ((False, []), (True, [(2, 16, 16)])):
         grid = default_grid(spec, 3, 1024) if states else None
         res = numeric_spectrum(spec, 3, grid=grid, n_points=1024, check_refinement=True)
-        assert res.method == "galerkin64"
-        assert shapes == {"eigh": vectors, "eigvalsh": [(32, 32), (32, 32), (16, 16), (16, 16)]}
+        assert res.method == "galerkin32"
+        assert shapes == {"eigh": vectors, "eigvalsh": [(2, 16, 16), (2, 8, 8)]}
         for got in shapes.values():
             got.clear()
 
@@ -666,5 +696,18 @@ def test_eigenfunction_matches_the_numpy_hermite_closed_form():
 
 def test_eigenfunction_rejects_strong_coupling():
     spec = OscillatorSpec(0.6, 1.0, "quadratic")  # omega >= mass/2
-    with pytest.raises(ContractError, match="normalisable"):
+    with pytest.raises(ContractError, match="plain measure dp"):
         eigenfunction(spec, 0, default_grid(spec, 0))
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.6, 3.0])
+def test_eigenfunction_refusal_names_the_plain_measure(omega):
+    # from w = m/2 on the envelope exp(p^2/m^2 (1 - m/2w)) grows: psi does not decay in dp, while its weighted norm
+    # sqrt(m w) int exp(-x^2) H_n(x)^2 dx stays finite, so the refusal names dp and not normalisability
+    spec = OscillatorSpec(omega * M, M, "quadratic")
+    with pytest.raises(ContractError) as refusal:
+        eigenfunction(spec, 1, default_grid(spec, 1))
+    assert str(refusal.value) == (
+        "omega >= mass/2: the closed-form eigenfunction's envelope exp(p^2/m^2 (1 - m/2w)) grows, "
+        "so it does not decay in the plain measure dp"
+    )
