@@ -97,10 +97,6 @@ def _row_format(types: tuple[type, ...]) -> str:
     return ",".join("%.12g" if issubclass(t, float) else "%s" for t in types)
 
 
-def _fmt(v: object) -> str:
-    return _row_format((type(v),)) % (v,)
-
-
 def _header(cfg: RunConfig) -> dict[str, object]:
     """What every output file states first: the tool, the command line and the physical constants in effect."""
     constants = dict(sorted(cfg.constants.as_dict().items()))
@@ -120,7 +116,7 @@ def _write_table(cfg: RunConfig, name: str, columns: list[str], rows: list[list[
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / f"{name}.csv"
     header = _header(cfg)
-    header["config"] = " ".join(f"{k}={_fmt(v)}" for k, v in header["config"].items())
+    header["config"] = " ".join(f"{k}={v:.12g}" for k, v in header["config"].items())  # all floats
     lines = [f"# {k}: {v}" for k, v in header.items()]
     lines.append(",".join(columns))
     if not matrix:
@@ -146,61 +142,54 @@ def _write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
 # commutators
 
 
+def _ladder_order(coarse: tuple[float, float], fine: tuple[float, float]) -> tuple[float, str]:
+    """Convergence order of a residual between two (residual, grid spacing) points, and its status."""
+    order = float(np.log(coarse[0] / fine[0]) / np.log(coarse[1] / fine[1]))
+    return order, "OK" if abs(order - _NOMINAL_ORDER) <= _ORDER_TOL else "FAIL"
+
+
+def _exit_code(command: str, rows: list[list[object]], status_column: int) -> int:
+    """1, said once on stderr, when a written row's status reads FAIL; else 0."""
+    if any(r[status_column] == "FAIL" for r in rows):
+        print(f"{command}: FAILED invariant (see status column)", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_commutators(cfg: RunConfig, args: argparse.Namespace) -> int:
     mass = args.mass
     s = SmearingParams(mass)
     rows: list[list[object]] = []
-    ok = True
 
-    residuals: list[float] = []
-    spacings: list[float] = []
-    ns = [args.n0 * 2**k for k in range(args.levels)]
-    for n in ns:
+    # [X_f, P] ladder, each order measured against the next coarser grid
+    coarse = None
+    for n in (args.n0 * 2**k for k in range(args.levels)):
         grid = MomentumGrid.symmetric(n, _LADDER_CUTOFF * mass)
-        residuals.append(verify_commutator_xf_p(grid, s, scheme="central"))
-        spacings.append(grid.spacing)
-    for i, n in enumerate(ns):
-        if i == 0:
-            order, status = float("nan"), "-"
-        else:
-            order = float(np.log(residuals[i - 1] / residuals[i]) / np.log(spacings[i - 1] / spacings[i]))
-            status = "OK" if abs(order - _NOMINAL_ORDER) <= _ORDER_TOL else "FAIL"
-            ok &= status == "OK"
-        rows.append(["commutator_xf_p", n, residuals[i], order, status])
+        fine = (verify_commutator_xf_p(grid, s, scheme="central"), grid.spacing)
+        order, status = _ladder_order(coarse, fine) if coarse else (float("nan"), "-")
+        rows.append(["commutator_xf_p", n, fine[0], order, status])
+        coarse = fine
 
     # Robertson inequality over random smooth states
     grid = MomentumGrid.symmetric(_ROBERTSON_POINTS, _LADDER_CUTOFF * mass)
     rng = np.random.default_rng(20240801)
     violations = 0
     for _ in range(args.states):
-        state = random_smooth_state(grid, rng)
-        rep = uncertainty_report(state, s)
+        rep = uncertainty_report(random_smooth_state(grid, rng), s)
         if rep.dxf * rep.dp < rep.bound - 1e-9:
             violations += 1
-    status = "OK" if violations == 0 else "FAIL"
-    ok &= violations == 0
-    rows.append(["robertson", args.states, float(violations), float("nan"), status])
+    rows.append(["robertson", args.states, float(violations), float("nan"), "OK" if violations == 0 else "FAIL"])
 
-    # two-component spacetime commutator ladder
-    st_res: list[float] = []
-    st_d: list[float] = []
-    st_ns = (48, 64, 96, 128)
-    for n in st_ns:
+    # two-component spacetime commutator ladder, its order measured end to end
+    points = []
+    for n in (48, 64, 96, 128):
         axis = MomentumGrid.symmetric(n, 6.0 * mass)
-        rep2 = verify_spacetime_commutator(axis, s)
-        st_res.append(rep2.residual)
-        st_d.append(axis.spacing)
-        rows.append(["spacetime", n, rep2.residual, float("nan"), "-"])
-    st_order = float(np.log(st_res[0] / st_res[-1]) / np.log(st_d[0] / st_d[-1]))
-    st_ok = abs(st_order - _NOMINAL_ORDER) <= _ORDER_TOL
-    ok &= st_ok
-    rows.append(["spacetime_order", st_ns[-1], st_res[-1], st_order, "OK" if st_ok else "FAIL"])
+        points.append((verify_spacetime_commutator(axis, s).residual, axis.spacing))
+        rows.append(["spacetime", n, points[-1][0], float("nan"), "-"])
+    rows.append(["spacetime_order", n, points[-1][0], *_ladder_order(points[0], points[-1])])
 
     _write_table(cfg, "commutators", ["check", "N", "residual", "measured_order", "status"], rows)
-    if not ok:
-        print("commutators: FAILED invariant (see status column)", file=sys.stderr)
-        return 1
-    return 0
+    return _exit_code("commutators", rows, 4)
 
 
 # ----------------------------------------------------------------------------
@@ -220,7 +209,8 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
         breakdown = (False,) * (args.nmax + 1)
     else:
         formula = anharmonic_spectrum_formula(quartic, args.nmax)
-        budget = 0.1 * anharmonic_shift(quartic, n)
+        # a tenth of the anharmonic shift, or 1e-13 of the level where that shift falls below the levels' rounding
+        budget = np.maximum(0.1 * anharmonic_shift(quartic, n), 1e-13 * np.abs(formula.energies))
         breakdown = formula.breakdown
     # the levels and the first two anharmonic (diagonalised quartic) eigenfunctions, both solved before any file
     # is written
@@ -233,15 +223,10 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 1
 
     rows: list[list[object]] = []
-    ok = True
     for i in range(args.nmax + 1):
         ef, ed = formula.energies[i], diag.energies[i]
         dev = abs(ed - ef)
-        if spec.truncation == "exact":
-            status = "-"
-        else:
-            status = "OK" if dev <= budget[i] else "FAIL"
-            ok &= status == "OK"
+        status = "-" if spec.truncation == "exact" else "OK" if dev <= budget[i] else "FAIL"
         warn = "perturbative-breakdown" if breakdown[i] else "-"
         rows.append([int(i), ef, ed, dev, dev / abs(ef) if ef else float("nan"), float(budget[i]), status, warn])
     _write_table(
@@ -265,7 +250,7 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
         ["p_MeV", "psi_harmonic_n0", "psi_anharmonic_n0", "psi_harmonic_n1", "psi_anharmonic_n1"],
         np.column_stack(columns),
     )
-    return 0 if ok else 1
+    return _exit_code("oscillator", rows, 6)
 
 
 # ----------------------------------------------------------------------------

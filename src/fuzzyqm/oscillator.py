@@ -114,17 +114,15 @@ def default_grid(spec: OscillatorSpec, n_max: int, n_points: int = 512) -> Momen
     return MomentumGrid.symmetric(n_points, min(3.7 * spec.mass, coverage))
 
 
-def _kinetic_and_weight(spec: OscillatorSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kinetic term p^2/2m times the truncation's weight expansion, and the weight W, at momenta p (a rung's nodes)."""
+def _kinetic(spec: OscillatorSpec, p: np.ndarray) -> np.ndarray:
+    """Kinetic term p^2/2m times the truncation's expansion of the weight W, at momenta p (a rung's nodes)."""
     m = spec.mass
-    weight = np.ones_like(p)
-    if spec.truncation == "quadratic":
-        kinetic_weight = weight
-    elif spec.truncation == "quartic":
-        kinetic_weight = 1.0 + 2.0 * p**2 / m**2 + 2.0 * p**4 / m**4
-    else:
-        kinetic_weight = weight = np.exp(2.0 * p**2 / m**2)
-    return (p**2 / (2.0 * m)) * kinetic_weight, weight
+    kinetic = p**2 / (2.0 * m)
+    if spec.truncation == "quartic":
+        return kinetic * (1.0 + 2.0 * p**2 / m**2 + 2.0 * p**4 / m**4)
+    if spec.truncation == "exact":
+        return kinetic * np.exp(2.0 * p**2 / m**2)
+    return kinetic
 
 
 @lru_cache(maxsize=4)
@@ -191,7 +189,7 @@ def _blocks(spec: OscillatorSpec, scale: float, count: int) -> tuple[np.ndarray,
     """Galerkin matrices A of the K = ``count`` rung at ``scale``, (2, K/2, K/2) by parity, and R^-1 (``exact``) or None."""
     m, w = spec.mass, spec.omega
     x, q, inverses = _rung(count, scale / m if spec.truncation == "exact" else 0.0)
-    kinetic, _ = _kinetic_and_weight(spec, scale * x)
+    kinetic = _kinetic(spec, scale * x)
     d2, x2 = m * w**2 / (2.0 * scale**2), m * w**2 * scale**2 / (2.0 * m**4)  # coefficients of -d^2/dx^2 and x^2
     j = np.arange(count)
     off = (x2 - d2) * np.sqrt((j[:-2] + 1.0) * (j[:-2] + 2.0)) / 2.0  # at (j, j+2) and (j+2, j)
@@ -233,8 +231,9 @@ def _galerkin(
     diagonal (2j+1)/2 and carry -sqrt((j+1)(j+2))/2 and +sqrt((j+1)(j+2))/2
     at (j, j+2), so -(m w^2/2)(d^2/dp^2 - p^2/m^4 + 1/m^2) is pentadiagonal
     in closed form.
-    The kinetic term and the weight (``_kinetic_and_weight``) are
-    polynomials times at most exp(2p^2/m^2) = exp((1 - beta) x^2), with
+    The kinetic term (``_kinetic``) and the weight, W = exp(2p^2/m^2) for
+    ``exact`` and 1 otherwise, are polynomials times at most
+    exp(2p^2/m^2) = exp((1 - beta) x^2), with
     beta = 1 - 2s^2/m^2 for ``exact`` and 1 otherwise.  Against h_j h_k that
     is exp(-beta x^2) times a polynomial of degree at most 2K + 4, which the
     K + 8 Gauss-Hermite nodes y with weights g, placed at x = y / sqrt(beta),

@@ -3,7 +3,8 @@
 No command builds these n x n matrices: ``operators`` applies the same
 operators through ``apply_d1``, and the tests compare the two.  The
 oscillator's levels come from its Hermite-Galerkin ladder in the continuum;
-its dense sinc parity blocks on a grid (``parity_solve``) are the
+its dense sinc parity blocks on a grid (``parity_solve``), built on the
+kinetic term and weight written out here (``kinetic_and_weight``), are the
 independent oracle of those levels and states.  No command reads the
 spacetime probes either: ``verify_spacetime_commutator`` reports only its
 residual, and the tests apply the same sides to the probes' states.
@@ -17,7 +18,7 @@ from fuzzyqm.errors import OverflowGuardError
 from fuzzyqm.numerics.grids import MomentumGrid, OperatorMatrix
 from fuzzyqm.numerics.linalg import derivative_matrix
 from fuzzyqm.operators import SmearingParams, _spacetime_sides
-from fuzzyqm.oscillator import OscillatorSpec, _hermite_basis, _kinetic_and_weight, _mirror_state
+from fuzzyqm.oscillator import OscillatorSpec, _hermite_basis, _mirror_state
 
 SNYDER_WIDTH = 0.07  # width, in mass units, of the low-momentum state of the Snyder probe
 WEIGHT_CAP = 1e12  # largest max(W)/min(W) on a grid for which the dense rung's W^(-1/2) reduction stays accurate
@@ -89,6 +90,21 @@ def spacetime_snyder_deviation(n: int, mass: float) -> float:
     return float(np.max(np.abs((lhs(chi) - core_chi)[inner])) / np.max(np.abs(core_chi[inner])))
 
 
+def kinetic_and_weight(spec: OscillatorSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kinetic term and the weight W of A phi = E W phi at momenta p, written out apart from the oscillator's.
+
+    W = exp(2p^2/m^2) for ``exact`` and 1 otherwise; the kinetic term is p^2/2m
+    times W (``exact``), its expansion to p^4/m^4 (``quartic``) or 1 (``quadratic``).
+    """
+    m = spec.mass
+    if spec.truncation == "quadratic":
+        return p**2 / (2.0 * m), np.ones_like(p)
+    if spec.truncation == "quartic":
+        return p**2 / (2.0 * m) * (1.0 + 2.0 * p**2 / m**2 + 2.0 * p**4 / m**4), np.ones_like(p)
+    weight = np.exp(2.0 * p**2 / m**2)
+    return p**2 / (2.0 * m) * weight, weight
+
+
 def galerkin_blocks(spec: OscillatorSpec, scale: float, count: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Per parity, the Galerkin matrix A of the K = ``count`` rung at ``scale``, and R^-1 (``exact``) or None.
 
@@ -103,7 +119,7 @@ def galerkin_blocks(spec: OscillatorSpec, scale: float, count: int) -> list[tupl
     y, gw = np.polynomial.hermite.hermgauss(count + 8)
     x = y / np.sqrt(beta)
     q = _hermite_basis(x, count) * (np.sqrt(gw / np.sqrt(beta)) * np.exp(y**2 / 2.0))[:, None]
-    kinetic, weight = _kinetic_and_weight(spec, scale * x)
+    kinetic, weight = kinetic_and_weight(spec, scale * x)
     d2, x2 = m * w**2 / (2.0 * scale**2), m * w**2 * scale**2 / (2.0 * m**4)
     blocks = []
     for parity in (0, 1):
@@ -162,7 +178,7 @@ def parity_solve(
     """
     n, k = grid.n, grid.n // 2
     p = grid.points[: n - k]
-    kinetic, weight = _kinetic_and_weight(spec, p)  # the odd block's weight is a part of the even block's
+    kinetic, weight = kinetic_and_weight(spec, p)  # the odd block's weight is a part of the even block's
     if not np.log(np.max(weight)) - np.log(np.min(weight)) <= np.log(WEIGHT_CAP):  # also catches inf and nan
         raise OverflowGuardError(
             f"weight spans {np.max(weight) / np.min(weight):.2e} > {WEIGHT_CAP:.0e}; reduce the grid cutoff"

@@ -213,6 +213,35 @@ def test_commutators_ladder(tmp_path):
     assert all(row["status"] in ("OK", "-") for row in rows)
 
 
+@pytest.mark.parametrize("check", ["commutator_xf_p", "robertson", "spacetime_order"])
+def test_commutators_failing_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch, check):
+    # each check made to fail in turn: an [X_f, P] residual flat across the ladder, one state below the
+    # Robertson bound, a spacetime residual flat across its ladder; only that check's rows read FAIL
+    if check == "commutator_xf_p":
+        monkeypatch.setattr(cli, "verify_commutator_xf_p", lambda grid, s, scheme: 1e-3)
+    elif check == "robertson":
+        report, calls = cli.uncertainty_report, []
+
+        def one_below_the_bound(state, s):
+            calls.append(state)
+            rep = report(state, s)
+            return dataclasses.replace(rep, dp=0.0) if len(calls) == 2 else rep
+
+        monkeypatch.setattr(cli, "uncertainty_report", one_below_the_bound)
+    else:
+        verify = cli.verify_spacetime_commutator
+        monkeypatch.setattr(
+            cli, "verify_spacetime_commutator", lambda axis, s: dataclasses.replace(verify(axis, s), residual=1e-3)
+        )
+    assert main(["--out", str(tmp_path), "commutators", "--levels", "3", "--n0", "64", "--states", "4"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["commutators: FAILED invariant (see status column)"]
+    _, rows = read_csv(tmp_path / "commutators.csv")
+    assert {row["check"] for row in rows if row["status"] == "FAIL"} == {check}
+    assert all(row["status"] in ("OK", "-") for row in rows if row["check"] != check)
+    violations = next(row["residual"] for row in rows if row["check"] == "robertson")
+    assert violations == ("1" if check == "robertson" else "0")
+
+
 def test_commutators_point_particle_mode(tmp_path):
     r = run("--out", str(tmp_path), "commutators", "--levels", "3", "--n0", "64", "--states", "20",
             "--mass", "1e12")
@@ -282,9 +311,20 @@ def test_oscillator_quadratic_status_fails_a_wrong_level_at_strong_coupling(tmp_
 
     monkeypatch.setattr(cli, "numeric_spectrum", one_wrong_level)
     assert main(["--out", str(tmp_path), "oscillator", "--omega", "1000", "--mass", "1"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err.splitlines() == ["oscillator: FAILED invariant (see status column)"]
     _, rows = read_csv(tmp_path / "oscillator_spectrum.csv")
     assert [row["status"] for row in rows] == ["OK", "OK", "OK", "FAIL"]
+
+
+@pytest.mark.parametrize("nmax", ["3", "63"])
+def test_oscillator_quartic_status_holds_right_levels_at_weak_coupling(tmp_path, capsys, nmax):
+    # at w/m = 1e-16 a tenth of the anharmonic shift (7.5e-34 MeV at n = 0) lies below one ulp of the level, while
+    # the levels are right to about 1e-14 relative: the budget's floor of 1e-13 of the level keeps them OK
+    args = ["--out", str(tmp_path), "oscillator", "--truncation", "quartic", "--omega", "1e-16", "--mass", "1"]
+    assert main([*args, "--nmax", nmax]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "oscillator_spectrum.csv")
+    assert [row["status"] for row in rows] == ["OK"] * (int(nmax) + 1)
 
 
 @pytest.mark.parametrize("omega, code", [("3", 0), ("5", 1)])
@@ -498,7 +538,7 @@ def _cell(v):
 
 @pytest.mark.parametrize("cell", _TRICKY_CELLS, ids=repr)
 def test_row_format_writes_the_cell_rule(cell):
-    assert cli._row_format((type(cell),)) % (cell,) == cli._fmt(cell) == _cell(cell)
+    assert cli._row_format((type(cell),)) % (cell,) == _cell(cell)
 
 
 def test_mixed_type_table_writes_the_per_cell_join(tmp_path):

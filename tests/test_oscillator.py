@@ -15,7 +15,6 @@ from fuzzyqm.oscillator import (
     MAX_LEVELS,
     OscillatorSpec,
     SpectrumResult,
-    _kinetic_and_weight,
     anharmonic_shift,
     anharmonic_spectrum_formula,
     default_grid,
@@ -271,7 +270,7 @@ def test_more_levels_than_the_ladder_holds_rejected():
 
 def _dense_oracle(spec: OscillatorSpec, grid: MomentumGrid, scheme: str) -> tuple[np.ndarray, list[np.ndarray]]:
     """Levels and eigenfunctions from np.linalg.eigh of the full n x n B = W^(-1/2) A W^(-1/2)."""
-    kinetic, weight = _kinetic_and_weight(spec, grid.points)
+    kinetic, weight = oracles.kinetic_and_weight(spec, grid.points)
     confinement = (spec.mass * spec.omega**2 / 2.0) * (grid.points**2 / spec.mass**4 - 1.0 / spec.mass**2)
     a = -(spec.mass * spec.omega**2 / 2.0) * derivative_matrix(grid, 2, scheme).entries + np.diag(confinement + kinetic)
     s = 1.0 / np.sqrt(weight)
@@ -419,7 +418,7 @@ def _own_rung_levels(spec: OscillatorSpec, count: int, levels: int) -> np.ndarra
     a -= w**2 / (2.0 * m) * h.T @ h
     x = y / np.sqrt(beta)  # the kinetic term and the weight carry exp((1 - beta) x^2)
     stretched = oscillator._hermite_basis(x, count) * np.sqrt(gw * np.exp(y**2) / np.sqrt(beta))[:, None]
-    kinetic, weight = _kinetic_and_weight(spec, s * x)
+    kinetic, weight = oracles.kinetic_and_weight(spec, s * x)
     a += stretched.T @ (kinetic[:, None] * stretched)
     g = stretched.T @ (weight[:, None] * stretched)
     found = []
@@ -489,7 +488,7 @@ def test_block_product_matches_dense_block(n, scheme, truncation):
     grid = default_grid(spec, 3, n)
     k = n // 2
     second = -(spec.mass * spec.omega**2 / 2.0) * derivative_matrix(grid, 2, scheme).entries
-    kinetic, _ = _kinetic_and_weight(spec, grid.points)
+    kinetic, _ = oracles.kinetic_and_weight(spec, grid.points)
     diag = (spec.mass * spec.omega**2 / 2.0) * (grid.points**2 / spec.mass**4 - 1.0 / spec.mass**2) + kinetic
     x = np.random.default_rng(n).standard_normal((n - k, 8))
     for sign in (1, -1):
