@@ -3,21 +3,24 @@
 The position operator conjugated with the Gaussian factor exp(-p^2/2m^2)
 acquires a noncanonical commutator with momentum, a modified uncertainty
 bound, smeared angular-momentum eigenvalues, and noncommuting position
-components.  The commutator and uncertainty checks apply the operators
-matrix-free through ``apply_d1`` and act on smooth probe states, because
+components.  The commutator checks apply the operators matrix-free through
+``apply_d1``, the uncertainty report through the same FFT kernel spectrum,
+and all of them act on smooth probe states, because
 entrywise matrix comparisons are meaningless for difference schemes: the
 discrete commutator only represents the continuum one on resolved functions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContractError
 from .numerics.grids import MomentumGrid
-from .numerics.linalg import apply_d1
+from .numerics.linalg import _d1_spectrum, apply_d1
 
 _NORM_TOL = 1e-8
 _MAX_AXIS_POINTS = 128  # largest axis of the spacetime check, whose fields hold n^2 samples
@@ -88,18 +91,50 @@ class SpacetimeCommutatorReport:
 _PROBES = ((2.0, 0.0, 0.0), (2.5, 0.8, 0.0), (3.0, 0.0, 1.0), (2.0, -0.5, 0.5))  # (width, x0, p0) in mass units
 
 
+_PACKETS = 3
+_PHASE_BLOCK = 32  # e^{i x0 p} is the outer product of a factor per block of points and one per offset in a block
+
+
+@lru_cache(maxsize=64)
+def _phase_steps(grid: MomentumGrid) -> np.ndarray:
+    """The points p_{32a} that open each block of 32, then the offsets b h inside a block; read-only.
+
+    h is linspace's own step 2 cutoff/(n - 1).  ``spacing``, the difference of
+    two rounded points, can be off from it by half an ulp of the cutoff, which
+    31 offsets and x0 up to 3/scale would turn into phase errors near 1e-13.
+    """
+    h = 2.0 * grid.cutoff / (grid.n - 1)
+    steps = np.concatenate([grid.points[::_PHASE_BLOCK], h * np.arange(_PHASE_BLOCK)])
+    steps.flags.writeable = False
+    return steps
+
+
 def random_smooth_state(grid: MomentumGrid, rng: np.random.Generator) -> GridState:
-    """Random superposition of three resolved Gaussian wavepackets (for property suites)."""
-    p = grid.points
+    """Random superposition of three resolved Gaussian wavepackets (for property suites).
+
+    Each packet draws its width, centre p0 and position x0 as three uniforms,
+    then its complex amplitude as two normals; mapped as ``rng.uniform`` maps
+    them, the stream and the draws are those of one scalar ``uniform`` or
+    ``normal`` call each.  A packet is the real envelope exp(-(p - p0)^2/4w^2)
+    times the phase e^{i x0 p}, which is factorised on the uniform grid as
+    e^{i x0 p_{32a}} e^{i x0 b h} at point j = 32 a + b, so only
+    3 (n/32 + 32) complex exponentials are taken.
+    """
     scale = grid.cutoff / 8.0
-    psi = np.zeros(grid.n, dtype=complex)
-    for _ in range(3):
-        width = scale * rng.uniform(0.4, 2.0)
-        p0 = rng.uniform(-2.0, 2.0) * scale
-        x0 = rng.uniform(-3.0, 3.0) / scale
-        amp = rng.normal() + 1j * rng.normal()
-        psi += amp * np.exp(-((p - p0) ** 2) / (4.0 * width**2) + 1j * x0 * p)
-    state = GridState(psi, grid)
+    packets, amps = [], []
+    for _ in range(_PACKETS):
+        u_width, u_p0, u_x0 = rng.random(3).tolist()
+        re, im = rng.standard_normal(2).tolist()
+        width = scale * (0.4 + (2.0 - 0.4) * u_width)  # rng.uniform(lo, hi) is lo + (hi - lo) u
+        packets.append(((-3.0 + (3.0 + 3.0) * u_x0) / scale, (-2.0 + (2.0 + 2.0) * u_p0) * scale, -0.25 / width**2))
+        amps.append(complex(re, im))
+    x0, p0, curvature = np.array(packets).T[:, :, None]
+
+    p = grid.points
+    factors = np.exp(1j * (x0 * _phase_steps(grid)))
+    phase = (factors[:, :-_PHASE_BLOCK, None] * factors[:, None, -_PHASE_BLOCK:]).reshape(_PACKETS, -1)[:, : grid.n]
+    envelope = np.exp((p - p0) ** 2 * curvature)
+    state = GridState(np.array(amps) @ (envelope * phase), grid)
     if (norm := state.norm()) == 0:
         raise ValueError("cannot normalise the zero state")
     state.samples /= norm
@@ -200,39 +235,57 @@ def verify_spacetime_commutator(axis_grid: MomentumGrid, s: SmearingParams) -> S
 # uncertainties
 
 
+@lru_cache(maxsize=64)
+def _report_table(grid: MomentumGrid, s: SmearingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What ``uncertainty_report`` needs of a grid and smearing, all read-only.
+
+    G = exp(-p^2/2m^2); the moment rows h [1, p, p^2, G^2]; the spectral d/dp
+    kernel's spectrum S at length 2n; and -h/2n Im S, the weights that turn a
+    padded FFT's power into <phi, i D phi> h by Parseval (S is imaginary),
+    each repeated to weigh the squares of a bin's real and imaginary parts
+    as they lie interleaved in memory.
+    """
+    p, h = grid.points, grid.spacing
+    g = s.gaussian(p, half=True)
+    moments = h * np.stack([np.ones_like(p), p, p * p, g * g])
+    spectrum = _d1_spectrum(grid.n, h)
+    x_weights = np.repeat((-h / (2 * grid.n)) * spectrum.imag, 2)
+    for a in (g, moments, x_weights):
+        a.flags.writeable = False
+    return g, moments, spectrum, x_weights
+
+
 def uncertainty_report(state: GridState, s: SmearingParams) -> UncertaintyReport:
     """Spreads of the fuzzy position and momentum, the Robertson bound, and dx0.
 
     Requires a normalised state.
     dx0 = (2/m) sqrt(<X><P>) is reported as None when the product <X><P> is
-    negative.  X = i D and X_f = i G D G act matrix-free, with the spectral D
-    applied to the rows psi and G psi in one call.
+    negative.  X = i D and X_f = i G D G act matrix-free through the spectral
+    D, a convolution applied by zero-padded FFT of length 2n.  One product of
+    the moment rows with |psi|^2 gives the norm, <p>, <p^2> and <G^2>; one
+    FFT of the rows psi and G psi gives <X> and <X_f> by Parseval; one
+    inverse FFT gives D G psi, and with it ||X_f psi||^2 = h sum G^2 |D G psi|^2.
     """
-    if abs(state.norm() - 1.0) > _NORM_TOL:
+    grid, psi = state.grid, state.samples
+    n = grid.n
+    g, moments, spectrum, x_weights = _report_table(grid, s)
+    norm2, mean_p, mean_p2, mean_g2 = (moments @ (psi.real**2 + psi.imag**2)).tolist()
+    if abs(math.sqrt(norm2) - 1.0) > _NORM_TOL:
         raise ContractError(f"state is not normalised (norm = {state.norm()!r})")
-    psi = state.samples
-    dp = state.grid.spacing
-    p = state.grid.points
 
-    g = s.gaussian(p, half=True)
-    d = apply_d1(np.stack([psi, g * psi]), dp, "spectral", axis=1)
-    x_psi = 1j * d[0]
-    xf_psi = 1j * g * d[1]
-    rho = psi.real**2 + psi.imag**2
+    padded = np.zeros((2, 2 * n), complex)
+    padded[0, :n] = psi
+    np.multiply(g, psi, out=padded[1, :n])
+    f = np.fft.fft(padded)
+    mean_x, mean_xf = (np.square(f.view(float)) @ x_weights).tolist()
+    dg_psi = np.fft.ifft(f[1] * spectrum)[:n]
+    mean_xf2 = float(moments[3] @ (dg_psi.real**2 + dg_psi.imag**2))  # <Xf^2> via ||Xf psi||^2
 
-    mean_xf = float(np.vdot(psi, xf_psi).real * dp)
-    mean_xf2 = float(np.vdot(xf_psi, xf_psi).real * dp)  # <Xf^2> via ||Xf psi||^2
-    dxf = float(np.sqrt(max(mean_xf2 - mean_xf**2, 0.0)))
-
-    mean_p = float(np.dot(p, rho) * dp)
-    mean_p2 = float(np.dot(p * p, rho) * dp)
-    dpu = float(np.sqrt(max(mean_p2 - mean_p**2, 0.0)))
-
-    bound = 0.5 * abs(float(np.dot(g * g, rho) * dp))  # G^2 = exp(-p^2/m^2)
-
-    mean_x = float(np.vdot(psi, x_psi).real * dp)
+    dxf = math.sqrt(max(mean_xf2 - mean_xf**2, 0.0))
+    dpu = math.sqrt(max(mean_p2 - mean_p**2, 0.0))
+    bound = 0.5 * abs(mean_g2)  # G^2 = exp(-p^2/m^2)
     prod = mean_x * mean_p
-    dx0 = (2.0 / s.mass) * float(np.sqrt(prod)) if prod >= 0 else None
+    dx0 = (2.0 / s.mass) * math.sqrt(prod) if prod >= 0 else None
     return UncertaintyReport(dxf, dpu, bound, mean_x, mean_p, dx0)
 
 

@@ -8,6 +8,8 @@ kinetic term and weight written out here (``kinetic_and_weight``), are the
 independent oracle of those levels and states.  No command reads the
 spacetime probes either: ``verify_spacetime_commutator`` reports only its
 residual, and the tests apply the same sides to the probes' states.
+``smooth_state_samples`` is the per-packet loop that ``random_smooth_state``
+vectorises, with its scalar draws and one complex exponential per point.
 """
 
 import numpy as np
@@ -22,6 +24,20 @@ from fuzzyqm.oscillator import OscillatorSpec, _hermite_basis, _mirror_state
 
 SNYDER_WIDTH = 0.07  # width, in mass units, of the low-momentum state of the Snyder probe
 WEIGHT_CAP = 1e12  # largest max(W)/min(W) on a grid for which the dense rung's W^(-1/2) reduction stays accurate
+
+
+def smooth_state_samples(grid: MomentumGrid, rng: np.random.Generator) -> np.ndarray:
+    """Normalised samples of three Gaussian wavepackets, drawn and summed one packet at a time."""
+    p = grid.points
+    scale = grid.cutoff / 8.0
+    psi = np.zeros(grid.n, dtype=complex)
+    for _ in range(3):
+        width = scale * rng.uniform(0.4, 2.0)
+        p0 = rng.uniform(-2.0, 2.0) * scale
+        x0 = rng.uniform(-3.0, 3.0) / scale
+        amp = rng.normal() + 1j * rng.normal()
+        psi += amp * np.exp(-((p - p0) ** 2) / (4.0 * width**2) + 1j * x0 * p)
+    return psi / np.sqrt(grid.spacing * np.vdot(psi, psi).real)
 
 
 def build_momentum_op(grid: MomentumGrid) -> OperatorMatrix:

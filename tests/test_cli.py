@@ -213,6 +213,21 @@ def test_commutators_ladder(tmp_path):
     assert all(row["status"] in ("OK", "-") for row in rows)
 
 
+def test_commutators_robertson_margin_is_pinned(tmp_path, monkeypatch):
+    # the smallest dxf dp / bound over the default run's 1,000 seeded states: a changed stream or state moves it
+    report, ratios = cli.uncertainty_report, []
+
+    def record(state, s):
+        rep = report(state, s)
+        ratios.append(rep.dxf * rep.dp / rep.bound)
+        return rep
+
+    monkeypatch.setattr(cli, "uncertainty_report", record)
+    assert main(["--out", str(tmp_path), "commutators"]) == 0
+    assert len(ratios) == 1000
+    assert min(ratios) == pytest.approx(1.2853489611647373, rel=1e-12)
+
+
 @pytest.mark.parametrize("check", ["commutator_xf_p", "robertson", "spacetime_order"])
 def test_commutators_failing_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch, check):
     # each check made to fail in turn: an [X_f, P] residual flat across the ladder, one state below the

@@ -20,6 +20,7 @@ from oracles import (
     build_fuzzy_position_op,
     build_momentum_op,
     build_position_op,
+    smooth_state_samples,
     spacetime_antihermiticity,
     spacetime_snyder_deviation,
 )
@@ -274,27 +275,46 @@ def test_gaussian_point_particle_limit_reaches_canonical_minimum():
 
 @pytest.mark.parametrize("scheme", ["spectral"])  # the oracle's derivative, the one uncertainty_report uses
 def test_uncertainty_report_matches_dense_oracle(scheme):
-    g = _grid(512)
-    xf = build_fuzzy_position_op(g, S, scheme).entries
-    x = build_position_op(g, scheme).entries
-    p, h = g.points, g.spacing
+    # two grid sizes, 300 not a power of two, and two masses on each grid, alternating state by state,
+    # so that a table cached per grid alone would hand one mass the other's G
     rng = np.random.default_rng(20240809)
-    for _ in range(20):
-        st = random_smooth_state(g, rng)
-        psi = st.samples
-        rho = np.abs(psi) ** 2
-        mean_xf = np.real(np.vdot(psi, xf @ psi)) * h
-        mean_p = np.sum(p * rho) * h
-        want = {
-            "dxf": np.sqrt(np.sum(np.abs(xf @ psi) ** 2) * h - mean_xf**2),
-            "dp": np.sqrt(np.sum(p**2 * rho) * h - mean_p**2),
-            "bound": 0.5 * np.sum(S.gaussian(p) * rho) * h,
-            "mean_p": mean_p,
-        }
-        rep = uncertainty_report(st, S)
-        for name, value in want.items():
-            assert getattr(rep, name) == pytest.approx(value, rel=1e-10), name
-        assert rep.mean_x == pytest.approx(np.real(np.vdot(psi, x @ psi)) * h, rel=0, abs=1e-10)
+    for n in (512, 300):
+        g = _grid(n)
+        p, h = g.points, g.spacing
+        x = build_position_op(g, scheme).entries
+        smearings = [SmearingParams(mass) for mass in (MASS, 0.6 * MASS)]
+        xfs = [build_fuzzy_position_op(g, s, scheme).entries for s in smearings]
+        for i in range(20):
+            s, xf = smearings[i % 2], xfs[i % 2]
+            st = random_smooth_state(g, rng)
+            psi = st.samples
+            rho = np.abs(psi) ** 2
+            mean_xf = np.real(np.vdot(psi, xf @ psi)) * h
+            mean_p = np.sum(p * rho) * h
+            want = {
+                "dxf": np.sqrt(np.sum(np.abs(xf @ psi) ** 2) * h - mean_xf**2),
+                "dp": np.sqrt(np.sum(p**2 * rho) * h - mean_p**2),
+                "bound": 0.5 * np.sum(s.gaussian(p) * rho) * h,
+                "mean_p": mean_p,
+            }
+            rep = uncertainty_report(st, s)
+            for name, value in want.items():
+                assert getattr(rep, name) == pytest.approx(value, rel=1e-10), (n, s.mass, name)
+            assert rep.mean_x == pytest.approx(np.real(np.vdot(psi, x @ psi)) * h, rel=0, abs=1e-10)
+
+
+def test_uncertainty_report_after_cache_clear_is_bit_identical():
+    g = _grid(300)
+    st = random_smooth_state(g, np.random.default_rng(11))
+    warm = uncertainty_report(st, S)
+    assert uncertainty_report(st, S) == warm
+    operators_module._report_table.cache_clear()
+    linalg._d1_spectrum.cache_clear()
+    assert uncertainty_report(st, S) == warm
+    for table in (*operators_module._report_table(g, S), operators_module._phase_steps(g)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_checks_build_no_dense_operator(monkeypatch):
@@ -321,18 +341,30 @@ def test_random_smooth_state_is_plain_and_normalised():
 
 
 class _ZeroAmplitudes:
-    """Stands in for a Generator whose amplitude draws are all zero."""
+    """Stands in for a Generator whose uniform draws are all midpoints and whose amplitude draws are all zero."""
 
-    def uniform(self, lo, hi):
-        return 0.5 * (lo + hi)
+    def random(self, size):
+        return np.full(size, 0.5)
 
-    def normal(self):
-        return 0.0
+    def standard_normal(self, size):
+        return np.zeros(size)
 
 
 def test_random_smooth_state_rejects_the_zero_state():
     with pytest.raises(ValueError, match="zero state"):
         random_smooth_state(_grid(), _ZeroAmplitudes())
+
+
+@pytest.mark.parametrize("n", [256, 300, 509, 512, 1000])
+def test_random_smooth_state_matches_the_per_packet_loop(n):
+    # n runs through multiples of the 32-point phase block and sizes that are not; scale = cutoff/8 is not 1
+    for cutoff in (0.08, 8.0, 800.0):
+        g = _grid(n, cutoff)
+        rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(20):
+            psi, want = random_smooth_state(g, rng).samples, smooth_state_samples(g, oracle_rng)
+            assert np.max(np.abs(psi - want)) <= 1e-14 * np.max(np.abs(want)), (n, cutoff)
+            assert rng.random() == oracle_rng.random()  # the same draws, leaving the same stream
 
 
 def test_plain_norm_matches_the_weighted_sum():
