@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -107,7 +108,7 @@ def _write_table(cfg: RunConfig, name: str, columns: list[str], rows: list[list[
     """Write rows of cells, or a float matrix, as <name>.csv or <name>.json under the output directory, and say so.
 
     A row list formats each row with the template of its cell types; a float matrix is all floats, so one
-    template formats it in a single operation.
+    template formats it in a single operation.  JSON goes through ``_write_report``.
     """
     matrix = isinstance(rows, np.ndarray)
     if cfg.fmt == "json":
@@ -128,12 +129,23 @@ def _write_table(cfg: RunConfig, name: str, columns: list[str], rows: list[list[
     return path
 
 
+def _json_cells(obj: object) -> object:
+    """``obj`` with each non-finite float (CSV's ``nan`` and ``inf``) replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_cells(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_cells(v) for v in obj]
+    return obj
+
+
 def _write_report(cfg: RunConfig, name: str, payload: dict) -> Path:
-    """Write the header and payload as <name>.json under the output directory, and say so."""
+    """Write the header and payload as <name>.json under the output directory, and say so; nan and inf are null."""
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / f"{name}.json"
-    doc = {"header": _header(cfg), **payload}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    doc = _json_cells({"header": _header(cfg), **payload})
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return path
 
@@ -165,7 +177,7 @@ def cmd_commutators(cfg: RunConfig, args: argparse.Namespace) -> int:
     coarse = None
     for n in (args.n0 * 2**k for k in range(args.levels)):
         grid = MomentumGrid.symmetric(n, _LADDER_CUTOFF * mass)
-        fine = (verify_commutator_xf_p(grid, s, scheme="central"), grid.spacing)
+        fine = (verify_commutator_xf_p(grid, s), grid.spacing)
         order, status = _ladder_order(coarse, fine) if coarse else (float("nan"), "-")
         rows.append(["commutator_xf_p", n, fine[0], order, status])
         coarse = fine

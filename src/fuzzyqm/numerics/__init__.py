@@ -1,8 +1,10 @@
 """Foundation layer: grids, derivative operators and the scalar minimiser.
 
-The commands apply derivatives matrix-free (``apply_d1``).  The dense
-``derivative_matrix`` and ``OperatorMatrix`` are built by no command: the
-tests use them as oracles, and the benchmark's tracer counts them.
+The commands apply the central d/dp matrix-free (``apply_d1``); the
+uncertainty report in ``operators`` builds its own sinc kernel spectrum.  The
+dense ``derivative_matrix`` (central and sinc) and ``OperatorMatrix`` are
+built by no command: the tests use them as oracles, and the benchmark's
+tracer counts them.
 """
 
 from .grids import MomentumGrid, OperatorMatrix

@@ -1,8 +1,6 @@
-"""Matrix-free d/dp and the dense derivative matrices."""
+"""The matrix-free central d/dp and the dense derivative matrices."""
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,38 +42,17 @@ def derivative_matrix(grid: MomentumGrid, order: int, scheme: str = "central") -
     return OperatorMatrix(m, grid)
 
 
-@lru_cache(maxsize=64)
-def _d1_spectrum(n: int, h: float) -> np.ndarray:
-    """FFT of the spectral d/dp lags 0 ... n-1, a zero, then the lags -(n-1) ... -1 wrapped; read-only."""
-    k = np.arange(1, n)
-    lag = (-1.0) ** k / (k * h)  # D[i, j] at i - j = k; the matrix is antisymmetric
-    spectrum = np.fft.fft(np.r_[0.0, lag, 0.0, -lag[::-1]])
-    spectrum.flags.writeable = False  # every caller shares the cached array
-    return spectrum
+def apply_d1(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Central d/dp of the samples ``f`` along ``axis`` on a grid of spacing ``h``, without a matrix.
 
-
-def apply_d1(f: np.ndarray, h: float, scheme: str = "central", axis: int = 0) -> np.ndarray:
-    """d/dp of the samples ``f`` along ``axis`` on a grid of spacing ``h``, without a matrix.
-
-    Returns what ``derivative_matrix(grid, 1, scheme).entries`` applied along
-    ``axis`` returns.  The central scheme differences slices, then scales by
-    1/2h in one pass; it returns a real array for real input.  The spectral
-    matrix D[i, j] = (-1)^(i-j) / ((i-j) h) is Toeplitz, so it is applied as a
-    linear convolution by zero-padded FFT of length 2n, with the kernel's
-    spectrum cached per (n, h); its result is always complex.
+    Returns what ``derivative_matrix(grid, 1).entries`` applied along ``axis``
+    returns: it differences slices, then scales by 1/2h in one pass, and it
+    returns a real array for real input.
     """
     f = np.asarray(f)
-    n = f.shape[axis]
-    if scheme == "central":
-        out = np.empty(f.shape, np.result_type(f, float))
-        fa, oa = f.swapaxes(0, axis), out.swapaxes(0, axis)
-        np.subtract(fa[2:], fa[:-2], out=oa[1:-1])
-        oa[0], oa[-1] = fa[1], -fa[-2]
-        out *= 0.5 / h
-        return out
-    if scheme != "spectral":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    shape = [1] * f.ndim
-    shape[axis] = 2 * n
-    out = np.fft.ifft(np.fft.fft(f, 2 * n, axis=axis) * _d1_spectrum(n, h).reshape(shape), axis=axis)
-    return out.swapaxes(0, axis)[:n].swapaxes(0, axis)
+    out = np.empty(f.shape, np.result_type(f, float))
+    fa, oa = f.swapaxes(0, axis), out.swapaxes(0, axis)
+    np.subtract(fa[2:], fa[:-2], out=oa[1:-1])
+    oa[0], oa[-1] = fa[1], -fa[-2]
+    out *= 0.5 / h
+    return out

@@ -4,10 +4,10 @@ The position operator conjugated with the Gaussian factor exp(-p^2/2m^2)
 acquires a noncanonical commutator with momentum, a modified uncertainty
 bound, smeared angular-momentum eigenvalues, and noncommuting position
 components.  The commutator checks apply the operators matrix-free through
-``apply_d1``, the uncertainty report through the same FFT kernel spectrum,
-and all of them act on smooth probe states, because
-entrywise matrix comparisons are meaningless for difference schemes: the
-discrete commutator only represents the continuum one on resolved functions.
+the central ``apply_d1``, the uncertainty report through its own sinc kernel
+spectrum, and all of them act on smooth probe states, because entrywise
+matrix comparisons are meaningless for difference schemes: the discrete
+commutator only represents the continuum one on resolved functions.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError
 from .numerics.grids import MomentumGrid
-from .numerics.linalg import _d1_spectrum, apply_d1
+from .numerics.linalg import apply_d1
 
 _NORM_TOL = 1e-8
 _MAX_AXIS_POINTS = 128  # largest axis of the spacetime check, whose fields hold n^2 samples
@@ -146,9 +146,12 @@ def verify_commutator_xf_p(grid: MomentumGrid, s: SmearingParams, scheme: str = 
 
     Probe widths are in units of the smearing mass; the residual is the
     worst-case interior amplitude of the defect vector divided by the probe's
-    peak amplitude, and it decreases at the derivative scheme's order under
-    grid refinement.
+    peak amplitude, and it decreases as h^2 under grid refinement.
+    ``scheme`` is accepted because the benchmark's workload names it;
+    "central" is the only scheme, and any other raises ValueError.
     """
+    if scheme != "central":
+        raise ValueError(f"unknown scheme {scheme!r}")
     p = grid.points
     g = s.gaussian(p, half=True)
     psi = np.stack(
@@ -161,7 +164,7 @@ def verify_commutator_xf_p(grid: MomentumGrid, s: SmearingParams, scheme: str = 
     k = len(_PROBES)
     # X_f = i G D G on p psi and psi in one call; [X_f, P] psi = X_f(p psi) - p X_f psi
     stacked = g[:, None] * np.concatenate([p[:, None] * psi, psi], axis=1)
-    xf = 1j * g[:, None] * apply_d1(stacked, grid.spacing, scheme)
+    xf = 1j * g[:, None] * apply_d1(stacked, grid.spacing)
     defect = xf[:, :k] - p[:, None] * xf[:, k:] - 1j * s.gaussian(p)[:, None] * psi
     inner = grid.interior_slice()
     return float(np.max(np.max(np.abs(defect[inner]), axis=0) / np.max(np.abs(psi), axis=0)))
@@ -180,7 +183,7 @@ def _spacetime_sides(points: np.ndarray, spacing: float, mass: float):
     half_g4 = 0.5 * g2 * g2
 
     def d(fld: np.ndarray, axis: int) -> np.ndarray:
-        return apply_d1(fld, spacing, "central", axis)
+        return apply_d1(fld, spacing, axis)
 
     def lhs(fld: np.ndarray) -> np.ndarray:
         gf = g * fld
@@ -239,18 +242,21 @@ def verify_spacetime_commutator(axis_grid: MomentumGrid, s: SmearingParams) -> S
 def _report_table(grid: MomentumGrid, s: SmearingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What ``uncertainty_report`` needs of a grid and smearing, all read-only.
 
-    G = exp(-p^2/2m^2); the moment rows h [1, p, p^2, G^2]; the spectral d/dp
-    kernel's spectrum S at length 2n; and -h/2n Im S, the weights that turn a
-    padded FFT's power into <phi, i D phi> h by Parseval (S is imaginary),
-    each repeated to weigh the squares of a bin's real and imaginary parts
-    as they lie interleaved in memory.
+    G = exp(-p^2/2m^2); the moment rows h [1, p, p^2, G^2]; the spectrum S
+    at length 2n of the sinc d/dp kernel D[i, j] = (-1)^(i-j) / ((i-j) h),
+    lags 0 ... n-1, a zero, then lags -(n-1) ... -1 wrapped; and -h/2n Im S,
+    the weights that turn a padded FFT's power into <phi, i D phi> h by
+    Parseval (S is imaginary), each repeated to weigh the squares of a bin's
+    real and imaginary parts as they lie interleaved in memory.
     """
     p, h = grid.points, grid.spacing
     g = s.gaussian(p, half=True)
     moments = h * np.stack([np.ones_like(p), p, p * p, g * g])
-    spectrum = _d1_spectrum(grid.n, h)
+    k = np.arange(1, grid.n)
+    lag = (-1.0) ** k / (k * h)  # D[i, j] at i - j = k
+    spectrum = np.fft.fft(np.r_[0.0, lag, 0.0, -lag[::-1]])
     x_weights = np.repeat((-h / (2 * grid.n)) * spectrum.imag, 2)
-    for a in (g, moments, x_weights):
+    for a in (g, moments, spectrum, x_weights):
         a.flags.writeable = False
     return g, moments, spectrum, x_weights
 
@@ -260,7 +266,7 @@ def uncertainty_report(state: GridState, s: SmearingParams) -> UncertaintyReport
 
     Requires a normalised state.
     dx0 = (2/m) sqrt(<X><P>) is reported as None when the product <X><P> is
-    negative.  X = i D and X_f = i G D G act matrix-free through the spectral
+    negative.  X = i D and X_f = i G D G act matrix-free through the sinc
     D, a convolution applied by zero-padded FFT of length 2n.  One product of
     the moment rows with |psi|^2 gives the norm, <p>, <p^2> and <G^2>; one
     FFT of the rows psi and G psi gives <X> and <X_f> by Parseval; one

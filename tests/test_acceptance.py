@@ -225,11 +225,12 @@ def test_criterion_8_property_suites():
     slope = float(np.polyfit(np.log(spacings), np.log(residuals), 1)[0])
     slope_ok = abs(slope - 2.0) <= 0.3
 
-    # X_f = i G D G and X = i D as the operators' matrix-free route applies them, column by column
+    # X_f = i G D G and X = i D as the operators' matrix-free route (the central apply_d1) applies them,
+    # column by column
     g64 = MomentumGrid.symmetric(64, 8.0)
     g = SmearingParams(1e6 * g64.cutoff).gaussian(g64.points, half=True)
-    x = 1j * apply_d1(np.eye(64), g64.spacing, "spectral")
-    xf = 1j * g[:, None] * apply_d1(g[:, None] * np.eye(64), g64.spacing, "spectral")
+    x = 1j * apply_d1(np.eye(64), g64.spacing)
+    xf = 1j * g[:, None] * apply_d1(g[:, None] * np.eye(64), g64.spacing)
     ops_ok = np.max(np.abs(xf - x)) <= 1e-8 * np.max(np.abs(x))
 
     w = 0.01

@@ -233,7 +233,7 @@ def test_commutators_failing_check_exits_1_with_one_line(tmp_path, capsys, monke
     # each check made to fail in turn: an [X_f, P] residual flat across the ladder, one state below the
     # Robertson bound, a spacetime residual flat across its ladder; only that check's rows read FAIL
     if check == "commutator_xf_p":
-        monkeypatch.setattr(cli, "verify_commutator_xf_p", lambda grid, s, scheme: 1e-3)
+        monkeypatch.setattr(cli, "verify_commutator_xf_p", lambda grid, s: 1e-3)
     elif check == "robertson":
         report, calls = cli.uncertainty_report, []
 
@@ -377,6 +377,33 @@ def test_oscillator_json_format(tmp_path):
     doc = json.loads((tmp_path / "oscillator_spectrum.json").read_text())
     assert doc["header"]["tool"].startswith("fuzzyqm")
     assert len(doc["rows"]) == 2
+
+
+def _strict_json(path: Path):
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_json_tables_write_non_finite_cells_as_null(tmp_path):
+    # RFC 8259 has no NaN or Infinity: a strict parser must read every JSON table, its nan cells as null
+    assert main(["--out", str(tmp_path / "c"), "--format", "json", "commutators", "--states", "5"]) == 0
+    rows = _strict_json(tmp_path / "c" / "commutators.json")["rows"]
+    nulls = [r["check"] for r in rows if r["measured_order"] is None]
+    assert nulls == ["commutator_xf_p", "robertson", *["spacetime"] * 4]
+
+    assert main(["--out", str(tmp_path / "o"), "--format", "json", "oscillator", "--omega", "0.6", "--mass", "1"]) == 0
+    _strict_json(tmp_path / "o" / "oscillator_spectrum.json")
+    rows = _strict_json(tmp_path / "o" / "oscillator_eigenfunctions.json")["rows"]
+    assert all(r[f"psi_harmonic_n{j}"] is None for r in rows for j in (0, 1))  # the closed form at w >= m/2
+    assert all(isinstance(r["psi_anharmonic_n0"], float) for r in rows)
+
+    args = ["--out", str(tmp_path / "d"), "--format", "json", "deuteron", "range-depth", "--r0", "0.3596,100"]
+    assert main(args) == 1
+    rows = _strict_json(tmp_path / "d" / "deuteron_range_depth.json")["rows"]
+    assert rows[1] == {"r0_fm": 100.0, "depth_MeV": None, "alpha_star": None, "converged": False}
+    assert isinstance(rows[0]["depth_MeV"], float)
 
 
 def test_deuteron_range_depth_headline(tmp_path):
@@ -571,7 +598,8 @@ def test_mixed_type_table_writes_the_per_cell_join(tmp_path):
     assert body == [",".join(_cell(v) for v in r) for r in rows]
     cfg.fmt = "json"
     doc = json.loads(cli._write_table(cfg, "table", columns, rows).read_text())
-    want = [dict(zip(columns, r)) for r in rows]
+    # JSON has no nan or inf: those cells are null
+    want = [dict(zip(columns, (None if isinstance(v, float) and not np.isfinite(v) else v for v in r))) for r in rows]
     assert json.dumps(doc["rows"], sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
@@ -619,8 +647,9 @@ def test_oscillator_numbers_agree_across_blas_thread_counts(tmp_path):
         e_a, e_b = (np.array([row["E_diag_MeV"] for row in s["rows"]]) for s in (spec_a, spec_b))
         assert np.all(np.abs(e_a - e_b) <= 1e-12 * np.abs(e_a))
         for col in efn_a["columns"]:
-            a, b = (np.array([row[col] for row in e["rows"]]) for e in (efn_a, efn_b))
-            if np.all(np.isnan(a)):  # the closed-form state columns at w >= m/2
-                assert np.all(np.isnan(b))
+            a, b = ([row[col] for row in e["rows"]] for e in (efn_a, efn_b))
+            if all(v is None for v in a):  # the closed-form state columns at w >= m/2, nan cells written as null
+                assert all(v is None for v in b)
                 continue
+            a, b = np.array(a), np.array(b)
             assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))

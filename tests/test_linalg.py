@@ -5,7 +5,6 @@ import pytest
 
 from fuzzyqm.errors import NonHermitianError
 from fuzzyqm.numerics import MomentumGrid, OperatorMatrix, apply_d1, derivative_matrix
-from fuzzyqm.numerics.linalg import _d1_spectrum
 
 # --- grids -------------------------------------------------------------------
 
@@ -105,10 +104,10 @@ def test_plane_wave_response_converges_at_second_order():
 # --- matrix-free derivatives --------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", ["central", "spectral"])
+@pytest.mark.parametrize("scheme", ["central"])  # the dense matrix of the one scheme apply_d1 applies
 @pytest.mark.parametrize("n", [8, 9, 64, 511, 512])
 def test_apply_d1_matches_dense_matrix(n, scheme):
-    # odd and even n: the FFT convolution must reproduce every lag of the Toeplitz matrix
+    # odd and even n, and the two edge rows, where the stencil meets the zero boundary values
     g = MomentumGrid.symmetric(n, 3.0)
     d1 = derivative_matrix(g, 1, scheme).entries
     rng = np.random.default_rng(n)
@@ -116,43 +115,14 @@ def test_apply_d1_matches_dense_matrix(n, scheme):
     cols = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     field = rng.normal(size=(5, n))
     for got, want in (
-        (apply_d1(vec, g.spacing, scheme), d1 @ vec),
-        (apply_d1(cols, g.spacing, scheme), d1 @ cols),
-        (apply_d1(field, g.spacing, scheme, axis=1), field @ d1.T),
+        (apply_d1(vec, g.spacing), d1 @ vec),
+        (apply_d1(cols, g.spacing), d1 @ cols),
+        (apply_d1(field, g.spacing, axis=1), field @ d1.T),
     ):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # the central stencil keeps a real field real; the FFT route is complex
-    assert apply_d1(field, g.spacing, scheme, axis=1).dtype == (np.float64 if scheme == "central" else np.complex128)
-
-
-def test_apply_d1_spectral_cache_is_keyed_on_spacing():
-    # one n, two spacings, and the first again: a spectrum cached on n alone would serve one spacing to the other
-    rng = np.random.default_rng(64)
-    vec = rng.normal(size=64) + 1j * rng.normal(size=64)
-    for cutoff in (3.0, 7.5, 3.0):
-        g = MomentumGrid.symmetric(64, cutoff)
-        want = derivative_matrix(g, 1, "spectral").entries @ vec
-        got = apply_d1(vec, g.spacing, "spectral")
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_apply_d1_spectral_cache_cannot_be_written_through():
-    g = MomentumGrid.symmetric(32, 3.0)
-    vec = np.exp(-(g.points**2))
-    first = apply_d1(vec, g.spacing, "spectral")
-    want = first.copy()
-    first[:] = 1e9
-    assert np.array_equal(apply_d1(vec, g.spacing, "spectral"), want)
-    spectrum = _d1_spectrum(32, g.spacing)
-    assert not spectrum.flags.writeable
-    with pytest.raises(ValueError):
-        spectrum[0] = 1.0
-
-
-def test_apply_d1_rejects_unknown_scheme():
-    with pytest.raises(ValueError, match="scheme"):
-        apply_d1(np.ones(8), 0.1, "upwind")
+    # the central stencil keeps a real field real
+    assert apply_d1(field, g.spacing, axis=1).dtype == np.float64
 
 
 # --- dense operators in eigenproblems -------------------------------------------

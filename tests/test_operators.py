@@ -146,7 +146,7 @@ def test_commutator_point_particle_limit_equals_canonical():
     assert res_limit == pytest.approx(_dense_commutator_residual(x, g, 1e12 * MASS, 1.0), rel=1e-9)
 
 
-@pytest.mark.parametrize("scheme", ["central", "spectral"])
+@pytest.mark.parametrize("scheme", ["central"])  # the one scheme the matrix-free check applies
 @pytest.mark.parametrize("n", [128, 256, 512, 1024])
 def test_commutator_matches_dense_oracle(n, scheme):
     g = _grid(n, 8.0 * MASS)
@@ -156,9 +156,14 @@ def test_commutator_matches_dense_oracle(n, scheme):
 
 
 def test_commutator_regression_value_spectral():
-    # frozen regression point: N=1024, cutoff 8m, spectrally accurate scheme
-    res = verify_commutator_xf_p(_grid(1024, 8.0 * MASS), S, scheme="spectral")
+    # frozen regression point: N=1024, cutoff 8m, on the dense sinc reference, so the identity itself is
+    # checked to spectral accuracy; the matrix-free check applies the central stencil and refuses any other
+    g = _grid(1024, 8.0 * MASS)
+    res = _dense_commutator_residual(build_fuzzy_position_op(g, S, "spectral").entries, g, MASS, S.gaussian(g.points))
     assert res <= 1e-4
+    for scheme in ("spectral", "upwind"):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            verify_commutator_xf_p(g, S, scheme)
 
 
 # the residuals the commutators command writes at its defaults (mass 1, cutoff 6 m)
@@ -275,11 +280,12 @@ def test_gaussian_point_particle_limit_reaches_canonical_minimum():
 
 @pytest.mark.parametrize("scheme", ["spectral"])  # the oracle's derivative, the one uncertainty_report uses
 def test_uncertainty_report_matches_dense_oracle(scheme):
-    # two grid sizes, 300 not a power of two, and two masses on each grid, alternating state by state,
-    # so that a table cached per grid alone would hand one mass the other's G
+    # two grid sizes, 300 not a power of two, 512 at two cutoffs, so that a kernel spectrum keyed on n alone
+    # would hand one spacing the other's; and two masses on each grid, alternating state by state, so that a
+    # table cached per grid alone would hand one mass the other's G
     rng = np.random.default_rng(20240809)
-    for n in (512, 300):
-        g = _grid(n)
+    for n, cutoff in ((512, 8.0), (512, 5.0), (300, 8.0)):
+        g = _grid(n, cutoff)
         p, h = g.points, g.spacing
         x = build_position_op(g, scheme).entries
         smearings = [SmearingParams(mass) for mass in (MASS, 0.6 * MASS)]
@@ -299,7 +305,7 @@ def test_uncertainty_report_matches_dense_oracle(scheme):
             }
             rep = uncertainty_report(st, s)
             for name, value in want.items():
-                assert getattr(rep, name) == pytest.approx(value, rel=1e-10), (n, s.mass, name)
+                assert getattr(rep, name) == pytest.approx(value, rel=1e-10), (n, cutoff, s.mass, name)
             assert rep.mean_x == pytest.approx(np.real(np.vdot(psi, x @ psi)) * h, rel=0, abs=1e-10)
 
 
@@ -309,7 +315,6 @@ def test_uncertainty_report_after_cache_clear_is_bit_identical():
     warm = uncertainty_report(st, S)
     assert uncertainty_report(st, S) == warm
     operators_module._report_table.cache_clear()
-    linalg._d1_spectrum.cache_clear()
     assert uncertainty_report(st, S) == warm
     for table in (*operators_module._report_table(g, S), operators_module._phase_steps(g)):
         assert not table.flags.writeable
@@ -326,8 +331,7 @@ def test_checks_build_no_dense_operator(monkeypatch):
     monkeypatch.setattr(grids.OperatorMatrix, "__post_init__", refuse)
     g = _grid(256)
     uncertainty_report(gaussian_probe(g, 1.0, x0=0.5, p0=0.3), S)
-    for scheme in ("spectral", "central"):
-        verify_commutator_xf_p(g, S, scheme)
+    verify_commutator_xf_p(g, S)
     verify_spacetime_commutator(MomentumGrid.symmetric(48, 6.0 * MASS), S)
 
 
