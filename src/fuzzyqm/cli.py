@@ -270,15 +270,16 @@ def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _parse_r0_list(values: list[str]) -> list[float]:
-    """Ranges (fm) from comma-separated --r0 values; ValueError names the first not positive, or a list naming none."""
+    """Ranges (fm) from comma-separated --r0 values; ValueError names the first out of range, or a list naming none."""
+    lo, hi = _SCALE_RANGE
     out: list[float] = []
     for tok in filter(None, ",".join(values).split(",")):
         try:
             r0 = float(tok)
         except ValueError:
             r0 = float("nan")
-        if not 0.0 < r0 < np.inf:
-            raise ValueError(f"--r0 must be a positive range in fm, got {tok!r}")
+        if not lo <= r0 <= hi:
+            raise ValueError(f"--r0 must be a positive range in fm, {_SPAN}, got {tok!r}")
         out.append(r0)
     if values and not out:
         raise ValueError(f"--r0 names no range, got {','.join(values)!r}")

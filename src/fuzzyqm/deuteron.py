@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import _SCALE_RANGE, _SPAN, DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import BracketingError, ContractError, OverflowGuardError, RefinementError
 from .numerics.solvers import golden_section
 
@@ -165,8 +165,9 @@ def _smeared_kinetic_integral(alpha, b: float):
 
 def _scales(template: ProblemTemplate, r0_fm: float) -> tuple[float, float, float | None]:
     """(r0 in MeV^-1, k, b) at range r0: k = (hbar c)^2/(2 mu r0^2) MeV, b = (hbar c/(M r0))^2 or None if ordinary."""
-    if not 0.0 < r0_fm < np.inf:
-        raise ValueError(f"range r0 must be positive and finite, got {r0_fm!r}")
+    lo, hi = _SCALE_RANGE
+    if not lo <= r0_fm <= hi:  # so that r0^2 neither underflows nor overflows in k
+        raise ValueError(f"range r0 must be positive, {_SPAN} fm, got {r0_fm!r}")
     c = template.constants
     r0n = r0_fm / c.hbar_c
     k = 1.0 / (2.0 * c.reduced_mass * r0n**2)

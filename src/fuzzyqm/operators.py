@@ -66,16 +66,12 @@ class GridState:
 class UncertaintyReport:
     """Spreads and the Robertson bound for the fuzzy position / momentum pair.
 
-    ``bound`` is half the magnitude of the expected smearing factor; the
-    minimal position uncertainty ``dx0`` is defined only when <X><P> >= 0.
+    ``bound`` is half the magnitude of the expected smearing factor.
     """
 
     dxf: float
     dp: float
     bound: float
-    mean_x: float
-    mean_p: float
-    dx0: float | None
 
 
 @dataclass(frozen=True)
@@ -245,7 +241,7 @@ def _report_table(grid: MomentumGrid, s: SmearingParams) -> tuple[np.ndarray, np
     G = exp(-p^2/2m^2); the moment rows h [1, p, p^2, G^2]; the spectrum S
     at length 2n of the sinc d/dp kernel D[i, j] = (-1)^(i-j) / ((i-j) h),
     lags 0 ... n-1, a zero, then lags -(n-1) ... -1 wrapped; and -h/2n Im S,
-    the weights that turn a padded FFT's power into <phi, i D phi> h by
+    the weights that turn the power of G psi's padded FFT into <X_f> by
     Parseval (S is imaginary), each repeated to weigh the squares of a bin's
     real and imaginary parts as they lie interleaved in memory.
     """
@@ -262,37 +258,32 @@ def _report_table(grid: MomentumGrid, s: SmearingParams) -> tuple[np.ndarray, np
 
 
 def uncertainty_report(state: GridState, s: SmearingParams) -> UncertaintyReport:
-    """Spreads of the fuzzy position and momentum, the Robertson bound, and dx0.
+    """Spreads of the fuzzy position and momentum, and the Robertson bound.
 
-    Requires a normalised state.
-    dx0 = (2/m) sqrt(<X><P>) is reported as None when the product <X><P> is
-    negative.  X = i D and X_f = i G D G act matrix-free through the sinc
-    D, a convolution applied by zero-padded FFT of length 2n.  One product of
-    the moment rows with |psi|^2 gives the norm, <p>, <p^2> and <G^2>; one
-    FFT of the rows psi and G psi gives <X> and <X_f> by Parseval; one
-    inverse FFT gives D G psi, and with it ||X_f psi||^2 = h sum G^2 |D G psi|^2.
+    Requires a normalised state.  X_f = i G D G acts matrix-free through the
+    sinc D, a convolution applied by zero-padded FFT of length 2n.  One
+    product of the moment rows with |psi|^2 gives the norm, <p>, <p^2> and
+    <G^2>; one FFT of G psi gives <X_f> by Parseval; its inverse after the
+    kernel gives D G psi, and with it ||X_f psi||^2 = h sum G^2 |D G psi|^2.
     """
     grid, psi = state.grid, state.samples
     n = grid.n
     g, moments, spectrum, x_weights = _report_table(grid, s)
     norm2, mean_p, mean_p2, mean_g2 = (moments @ (psi.real**2 + psi.imag**2)).tolist()
     if abs(math.sqrt(norm2) - 1.0) > _NORM_TOL:
-        raise ContractError(f"state is not normalised (norm = {state.norm()!r})")
+        raise ContractError(f"state is not normalised (norm = {math.sqrt(norm2)!r})")
 
-    padded = np.zeros((2, 2 * n), complex)
-    padded[0, :n] = psi
-    np.multiply(g, psi, out=padded[1, :n])
+    padded = np.zeros(2 * n, complex)
+    np.multiply(g, psi, out=padded[:n])
     f = np.fft.fft(padded)
-    mean_x, mean_xf = (np.square(f.view(float)) @ x_weights).tolist()
-    dg_psi = np.fft.ifft(f[1] * spectrum)[:n]
+    mean_xf = float(np.square(f.view(float)) @ x_weights)
+    dg_psi = np.fft.ifft(f * spectrum)[:n]
     mean_xf2 = float(moments[3] @ (dg_psi.real**2 + dg_psi.imag**2))  # <Xf^2> via ||Xf psi||^2
 
     dxf = math.sqrt(max(mean_xf2 - mean_xf**2, 0.0))
     dpu = math.sqrt(max(mean_p2 - mean_p**2, 0.0))
     bound = 0.5 * abs(mean_g2)  # G^2 = exp(-p^2/m^2)
-    prod = mean_x * mean_p
-    dx0 = (2.0 / s.mass) * math.sqrt(prod) if prod >= 0 else None
-    return UncertaintyReport(dxf, dpu, bound, mean_x, mean_p, dx0)
+    return UncertaintyReport(dxf, dpu, bound)
 
 
 # ----------------------------------------------------------------------------

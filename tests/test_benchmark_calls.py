@@ -6,16 +6,20 @@ signature change that drops one would otherwise fail only the benchmark.
 ``verify_commutator_xf_p``'s ``scheme`` keyword survives only for
 ``bench/workloads.py``: the CLI calls it without, and a test here holds the
 two calls to the same bits, so the benchmark measures what the CLI runs.
+The fields of ``UncertaintyReport`` are pinned to the ones that
+``OperatorChecks.run`` and ``cmd_commutators`` read, so a field that no
+caller reads shows up as a diff here.
 The directory is put on ``sys.path`` for the test and nothing in it is written.
 """
 
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 from fuzzyqm.numerics import MomentumGrid
-from fuzzyqm.operators import SmearingParams, verify_commutator_xf_p
+from fuzzyqm.operators import SmearingParams, UncertaintyReport, verify_commutator_xf_p
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -37,3 +41,7 @@ def test_commutator_scheme_keyword_is_the_keyword_free_call():
     for n in (128, 1024):
         grid = MomentumGrid.symmetric(n, 8.0)
         assert verify_commutator_xf_p(grid, s, scheme="central") == verify_commutator_xf_p(grid, s)
+
+
+def test_uncertainty_report_holds_the_fields_its_callers_read():
+    assert [f.name for f in dataclasses.fields(UncertaintyReport)] == ["dxf", "dp", "bound"]

@@ -47,6 +47,8 @@ def test_negative_nmax_usage_error(tmp_path):
     [
         ("deuteron", "range-depth", "--r0", "abc"),
         ("deuteron", "range-depth", "--r0", "-1"),
+        ("deuteron", "range-depth", "--r0", "1e-300"),
+        ("deuteron", "range-depth", "--r0", "0.3596,1e300"),
         ("oscillator", "--omega", "-1", "--mass", "1"),
         ("commutators", "--n0", "4"),
         ("commutators", "--levels", "0"),

@@ -561,7 +561,7 @@ def test_exact_depth_refuses_a_range_its_bases_cannot_resolve():
 
 
 def test_problem_inputs_rejected():
-    for r0 in (0.0, -1.0, np.inf, np.nan):
+    for r0 in (0.0, -1.0, np.inf, np.nan, 1e-300, 1e300):
         with pytest.raises(ValueError, match="range r0 must be positive"):
             solve_depth(r0, ProblemTemplate())
         with pytest.raises(ValueError, match="range r0 must be positive"):
