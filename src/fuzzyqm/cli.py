@@ -24,29 +24,7 @@ import numpy as np
 
 from . import __version__
 from .constants import _SCALE_RANGE, _SPAN, DEFAULT_CONSTANTS, PhysicalConstants
-from .deuteron import (
-    CalibrationResult,
-    ProblemTemplate,
-    calibrate_smearing_mass,
-    core_radius,
-    coupling_report,
-    effective_potential,
-    solve_depth,
-    trial_samples,
-)
 from .errors import BracketingError, ContractError, OverflowGuardError, RefinementError
-from .numerics.grids import MomentumGrid
-from .operators import SmearingParams, random_smooth_state, uncertainty_report, verify_commutator_xf_p, verify_spacetime_commutator
-from .oscillator import (
-    MAX_LEVELS,
-    OscillatorSpec,
-    anharmonic_shift,
-    anharmonic_spectrum_formula,
-    default_grid,
-    eigenfunction,
-    harmonic_spectrum_formula,
-    numeric_spectrum,
-)
 
 _NOMINAL_ORDER = 2.0  # central-difference ladder
 _ORDER_TOL = 0.3
@@ -74,8 +52,10 @@ def _load_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line (expected key=value): {raw!r}")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k in out:
+            raise ValueError(f"duplicate config key {k!r}")
+        out[k] = v
     return out
 
 
@@ -169,6 +149,15 @@ def _exit_code(command: str, rows: list[list[object]], status_column: int) -> in
 
 
 def cmd_commutators(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .numerics.grids import MomentumGrid
+    from .operators import (
+        SmearingParams,
+        random_smooth_state,
+        uncertainty_report,
+        verify_commutator_xf_p,
+        verify_spacetime_commutator,
+    )
+
     mass = args.mass
     s = SmearingParams(mass)
     rows: list[list[object]] = []
@@ -209,6 +198,16 @@ def cmd_commutators(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_oscillator(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .oscillator import (
+        OscillatorSpec,
+        anharmonic_shift,
+        anharmonic_spectrum_formula,
+        default_grid,
+        eigenfunction,
+        harmonic_spectrum_formula,
+        numeric_spectrum,
+    )
+
     spec = OscillatorSpec(args.omega, args.mass, args.truncation)
     quartic = OscillatorSpec(spec.omega, spec.mass, "quartic")
     n = np.arange(args.nmax + 1)
@@ -299,6 +298,8 @@ def _argument_error(args: argparse.Namespace) -> str | None:
             (args.states >= 1, "--states must be at least 1 random state"),
         ]
     elif args.command == "oscillator":
+        from .oscillator import MAX_LEVELS
+
         checks = [
             (lo <= args.omega <= hi and lo <= args.mass <= hi, f"--omega and --mass must be finite and positive, {_SPAN}"),
             (args.truncation != "quadratic" or args.omega <= _HARMONIC_RATIO_MAX * args.mass,
@@ -320,6 +321,8 @@ def _argument_error(args: argparse.Namespace) -> str | None:
 
 def _fuzzy_template(cfg: RunConfig) -> tuple[ProblemTemplate, dict[str, object], CalibrationResult]:
     """Smeared template at the calibrated mass, its output metadata and the calibration itself."""
+    from .deuteron import ProblemTemplate, calibrate_smearing_mass
+
     cal = calibrate_smearing_mass(cfg.constants)
     meta: dict[str, object] = {
         "variant": "fuzzy",
@@ -332,6 +335,8 @@ def _fuzzy_template(cfg: RunConfig) -> tuple[ProblemTemplate, dict[str, object],
 
 
 def cmd_deuteron(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .deuteron import ProblemTemplate, core_radius, coupling_report, effective_potential, solve_depth, trial_samples
+
     c = cfg.constants
     stage = "calibration"
     try:

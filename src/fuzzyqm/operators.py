@@ -235,15 +235,12 @@ def verify_spacetime_commutator(axis_grid: MomentumGrid, s: SmearingParams) -> S
 
 
 @lru_cache(maxsize=64)
-def _report_table(grid: MomentumGrid, s: SmearingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _report_table(grid: MomentumGrid, s: SmearingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What ``uncertainty_report`` needs of a grid and smearing, all read-only.
 
-    G = exp(-p^2/2m^2); the moment rows h [1, p, p^2, G^2]; the spectrum S
+    G = exp(-p^2/2m^2); the moment rows h [1, p, p^2, G^2]; and the spectrum
     at length 2n of the sinc d/dp kernel D[i, j] = (-1)^(i-j) / ((i-j) h),
-    lags 0 ... n-1, a zero, then lags -(n-1) ... -1 wrapped; and -h/2n Im S,
-    the weights that turn the power of G psi's padded FFT into <X_f> by
-    Parseval (S is imaginary), each repeated to weigh the squares of a bin's
-    real and imaginary parts as they lie interleaved in memory.
+    lags 0 ... n-1, a zero, then lags -(n-1) ... -1 wrapped.
     """
     p, h = grid.points, grid.spacing
     g = s.gaussian(p, half=True)
@@ -251,10 +248,9 @@ def _report_table(grid: MomentumGrid, s: SmearingParams) -> tuple[np.ndarray, np
     k = np.arange(1, grid.n)
     lag = (-1.0) ** k / (k * h)  # D[i, j] at i - j = k
     spectrum = np.fft.fft(np.r_[0.0, lag, 0.0, -lag[::-1]])
-    x_weights = np.repeat((-h / (2 * grid.n)) * spectrum.imag, 2)
-    for a in (g, moments, spectrum, x_weights):
+    for a in (g, moments, spectrum):
         a.flags.writeable = False
-    return g, moments, spectrum, x_weights
+    return g, moments, spectrum
 
 
 def uncertainty_report(state: GridState, s: SmearingParams) -> UncertaintyReport:
@@ -263,21 +259,21 @@ def uncertainty_report(state: GridState, s: SmearingParams) -> UncertaintyReport
     Requires a normalised state.  X_f = i G D G acts matrix-free through the
     sinc D, a convolution applied by zero-padded FFT of length 2n.  One
     product of the moment rows with |psi|^2 gives the norm, <p>, <p^2> and
-    <G^2>; one FFT of G psi gives <X_f> by Parseval; its inverse after the
-    kernel gives D G psi, and with it ||X_f psi||^2 = h sum G^2 |D G psi|^2.
+    <G^2>; one FFT of G psi, times the kernel spectrum and transformed back,
+    gives D G psi.  With it <X_f> = -h Im<G psi, D G psi> and
+    ||X_f psi||^2 = h sum G^2 |D G psi|^2.
     """
     grid, psi = state.grid, state.samples
     n = grid.n
-    g, moments, spectrum, x_weights = _report_table(grid, s)
+    g, moments, spectrum = _report_table(grid, s)
     norm2, mean_p, mean_p2, mean_g2 = (moments @ (psi.real**2 + psi.imag**2)).tolist()
     if abs(math.sqrt(norm2) - 1.0) > _NORM_TOL:
         raise ContractError(f"state is not normalised (norm = {math.sqrt(norm2)!r})")
 
     padded = np.zeros(2 * n, complex)
     np.multiply(g, psi, out=padded[:n])
-    f = np.fft.fft(padded)
-    mean_xf = float(np.square(f.view(float)) @ x_weights)
-    dg_psi = np.fft.ifft(f * spectrum)[:n]
+    dg_psi = np.fft.ifft(np.fft.fft(padded) * spectrum)[:n]
+    mean_xf = -grid.spacing * np.vdot(padded[:n], dg_psi).imag  # <psi, i G D G psi>
     mean_xf2 = float(moments[3] @ (dg_psi.real**2 + dg_psi.imag**2))  # <Xf^2> via ||Xf psi||^2
 
     dxf = math.sqrt(max(mean_xf2 - mean_xf**2, 0.0))

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fuzzyqm import cli
+from fuzzyqm import cli, deuteron, operators, oscillator
 from fuzzyqm.cli import RunConfig, main
 from fuzzyqm.constants import DEFAULT_CONSTANTS, PhysicalConstants
-from fuzzyqm.deuteron import ProblemTemplate, calibrate_smearing_mass, solve_depth
+from fuzzyqm.deuteron import ProblemTemplate, calibrate_smearing_mass, coupling_report, solve_depth
 
 CLI = [sys.executable, "-m", "fuzzyqm.cli"]
 
@@ -127,6 +127,37 @@ def test_cli_start_does_not_import_numpy_polynomial():
     assert r.returncode == 0, r.stderr
 
 
+_LAYERS = {"fuzzyqm.deuteron", "fuzzyqm.operators", "fuzzyqm.oscillator"}
+
+
+def _layers_loaded(code: str) -> set[str]:
+    """The layer modules a fresh interpreter holds after running ``code``."""
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('fuzzyqm.')))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return _LAYERS & set(r.stdout.splitlines()[-1].split())
+
+
+def test_cli_start_loads_no_layer():
+    # each command imports its own layer, so parsing and the usage checks pay for none
+    assert _layers_loaded("import fuzzyqm.cli") == set()
+
+
+@pytest.mark.parametrize(
+    "layer, args",
+    [
+        ("operators", ["commutators", "--levels", "2", "--n0", "16", "--states", "1"]),
+        ("oscillator", ["oscillator", "--omega", "0.01", "--mass", "1", "--nmax", "0"]),
+        ("deuteron", ["deuteron", "range-depth"]),
+    ],
+)
+def test_each_command_loads_only_its_own_layer(tmp_path, layer, args):
+    # the exit code is not asserted: at --n0 16 the commutator ladder fails its order check, after loading
+    argv = ["--out", str(tmp_path), *args]
+    assert _layers_loaded(f"from fuzzyqm.cli import main; main({argv!r})") == {f"fuzzyqm.{layer}"}
+    assert any(tmp_path.iterdir())
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_knob = 3\n")
@@ -170,6 +201,7 @@ def test_meson_mass_is_an_unknown_config_key(tmp_path, capsys):
         "n_points = 1099511627776",
         "out = elsewhere",
         "format = json",
+        "e0_binding = -2.5\ne0_binding = -2.226",
     ],
 )
 def test_config_value_outside_domain_exits_2_with_one_line(tmp_path, capsys, line):
@@ -197,7 +229,7 @@ def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, config):
 @pytest.mark.parametrize("out", ["taken", "taken/sub"])
 def test_out_naming_a_file_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, out):
     (tmp_path / "taken").write_text("keep\n")
-    monkeypatch.setattr(cli, "solve_depth", lambda *a: pytest.fail("solved before checking --out"))
+    monkeypatch.setattr(deuteron, "solve_depth", lambda *a: pytest.fail("solved before checking --out"))
     code = main(["--out", str(tmp_path / out), "deuteron", "range-depth"])
     err = capsys.readouterr().err
     assert code == 2
@@ -217,14 +249,14 @@ def test_commutators_ladder(tmp_path):
 
 def test_commutators_robertson_margin_is_pinned(tmp_path, monkeypatch):
     # the smallest dxf dp / bound over the default run's 1,000 seeded states: a changed stream or state moves it
-    report, ratios = cli.uncertainty_report, []
+    report, ratios = operators.uncertainty_report, []
 
     def record(state, s):
         rep = report(state, s)
         ratios.append(rep.dxf * rep.dp / rep.bound)
         return rep
 
-    monkeypatch.setattr(cli, "uncertainty_report", record)
+    monkeypatch.setattr(operators, "uncertainty_report", record)
     assert main(["--out", str(tmp_path), "commutators"]) == 0
     assert len(ratios) == 1000
     assert min(ratios) == pytest.approx(1.2853489611647373, rel=1e-12)
@@ -235,20 +267,20 @@ def test_commutators_failing_check_exits_1_with_one_line(tmp_path, capsys, monke
     # each check made to fail in turn: an [X_f, P] residual flat across the ladder, one state below the
     # Robertson bound, a spacetime residual flat across its ladder; only that check's rows read FAIL
     if check == "commutator_xf_p":
-        monkeypatch.setattr(cli, "verify_commutator_xf_p", lambda grid, s: 1e-3)
+        monkeypatch.setattr(operators, "verify_commutator_xf_p", lambda grid, s: 1e-3)
     elif check == "robertson":
-        report, calls = cli.uncertainty_report, []
+        report, calls = operators.uncertainty_report, []
 
         def one_below_the_bound(state, s):
             calls.append(state)
             rep = report(state, s)
             return dataclasses.replace(rep, dp=0.0) if len(calls) == 2 else rep
 
-        monkeypatch.setattr(cli, "uncertainty_report", one_below_the_bound)
+        monkeypatch.setattr(operators, "uncertainty_report", one_below_the_bound)
     else:
-        verify = cli.verify_spacetime_commutator
+        verify = operators.verify_spacetime_commutator
         monkeypatch.setattr(
-            cli, "verify_spacetime_commutator", lambda axis, s: dataclasses.replace(verify(axis, s), residual=1e-3)
+            operators, "verify_spacetime_commutator", lambda axis, s: dataclasses.replace(verify(axis, s), residual=1e-3)
         )
     assert main(["--out", str(tmp_path), "commutators", "--levels", "3", "--n0", "64", "--states", "4"]) == 1
     assert capsys.readouterr().err.splitlines() == ["commutators: FAILED invariant (see status column)"]
@@ -318,7 +350,7 @@ def test_oscillator_quadratic_status_holds_right_levels_at_weak_coupling(tmp_pat
 def test_oscillator_quadratic_status_fails_a_wrong_level_at_strong_coupling(tmp_path, capsys, monkeypatch):
     # at w/m = 1000 the closed form lies about 1e6 MeV from every exact level; a level a further 1e6 MeV off
     # must fail, where a budget of 4 (n + 1/2) (w/m)^3 m (1.4e10 MeV) let it pass
-    solve = cli.numeric_spectrum
+    solve = oscillator.numeric_spectrum
 
     def one_wrong_level(spec, n_max, **kwargs):
         res = solve(spec, n_max, **kwargs)
@@ -326,7 +358,7 @@ def test_oscillator_quadratic_status_fails_a_wrong_level_at_strong_coupling(tmp_
             return res
         return dataclasses.replace(res, energies=res.energies[:-1] + (res.energies[-1] + 1e6,))
 
-    monkeypatch.setattr(cli, "numeric_spectrum", one_wrong_level)
+    monkeypatch.setattr(oscillator, "numeric_spectrum", one_wrong_level)
     assert main(["--out", str(tmp_path), "oscillator", "--omega", "1000", "--mass", "1"]) == 1
     assert capsys.readouterr().err.splitlines() == ["oscillator: FAILED invariant (see status column)"]
     _, rows = read_csv(tmp_path / "oscillator_spectrum.csv")
@@ -543,6 +575,43 @@ def test_deuteron_couplings_pipeline(tmp_path):
     by_r = {float(row["r_fm"]): float(row["V_MeV"]) for row in rows}
     assert by_r[0.2] > 0 > by_r[1.0]
     assert (tmp_path / "deuteron_wavefunctions_r0_1p43.csv").exists()
+
+
+def _headline_table() -> list[list[str]]:
+    """The cells of README.md's headline table, one list per quantity, the header and rule skipped."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| quantity | `deuteron couplings` | from the paper's depths |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_headline_table_matches_the_program(tmp_path, capsys):
+    # each cell opens with the numbers the program gives, at the digits the README prints them
+    assert main(["--format", "json", "--out", str(tmp_path), "deuteron", "couplings"]) == 0
+    capsys.readouterr()
+    got = json.loads((tmp_path / "deuteron_couplings.json").read_text())["couplings"]
+    paper = coupling_report(DEFAULT_CONSTANTS, 660.77, -81.0)
+    sigma, omega = DEFAULT_CONSTANTS.g_sigma_phenom_sq_over_4pi, DEFAULT_CONSTANTS.g_omega_phenom_sq_over_4pi
+
+    def shared(v1, g_sigma, g_omega, ratio, prediction, deviation):
+        return [
+            f"{v1:.2f} MeV",
+            f"{g_sigma:.4f}, {g_omega:.4f}",
+            f"ratio {ratio:.4f} x {sigma} = {prediction:.3f} ({deviation:+.2f}% from {omega}",
+        ]
+
+    program = [f"{got['V0_MeV']:.2f} MeV", f"{got['V0_prime_MeV']:.2f} MeV", f"{got['core_radius_fm']:.4f} fm"]
+    program += shared(*(got[k] for k in ("V1_MeV", "g_sigma_sq_over_4pi", "g_omega_sq_over_4pi", "ratio",
+                                         "g_omega_phenom_sq_over_4pi", "phenom_deviation_percent")))
+    from_paper = ["660.77 MeV", "-81.0 MeV", "-"] + shared(*dataclasses.astuple(paper))
+    rows = _headline_table()
+    assert len(rows) == len(program)
+    for (quantity, *cells), expected in zip(rows, zip(program, from_paper)):
+        assert all(cell.startswith(e) for cell, e in zip(cells, expected)), (quantity, cells, expected)
 
 
 def test_byte_identical_reruns(tmp_path):
