@@ -7,7 +7,7 @@ thread counts only the numbers are promised; the oscillator files at
 --omega 0.01 in each truncation and at 0.3 and 3 exact were byte-identical
 with one and two OpenBLAS threads on a 2-core host.
 Exit codes: 0 all checks pass, 1 numerical check failure, 2 usage or config
-error.
+error, or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .errors import BracketingError, ContractError, OverflowGuardError, Refineme
 _NOMINAL_ORDER = 2.0  # central-difference ladder
 _ORDER_TOL = 0.3
 _MAX_LADDER_POINTS = 65_536  # finest commutator ladder grid, n0 * 2^(levels - 1)
-_LADDER_CUTOFF = 8.0  # cutoff of the [X_f, P] ladder and the Robertson grid, in units of --mass
-_ROBERTSON_POINTS = 512  # grid of the Robertson states
+_LADDER_CUTOFF = 8.0  # cutoff of the [X_f, P] ladder, the window the Robertson states are drawn for, in units of --mass
 _MAX_GRID_POINTS = 8_192  # --npoints
 _HARMONIC_RATIO_MAX = 2.0**52  # --omega/--mass of the quadratic closed form: its spacing w spans two roundings of w^2/2m
 _PION_RANGE_FM = 1.43  # range of the pion-range depths and trial wavefunctions
@@ -171,8 +170,7 @@ def cmd_commutators(cfg: RunConfig, args: argparse.Namespace) -> int:
         rows.append(["commutator_xf_p", n, fine[0], order, status])
         coarse = fine
 
-    # Robertson inequality over random smooth states
-    grid = MomentumGrid.symmetric(_ROBERTSON_POINTS, _LADDER_CUTOFF * mass)
+    # Robertson inequality over random smooth states, drawn for the ladder's window
     rng = np.random.default_rng(20240801)
     violations = 0
     for _ in range(args.states):
@@ -486,11 +484,15 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "commutators":
-        return cmd_commutators(cfg, args)
-    if args.command == "oscillator":
-        return cmd_oscillator(cfg, args)
-    return cmd_deuteron(cfg, args)
+    try:
+        if args.command == "commutators":
+            return cmd_commutators(cfg, args)
+        if args.command == "oscillator":
+            return cmd_oscillator(cfg, args)
+        return cmd_deuteron(cfg, args)
+    except OSError as exc:  # an output file that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

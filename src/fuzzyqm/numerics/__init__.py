@@ -1,7 +1,6 @@
 """Foundation layer: grids, derivative operators and the scalar minimiser.
 
-The commands apply the central d/dp matrix-free (``apply_d1``); the
-uncertainty report in ``operators`` builds its own sinc kernel spectrum.  The
+The commands apply the central d/dp matrix-free (``apply_d1``).  The
 dense ``derivative_matrix`` (central and sinc) and ``OperatorMatrix`` are
 built by no command: the tests use them as oracles, and the benchmark's
 tracer counts them.

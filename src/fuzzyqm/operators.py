@@ -4,17 +4,19 @@ The position operator conjugated with the Gaussian factor exp(-p^2/2m^2)
 acquires a noncanonical commutator with momentum, a modified uncertainty
 bound, smeared angular-momentum eigenvalues, and noncommuting position
 components.  The commutator checks apply the operators matrix-free through
-the central ``apply_d1``, the uncertainty report through its own sinc kernel
-spectrum, and all of them act on smooth probe states, because entrywise
-matrix comparisons are meaningless for difference schemes: the discrete
-commutator only represents the continuum one on resolved functions.
+the central ``apply_d1`` on smooth probe states, because entrywise matrix
+comparisons are meaningless for difference schemes: the discrete commutator
+only represents the continuum one on resolved functions.  The uncertainty
+report needs no grid: its states are sums of Gaussian wavepackets, and each
+quantity it reads is a Gaussian integral in closed form.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,21 +47,13 @@ class SmearingParams:
         return np.exp(-np.asarray(p) ** 2 / denom)
 
 
-@dataclass
-class GridState:
-    """Complex samples over a grid, in the plain measure |psi|^2 dp."""
+class PacketState(NamedTuple):
+    """psi(p) = sum_k amps[k] exp(-(p - p0[k])^2/4 widths[k]^2 + i x0[k] p): one entry per Gaussian wavepacket."""
 
-    samples: np.ndarray
-    grid: MomentumGrid
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=complex)
-        if s.shape != (self.grid.n,):
-            raise ValueError(f"samples shape {s.shape} does not match grid size {self.grid.n}")
-        self.samples = s
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.grid.spacing * np.vdot(self.samples, self.samples).real))
+    amps: tuple[complex, ...]
+    widths: tuple[float, ...]
+    p0: tuple[float, ...]
+    x0: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -85,56 +79,6 @@ class SpacetimeCommutatorReport:
 # commutator checks
 
 _PROBES = ((2.0, 0.0, 0.0), (2.5, 0.8, 0.0), (3.0, 0.0, 1.0), (2.0, -0.5, 0.5))  # (width, x0, p0) in mass units
-
-
-_PACKETS = 3
-_PHASE_BLOCK = 32  # e^{i x0 p} is the outer product of a factor per block of points and one per offset in a block
-
-
-@lru_cache(maxsize=64)
-def _phase_steps(grid: MomentumGrid) -> np.ndarray:
-    """The points p_{32a} that open each block of 32, then the offsets b h inside a block; read-only.
-
-    h is linspace's own step 2 cutoff/(n - 1).  ``spacing``, the difference of
-    two rounded points, can be off from it by half an ulp of the cutoff, which
-    31 offsets and x0 up to 3/scale would turn into phase errors near 1e-13.
-    """
-    h = 2.0 * grid.cutoff / (grid.n - 1)
-    steps = np.concatenate([grid.points[::_PHASE_BLOCK], h * np.arange(_PHASE_BLOCK)])
-    steps.flags.writeable = False
-    return steps
-
-
-def random_smooth_state(grid: MomentumGrid, rng: np.random.Generator) -> GridState:
-    """Random superposition of three resolved Gaussian wavepackets (for property suites).
-
-    Each packet draws its width, centre p0 and position x0 as three uniforms,
-    then its complex amplitude as two normals; mapped as ``rng.uniform`` maps
-    them, the stream and the draws are those of one scalar ``uniform`` or
-    ``normal`` call each.  A packet is the real envelope exp(-(p - p0)^2/4w^2)
-    times the phase e^{i x0 p}, which is factorised on the uniform grid as
-    e^{i x0 p_{32a}} e^{i x0 b h} at point j = 32 a + b, so only
-    3 (n/32 + 32) complex exponentials are taken.
-    """
-    scale = grid.cutoff / 8.0
-    packets, amps = [], []
-    for _ in range(_PACKETS):
-        u_width, u_p0, u_x0 = rng.random(3).tolist()
-        re, im = rng.standard_normal(2).tolist()
-        width = scale * (0.4 + (2.0 - 0.4) * u_width)  # rng.uniform(lo, hi) is lo + (hi - lo) u
-        packets.append(((-3.0 + (3.0 + 3.0) * u_x0) / scale, (-2.0 + (2.0 + 2.0) * u_p0) * scale, -0.25 / width**2))
-        amps.append(complex(re, im))
-    x0, p0, curvature = np.array(packets).T[:, :, None]
-
-    p = grid.points
-    factors = np.exp(1j * (x0 * _phase_steps(grid)))
-    phase = (factors[:, :-_PHASE_BLOCK, None] * factors[:, None, -_PHASE_BLOCK:]).reshape(_PACKETS, -1)[:, : grid.n]
-    envelope = np.exp((p - p0) ** 2 * curvature)
-    state = GridState(np.array(amps) @ (envelope * phase), grid)
-    if (norm := state.norm()) == 0:
-        raise ValueError("cannot normalise the zero state")
-    state.samples /= norm
-    return state
 
 
 def verify_commutator_xf_p(grid: MomentumGrid, s: SmearingParams, scheme: str = "central") -> float:
@@ -233,52 +177,94 @@ def verify_spacetime_commutator(axis_grid: MomentumGrid, s: SmearingParams) -> S
 # ----------------------------------------------------------------------------
 # uncertainties
 
+_PACKETS = 3
 
-@lru_cache(maxsize=64)
-def _report_table(grid: MomentumGrid, s: SmearingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What ``uncertainty_report`` needs of a grid and smearing, all read-only.
 
-    G = exp(-p^2/2m^2); the moment rows h [1, p, p^2, G^2]; and the spectrum
-    at length 2n of the sinc d/dp kernel D[i, j] = (-1)^(i-j) / ((i-j) h),
-    lags 0 ... n-1, a zero, then lags -(n-1) ... -1 wrapped.
+def _exponents(state: PacketState) -> list[tuple[complex, float, complex, float]]:
+    """Each packet a exp(-(p - p0)^2/4w^2 + i x0 p) as (a, c, d, e) of a exp(c p^2 + d p + e)."""
+    return [
+        (a, -0.25 / w**2, complex(0.5 * q / w**2, x), -0.25 * q * q / w**2)
+        for a, w, q, x in zip(state.amps, state.widths, state.p0, state.x0)
+    ]
+
+
+def _gaussian_moments(a: float, b: complex, c: float) -> tuple[complex, complex, float]:
+    """The integral M0 of exp(a p^2 + b p + c) over the real line (a < 0), and the mean and variance of its weight.
+
+    So the integrals of p and p^2 times that exponential are M0 mean and M0 (mean^2 + variance).
     """
-    p, h = grid.points, grid.spacing
-    g = s.gaussian(p, half=True)
-    moments = h * np.stack([np.ones_like(p), p, p * p, g * g])
-    k = np.arange(1, grid.n)
-    lag = (-1.0) ** k / (k * h)  # D[i, j] at i - j = k
-    spectrum = np.fft.fft(np.r_[0.0, lag, 0.0, -lag[::-1]])
-    for a in (g, moments, spectrum):
-        a.flags.writeable = False
-    return g, moments, spectrum
+    return math.sqrt(math.pi / -a) * cmath.exp(c - b * b / (4.0 * a)), -b / (2.0 * a), -0.5 / a
 
 
-def uncertainty_report(state: GridState, s: SmearingParams) -> UncertaintyReport:
-    """Spreads of the fuzzy position and momentum, and the Robertson bound.
+def random_smooth_state(grid: MomentumGrid, rng: np.random.Generator) -> PacketState:
+    """Random superposition of three Gaussian wavepackets, normalised, for the grid's window (for property suites).
 
-    Requires a normalised state.  X_f = i G D G acts matrix-free through the
-    sinc D, a convolution applied by zero-padded FFT of length 2n.  One
-    product of the moment rows with |psi|^2 gives the norm, <p>, <p^2> and
-    <G^2>; one FFT of G psi, times the kernel spectrum and transformed back,
-    gives D G psi.  With it <X_f> = -h Im<G psi, D G psi> and
-    ||X_f psi||^2 = h sum G^2 |D G psi|^2.
+    Only ``grid.cutoff`` is read: the widths, centres and positions scale with
+    cutoff/8.  Each packet draws its width, centre p0 and position x0 as three
+    uniforms, then its complex amplitude as two normals; mapped as
+    ``rng.uniform`` maps them, the stream and the draws are those of one
+    scalar ``uniform`` or ``normal`` call each.  The amplitudes are divided
+    by the norm, summed in closed form over the packet pairs.
     """
-    grid, psi = state.grid, state.samples
-    n = grid.n
-    g, moments, spectrum = _report_table(grid, s)
-    norm2, mean_p, mean_p2, mean_g2 = (moments @ (psi.real**2 + psi.imag**2)).tolist()
-    if abs(math.sqrt(norm2) - 1.0) > _NORM_TOL:
-        raise ContractError(f"state is not normalised (norm = {math.sqrt(norm2)!r})")
+    scale = grid.cutoff / 8.0
+    packets = []
+    for _ in range(_PACKETS):
+        u_width, u_p0, u_x0 = rng.random(3).tolist()
+        re, im = rng.standard_normal(2).tolist()
+        width = scale * (0.4 + (2.0 - 0.4) * u_width)  # rng.uniform(lo, hi) is lo + (hi - lo) u
+        p0, x0 = (-2.0 + (2.0 + 2.0) * u_p0) * scale, (-3.0 + (3.0 + 3.0) * u_x0) / scale
+        packets.append((complex(re, im), width, p0, x0))
+    state = PacketState(*zip(*packets))
+    terms = _exponents(state)
+    norm2 = sum(
+        aj.conjugate() * ak * _gaussian_moments(cj + ck, dj.conjugate() + dk, ej + ek)[0]
+        for aj, cj, dj, ej in terms
+        for ak, ck, dk, ek in terms
+    ).real
+    if norm2 == 0:
+        raise ValueError("cannot normalise the zero state")
+    norm = math.sqrt(norm2)
+    return state._replace(amps=tuple(a / norm for a in state.amps))
 
-    padded = np.zeros(2 * n, complex)
-    np.multiply(g, psi, out=padded[:n])
-    dg_psi = np.fft.ifft(np.fft.fft(padded) * spectrum)[:n]
-    mean_xf = -grid.spacing * np.vdot(padded[:n], dg_psi).imag  # <psi, i G D G psi>
-    mean_xf2 = float(moments[3] @ (dg_psi.real**2 + dg_psi.imag**2))  # <Xf^2> via ||Xf psi||^2
 
-    dxf = math.sqrt(max(mean_xf2 - mean_xf**2, 0.0))
-    dpu = math.sqrt(max(mean_p2 - mean_p**2, 0.0))
-    bound = 0.5 * abs(mean_g2)  # G^2 = exp(-p^2/m^2)
+def uncertainty_report(state: PacketState, s: SmearingParams) -> UncertaintyReport:
+    """Spreads of the fuzzy position and momentum, and the Robertson bound, in closed form.
+
+    Requires a normalised state.  Packet k is a_k exp(c_k p^2 + d_k p + e_k),
+    so conj(psi_j) psi_k is exp(A p^2 + B p + C) with A = c_j + c_k,
+    B = conj(d_j) + d_k and C = e_j + e_k, and each quantity is a sum over
+    the nine packet pairs of a polynomial moment of degree at most 2.
+    G = exp(-p^2/2m^2) only shifts c by -1/2m^2.  The norm, <p> and <p^2>
+    take the exponent A, and <G^2> takes A - 1/m^2.  With phi = G psi and
+    X_f = i G D G, X_f psi = i G phi' where phi_k' = (2 c'_k p + d_k) phi_k
+    and c' = c - 1/2m^2; so <X_f> = i<phi, phi'> takes A - 1/m^2, and
+    ||X_f psi||^2, the integral of G^2 |phi'|^2, takes A - 2/m^2.
+    """
+    shift = 1.0 / s.mass**2
+    terms = _exponents(state)
+    norm2 = mean_p = mean_p2 = mean_g2 = phi_dphi = mean_xf2 = 0j
+    for aj, cj, dj, ej in terms:
+        aj, dj, cj1 = aj.conjugate(), dj.conjugate(), cj - 0.5 * shift
+        for ak, ck, dk, ek in terms:
+            weight, ck1 = aj * ak, ck - 0.5 * shift
+            a, b, c = cj + ck, dj + dk, ej + ek
+            m0, mean, var = _gaussian_moments(a, b, c)
+            norm2 += weight * m0
+            mean_p += weight * m0 * mean
+            mean_p2 += weight * m0 * (mean * mean + var)
+            m0, mean, var = _gaussian_moments(a - shift, b, c)
+            mean_g2 += weight * m0
+            phi_dphi += weight * m0 * (2.0 * ck1 * mean + dk)
+            m0, mean, var = _gaussian_moments(a - 2.0 * shift, b, c)
+            # the moments of conj(2 c'_j p + d_j) (2 c'_k p + d_k)
+            poly = 4.0 * cj1 * ck1 * (mean * mean + var) + 2.0 * (cj1 * dk + ck1 * dj) * mean + dj * dk
+            mean_xf2 += weight * m0 * poly
+    if abs(math.sqrt(norm2.real) - 1.0) > _NORM_TOL:
+        raise ContractError(f"state is not normalised (norm = {math.sqrt(norm2.real)!r})")
+
+    dxf = math.sqrt(max(mean_xf2.real - phi_dphi.imag**2, 0.0))  # <X_f> = i<phi, phi'> = -Im<phi, phi'>
+    dpu = math.sqrt(max(mean_p2.real - mean_p.real**2, 0.0))
+    bound = 0.5 * abs(mean_g2.real)  # G^2 = exp(-p^2/m^2)
     return UncertaintyReport(dxf, dpu, bound)
 
 

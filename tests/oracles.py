@@ -1,4 +1,4 @@
-"""Dense oracles of the matrix-free operators and of the oscillator, and the spacetime probes, for the tests only.
+"""Oracles for the tests only: dense operators and oscillator blocks, the grid uncertainty report, the spacetime probes.
 
 No command builds these n x n matrices: ``operators`` applies the same
 operators through ``apply_d1``, and the tests compare the two.  The
@@ -8,8 +8,11 @@ kinetic term and weight written out here (``kinetic_and_weight``), are the
 independent oracle of those levels and states.  No command reads the
 spacetime probes either: ``verify_spacetime_commutator`` reports only its
 residual, and the tests apply the same sides to the probes' states.
-``smooth_state_samples`` is the per-packet loop that ``random_smooth_state``
-vectorises, with its scalar draws and one complex exponential per point.
+``smooth_state_draws`` is the per-packet loop of scalar draws whose stream
+``random_smooth_state`` takes in fewer calls.  ``grid_uncertainty_report``
+is the oracle of the closed-form ``uncertainty_report``: it takes a state's
+samples on a grid (``packet_samples``) and applies the sinc derivative
+there, so it shares none of the Gaussian algebra.
 """
 
 import numpy as np
@@ -19,25 +22,60 @@ from numpy.lib.stride_tricks import sliding_window_view
 from fuzzyqm.errors import OverflowGuardError
 from fuzzyqm.numerics.grids import MomentumGrid, OperatorMatrix
 from fuzzyqm.numerics.linalg import derivative_matrix
-from fuzzyqm.operators import SmearingParams, _spacetime_sides
+from fuzzyqm.operators import PacketState, SmearingParams, UncertaintyReport, _spacetime_sides
 from fuzzyqm.oscillator import OscillatorSpec, _hermite_basis, _mirror_state
 
 SNYDER_WIDTH = 0.07  # width, in mass units, of the low-momentum state of the Snyder probe
 WEIGHT_CAP = 1e12  # largest max(W)/min(W) on a grid for which the dense rung's W^(-1/2) reduction stays accurate
 
 
-def smooth_state_samples(grid: MomentumGrid, rng: np.random.Generator) -> np.ndarray:
-    """Normalised samples of three Gaussian wavepackets, drawn and summed one packet at a time."""
-    p = grid.points
+def smooth_state_draws(grid: MomentumGrid, rng: np.random.Generator) -> list[tuple[complex, float, float, float]]:
+    """The unnormalised (amplitude, width, p0, x0) of three Gaussian wavepackets, drawn one scalar at a time."""
     scale = grid.cutoff / 8.0
-    psi = np.zeros(grid.n, dtype=complex)
+    packets = []
     for _ in range(3):
         width = scale * rng.uniform(0.4, 2.0)
         p0 = rng.uniform(-2.0, 2.0) * scale
         x0 = rng.uniform(-3.0, 3.0) / scale
         amp = rng.normal() + 1j * rng.normal()
-        psi += amp * np.exp(-((p - p0) ** 2) / (4.0 * width**2) + 1j * x0 * p)
-    return psi / np.sqrt(grid.spacing * np.vdot(psi, psi).real)
+        packets.append((amp, width, p0, x0))
+    return packets
+
+
+def packet_samples(state: PacketState, grid: MomentumGrid) -> np.ndarray:
+    """The wavepackets of ``state`` summed at the grid's points, one complex exponential per packet and point."""
+    p = grid.points
+    return sum(
+        a * np.exp(-((p - p0) ** 2) / (4.0 * w**2) + 1j * x0 * p)
+        for a, w, p0, x0 in zip(state.amps, state.widths, state.p0, state.x0)
+    )
+
+
+def grid_uncertainty_report(psi: np.ndarray, grid: MomentumGrid, s: SmearingParams) -> UncertaintyReport:
+    """The spreads and bound of normalised samples psi, with X_f = i G D G and the sinc D, on the grid.
+
+    D[i, j] = (-1)^(i-j) / ((i-j) h) is a Toeplitz matrix, applied as a
+    convolution by zero-padded FFT of length 2n: its spectrum is that of the
+    lags 0 ... n-1, a zero, then lags -(n-1) ... -1 wrapped.  With
+    G = exp(-p^2/2m^2), <X_f> = -h Im<G psi, D G psi> and
+    ||X_f psi||^2 = h sum G^2 |D G psi|^2; <p>, <p^2> and <G^2> are h sum of
+    p, p^2 and G^2 times |psi|^2.
+    """
+    n, p, h = grid.n, grid.points, grid.spacing
+    g = s.gaussian(p, half=True)
+    rho = np.abs(psi) ** 2
+    mean_p, mean_p2, mean_g2 = h * np.sum(p * rho), h * np.sum(p * p * rho), h * np.sum(g * g * rho)
+    k = np.arange(1, n)
+    lag = (-1.0) ** k / (k * h)  # D[i, j] at i - j = k
+    spectrum = np.fft.fft(np.r_[0.0, lag, 0.0, -lag[::-1]])
+    dg_psi = np.fft.ifft(np.fft.fft(np.r_[g * psi, np.zeros(n)]) * spectrum)[:n]
+    mean_xf = -h * np.vdot(g * psi, dg_psi).imag
+    mean_xf2 = h * np.sum(g * g * np.abs(dg_psi) ** 2)
+    return UncertaintyReport(
+        float(np.sqrt(max(mean_xf2 - mean_xf**2, 0.0))),
+        float(np.sqrt(max(mean_p2 - mean_p**2, 0.0))),
+        float(0.5 * abs(mean_g2)),
+    )
 
 
 def build_momentum_op(grid: MomentumGrid) -> OperatorMatrix:

@@ -237,6 +237,22 @@ def test_out_naming_a_file_exits_2_before_any_solve(tmp_path, capsys, monkeypatc
     assert (tmp_path / "taken").read_text() == "keep\n"
 
 
+@pytest.mark.parametrize(
+    "blocked, args",
+    [
+        ("commutators.csv", ["commutators", "--states", "2", "--levels", "2", "--n0", "64"]),
+        ("oscillator_eigenfunctions.csv", ["oscillator", "--omega", "0.01", "--mass", "1"]),
+        ("deuteron_couplings.json", ["deuteron", "couplings"]),
+    ],
+)
+def test_output_file_that_cannot_be_written_exits_2_with_one_line(tmp_path, capsys, blocked, args):
+    # a directory where the command writes a file: one "output error" line and exit 2, not a traceback
+    (tmp_path / blocked).mkdir()
+    assert main(["--out", str(tmp_path), *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output error: ") and blocked in err[0]
+
+
 def test_commutators_ladder(tmp_path):
     r = run("--out", str(tmp_path), "commutators", "--levels", "3", "--n0", "64", "--states", "40")
     assert r.returncode == 0, r.stderr

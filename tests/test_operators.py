@@ -7,7 +7,7 @@ import fuzzyqm.operators as operators_module
 from fuzzyqm.errors import ContractError
 from fuzzyqm.numerics import MomentumGrid, derivative_matrix, grids, linalg
 from fuzzyqm.operators import (
-    GridState,
+    PacketState,
     SmearingParams,
     fuzzy_angular_eigenvalue,
     random_smooth_state,
@@ -20,7 +20,9 @@ from oracles import (
     build_fuzzy_position_op,
     build_momentum_op,
     build_position_op,
-    smooth_state_samples,
+    grid_uncertainty_report,
+    packet_samples,
+    smooth_state_draws,
     spacetime_antihermiticity,
     spacetime_snyder_deviation,
 )
@@ -34,15 +36,18 @@ def _grid(n=256, cutoff=8.0):
 
 
 def gaussian_probe(grid, width, x0=0.0, p0=0.0):
-    """Normalised Gaussian wavepacket centred at momentum p0 and position x0.
+    """Samples of a normalised Gaussian wavepacket centred at momentum p0 and position x0.
 
     With X = i d/dp, a state of mean position x0 carries the phase exp(-i x0 p).
     """
     p = grid.points
     psi = np.exp(-((p - p0) ** 2) / (4.0 * width**2) - 1j * x0 * p)
-    state = GridState(psi, grid)
-    state.samples /= state.norm()
-    return state
+    return psi / np.sqrt(grid.spacing * np.vdot(psi, psi).real)
+
+
+def packet(width, x0=0.0, p0=0.0):
+    """One Gaussian wavepacket exp(-(p - p0)^2/4w^2 + i x0 p), normalised by its amplitude (2 pi w^2)^(-1/4)."""
+    return PacketState(((2.0 * np.pi * width**2) ** -0.25,), (width,), (p0,), (x0,))
 
 
 # --- momentum / position builders ---------------------------------------------
@@ -58,14 +63,14 @@ def test_momentum_op_is_diagonal():
 def test_momentum_op_acts_pointwise():
     g = _grid()
     st = gaussian_probe(g, 1.0)
-    out = build_momentum_op(g).entries @ st.samples
-    assert np.allclose(out, g.points * st.samples)
+    out = build_momentum_op(g).entries @ st
+    assert np.allclose(out, g.points * st)
 
 
 def test_mean_momentum_vanishes_for_even_density():
     g = _grid()
     st = gaussian_probe(g, 1.3)
-    mean_p = np.sum(g.points * np.abs(st.samples) ** 2) * g.spacing
+    mean_p = np.sum(g.points * np.abs(st) ** 2) * g.spacing
     assert abs(mean_p) < 1e-12
 
 
@@ -87,7 +92,7 @@ def test_mean_position_vanishes_for_real_symmetric_state():
     g = _grid()
     st = gaussian_probe(g, 1.0)
     x = build_position_op(g).entries
-    mean_x = np.real(np.sum(np.conj(st.samples) * (x @ st.samples)) * g.spacing)
+    mean_x = np.real(np.sum(np.conj(st) * (x @ st)) * g.spacing)
     assert abs(mean_x) < 1e-10
 
 
@@ -97,8 +102,8 @@ def test_canonical_commutator_on_probe_states():
     p = g.points
     comm = x * p[None, :] - p[:, None] * x
     st = gaussian_probe(g, 1.5)
-    defect = comm @ st.samples - 1j * st.samples
-    assert np.max(np.abs(defect[g.interior_slice()])) / np.max(np.abs(st.samples)) < 2e-3
+    defect = comm @ st - 1j * st
+    assert np.max(np.abs(defect[g.interior_slice()])) / np.max(np.abs(st)) < 2e-3
 
 
 def test_fuzzy_position_point_particle_limit_entrywise():
@@ -252,24 +257,20 @@ def test_spacetime_memory_guard():
 
 
 def test_uncertainty_requires_normalised_state():
-    g = _grid()
-    st = GridState(np.exp(-g.points**2).astype(complex), g)
     with pytest.raises(ContractError, match="normalised"):
-        uncertainty_report(st, S)
+        uncertainty_report(PacketState((1.0,), (0.5,), (0.0,), (0.0,)), S)  # exp(-p^2), of norm (pi/2)^(1/4)
 
 
 def test_gaussian_point_particle_limit_reaches_canonical_minimum():
-    g = _grid(512)
-    rep = uncertainty_report(gaussian_probe(g, 1.0), SmearingParams(1e9))
+    rep = uncertainty_report(packet(1.0), SmearingParams(1e9))
     assert rep.dxf * rep.dp == pytest.approx(0.5, abs=1e-6)
     assert rep.bound == pytest.approx(0.5, abs=1e-9)
 
 
-@pytest.mark.parametrize("scheme", ["spectral"])  # the oracle's derivative, the one uncertainty_report uses
+@pytest.mark.parametrize("scheme", ["spectral"])  # the dense matrix of the sinc derivative the grid report applies
 def test_uncertainty_report_matches_dense_oracle(scheme):
-    # two grid sizes, 300 not a power of two, 512 at two cutoffs, so that a kernel spectrum keyed on n alone
-    # would hand one spacing the other's; and two masses on each grid, alternating state by state, so that a
-    # table cached per grid alone would hand one mass the other's G
+    # the grid report against the dense X_f: two grid sizes, 300 not a power of two, 512 at two cutoffs, and two
+    # masses on each grid, alternating state by state; each state is sampled on the grid and renormalised there
     rng = np.random.default_rng(20240809)
     for n, cutoff in ((512, 8.0), (512, 5.0), (300, 8.0)):
         g = _grid(n, cutoff)
@@ -278,8 +279,8 @@ def test_uncertainty_report_matches_dense_oracle(scheme):
         xfs = [build_fuzzy_position_op(g, s, scheme).entries for s in smearings]
         for i in range(20):
             s, xf = smearings[i % 2], xfs[i % 2]
-            st = random_smooth_state(g, rng)
-            psi = st.samples
+            psi = packet_samples(random_smooth_state(g, rng), g)
+            psi /= np.sqrt(h * np.vdot(psi, psi).real)
             rho = np.abs(psi) ** 2
             mean_xf = np.real(np.vdot(psi, xf @ psi)) * h
             mean_p = np.sum(p * rho) * h
@@ -288,22 +289,26 @@ def test_uncertainty_report_matches_dense_oracle(scheme):
                 "dp": np.sqrt(np.sum(p**2 * rho) * h - mean_p**2),
                 "bound": 0.5 * np.sum(s.gaussian(p) * rho) * h,
             }
-            rep = uncertainty_report(st, s)
+            rep = grid_uncertainty_report(psi, g, s)
             for name, value in want.items():
                 assert getattr(rep, name) == pytest.approx(value, rel=1e-10), (n, cutoff, s.mass, name)
 
 
-def test_uncertainty_report_after_cache_clear_is_bit_identical():
-    g = _grid(300)
-    st = random_smooth_state(g, np.random.default_rng(11))
-    warm = uncertainty_report(st, S)
-    assert uncertainty_report(st, S) == warm
-    operators_module._report_table.cache_clear()
-    assert uncertainty_report(st, S) == warm
-    for table in (*operators_module._report_table(g, S), operators_module._phase_steps(g)):
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 1.0
+@pytest.mark.parametrize("mass", [MASS, 0.6 * MASS])
+def test_uncertainty_report_matches_the_grid_oracle(mass):
+    # the closed form against the sinc report on samples of the same states, 300 drawn for the CLI's window of
+    # +-8 m, on a grid of 2,048 points at +-20 m, which holds them untruncated: the two share no algebra.  The
+    # samples are renormalised on the grid, which takes the half-ulp error of its spacing out of the sums
+    s = SmearingParams(mass)
+    window, wide = _grid(512, 8.0 * mass), _grid(2048, 20.0 * mass)
+    rng = np.random.default_rng(20240801)
+    for _ in range(300):
+        state = random_smooth_state(window, rng)
+        psi = packet_samples(state, wide)
+        rep = uncertainty_report(state, s)
+        want = grid_uncertainty_report(psi / np.sqrt(wide.spacing * np.vdot(psi, psi).real), wide, s)
+        for name in ("dxf", "dp", "bound"):
+            assert getattr(rep, name) == pytest.approx(getattr(want, name), rel=1e-12), name
 
 
 def test_checks_build_no_dense_operator(monkeypatch):
@@ -314,18 +319,18 @@ def test_checks_build_no_dense_operator(monkeypatch):
     monkeypatch.setattr(linalg, "derivative_matrix", refuse)
     monkeypatch.setattr(grids.OperatorMatrix, "__post_init__", refuse)
     g = _grid(256)
-    uncertainty_report(gaussian_probe(g, 1.0, x0=0.5, p0=0.3), S)
+    uncertainty_report(packet(1.0, x0=0.5, p0=0.3), S)
     verify_commutator_xf_p(g, S)
     verify_spacetime_commutator(MomentumGrid.symmetric(48, 6.0 * MASS), S)
 
 
 def test_random_smooth_state_is_plain_and_normalised():
-    g = _grid(512)
+    # normalised in the plain measure dp: summed on a grid wide and fine enough that the sum is the integral
+    g, wide = _grid(512), _grid(2048, 20.0)
     rng = np.random.default_rng(20241018)
     for _ in range(20):
-        st = random_smooth_state(g, rng)
-        assert st.grid is g
-        assert abs(st.norm() - 1.0) <= 1e-13
+        psi = packet_samples(random_smooth_state(g, rng), wide)
+        assert abs(np.sqrt(wide.spacing * np.vdot(psi, psi).real) - 1.0) <= 1e-13
 
 
 class _ZeroAmplitudes:
@@ -345,21 +350,17 @@ def test_random_smooth_state_rejects_the_zero_state():
 
 @pytest.mark.parametrize("n", [256, 300, 509, 512, 1000])
 def test_random_smooth_state_matches_the_per_packet_loop(n):
-    # n runs through multiples of the 32-point phase block and sizes that are not; scale = cutoff/8 is not 1
+    # the state reads only the cutoff, so n seeds the stream; scale = cutoff/8 is not 1
     for cutoff in (0.08, 8.0, 800.0):
         g = _grid(n, cutoff)
         rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
         for _ in range(20):
-            psi, want = random_smooth_state(g, rng).samples, smooth_state_samples(g, oracle_rng)
-            assert np.max(np.abs(psi - want)) <= 1e-14 * np.max(np.abs(want)), (n, cutoff)
+            state, draws = random_smooth_state(g, rng), smooth_state_draws(g, oracle_rng)
+            amps, widths, p0, x0 = zip(*draws)
+            assert (state.widths, state.p0, state.x0) == (widths, p0, x0), (n, cutoff)
+            ratio = np.array(state.amps) / np.array(amps)  # the amplitudes divided by one norm
+            assert np.max(np.abs(ratio - ratio[0].real)) <= 1e-15 * ratio[0].real, (n, cutoff)
             assert rng.random() == oracle_rng.random()  # the same draws, leaving the same stream
-
-
-def test_plain_norm_matches_the_weighted_sum():
-    g = _grid(300)
-    rng = np.random.default_rng(300)
-    psi = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
-    assert GridState(psi, g).norm() == pytest.approx(np.sqrt(np.sum(g.spacing * np.abs(psi) ** 2)), rel=1e-14)
 
 
 def test_robertson_inequality_random_states():
@@ -374,16 +375,16 @@ def test_robertson_inequality_random_states():
 @pytest.mark.parametrize("mass", [MASS, 0.6 * MASS])
 @pytest.mark.parametrize("n", [256, 512, 1024])
 def test_robertson_bound_is_attained(n, mass):
-    # Robertson equality holds where (X_f - <X_f>) psi = i mu (P - <P>) psi; for a real even psi and chi = G psi
-    # that reads chi' = mu p e^{p^2/m^2} chi, solved by psi_mu = exp(p^2/2m^2 + (mu m^2/2) e^{p^2/m^2}), mu < 0,
-    # written as one exp so that the large factors never overflow
+    # on the grid report, which applies the discretised X_f.  Robertson equality holds where
+    # (X_f - <X_f>) psi = i mu (P - <P>) psi; for a real even psi and chi = G psi that reads
+    # chi' = mu p e^{p^2/m^2} chi, solved by psi_mu = exp(p^2/2m^2 + (mu m^2/2) e^{p^2/m^2}), mu < 0, written as
+    # one exp so that the large factors never overflow
     g = _grid(n, 8.0 * mass)
     s = SmearingParams(mass)
     u = (g.points / mass) ** 2
     for mu in (-0.5, -2.0, -8.0, -30.0):
-        st = GridState(np.exp(0.5 * u + 0.5 * mu * mass**2 * np.exp(u)), g)
-        st.samples /= st.norm()
-        rep = uncertainty_report(st, s)
+        psi = np.exp(0.5 * u + 0.5 * mu * mass**2 * np.exp(u))
+        rep = grid_uncertainty_report(psi / np.sqrt(g.spacing * np.sum(psi * psi)), g, s)
         assert abs(rep.dxf * rep.dp / rep.bound - 1.0) <= 1e-10, mu
 
 
